@@ -1,7 +1,8 @@
 """Command-line entry point: every operation reachable for scripting.
 
-Exit codes: 0 success, 1 parse or flag error, 2 precondition violation,
-3 internal invariant failure, 4 selfcheck found violations.
+Exit codes: 0 success, 1 parse or flag error, 2 precondition violation
+(including a term nested too deeply for the interpreter stack), 3 internal
+invariant failure, 4 selfcheck found violations.
 """
 
 from __future__ import annotations
@@ -472,6 +473,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except RecursionError:
+        print("precondition violation: term nested too deeply", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

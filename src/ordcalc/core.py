@@ -8,6 +8,16 @@ Canonical form: nested sums are flattened, a singleton sum collapses to its
 sole component, and sum components are kept sorted by structural key.  Two
 terms are syntactically identical iff they are the same interned object.
 
+Interning is hash-consing on a shallow key: each constructor looks its term
+up by (tag, scalar fields, child serials), which costs O(arity) because the
+children are already interned.  Only on a miss does it build the deep `key`
+tuple, which stays the deterministic order token for canonical sum order,
+enumeration order and printing.  Equality is identity, and `hash(t)` is
+`t.serial`: process-local and dependent on construction order, so a hash
+must never be persisted or used for ordering (use `key`).  Facts needed on
+hot paths -- size, closedness, `var_names` and the like -- are slots filled
+at construction; equal variable-name sets share one frozenset.
+
 All values are immutable and safe to share between workers.  The intern
 table is lock-protected; the per-module memo caches are write-once maps
 from interned keys to values that are pure functions of those keys, so a
@@ -83,7 +93,10 @@ TAG_FVAR = 13
 
 
 class Term:
-    """Base class; concrete instances come from the constructor functions."""
+    """Base class; concrete instances come from the constructor functions.
+
+    Equality is object identity (the default); `hash(t)` is `t.serial`.
+    """
 
     __slots__ = (
         "key",
@@ -94,7 +107,7 @@ class Term:
         "has_fvar",
         "vmax",
         "valid",
-        "_hash",
+        "var_names",
     )
 
     key: tuple
@@ -105,15 +118,10 @@ class Term:
     has_fvar: bool
     vmax: int  # largest subscript of an indexed variable anywhere, -1 if none
     valid: bool  # indexed-collapse variable-scope rule holds hereditarily
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Term) and self.key == other.key)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    var_names: frozenset  # names of all ordinal and function variables in t
 
     def __hash__(self):
-        return self._hash
+        return self.serial
 
     def __repr__(self):
         from .syntax import render
@@ -212,15 +220,25 @@ class FVar(Term):
     __match_args__ = ("name", "level", "arg")
 
 
+# The intern table maps a shallow key -- (tag, scalar fields, child serials)
+# -- to the one term with that shape.  Interned children make it unique.
 _INTERN: dict[tuple, Term] = {}
 _INTERN_LOCK = threading.Lock()
 _SERIAL = itertools.count()
 
+# One shared object per distinct set of variable names.
+_NO_NAMES: frozenset[str] = frozenset()
+_NAME_SETS: dict[frozenset, frozenset] = {_NO_NAMES: _NO_NAMES}
 
-def _intern(cls, key, fields: dict, *, mask, size, closed, has_fvar, vmax, valid):
-    cached = _INTERN.get(key)
-    if cached is not None:
-        return cached
+
+def _shared_names(names: frozenset) -> frozenset:
+    return _NAME_SETS.setdefault(names, names)
+
+
+def _intern(
+    cls, shallow, key, fields: dict, *, mask, size, closed, has_fvar, vmax, valid, names
+):
+    """Build and register a term the caller's lookup on `shallow` missed."""
     t = object.__new__(cls)
     for slot, value in fields.items():
         object.__setattr__(t, slot, value)
@@ -231,13 +249,13 @@ def _intern(cls, key, fields: dict, *, mask, size, closed, has_fvar, vmax, valid
     t.has_fvar = has_fvar
     t.vmax = vmax
     t.valid = valid
-    t._hash = hash(key)
+    t.var_names = names
     with _INTERN_LOCK:
-        existing = _INTERN.get(key)
+        existing = _INTERN.get(shallow)
         if existing is not None:
             return existing
         t.serial = next(_SERIAL)
-        _INTERN[key] = t
+        _INTERN[shallow] = t
     return t
 
 
@@ -257,6 +275,10 @@ def _mask_desc(mask: int) -> str:
     return "|".join(name for name, bit in SYSTEM_NAMES.items() if mask & bit) or "none"
 
 
+def _key_of(t: Term) -> tuple:
+    return t.key
+
+
 def sum_of(components) -> Term:
     """Canonical sum: flatten nested sums, sort by key, collapse singletons.
 
@@ -270,20 +292,28 @@ def sum_of(components) -> Term:
             flat.append(c)
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda t: t.key)
+    flat.sort(key=_key_of)
+    shallow = (TAG_SUM, *[t.serial for t in flat])
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     children = tuple(flat)
-    key = (TAG_SUM, len(children)) + tuple(t.key for t in children)
-    mask = _join_masks(children)
+    names = _NO_NAMES
+    for t in children:
+        if t.var_names and t.var_names is not names:
+            names = names | t.var_names if names else t.var_names
     return _intern(
         Sum,
-        key,
+        shallow,
+        (TAG_SUM, len(children)) + tuple(t.key for t in children),
         {"children": children},
-        mask=mask,
+        mask=_join_masks(children),
         size=1 + sum(t.size for t in children),
         closed=all(t.closed for t in children),
         has_fvar=any(t.has_fvar for t in children),
         vmax=max((t.vmax for t in children), default=-1),
         valid=all(t.valid for t in children),
+        names=_shared_names(names),
     )
 
 
@@ -291,10 +321,14 @@ ZERO = sum_of(())
 
 
 def omega_pow(exponent: Term) -> Term:
-    key = (TAG_OMEGA_POW, exponent.key)
+    shallow = (TAG_OMEGA_POW, exponent.serial)
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     return _intern(
         OmegaPow,
-        key,
+        shallow,
+        (TAG_OMEGA_POW, exponent.key),
         {"exponent": exponent},
         mask=exponent.mask,
         size=1 + exponent.size,
@@ -302,26 +336,39 @@ def omega_pow(exponent: Term) -> Term:
         has_fvar=exponent.has_fvar,
         vmax=exponent.vmax,
         valid=exponent.valid,
+        names=exponent.var_names,
     )
 
 
 ONE = omega_pow(ZERO)
 
 
+def _leaf(cls, key, fields, *, mask, size, var=None, vmax=-1):
+    """Intern a term without children (a variable when `var` names it); its
+    shallow and deep keys coincide."""
+    cached = _INTERN.get(key)
+    if cached is not None:
+        return cached
+    return _intern(
+        cls,
+        key,
+        key,
+        fields,
+        mask=mask,
+        size=size,
+        closed=var is None,
+        has_fvar=False,
+        vmax=vmax,
+        valid=True,
+        names=_NO_NAMES if var is None else _shared_names(frozenset((var,))),
+    )
+
+
 def omega_idx(n: int) -> Term:
     if n < 1:
         raise TermError(f"cardinal subscript must be >= 1, got {n}")
-    key = (TAG_OMEGA_IDX, n)
-    return _intern(
-        OmegaIdx,
-        key,
-        {"index": n},
-        mask=SYS_BUCHHOLZ | SYS_MIXED,
-        size=1,
-        closed=True,
-        has_fvar=False,
-        vmax=-1,
-        valid=True,
+    return _leaf(
+        OmegaIdx, (TAG_OMEGA_IDX, n), {"index": n}, mask=SYS_BUCHHOLZ | SYS_MIXED, size=1
     )
 
 
@@ -332,44 +379,32 @@ def _check_level(j: int):
 
 def omega_lev(j: int) -> Term:
     _check_level(j)
-    key = (TAG_OMEGA_LEV, j)
-    return _intern(
-        OmegaLev,
-        key,
-        {"level": j},
-        mask=SYS_POLY,
-        size=2,
-        closed=True,
-        has_fvar=False,
-        vmax=-1,
-        valid=True,
-    )
+    return _leaf(OmegaLev, (TAG_OMEGA_LEV, j), {"level": j}, mask=SYS_POLY, size=2)
 
 
 def omega_high(j: int, n: int) -> Term:
     _check_level(j)
     if n < 1:
         raise TermError(f"cardinal subscript must be >= 1, got {n}")
-    key = (TAG_OMEGA_HIGH, j, n)
-    return _intern(
+    return _leaf(
         OmegaHigh,
-        key,
+        (TAG_OMEGA_HIGH, j, n),
         {"level": j, "index": n},
         mask=SYS_MIXED,
         size=2,
-        closed=True,
-        has_fvar=False,
-        vmax=-1,
-        valid=True,
     )
 
 
 def xi(j: int, arg: Term) -> Term:
     _check_level(j)
-    key = (TAG_XI, j, arg.key)
+    shallow = (TAG_XI, j, arg.serial)
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     return _intern(
         Xi,
-        key,
+        shallow,
+        (TAG_XI, j, arg.key),
         {"level": j, "arg": arg},
         mask=_join_masks((arg,), SYS_XI | SYS_MIXED),
         size=2 + arg.size,
@@ -377,18 +412,23 @@ def xi(j: int, arg: Term) -> Term:
         has_fvar=arg.has_fvar,
         vmax=arg.vmax,
         valid=arg.valid,
+        names=arg.var_names,
     )
 
 
 def theta_idx(n: int, body: Term) -> Term:
     if n < 1:
         raise TermError(f"collapse subscript must be >= 1, got {n}")
-    key = (TAG_THETA_IDX, n, body.key)
+    shallow = (TAG_THETA_IDX, n, body.serial)
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     # The variable-scope rule (no variable subscript >= n inside) is recorded
     # in `valid` rather than enforced, so invalid terms can be classified.
     return _intern(
         ThetaIdx,
-        key,
+        shallow,
+        (TAG_THETA_IDX, n, body.key),
         {"index": n, "body": body},
         mask=_join_masks((body,), SYS_BUCHHOLZ),
         size=1 + body.size,
@@ -396,16 +436,21 @@ def theta_idx(n: int, body: Term) -> Term:
         has_fvar=False,
         vmax=body.vmax,
         valid=body.valid and body.vmax < n,
+        names=body.var_names,
     )
 
 
 def theta(body: Term) -> Term:
     if body.has_fvar:
         raise TermError("function variables may not occur inside a collapse body")
-    key = (TAG_THETA, body.key)
+    shallow = (TAG_THETA, body.serial)
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     return _intern(
         Theta,
-        key,
+        shallow,
+        (TAG_THETA, body.key),
         {"body": body},
         mask=_join_masks((body,), SYS_POLY | SYS_XI),
         size=1 + body.size,
@@ -413,16 +458,22 @@ def theta(body: Term) -> Term:
         has_fvar=False,
         vmax=body.vmax,
         valid=body.valid,
+        names=body.var_names,
     )
 
 
 def _theta_mixed(cls, tag, n, body, with_index):
     if with_index and n < 1:
         raise TermError(f"collapse subscript must be >= 1, got {n}")
+    shallow = (tag, n, body.serial) if with_index else (tag, body.serial)
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     key = (tag, n, body.key) if with_index else (tag, body.key)
     fields = {"index": n, "body": body} if with_index else {"body": body}
     return _intern(
         cls,
+        shallow,
         key,
         fields,
         mask=_join_masks((body,), SYS_MIXED),
@@ -431,6 +482,7 @@ def _theta_mixed(cls, tag, n, body, with_index):
         has_fvar=False,
         vmax=body.vmax,
         valid=body.valid,
+        names=body.var_names,
     )
 
 
@@ -449,42 +501,39 @@ def theta_xi(body: Term) -> Term:
 def var_idx(name: str, n: int) -> Term:
     if n < 1:
         raise TermError(f"variable subscript must be >= 1, got {n}")
-    key = (TAG_VAR_IDX, name, n)
-    return _intern(
+    return _leaf(
         VarIdx,
-        key,
+        (TAG_VAR_IDX, name, n),
         {"name": name, "index": n},
         mask=SYS_BUCHHOLZ,
         size=1,
-        closed=False,
-        has_fvar=False,
+        var=name,
         vmax=n,
-        valid=True,
     )
 
 
 def var_lev(name: str, j: int) -> Term:
     _check_level(j)
-    key = (TAG_VAR_LEV, name, j)
-    return _intern(
+    return _leaf(
         VarLev,
-        key,
+        (TAG_VAR_LEV, name, j),
         {"name": name, "level": j},
         mask=SYS_POLY | SYS_XI | SYS_MIXED,
         size=2,
-        closed=False,
-        has_fvar=False,
-        vmax=-1,
-        valid=True,
+        var=name,
     )
 
 
 def fvar(name: str, j: int, arg: Term) -> Term:
     _check_level(j)
-    key = (TAG_FVAR, name, j, arg.key)
+    shallow = (TAG_FVAR, name, j, arg.serial)
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     return _intern(
         FVar,
-        key,
+        shallow,
+        (TAG_FVAR, name, j, arg.key),
         {"name": name, "level": j, "arg": arg},
         mask=_join_masks((arg,), SYS_XI),
         size=2 + arg.size,
@@ -492,6 +541,7 @@ def fvar(name: str, j: int, arg: Term) -> Term:
         has_fvar=True,
         vmax=arg.vmax,
         valid=arg.valid,
+        names=_shared_names(arg.var_names | {name}),
     )
 
 
@@ -529,29 +579,7 @@ def is_sc(t: Term) -> bool:
 
 def var_names(t: Term) -> frozenset[str]:
     """Names of all ordinal and function variables occurring in t."""
-    names: set[str] = set()
-    _collect_var_names(t, names)
-    return frozenset(names)
-
-
-def _collect_var_names(t: Term, out: set):
-    match t:
-        case Sum(children):
-            for c in children:
-                _collect_var_names(c, out)
-        case OmegaPow(e):
-            _collect_var_names(e, out)
-        case Xi(_, arg):
-            _collect_var_names(arg, out)
-        case ThetaIdx(_, body) | ThetaLow(_, body) | ThetaHigh(_, body):
-            _collect_var_names(body, out)
-        case Theta(body) | ThetaXi(body):
-            _collect_var_names(body, out)
-        case VarIdx(name, _) | VarLev(name, _):
-            out.add(name)
-        case FVar(name, _, arg):
-            out.add(name)
-            _collect_var_names(arg, out)
+    return t.var_names
 
 
 def fresh_name(stem: str, taken) -> str:

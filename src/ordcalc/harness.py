@@ -8,6 +8,7 @@ budget and seed (timing excluded).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -26,10 +27,12 @@ from .core import (
     VarIdx,
     VarLev,
     fvar,
+    is_sc,
     omega_high,
     omega_idx,
     omega_lev,
     omega_pow,
+    subterms,
     sum_of,
     theta,
     theta_high,
@@ -880,29 +883,31 @@ def _run_item(report, label, rng, gen, check, samples, max_factor=60):
 
 
 def _mentions_var_idx(t: Term, name: str, n: int) -> bool:
-    from .core import subterms
-
-    return any(
+    return name in t.var_names and any(
         isinstance(s, VarIdx) and s.name == name and s.index == n for s in subterms(t)
     )
 
 
 def _mentions_var_lev(t: Term, name: str) -> bool:
-    from .core import subterms
-
-    return any(isinstance(s, VarLev) and s.name == name for s in subterms(t))
-
-
-def _mentions_fvar(t: Term, name: str) -> bool:
-    from .core import subterms
-
-    return t.has_fvar and any(
-        isinstance(s, FVar) and s.name == name for s in subterms(t)
+    return name in t.var_names and any(
+        isinstance(s, VarLev) and s.name == name for s in subterms(t)
     )
 
 
-def _kl_buchholz(samples: int, seed: int) -> CheckReport:
-    report = CheckReport(check="key_lemma", system="buchholz", checked=0, seed=seed)
+def _mentions_fvar(t: Term, name: str) -> bool:
+    return (
+        t.has_fvar
+        and name in t.var_names
+        and any(isinstance(s, FVar) and s.name == name for s in subterms(t))
+    )
+
+
+# Each system's sampling pools are derived once per process and shared by
+# every call, which only reads them; their order fixes the RNG stream.
+
+
+@functools.cache
+def _kl_pools_buchholz():
     closed = _pool(EnumBudget("buchholz", **_KL_POOL_BUDGETS["buchholz"]))
     opened = _pool(
         EnumBudget("buchholz", closed_only=False, **_KL_POOL_BUDGETS["buchholz"])
@@ -917,6 +922,12 @@ def _kl_buchholz(samples: int, seed: int) -> CheckReport:
     gamma3 = {
         n: [t for t in valid_open if t.vmax <= n] for n in (1, 2)
     }
+    return closed, gamma_pool, mention, valid_open, gamma3
+
+
+def _kl_buchholz(samples: int, seed: int) -> CheckReport:
+    report = CheckReport(check="key_lemma", system="buchholz", checked=0, seed=seed)
+    closed, gamma_pool, mention, valid_open, gamma3 = _kl_pools_buchholz()
 
     def gen1(rng):
         n = rng.choice((1, 2))
@@ -951,14 +962,19 @@ def _kl_buchholz(samples: int, seed: int) -> CheckReport:
     return report
 
 
-def _kl_poly(samples: int, seed: int) -> CheckReport:
-    report = CheckReport(check="key_lemma", system="poly", checked=0, seed=seed)
+@functools.cache
+def _kl_pools_poly():
     closed = _pool(EnumBudget("poly", **_KL_POOL_BUDGETS["poly"]))
     opened = _pool(EnumBudget("poly", closed_only=False, **_KL_POOL_BUDGETS["poly"]))
     small = [t for t in closed if poly.fc_max(t) < 0]
     mention = [t for t in opened if _mentions_var_lev(t, "x")]
     subst0 = [t for t in mention if poly.substitutable("x", 0, t)]
-    both = opened
+    return closed, opened, small, subst0
+
+
+def _kl_poly(samples: int, seed: int) -> CheckReport:
+    report = CheckReport(check="key_lemma", system="poly", checked=0, seed=seed)
+    closed, both, small, subst0 = _kl_pools_poly()
 
     def gen1(rng):
         alpha = rng.choice(subst0 if rng.random() < 0.7 else both)
@@ -991,8 +1007,8 @@ def _kl_poly(samples: int, seed: int) -> CheckReport:
     return report
 
 
-def _kl_xi(samples: int, seed: int) -> CheckReport:
-    report = CheckReport(check="key_lemma", system="xi", checked=0, seed=seed)
+@functools.cache
+def _kl_pools_xi():
     closed = _pool(EnumBudget("xi", **_KL_POOL_BUDGETS["xi"]))
     open_x = _pool(EnumBudget("xi", closed_only=False, **_KL_POOL_BUDGETS["xi"]))
     open_w = _pool(
@@ -1016,8 +1032,6 @@ def _kl_xi(samples: int, seed: int) -> CheckReport:
     fpool = [
         t for t in open_f if _mentions_fvar(t, "X") and xi.fsubstitutable("X", 0, t)
     ]
-    from .core import is_sc
-
     bodies = [
         t
         for t in open_w
@@ -1028,6 +1042,13 @@ def _kl_xi(samples: int, seed: int) -> CheckReport:
         and xi.substitutable("w", 0, t)
     ]
     gamma4 = [t for t in fpool if xi.fsubstitutable("X", 0, t)]
+    deep = [t for t in closed if xi.fc_max(t) < -1]
+    return closed, small, gamma1, fpool, bodies, gamma4, deep
+
+
+def _kl_xi(samples: int, seed: int) -> CheckReport:
+    report = CheckReport(check="key_lemma", system="xi", checked=0, seed=seed)
+    closed, small, gamma1, fpool, bodies, gamma4, deep = _kl_pools_xi()
 
     def gen1(rng):
         alpha, beta = rng.choice(closed), rng.choice(closed)
@@ -1042,8 +1063,6 @@ def _kl_xi(samples: int, seed: int) -> CheckReport:
 
     def gen3(rng):
         return rng.choice(small), rng.choice(closed), rng.choice(closed)
-
-    deep = [t for t in closed if xi.fc_max(t) < -1]
 
     def gen4(rng):
         gamma = rng.choice(deep if rng.random() < 0.9 else gamma4)

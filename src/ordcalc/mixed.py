@@ -43,7 +43,6 @@ from .core import (
     theta_high,
     theta_xi,
     var_lev,
-    var_names,
     xi as mk_xi,
     ZERO,
 )
@@ -361,7 +360,7 @@ def substitutable(name: str, j: int, t: Term) -> bool:
 
 
 def _substitutable(name: str, j: int, t: Term) -> bool:
-    if name not in var_names(t):
+    if name not in t.var_names:
         return True
     match t:
         case Sum(children):
@@ -394,7 +393,7 @@ def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
 
 
 def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
-    if _VARIANTS.high_substitution_identity and name not in var_names(t):
+    if _VARIANTS.high_substitution_identity and name not in t.var_names:
         return t
     match t:
         case Sum(children):
@@ -620,7 +619,7 @@ def _bound_collapse_item(t: Term, c: MCard) -> KItem:
     _collect_params(lifted, 0, params)
     if not params:
         return KItem(_shift(lifted, FULL, 1, True))
-    name = fresh_name("k", var_names(lifted))
+    name = fresh_name("k", lifted.var_names)
     body = _replace_params(lifted, 0, {p: name for p in params})
     return KItem(_shift(body, FULL, 1, True), name)
 

@@ -342,7 +342,7 @@ def substitutable(name: str, j: int, t: Term) -> bool:
 
 
 def _substitutable(name: str, j: int, t: Term) -> bool:
-    if name not in _names(t):
+    if name not in t.var_names:
         return True
     match t:
         case Sum(children):
@@ -358,12 +358,6 @@ def _substitutable(name: str, j: int, t: Term) -> bool:
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
-def _names(t: Term):
-    from .core import var_names
-
-    return var_names(t)
-
-
 def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
     """Replace the variable by beta, re-levelled to each occurrence's ambient
     level.  Requires the variable to be j-substitutable in t."""
@@ -375,7 +369,7 @@ def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
 
 
 def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
-    if name not in _names(t):
+    if name not in t.var_names:
         return t
     match t:
         case Sum(children):
@@ -402,14 +396,18 @@ def dfun(m: int, gamma: Term, beta: Term) -> Term:
     return out
 
 
-def _least_dominance_bound(gamma: Term, beta: Term, eta: Term) -> Term:
-    """D_m(beta) for the least m whose cardinality reaches eta's."""
-    target = _fc_bar0(eta)
-    bound = dfun(0, gamma, beta)
-    for m in range(1, 64):
-        if _fc_bar0(bound) <= target:
-            return bound
-        bound = theta(omega_pow(add(omega_lev(0), bound)))
+def _least_dominance_bound(chain: list, gamma: Term, beta: Term, target) -> Term:
+    """D_m(beta) for the least m whose cardinality reaches target.  chain
+    holds D_0, D_1, ... as built so far and is extended on demand."""
+    for m in range(63):
+        if m == len(chain):
+            chain.append(
+                theta(omega_pow(add(omega_lev(0), chain[-1])))
+                if chain
+                else dfun(0, gamma, beta)
+            )
+        if _fc_bar0(chain[m]) <= target:
+            return chain[m]
     raise InvariantError("dominance iteration failed to reach the target class")
 
 
@@ -420,8 +418,14 @@ def llrel(gamma: Term, alpha: Term, beta: Term) -> bool:
         raise PreconditionError("llrel subscript must have negative cardinality")
     if compare(alpha, beta) is not Outcome.LESS:
         return False
+    chain: list[Term] = []
+    bounds = {}  # target class -> least bound reaching it
     for eta in _kset(0, alpha):
-        if not _lt(eta, _least_dominance_bound(gamma, beta, eta)):
+        target = _fc_bar0(eta)
+        bound = bounds.get(target)
+        if bound is None:
+            bound = bounds[target] = _least_dominance_bound(chain, gamma, beta, target)
+        if not _lt(eta, bound):
             return False
     return True
 
@@ -446,7 +450,7 @@ def _vars_below_top(t: Term) -> bool:
     a dominance wrapper and block its witnesses)."""
     from .core import subterms
 
-    for name in _names(t):
+    for name in t.var_names:
         if not _substitutable(name, 0, t):
             return False
         if any(

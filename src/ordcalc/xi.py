@@ -41,7 +41,6 @@ from .core import (
     sum_of,
     theta,
     var_lev,
-    var_names,
     xi as mk_xi,
     ONE,
     ZERO,
@@ -237,7 +236,7 @@ def substitutable(name: str, j: int, t: Term) -> bool:
 
 
 def _substitutable(name: str, j: int, t: Term) -> bool:
-    if name not in var_names(t):
+    if name not in t.var_names:
         return True
     match t:
         case Sum(children):
@@ -262,7 +261,7 @@ def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
 
 
 def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
-    if name not in var_names(t):
+    if name not in t.var_names:
         return t
     match t:
         case Sum(children):
@@ -353,7 +352,7 @@ def abstract(t: Term) -> Abstraction:
     params = parameters(t)
     if not params:
         return Abstraction(body=t, variables=(), parameters=())
-    taken = set(var_names(t))
+    taken = set(t.var_names)
     names: dict[Term, str] = {}
     variables = []
     for p in params:
@@ -380,7 +379,7 @@ def _abstract_one(t: Term) -> tuple[Term, str | None]:
     params = parameters(t)
     if not params:
         return t, None
-    name = fresh_name("k", var_names(t))
+    name = fresh_name("k", t.var_names)
     names = {p: name for p in params}
     return _replace_params(t, 0, names), name
 
@@ -692,8 +691,10 @@ def fsubstitutable(name: str, j: int, t: Term) -> bool:
 
 
 def _occurs_fvar(name: str, t: Term) -> bool:
-    return t.has_fvar and any(
-        isinstance(s, FVar) and s.name == name for s in subterms(t)
+    return (
+        t.has_fvar
+        and name in t.var_names
+        and any(isinstance(s, FVar) and s.name == name for s in subterms(t))
     )
 
 
@@ -785,19 +786,34 @@ def _max_proper_sc(t: Term) -> Term:
     return best
 
 
-def _dominance_bounds(gamma: Term, beta: Term, var: str | None):
+class _Tower:
     """The dominance tower up to its stable (cardinal-free) level.  A
     critical subterm is dominated if it falls below any level: levels of
     strictly larger class dominate outright, and the level matching the
     subterm's class carries the real comparison.  (The tower's classes are
-    not monotone, so no single level can be singled out in advance.)"""
-    bound = dfun(0, gamma, beta, var)
-    for _ in range(64):
-        yield bound
-        if _fc_bar0(bound) == NEG_INF:
-            return
-        bound = theta(omega_pow(add(mk_xi(0, ONE), bound)))
-    raise InvariantError("dominance tower failed to stabilize")
+    not monotone, so no single level can be singled out in advance.)
+
+    Levels are built on demand and kept, so the items of one `llrel` call
+    share them."""
+
+    def __init__(self, gamma: Term, beta: Term, var: str | None):
+        self._seed = (gamma, beta, var)
+        self._levels: list[Term] = []
+
+    def __iter__(self):
+        levels = self._levels
+        for i in range(64):
+            if i == len(levels):
+                if levels and _fc_bar0(levels[-1]) == NEG_INF:
+                    return
+                levels.append(
+                    theta(omega_pow(add(mk_xi(0, ONE), levels[-1])))
+                    if levels
+                    else dfun(0, *self._seed)
+                )
+            yield levels[i]
+        if _fc_bar0(levels[-1]) != NEG_INF:
+            raise InvariantError("dominance tower failed to stabilize")
 
 
 def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
@@ -816,11 +832,9 @@ def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
         raise PreconditionError(
             "dominance bounds are undefined for function-variable operands"
         )
+    tower = _Tower(gamma, beta, var)
     for item in items:
-        if not any(
-            _lt(_convention_eta(item, bound), bound)
-            for bound in _dominance_bounds(gamma, beta, var)
-        ):
+        if not any(_lt(_convention_eta(item, bound), bound) for bound in tower):
             return False
     return True
 
@@ -838,7 +852,7 @@ def key_lemma_1(alpha: Term, beta: Term, gamma: Term, name: str) -> bool:
         raise PreconditionError("key lemma (1) needs strongly critical values")
     if not substitutable(name, 0, gamma):
         raise PreconditionError("key lemma (1) needs a 0-substitutable variable")
-    if name not in var_names(gamma):
+    if name not in gamma.var_names:
         raise PreconditionError("key lemma (1) needs the variable to occur")
     if compare(alpha, beta) is not Outcome.LESS:
         raise PreconditionError("key lemma (1) needs alpha < beta")
@@ -859,7 +873,9 @@ def key_lemma_2(
         # variable (the identity function) neither majorizes its argument
         # nor absorbs omega powers.
         raise PreconditionError("key lemma (2) needs a head-stable function body")
-    if not any(isinstance(s, VarLev) and s.name == w for s in subterms(gamma)):
+    if w not in gamma.var_names or not any(
+        isinstance(s, VarLev) and s.name == w for s in subterms(gamma)
+    ):
         # A constant body collapses distinct arguments, which can reverse
         # comparisons that relied on the argument positions.
         raise PreconditionError("key lemma (2) needs the argument variable to occur")
@@ -884,7 +900,7 @@ def _all_vars_below_top(t: Term) -> bool:
     or function variable would be captured by a dominance wrapper)."""
     if t.has_fvar:
         return False
-    for name in var_names(t):
+    for name in t.var_names:
         if not _substitutable(name, 0, t):
             return False
         if any(

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ordcalc.cli import main
+import ordcalc
+from ordcalc.cli import EXIT_PRECONDITION, main
 
 
 def run(capsys, *argv):
@@ -98,3 +102,33 @@ def test_selfcheck_quick(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert all("check" in rec and "violations" in rec for rec in lines)
     assert "selfcheck" in err
+
+
+def run_child(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(ordcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordcalc.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def tower(depth):
+    return "w^(" * depth + "0" + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "--system", "poly", tower(1000)),
+        ("cmp", "--system", "poly", tower(1200), tower(1199)),
+    ],
+    ids=["parse-1000", "cmp-1200"],
+)
+def test_too_deep_input_exits_with_precondition_code(argv):
+    code, out, err = run_child(*argv)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err.splitlines() == ["precondition violation: term nested too deeply"]

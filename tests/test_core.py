@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ordcalc import core, harness
 from ordcalc.core import (
     ONE,
     TermError,
@@ -21,7 +22,7 @@ from ordcalc.core import (
     var_names,
     xi,
 )
-from pools import closed
+from pools import closed, opened
 
 
 def test_empty_sum_is_zero():
@@ -113,3 +114,66 @@ def test_subterms_preorder():
     seen = list(subterms(t))
     assert seen[0] is t
     assert omega_idx(1) in seen and ZERO in seen
+
+
+# -- cached term facts ------------------------------------------------------
+
+_REBUILD = {
+    core.Sum: core.sum_of,
+    core.OmegaPow: core.omega_pow,
+    core.OmegaIdx: core.omega_idx,
+    core.OmegaLev: core.omega_lev,
+    core.OmegaHigh: core.omega_high,
+    core.Xi: core.xi,
+    core.ThetaIdx: core.theta_idx,
+    core.Theta: core.theta,
+    core.ThetaLow: core.theta_low,
+    core.ThetaHigh: core.theta_high,
+    core.ThetaXi: core.theta_xi,
+    core.VarIdx: core.var_idx,
+    core.VarLev: core.var_lev,
+    core.FVar: core.fvar,
+}
+
+
+def _fields(t):
+    return [getattr(t, name) for name in type(t).__match_args__]
+
+
+def _names_by_walk(t):
+    out, stack = set(), [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, (core.VarIdx, core.VarLev, core.FVar)):
+            out.add(s.name)
+        for value in _fields(s):
+            if isinstance(value, core.Term):
+                stack.append(value)
+            elif isinstance(value, tuple):
+                stack.extend(value)
+    return out
+
+
+def _acceptance_pools():
+    for budget in harness.ORDER_BUDGETS.values():
+        yield harness.enumerate_terms(budget)
+    for system in harness.SYSTEMS:
+        yield opened(system)
+    yield harness.enumerate_terms(
+        harness.EnumBudget(
+            "xi", max_size=6, min_level=-1, closed_only=False, include_fvars=True
+        )
+    )
+
+
+def test_cached_term_facts_over_acceptance_pools():
+    shared = {}
+    for pool in _acceptance_pools():
+        for t in pool:
+            assert t.var_names == _names_by_walk(t), t
+            assert shared.setdefault(t.var_names, t.var_names) is t.var_names
+            assert _REBUILD[type(t)](*_fields(t)) is t
+            assert hash(t) == t.serial
+            if isinstance(t, core.Sum):
+                keys = [c.key for c in t.children]
+                assert keys == sorted(keys), t

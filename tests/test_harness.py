@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordcalc
 from ordcalc import harness as H
 from ordcalc import parse, render
 
@@ -129,3 +133,28 @@ def test_selfcheck_quick():
     assert {"fixtures", "order_axioms", "parse_render_roundtrip", "key_lemma"} <= names
     bad = [r for r in reports if not r.ok]
     assert bad == []
+
+
+_KL_FIRST_CALL = """
+import json, sys
+from ordcalc import harness
+r = harness.check_key_lemmas(sys.argv[1], 20, int(sys.argv[2]))
+print(json.dumps([r.details, r.violations], sort_keys=True))
+"""
+
+
+@pytest.mark.parametrize("system", ["buchholz", "poly", "xi"])
+def test_key_lemma_report_independent_of_process_history(system):
+    # First call in a fresh process: pools, derived sub-pools and memos empty.
+    src = os.path.dirname(os.path.dirname(ordcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KL_FIRST_CALL, system, "11"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    first = json.loads(proc.stdout)
+    # The same call after other calls have warmed every cache in this process.
+    for other in ("buchholz", "poly", "xi"):
+        H.check_key_lemmas(other, samples=5, seed=3)
+    r = H.check_key_lemmas(system, samples=20, seed=11)
+    assert json.loads(json.dumps([r.details, r.violations], sort_keys=True)) == first

@@ -1,9 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordcalc import parse
 from ordcalc import poly as P
-from ordcalc.core import NEG_INF, Outcome, PreconditionError, ShiftError, ZERO
+from ordcalc.core import (
+    NEG_INF,
+    Outcome,
+    PreconditionError,
+    ShiftError,
+    ZERO,
+    add,
+    omega_lev,
+    omega_pow,
+    theta,
+)
 from pools import closed
 
 
@@ -133,3 +145,36 @@ def test_reference_comparator_agrees(data):
     a = data.draw(st.sampled_from(pool))
     b = data.draw(st.sampled_from(pool))
     assert P.compare(a, b) is P.compare_reference(a, b)
+
+
+def _llrel_rebuilt_per_item(gamma, alpha, beta):
+    """llrel as first written: every critical subterm rebuilds the chain."""
+
+    def least_bound(eta):
+        target = P._fc_bar0(eta)
+        bound = P.dfun(0, gamma, beta)
+        for _ in range(1, 64):
+            if P._fc_bar0(bound) <= target:
+                return bound
+            bound = theta(omega_pow(add(omega_lev(0), bound)))
+        raise AssertionError("unreachable")
+
+    if P.compare(alpha, beta) is not Outcome.LESS:
+        return False
+    return all(P._lt(eta, least_bound(eta)) for eta in P._kset(0, alpha))
+
+
+def test_llrel_matches_per_item_rebuild():
+    rng = random.Random(41)
+    pool = closed("poly")
+    small = [t for t in pool if P.fc_max(t) < 0]
+    holds = 0
+    for _ in range(1500):
+        gamma, alpha, beta = rng.choice(small), rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.5:  # the dominance-wrapped pairs of Key Lemma (2)
+            alpha, beta = P.dfun(0, gamma, alpha), P.dfun(0, gamma, beta)
+            gamma = ZERO
+        got = P.llrel(gamma, alpha, beta)
+        assert got == _llrel_rebuilt_per_item(gamma, alpha, beta)
+        holds += got
+    assert 100 < holds < 1400

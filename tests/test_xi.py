@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,10 +8,15 @@ from ordcalc import xi as X
 from ordcalc.core import (
     KItem,
     NEG_INF,
+    ONE,
     Outcome,
     PreconditionError,
     ShiftError,
     ZERO,
+    add,
+    omega_pow,
+    theta,
+    xi as mk_xi,
 )
 from pools import closed
 
@@ -173,3 +180,44 @@ def test_reference_comparator_agrees(data):
     a = data.draw(st.sampled_from(pool))
     b = data.draw(st.sampled_from(pool))
     assert X.compare(a, b) is X.compare_reference(a, b)
+
+
+def _llrel_rebuilt_per_item(gamma, alpha, beta):
+    """llrel as first written: every critical subterm rebuilds the tower."""
+
+    def tower():
+        bound = X.dfun(0, gamma, beta)
+        for _ in range(64):
+            yield bound
+            if X._fc_bar0(bound) == NEG_INF:
+                return
+            bound = theta(omega_pow(add(mk_xi(0, ONE), bound)))
+        raise AssertionError("unreachable")
+
+    def eta(item, bound):
+        if item.var is None:
+            return item.term
+        return X._subst(item.term, item.var, 0, X._max_proper_sc(bound))
+
+    if X.compare(alpha, beta) is not Outcome.LESS:
+        return False
+    return all(
+        any(X._lt(eta(item, bound), bound) for bound in tower())
+        for item in X._kset_dominance(0, alpha)
+    )
+
+
+def test_llrel_matches_per_item_rebuild():
+    rng = random.Random(43)
+    pool = closed("xi")
+    small = [t for t in pool if X.fc_max(t) < 0]
+    holds = 0
+    for _ in range(1500):
+        gamma, alpha, beta = rng.choice(small), rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.5:  # the dominance-wrapped pairs of Key Lemma (3)
+            alpha, beta = X.dfun(0, gamma, alpha), X.dfun(0, gamma, beta)
+            gamma = ZERO
+        got = X.llrel(gamma, alpha, beta)
+        assert got == _llrel_rebuilt_per_item(gamma, alpha, beta)
+        holds += got
+    assert 100 < holds < 1400
