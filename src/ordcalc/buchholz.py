@@ -8,11 +8,11 @@ countable (closed-below-Omega_1) terms.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
     NEG_INF,
+    SYS_BUCHHOLZ,
     InvariantError,
     Outcome,
     OmegaIdx,
@@ -24,6 +24,8 @@ from .core import (
     VarIdx,
     add,
     is_sc,
+    make_order,
+    multiset_rest,
     omega_idx,
     omega_pow,
     sum_of,
@@ -49,7 +51,6 @@ __all__ = [
     "check_key_lemma",
 ]
 
-_LT: dict[tuple[int, int], bool] = {}
 _FC: dict[int, frozenset] = {}
 _K: dict[tuple[int, int], frozenset] = {}
 
@@ -141,61 +142,15 @@ def _kset(n: int, t: Term) -> frozenset[Term]:
     return out
 
 
-def compare(a: Term, b: Term) -> Outcome:
-    """Decide the ordering; Incomparable can only involve variables."""
-    _check_system(a)
-    _check_system(b)
-    if not (a.valid and b.valid):
+def _check_pair(a: Term, b: Term):
+    if not (a.mask & b.mask & SYS_BUCHHOLZ and a.valid and b.valid):
+        _check_system(a)
+        _check_system(b)
         raise PreconditionError("comparison requires valid terms")
-    if a is b:
-        return Outcome.EQUAL
-    if _lt(a, b):
-        return Outcome.LESS
-    if _lt(b, a):
-        return Outcome.GREATER
-    return Outcome.INCOMPARABLE
 
 
-def _leq(a: Term, b: Term) -> bool:
-    return a is b or _lt(a, b)
-
-
-def _lt(a: Term, b: Term) -> bool:
-    if a is b:
-        return False
-    memo_key = (a.serial, b.serial)
-    cached = _LT.get(memo_key)
-    if cached is None:
-        cached = _lt_raw(a, b)
-        _LT[memo_key] = cached
-    return cached
-
-
-def _multiset_rest(xs, ys):
-    """Components of xs left after cancelling common elements with ys."""
-    rest = Counter(xs) - Counter(ys)
-    return list(rest.elements())
-
-
-def _lt_raw(a: Term, b: Term) -> bool:
-    a_sum = isinstance(a, Sum)
-    b_sum = isinstance(b, Sum)
-    if a_sum and b_sum:
-        rest_a = _multiset_rest(a.children, b.children)
-        rest_b = _multiset_rest(b.children, a.children)
-        return any(all(_lt(x, b0) for x in rest_a) for b0 in rest_b)
-    if b_sum:
-        return any(_leq(a, bi) for bi in b.children)
-    if a_sum:
-        return all(_lt(ai, b) for ai in a.children)
-    # both additively indecomposable
-    if isinstance(a, OmegaPow):
-        if isinstance(b, OmegaPow):
-            return _lt(a.exponent, b.exponent)
-        return _leq(a.exponent, b)
-    if isinstance(b, OmegaPow):
-        return _lt(a, b.exponent)
-    # both strongly critical
+def _head_lt(a: Term, b: Term) -> bool:
+    """a < b for strongly critical a and b."""
     match a, b:
         case (OmegaIdx(m), OmegaIdx(n)):
             return m < n
@@ -217,6 +172,9 @@ def _lt_raw(a: Term, b: Term) -> bool:
         case (VarIdx(_, _), VarIdx(_, _)):
             return False  # distinct variables are incomparable
     return False
+
+
+compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
 
 
 def substitute(t: Term, name: str, n: int, gamma: Term) -> Term:
@@ -379,8 +337,8 @@ def _ref_lt(a: Term, b: Term) -> bool:
         return False
     match a, b:
         case (Sum(xs), Sum(ys)):
-            rest_a = _multiset_rest(xs, ys)
-            rest_b = _multiset_rest(ys, xs)
+            rest_a = multiset_rest(xs, ys)
+            rest_b = multiset_rest(ys, xs)
             return any(all(_ref_lt(x, y0) for x in rest_a) for y0 in rest_b)
         case (_, Sum(ys)):
             return any(_ref_leq(a, y) for y in ys)

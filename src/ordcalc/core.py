@@ -18,17 +18,22 @@ must never be persisted or used for ordering (use `key`).  Facts needed on
 hot paths -- size, closedness, `var_names` and the like -- are slots filled
 at construction; equal variable-name sets share one frozenset.
 
-All values are immutable and safe to share between workers.  The intern
-table is lock-protected; the per-module memo caches are write-once maps
-from interned keys to values that are pure functions of those keys, so a
-concurrent duplicate computation is harmless and observable behavior stays
-deterministic.
+Terms are immutable, and the intern table is lock-protected.  Everything
+else is a process global: the per-module memo caches, xi's comparison policy
+and mixed's clause variants.  Switching a policy or a variant clears the
+comparison memo it affects, but neither switch is scoped or thread-safe, so
+concurrent callers must not mix readings.
+
+The ordering kernel (`make_order`) is shared by all four systems: it owns
+the comparison memo, the cycle guard and the sum and omega-power clauses,
+and each system supplies only the rule for two strongly critical heads.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from collections import Counter
 from enum import Enum
 
 NEG_INF = float("-inf")
@@ -113,7 +118,7 @@ class Term:
     key: tuple
     serial: int
     mask: int
-    size: int
+    size: int  # node count; a level superscript is one more node; 0 has size 1
     closed: bool
     has_fvar: bool
     vmax: int  # largest subscript of an indexed variable anywhere, -1 if none
@@ -545,20 +550,6 @@ def fvar(name: str, j: int, arg: Term) -> Term:
     )
 
 
-def structural_key(t: Term) -> tuple:
-    """Total, deterministic ordering token; equal keys iff identical terms."""
-    return t.key
-
-
-def size(t: Term) -> int:
-    """Node count; a level superscript counts as one extra node. 0 has size 1."""
-    return t.size
-
-
-def flatten_sum(components) -> Term:
-    return sum_of(components)
-
-
 def summands(t: Term) -> tuple[Term, ...]:
     """The multiset of H-components of t (a singleton for H-terms)."""
     return t.children if isinstance(t, Sum) else (t,)
@@ -633,3 +624,80 @@ def subterms(t: Term):
             yield from subterms(body)
         case Theta(body) | ThetaXi(body):
             yield from subterms(body)
+
+
+# -- the ordering kernel --------------------------------------------------------
+
+_IN_PROGRESS = object()  # memo marker of a comparison still being decided
+
+
+def multiset_rest(xs, ys):
+    """Components of xs left after cancelling common elements with ys."""
+    rest = Counter(xs) - Counter(ys)
+    return list(rest.elements())
+
+
+def make_order(head, check):
+    """Build one system's memoized strict order from its head rule.
+
+    The sum and omega-power clauses are the same in every system and are
+    decided here; `head(a, b)` decides a < b only for two strongly critical
+    terms.  `check(a, b)` validates the operands of every `compare` call and
+    raises on a bad pair.  Returns `(compare, lt, leq, memo)`: `memo` maps
+    `(a.serial, b.serial)` to the answer of `lt(a, b)`, and whoever switches
+    the reading `head` depends on must clear it.  A comparison that needs
+    its own answer raises InvariantError instead of recursing without end.
+    """
+    memo: dict[tuple[int, int], object] = {}
+
+    def compare(a: Term, b: Term) -> Outcome:
+        """Decide the ordering; Incomparable only occurs on open terms."""
+        check(a, b)
+        if a is b:
+            return Outcome.EQUAL
+        if lt(a, b):
+            return Outcome.LESS
+        if lt(b, a):
+            return Outcome.GREATER
+        return Outcome.INCOMPARABLE
+
+    def leq(a: Term, b: Term) -> bool:
+        return a is b or lt(a, b)
+
+    def lt(a: Term, b: Term) -> bool:
+        if a is b:
+            return False
+        memo_key = (a.serial, b.serial)
+        cached = memo.get(memo_key)
+        if cached is None:
+            memo[memo_key] = _IN_PROGRESS
+            # The shared clauses stay inline: a nested sum or omega power
+            # then costs one stack frame per level, so deep terms compare.
+            try:
+                if isinstance(a, Sum):
+                    if isinstance(b, Sum):
+                        rest_a = multiset_rest(a.children, b.children)
+                        rest_b = multiset_rest(b.children, a.children)
+                        cached = any(all(lt(x, b0) for x in rest_a) for b0 in rest_b)
+                    else:
+                        cached = all(lt(ai, b) for ai in a.children)
+                elif isinstance(b, Sum):
+                    cached = any(leq(a, bi) for bi in b.children)
+                elif isinstance(a, OmegaPow):
+                    if isinstance(b, OmegaPow):
+                        cached = lt(a.exponent, b.exponent)
+                    else:
+                        cached = leq(a.exponent, b)
+                elif isinstance(b, OmegaPow):
+                    cached = lt(a, b.exponent)
+                else:  # both strongly critical
+                    cached = head(a, b)
+            except BaseException:
+                memo.pop(memo_key, None)
+                raise
+            memo[memo_key] = cached
+        elif cached is _IN_PROGRESS:
+            raise InvariantError(f"comparison cycle on {a!r} vs {b!r}")
+        return cached
+
+    return compare, lt, leq, memo

@@ -1108,15 +1108,17 @@ def diff_clause_variants(terms, pairs: int = 20_000, seed: int = 0) -> CheckRepo
     default = mixed.get_variants()
     with _Timer() as timer:
         baseline = [mixed.compare(a, b) for a, b in sampled]
-        for flag in ("omega_low_ladder", "theta_below_cardinal"):
-            mixed.set_variants(replace(default, **{flag: False}))
-            diffs = 0
-            for (a, b), want in zip(sampled, baseline):
-                report.checked += 1
-                if mixed.compare(a, b) is not want:
-                    diffs += 1
-            report.details[flag] = {"pairs": pairs, "differences": diffs}
-        mixed.set_variants(default)
+        try:
+            for flag in ("omega_low_ladder", "theta_below_cardinal"):
+                mixed.set_variants(replace(default, **{flag: False}))
+                diffs = 0
+                for (a, b), want in zip(sampled, baseline):
+                    report.checked += 1
+                    if mixed.compare(a, b) is not want:
+                        diffs += 1
+                report.details[flag] = {"pairs": pairs, "differences": diffs}
+        finally:
+            mixed.set_variants(default)
     report.elapsed_ms = timer.ms
     return report
 

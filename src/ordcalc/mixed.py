@@ -16,7 +16,6 @@ values of this lattice.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -27,6 +26,7 @@ from .core import (
     OmegaIdx,
     OmegaPow,
     PreconditionError,
+    SYS_MIXED,
     ShiftError,
     Sum,
     Term,
@@ -36,6 +36,8 @@ from .core import (
     VarLev,
     Xi,
     fresh_name,
+    make_order,
+    multiset_rest,
     omega_high,
     omega_idx,
     omega_pow,
@@ -206,7 +208,6 @@ class Variants:
 
 _VARIANTS = Variants()
 
-_LT: dict[tuple[int, int], bool] = {}
 _FC: dict[tuple[MCard, int], frozenset] = {}
 _KLOW: dict[tuple[int, int], frozenset] = {}
 _KHIGH: dict[tuple[MCard, int, int], frozenset] = {}
@@ -704,55 +705,14 @@ def _instantiated_kset(s: Term, other: Term) -> frozenset[Term]:
     return frozenset(g.term for g in items)
 
 
-def compare(a: Term, b: Term) -> Outcome:
-    _check_system(a)
-    _check_system(b)
-    if a is b:
-        return Outcome.EQUAL
-    if _lt(a, b):
-        return Outcome.LESS
-    if _lt(b, a):
-        return Outcome.GREATER
-    return Outcome.INCOMPARABLE
+def _check_pair(a: Term, b: Term):
+    if not a.mask & b.mask & SYS_MIXED:
+        _check_system(a)
+        _check_system(b)
 
 
-def _leq(a: Term, b: Term) -> bool:
-    return a is b or _lt(a, b)
-
-
-def _lt(a: Term, b: Term) -> bool:
-    if a is b:
-        return False
-    memo_key = (a.serial, b.serial)
-    cached = _LT.get(memo_key)
-    if cached is None:
-        cached = _lt_raw(a, b)
-        _LT[memo_key] = cached
-    return cached
-
-
-def _multiset_rest(xs, ys):
-    rest = Counter(xs) - Counter(ys)
-    return list(rest.elements())
-
-
-def _lt_raw(a: Term, b: Term) -> bool:
-    a_sum = isinstance(a, Sum)
-    b_sum = isinstance(b, Sum)
-    if a_sum and b_sum:
-        rest_a = _multiset_rest(a.children, b.children)
-        rest_b = _multiset_rest(b.children, a.children)
-        return any(all(_lt(x, b0) for x in rest_a) for b0 in rest_b)
-    if b_sum:
-        return any(_leq(a, bi) for bi in b.children)
-    if a_sum:
-        return all(_lt(ai, b) for ai in a.children)
-    if isinstance(a, OmegaPow):
-        if isinstance(b, OmegaPow):
-            return _lt(a.exponent, b.exponent)
-        return _leq(a.exponent, b)
-    if isinstance(b, OmegaPow):
-        return _lt(a, b.exponent)
+def _head_lt(a: Term, b: Term) -> bool:
+    """a < b for strongly critical a and b."""
     # cardinal ladder
     match a, b:
         case (OmegaIdx(m), OmegaIdx(n)):
@@ -794,6 +754,9 @@ def _lt_raw(a: Term, b: Term) -> bool:
         ra, rb = _rank(a), _rank(b)
         return ra < rb or (ra == rb and _lt(a.body, b.body))
     return False
+
+
+compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
 
 
 def _card_side_kset(s: Term) -> tuple[Term, ...]:
@@ -1008,8 +971,8 @@ def _ref_lt(a: Term, b: Term) -> bool:
         return False
     match a, b:
         case (Sum(xs), Sum(ys)):
-            rest_a = _multiset_rest(xs, ys)
-            rest_b = _multiset_rest(ys, xs)
+            rest_a = multiset_rest(xs, ys)
+            rest_b = multiset_rest(ys, xs)
             return any(all(_ref_lt(x, y0) for x in rest_a) for y0 in rest_b)
         case (_, Sum(ys)):
             return any(_ref_leq(a, y) for y in ys)

@@ -14,13 +14,13 @@ cardinality is one less than its written level would suggest.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
     KItem,
     NEG_INF,
+    SYS_XI,
     FVar,
     InvariantError,
     Outcome,
@@ -36,6 +36,8 @@ from .core import (
     fresh_name,
     fvar,
     is_sc,
+    make_order,
+    multiset_rest,
     omega_pow,
     subterms,
     sum_of,
@@ -95,11 +97,9 @@ class ComparePolicy(Enum):
 
 _POLICY = ComparePolicy.SYMMETRIC_PARAMS
 
-_LT: dict[tuple[int, int], object] = {}
 _FC: dict[tuple[int, int], frozenset] = {}
 _K: dict[tuple[int, int], frozenset] = {}
 _KD: dict[tuple[int, int], frozenset] = {}
-_IN_PROGRESS = object()
 
 
 def set_policy(policy: ComparePolicy):
@@ -513,61 +513,20 @@ def _kset_dominance(j: int, t: Term) -> frozenset[KItem]:
 
 # -- ordering -----------------------------------------------------------------
 
-def compare(a: Term, b: Term) -> Outcome:
-    _check_system(a)
-    _check_system(b)
-    if a is b:
-        return Outcome.EQUAL
-    if _lt(a, b):
-        return Outcome.LESS
-    if _lt(b, a):
-        return Outcome.GREATER
-    return Outcome.INCOMPARABLE
-
-
-def _leq(a: Term, b: Term) -> bool:
-    return a is b or _lt(a, b)
-
-
-def _lt(a: Term, b: Term) -> bool:
-    if a is b:
-        return False
-    memo_key = (a.serial, b.serial)
-    cached = _LT.get(memo_key)
-    if cached is _IN_PROGRESS:
-        raise InvariantError(f"comparison cycle on {a!r} vs {b!r}")
-    if cached is None:
-        _LT[memo_key] = _IN_PROGRESS
-        try:
-            cached = _lt_raw(a, b)
-        except BaseException:
-            _LT.pop(memo_key, None)
-            raise
-        _LT[memo_key] = cached
-    return cached
-
-
-def _multiset_rest(xs, ys):
-    rest = Counter(xs) - Counter(ys)
-    return list(rest.elements())
+def _check_pair(a: Term, b: Term):
+    if not a.mask & b.mask & SYS_XI:
+        _check_system(a)
+        _check_system(b)
 
 
 def _candidates(*bodies: Term) -> tuple[Term, ...]:
     """Arguments at which collected functions are applied: 0 together with
     every parameter of the given bodies.  Using the same candidate set for
     both comparison directions keeps the collapse clauses dual."""
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return (ZERO,)
     found: set = {ZERO}
     for body in bodies:
         found.update(parameters(body))
     return tuple(sorted(found, key=lambda p: p.key))
-
-
-def _cross_candidates(own: Term, other: Term) -> tuple[Term, ...]:
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return parameters(other) or (ZERO,)
-    return _candidates(own, other)
 
 
 def _legit_candidates(bodies: tuple[Term, ...], collapses: tuple[Term, ...]):
@@ -594,23 +553,8 @@ def _class_split(a: Term, b: Term):
     return fa < fb
 
 
-def _lt_raw(a: Term, b: Term) -> bool:
-    a_sum = isinstance(a, Sum)
-    b_sum = isinstance(b, Sum)
-    if a_sum and b_sum:
-        rest_a = _multiset_rest(a.children, b.children)
-        rest_b = _multiset_rest(b.children, a.children)
-        return any(all(_lt(x, b0) for x in rest_a) for b0 in rest_b)
-    if b_sum:
-        return any(_leq(a, bi) for bi in b.children)
-    if a_sum:
-        return all(_lt(ai, b) for ai in a.children)
-    if isinstance(a, OmegaPow):
-        if isinstance(b, OmegaPow):
-            return _lt(a.exponent, b.exponent)
-        return _leq(a.exponent, b)
-    if isinstance(b, OmegaPow):
-        return _lt(a, b.exponent)
+def _head_lt(a: Term, b: Term) -> bool:
+    """a < b for strongly critical a and b."""
     match a, b:
         case (Xi(j, x), Xi(j1, y)):
             return j < j1 or (j == j1 and _lt(x, y))
@@ -637,30 +581,21 @@ def _lt_raw(a: Term, b: Term) -> bool:
             if split is not None:
                 return split
             if _POLICY is ComparePolicy.LITERAL_ZERO:
-                if _lt(alpha, beta):
-                    return all(
-                        _lt(instantiate(g, w), b)
-                        for w in _cross_candidates(alpha, beta)
-                        for g in _kset(0, alpha)
-                    )
-                if _lt(beta, alpha):
-                    return any(
-                        _leq(a, instantiate(g, w))
-                        for w in _cross_candidates(beta, alpha)
-                        for g in _kset(0, beta)
-                    )
-                return False
-            ws = _legit_candidates((alpha, beta), (a, b))
+                # each side's functions at the other side's parameters only
+                ws_alpha = parameters(beta) or (ZERO,)
+                ws_beta = parameters(alpha) or (ZERO,)
+            else:
+                ws_alpha = ws_beta = _legit_candidates((alpha, beta), (a, b))
             if _lt(alpha, beta):
                 return all(
                     _lt(instantiate(g, w), b)
-                    for w in ws
+                    for w in ws_alpha
                     for g in _kset(0, alpha)
                 )
             if _lt(beta, alpha):
                 return any(
                     _leq(a, instantiate(g, w))
-                    for w in ws
+                    for w in ws_beta
                     for g in _kset(0, beta)
                 )
             return False
@@ -681,6 +616,9 @@ def _lt_raw(a: Term, b: Term) -> bool:
         case (FVar(f, j, x), FVar(g, j1, y)):
             return f == g and (j < j1 or (j == j1 and _lt(x, y)))
     return False
+
+
+compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
 
 
 # -- function-variable substitution ------------------------------------------
@@ -768,24 +706,6 @@ def dfun(m: int, gamma: Term, beta: Term, var: str | None = None) -> Term:
     return out
 
 
-def _max_proper_sc(t: Term) -> Term:
-    """Largest proper strongly-critical subterm (0 when there is none)."""
-    seen = []
-    taken = set()
-    for s in subterms(t):
-        if s is not t and is_sc(s) and s.serial not in taken:
-            taken.add(s.serial)
-            seen.append(s)
-    if not seen:
-        return ZERO
-    seen.sort(key=lambda s: s.key)
-    best = seen[0]
-    for cand in seen[1:]:
-        if _lt(best, cand):
-            best = cand
-    return best
-
-
 class _Tower:
     """The dominance tower up to its stable (cardinal-free) level.  A
     critical subterm is dominated if it falls below any level: levels of
@@ -817,9 +737,10 @@ class _Tower:
 
 
 def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
-    """alpha << beta relative to gamma.  A collected function body is checked
-    with its distinguished variable standing for the largest proper
-    strongly-critical subterm of the dominance bound."""
+    """alpha << beta relative to gamma.  Every item of the strict critical
+    set is a plain term: a bound collapse is collected only when its class is
+    below the threshold j, and lifting it by -j leaves every level-0
+    cardinality negative, so its abstraction finds no parameter."""
     if not fc_max(gamma) < 0:
         raise PreconditionError("llrel subscript must have negative cardinality")
     if compare(alpha, beta) is not Outcome.LESS:
@@ -834,15 +755,9 @@ def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
         )
     tower = _Tower(gamma, beta, var)
     for item in items:
-        if not any(_lt(_convention_eta(item, bound), bound) for bound in tower):
+        if not any(_lt(item.term, bound) for bound in tower):
             return False
     return True
-
-
-def _convention_eta(item: KItem, bound: Term) -> Term:
-    if item.var is None:
-        return item.term
-    return _subst(item.term, item.var, 0, _max_proper_sc(bound))
 
 
 # -- Key Lemma items -----------------------------------------------------------
@@ -1081,8 +996,8 @@ def _ref_lt(a: Term, b: Term) -> bool:
         return False
     match a, b:
         case (Sum(xs), Sum(ys)):
-            rest_a = _multiset_rest(xs, ys)
-            rest_b = _multiset_rest(ys, xs)
+            rest_a = multiset_rest(xs, ys)
+            rest_b = multiset_rest(ys, xs)
             return any(all(_ref_lt(x, y0) for x in rest_a) for y0 in rest_b)
         case (_, Sum(ys)):
             return any(_ref_leq(a, y) for y in ys)

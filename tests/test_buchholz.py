@@ -55,8 +55,13 @@ def test_compare_variables():
 
 def test_compare_requires_valid():
     bad = theta_idx(1, var_idx("x", 1))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="comparison requires valid terms"):
         B.compare(bad, bad)
+    # The system of both operands is checked before their validity.
+    foreign = parse("poly", "O^(0)")
+    for a, b in ((bad, foreign), (foreign, bad)):
+        with pytest.raises(PreconditionError, match="is not a stratified-system term"):
+            B.compare(a, b)
 
 
 def test_substitute():

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,14 +9,11 @@ from ordcalc.core import (
     TermError,
     ZERO,
     add,
-    flatten_sum,
     is_h,
     is_sc,
     omega_idx,
     omega_lev,
     omega_pow,
-    size,
-    structural_key,
     subterms,
     sum_of,
     theta_idx,
@@ -26,18 +25,18 @@ from pools import closed, opened
 
 
 def test_empty_sum_is_zero():
-    assert flatten_sum([]) is ZERO
-    assert size(ZERO) == 1
+    assert sum_of([]) is ZERO
+    assert ZERO.size == 1
 
 
 def test_singleton_collapses():
-    assert flatten_sum([ONE]) is ONE
+    assert sum_of([ONE]) is ONE
 
 
 def test_nested_sums_flatten():
     inner = sum_of([ONE, omega_idx(1)])
-    t = flatten_sum([ONE, inner])
-    assert [c for c in t.children] == sorted(t.children, key=structural_key)
+    t = sum_of([ONE, inner])
+    assert [c for c in t.children] == sorted(t.children, key=lambda c: c.key)
     assert len(t.children) == 3
 
 
@@ -51,16 +50,16 @@ def test_mixed_system_components_rejected():
 
 
 def test_size_counts_nodes_and_levels():
-    assert size(ONE) == 2
-    assert size(sum_of([ONE, omega_idx(1)])) == 4
-    assert size(omega_lev(0)) == 2  # the level superscript costs a node
-    assert size(omega_idx(3)) == 1
-    assert size(xi(0, ZERO)) == 3
+    assert ONE.size == 2
+    assert sum_of([ONE, omega_idx(1)]).size == 4
+    assert omega_lev(0).size == 2  # the level superscript costs a node
+    assert omega_idx(3).size == 1
+    assert xi(0, ZERO).size == 3
 
 
 def test_structural_key_identity():
-    assert structural_key(ZERO) == structural_key(sum_of([]))
-    assert structural_key(ONE) != structural_key(ZERO)
+    assert ZERO.key == sum_of([]).key
+    assert ONE.key != ZERO.key
 
 
 def test_interning_gives_identity():
@@ -86,10 +85,10 @@ def test_var_names_and_validity():
 def test_flatten_idempotent(data):
     pool = closed("buchholz", max_size=4)
     parts = data.draw(st.lists(st.sampled_from(pool), max_size=4))
-    t = flatten_sum(parts)
+    t = sum_of(parts)
     from ordcalc.core import summands
 
-    assert flatten_sum(summands(t)) is t
+    assert sum_of(summands(t)) is t
 
 
 @given(st.data())
@@ -97,7 +96,7 @@ def test_key_total_order(data):
     pool = closed("mixed", max_size=4)
     a = data.draw(st.sampled_from(pool))
     b = data.draw(st.sampled_from(pool))
-    ka, kb = structural_key(a), structural_key(b)
+    ka, kb = a.key, b.key
     assert (ka == kb) == (a is b)
     assert (ka < kb) + (ka == kb) + (ka > kb) == 1
 
@@ -106,7 +105,7 @@ def test_key_total_order(data):
 def test_size_subadditive_over_sums(data):
     pool = [t for t in closed("poly", max_size=4) if is_h(t)]
     parts = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4))
-    assert size(flatten_sum(parts)) <= 1 + sum(size(p) for p in parts)
+    assert sum_of(parts).size <= 1 + sum(p.size for p in parts)
 
 
 def test_subterms_preorder():
@@ -177,3 +176,32 @@ def test_cached_term_facts_over_acceptance_pools():
             if isinstance(t, core.Sum):
                 keys = [c.key for c in t.children]
                 assert keys == sorted(keys), t
+
+
+# -- the ordering kernel ------------------------------------------------------
+
+
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
+    mod = importlib.import_module(f"ordcalc.{system}")
+    heads = [t for t in closed(system, max_size=4) if is_sc(t)]
+    a, b = heads[0], heads[-1]
+    outer = []
+
+    def head(x, y):
+        # Re-enters on the pair the outermost comparison started from.
+        return lt(*outer[-1]) if outer else x.serial < y.serial
+
+    compare, lt, leq, memo = core.make_order(head, mod._check_pair)
+    # The cycle is reached directly and through the shared sum and omega
+    # clauses, whose sub-comparisons are in progress when it is found.
+    for pair in ((a, b), (add(ONE, a), add(ONE, b)), (omega_pow(a), b)):
+        outer.append(pair)
+        with pytest.raises(core.InvariantError, match="comparison cycle"):
+            compare(*pair)
+        assert not any(v is core._IN_PROGRESS for v in memo.values())
+    # No marker was left behind, so the same pair now compares normally.
+    outer.clear()
+    want = core.Outcome.LESS if a.serial < b.serial else core.Outcome.GREATER
+    assert compare(a, b) is want
+    assert leq(a, a) and not lt(a, a)

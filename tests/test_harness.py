@@ -127,12 +127,40 @@ def test_clause_variant_diff_runs():
     assert report.details["theta_below_cardinal"]["differences"] > 0
 
 
+def test_clause_variant_diff_restores_defaults_on_error(monkeypatch):
+    terms = [parse("mixed", "O_1"), parse("mixed", "O_2"), parse("mixed", "thO_1(O_3)")]
+    default = H.mixed.get_variants()
+    real_compare = H.mixed.compare
+    calls = []
+
+    def failing_compare(a, b):
+        calls.append(H.mixed.get_variants())
+        if len(calls) == 450:  # inside the first literal-reading pass
+            raise RuntimeError("compare failed")
+        return real_compare(a, b)
+
+    monkeypatch.setattr(H.mixed, "compare", failing_compare)
+    with pytest.raises(RuntimeError, match="compare failed"):
+        H.diff_clause_variants(terms, pairs=300, seed=6)
+    assert calls[-1] != default
+    assert H.mixed.get_variants() == default
+
+
+_GOLDEN_SELFCHECK = os.path.join(
+    os.path.dirname(__file__), "data", "selfcheck_seed1_quick.jsonl"
+)
+
+
 def test_selfcheck_quick():
     reports = H.selfcheck(seed=1, quick=True)
     names = {r.check for r in reports}
     assert {"fixtures", "order_axioms", "parse_render_roundtrip", "key_lemma"} <= names
     bad = [r for r in reports if not r.ok]
     assert bad == []
+    # The JSONL without timing is pinned byte for byte.
+    with open(_GOLDEN_SELFCHECK, encoding="utf-8") as f:
+        golden = f.read()
+    assert "".join(r.to_json(timing=False) + "\n" for r in reports) == golden
 
 
 _KL_FIRST_CALL = """

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcalc import parse, render
+from ordcalc import harness, parse, render
 from ordcalc import xi as X
 from ordcalc.core import (
     KItem,
@@ -12,6 +12,7 @@ from ordcalc.core import (
     Outcome,
     PreconditionError,
     ShiftError,
+    Theta,
     ZERO,
     add,
     omega_pow,
@@ -194,15 +195,10 @@ def _llrel_rebuilt_per_item(gamma, alpha, beta):
             bound = theta(omega_pow(add(mk_xi(0, ONE), bound)))
         raise AssertionError("unreachable")
 
-    def eta(item, bound):
-        if item.var is None:
-            return item.term
-        return X._subst(item.term, item.var, 0, X._max_proper_sc(bound))
-
     if X.compare(alpha, beta) is not Outcome.LESS:
         return False
     return all(
-        any(X._lt(eta(item, bound), bound) for bound in tower())
+        any(X._lt(item.term, bound) for bound in tower())
         for item in X._kset_dominance(0, alpha)
     )
 
@@ -221,3 +217,19 @@ def test_llrel_matches_per_item_rebuild():
         assert got == _llrel_rebuilt_per_item(gamma, alpha, beta)
         holds += got
     assert 100 < holds < 1400
+
+
+def test_strict_critical_items_carry_no_variable():
+    # llrel reads item.term: the strict condition collects a bound collapse
+    # only when its class is below the threshold j, and lifting it by -j
+    # leaves no level-0 parameter for the abstraction to pull out.
+    pool = harness.enumerate_terms(harness.ORDER_BUDGETS["xi"]) + harness.enumerate_terms(
+        harness.EnumBudget(
+            "xi", max_size=7, min_level=-3, closed_only=False, include_fvars=True
+        )
+    )
+    items = [
+        item for t in pool for j in (0, -1, -2, -3) for item in X._kset_dominance(j, t)
+    ]
+    assert all(item.var is None for item in items)
+    assert sum(isinstance(item.term, Theta) for item in items) > 1000
