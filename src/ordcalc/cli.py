@@ -22,7 +22,7 @@ from .core import (
     Term,
     TermError,
 )
-from .syntax import ParseError, parse, render, render_set
+from .syntax import ParseError, parse, render
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,40 +50,27 @@ class _Output:
             print(text)
 
 
-def _parse_term(system: str, text: str) -> Term:
-    return parse(system, text)
-
-
-def _render_kitems(items) -> str:
-    rendered = []
-    for item in sorted(items, key=lambda i: i.term.key):
-        if isinstance(item, KItem) and item.var is not None:
-            rendered.append(f"{render(item.term)} [{item.var}]")
-        else:
-            term = item.term if isinstance(item, KItem) else item
-            rendered.append(render(term))
-    return "{" + ", ".join(rendered) + "}"
-
-
-def _kitems_payload(items) -> list:
-    out = []
-    for item in sorted(items, key=lambda i: i.term.key):
-        if isinstance(item, KItem):
-            out.append({"term": render(item.term), "var": item.var})
-        else:
-            out.append({"term": render(item), "var": None})
-    return out
+def _kset_output(items) -> tuple[list, str]:
+    """JSON payload and text for a critical-subterm set, sorted by key.  The
+    set holds plain terms, or KItems (xi and mixed's xi family)."""
+    entries = sorted(
+        ((i.term, i.var) if isinstance(i, KItem) else (i, None) for i in items),
+        key=lambda e: e[0].key,
+    )
+    payload = [{"term": render(t), "var": var} for t, var in entries]
+    text = ", ".join(render(t) if var is None else f"{render(t)} [{var}]" for t, var in entries)
+    return payload, "{" + text + "}"
 
 
 def _cmd_parse(args, out: _Output) -> int:
-    t = _parse_term(args.system, args.term)
+    t = parse(args.system, args.term)
     out.emit({"term": render(t), "size": t.size, "closed": t.closed}, render(t))
     return EXIT_OK
 
 
 def _cmd_cmp(args, out: _Output) -> int:
-    a = _parse_term(args.system, args.left)
-    b = _parse_term(args.system, args.right)
+    a = parse(args.system, args.left)
+    b = parse(args.system, args.right)
     cmp = _COMPARE[args.system]
     o = cmp(a, b)
     out.emit({"left": render(a), "right": render(b), "outcome": o.value}, o.value)
@@ -93,7 +80,7 @@ def _cmd_cmp(args, out: _Output) -> int:
 def _cmd_sort(args, out: _Output) -> int:
     from functools import cmp_to_key
 
-    terms = [_parse_term(args.system, s) for s in args.terms]
+    terms = [parse(args.system, s) for s in args.terms]
     cmp = _COMPARE[args.system]
 
     def as_cmp(x, y):
@@ -112,39 +99,28 @@ def _cmd_sort(args, out: _Output) -> int:
 
 
 def _cmd_k(args, out: _Output) -> int:
-    t = _parse_term(args.system, args.term)
+    t = parse(args.system, args.term)
     if args.system == "buchholz":
         items = buchholz.kset(args.index, t)
-        payload = [{"term": render(x), "var": None} for x in sorted(items, key=lambda s: s.key)]
-        text = render_set(items)
     elif args.system == "poly":
         items = poly.kset(args.level, t)
-        payload = [{"term": render(x), "var": None} for x in sorted(items, key=lambda s: s.key)]
-        text = render_set(items)
     elif args.system == "xi":
         items = xi.kset(args.level, t)
-        payload = _kitems_payload(items)
-        text = _render_kitems(items)
     else:
         card = mixed.parse_card(args.card) if args.card else mixed.large(0, args.index)
         if args.family == "low":
             items = mixed.kset_low(args.index, t)
-            payload = [{"term": render(x), "var": None} for x in sorted(items, key=lambda s: s.key)]
-            text = render_set(items)
         elif args.family == "high":
             items = mixed.kset_high(card, args.index, t)
-            payload = [{"term": render(x), "var": None} for x in sorted(items, key=lambda s: s.key)]
-            text = render_set(items)
         else:
             items = mixed.kset_xi(card, t)
-            payload = _kitems_payload(items)
-            text = _render_kitems(items)
+    payload, text = _kset_output(items)
     out.emit({"kset": payload}, text)
     return EXIT_OK
 
 
 def _cmd_fc(args, out: _Output) -> int:
-    t = _parse_term(args.system, args.term)
+    t = parse(args.system, args.term)
     if args.system == "buchholz":
         values, top = buchholz.fc(t)
     elif args.system == "poly":
@@ -163,7 +139,7 @@ def _cmd_fc(args, out: _Output) -> int:
 
 
 def _cmd_ground(args, out: _Output) -> int:
-    t = _parse_term("poly", args.term)
+    t = parse("poly", args.term)
     r = poly.normalize(t)
     out.emit(
         {
@@ -178,13 +154,13 @@ def _cmd_ground(args, out: _Output) -> int:
 
 
 def _cmd_star(args, out: _Output) -> int:
-    t = _parse_term("poly", args.term)
+    t = parse("poly", args.term)
     out.emit({"star": render(poly.star(t))}, render(poly.star(t)))
     return EXIT_OK
 
 
 def _cmd_shift(args, out: _Output) -> int:
-    t = _parse_term(args.system, args.term)
+    t = parse(args.system, args.term)
     if args.system == "poly":
         res = poly.shift(t, args.level, args.by)
     elif args.system == "xi":
@@ -199,8 +175,8 @@ def _cmd_shift(args, out: _Output) -> int:
 
 
 def _cmd_subst(args, out: _Output) -> int:
-    t = _parse_term(args.system, args.term)
-    value = _parse_term(args.system, args.value)
+    t = parse(args.system, args.term)
+    value = parse(args.system, args.value)
     if args.system == "buchholz":
         res = buchholz.substitute(t, args.var, args.index, value)
     elif args.system == "poly":
@@ -214,7 +190,7 @@ def _cmd_subst(args, out: _Output) -> int:
 
 
 def _cmd_abstract(args, out: _Output) -> int:
-    t = _parse_term("xi", args.term)
+    t = parse("xi", args.term)
     a = xi.abstract(t)
     payload = {
         "body": render(a.body),
@@ -227,23 +203,23 @@ def _cmd_abstract(args, out: _Output) -> int:
 
 
 def _cmd_kappa(args, out: _Output) -> int:
-    t = _parse_term("xi", args.term)
+    t = parse("xi", args.term)
     out.emit({"kappa": _card_str(xi.kappa(t))}, _card_str(xi.kappa(t)))
     return EXIT_OK
 
 
 def _cmd_d(args, out: _Output) -> int:
     if args.system == "buchholz":
-        gamma = _parse_term("buchholz", args.gamma)
-        beta = _parse_term("buchholz", args.beta)
+        gamma = parse("buchholz", args.gamma)
+        beta = parse("buchholz", args.beta)
         res = buchholz.dfun(args.m, args.n, gamma, beta)
     elif args.system == "poly":
-        gamma = _parse_term("poly", args.gamma)
-        beta = _parse_term("poly", args.beta)
+        gamma = parse("poly", args.gamma)
+        beta = parse("poly", args.beta)
         res = poly.dfun(args.m, gamma, beta)
     elif args.system == "xi":
-        gamma = _parse_term("xi", args.gamma)
-        beta = _parse_term("xi", args.beta)
+        gamma = parse("xi", args.gamma)
+        beta = parse("xi", args.beta)
         res = xi.dfun(args.m, gamma, beta, args.var)
     else:
         raise PreconditionError("no dominance function for the mixed system")
@@ -253,19 +229,19 @@ def _cmd_d(args, out: _Output) -> int:
 
 def _cmd_ll(args, out: _Output) -> int:
     if args.system == "buchholz":
-        gamma = _parse_term("buchholz", args.gamma)
-        a = _parse_term("buchholz", args.left)
-        b = _parse_term("buchholz", args.right)
+        gamma = parse("buchholz", args.gamma)
+        a = parse("buchholz", args.left)
+        b = parse("buchholz", args.right)
         res = buchholz.llrel(args.n, gamma, a, b, relativized=not args.plain)
     elif args.system == "poly":
-        gamma = _parse_term("poly", args.gamma)
-        a = _parse_term("poly", args.left)
-        b = _parse_term("poly", args.right)
+        gamma = parse("poly", args.gamma)
+        a = parse("poly", args.left)
+        b = parse("poly", args.right)
         res = poly.llrel(gamma, a, b)
     elif args.system == "xi":
-        gamma = _parse_term("xi", args.gamma)
-        a = _parse_term("xi", args.left)
-        b = _parse_term("xi", args.right)
+        gamma = parse("xi", args.gamma)
+        a = parse("xi", args.left)
+        b = parse("xi", args.right)
         res = xi.llrel(gamma, a, b, args.var)
     else:
         raise PreconditionError("no dominance relation for the mixed system")

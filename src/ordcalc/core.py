@@ -602,7 +602,9 @@ class KItem:
         )
 
     def __hash__(self):
-        return hash((self.term, self.var))
+        # The serial alone: on CPython 3.11 hash(None) comes from its address,
+        # so hashing var too would vary set iteration order between runs.
+        return self.term.serial
 
     def __repr__(self):
         suffix = f" [{self.var}]" if self.var else ""

@@ -14,6 +14,7 @@ import json
 import random
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
 
@@ -23,7 +24,9 @@ from .core import (
     FVar,
     Outcome,
     PreconditionError,
+    ShiftError,
     Term,
+    Theta,
     VarIdx,
     VarLev,
     fvar,
@@ -34,6 +37,7 @@ from .core import (
     omega_pow,
     subterms,
     sum_of,
+    summands,
     theta,
     theta_high,
     theta_idx,
@@ -77,6 +81,10 @@ class EnumBudget:
     hard_cap: int = 500_000
 
 
+# A report keeps the first MAX_VIOLATIONS violations (fixtures keep all).
+MAX_VIOLATIONS = 25
+
+
 @dataclass
 class CheckReport:
     check: str
@@ -90,6 +98,11 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def note(self, kind: str, **fields):
+        """Record one violation; those past the first MAX_VIOLATIONS are dropped."""
+        if len(self.violations) < MAX_VIOLATIONS:
+            self.violations.append({"kind": kind, **fields})
 
     def to_json(self, timing: bool = True) -> str:
         record = {
@@ -108,13 +121,13 @@ def _derive_seed(seed: int, label: str) -> int:
     return (seed ^ zlib.crc32(label.encode())) & 0xFFFFFFFFFFFFFFFF
 
 
-class _Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self.start) * 1000.0
+@contextmanager
+def _checking(check: str, system: str, seed: int):
+    """A fresh report whose elapsed_ms is the time spent in the block."""
+    report = CheckReport(check=check, system=system, checked=0, seed=seed)
+    start = time.perf_counter()
+    yield report
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -275,18 +288,11 @@ def check_order_axioms(
     terms = list(terms)
     n = len(terms)
     rng = random.Random(_derive_seed(seed, f"order:{system}"))
-    report = CheckReport(check="order_axioms", system=system, checked=0, seed=seed)
-    v = report.violations
-
-    def note(kind, **kw):
-        if len(v) < 25:
-            v.append({"kind": kind, **kw})
-
-    with _Timer() as timer:
+    with _checking("order_axioms", system, seed) as report:
         for t in terms:
             report.checked += 1
             if cmp(t, t) is not Outcome.EQUAL:
-                note("irreflexivity", term=render(t))
+                report.note("irreflexivity", term=render(t))
 
         total_pairs = n * (n - 1) // 2
         if total_pairs <= pair_cap:
@@ -304,9 +310,9 @@ def check_order_axioms(
             ab, ba = cmp(a, b), cmp(b, a)
             report.checked += 1
             if ab is Outcome.INCOMPARABLE or ab is Outcome.EQUAL:
-                note("totality", left=render(a), right=render(b), got=ab.value)
+                report.note("totality", left=render(a), right=render(b), got=ab.value)
             elif (ab is Outcome.LESS) == (ba is Outcome.LESS):
-                note("asymmetry", left=render(a), right=render(b))
+                report.note("asymmetry", left=render(a), right=render(b))
 
         for _ in range(sample_triples):
             i, j, k = (rng.randrange(n) for _ in range(3))
@@ -314,7 +320,7 @@ def check_order_axioms(
             report.checked += 1
             if cmp(a, b) is Outcome.LESS and cmp(b, c) is Outcome.LESS:
                 if cmp(a, c) is not Outcome.LESS:
-                    note(
+                    report.note(
                         "transitivity",
                         a=render(a),
                         b=render(b),
@@ -329,25 +335,24 @@ def check_order_axioms(
                 return 1
             if o is Outcome.EQUAL:
                 return 0
-            note("sort_incomparable", left=render(x), right=render(y))
+            report.note("sort_incomparable", left=render(x), right=render(y))
             return 0
 
         ordered = sorted(terms, key=cmp_to_key(as_cmp))
         for a, b in zip(ordered, ordered[1:]):
             report.checked += 1
             if cmp(a, b) is not Outcome.LESS:
-                note("sort_adjacent", left=render(a), right=render(b))
+                report.note("sort_adjacent", left=render(a), right=render(b))
         for _ in range(min(sort_sample, n * n)):
             i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
             if i != j:
                 report.checked += 1
                 if cmp(ordered[i], ordered[j]) is not Outcome.LESS:
-                    note(
+                    report.note(
                         "sort_sampled",
                         left=render(ordered[i]),
                         right=render(ordered[j]),
                     )
-    report.elapsed_ms = timer.ms
     report.details["terms"] = n
     return report
 
@@ -363,85 +368,68 @@ def check_oracle_equivalence(
     terms = list(terms)
     n = len(terms)
     rng = random.Random(_derive_seed(seed, f"oracle:{system}"))
-    report = CheckReport(check="oracle_equivalence", system=system, checked=0, seed=seed)
-    with _Timer() as timer:
+    with _checking("oracle_equivalence", system, seed) as report:
         for _ in range(pairs):
             a = terms[rng.randrange(n)]
             b = terms[rng.randrange(n)]
             report.checked += 1
             fast, slow = cmp(a, b), ref(a, b)
             if fast is not slow:
-                if len(report.violations) < 25:
-                    report.violations.append(
-                        {
-                            "kind": "comparator_disagreement",
-                            "left": render(a),
-                            "right": render(b),
-                            "memoized": fast.value,
-                            "reference": slow.value,
-                        }
-                    )
-    report.elapsed_ms = timer.ms
+                report.note(
+                    "comparator_disagreement",
+                    left=render(a),
+                    right=render(b),
+                    memoized=fast.value,
+                    reference=slow.value,
+                )
     report.details["terms"] = n
     return report
 
 
 def check_kset_oracle(system: str, terms, seed: int = 0) -> CheckReport:
     """Memoized critical-subterm computation versus the reference path."""
-    report = CheckReport(check="kset_oracle", system=system, checked=0, seed=seed)
-
-    def note(term, label):
-        if len(report.violations) < 25:
-            report.violations.append({"kind": "kset_disagreement", "term": render(term), "at": label})
-
-    with _Timer() as timer:
+    with _checking("kset_oracle", system, seed) as report:
         for t in terms:
             if system == "buchholz":
                 for n in (1, 2, 3):
                     report.checked += 1
                     if buchholz.kset(n, t) != buchholz.kset_reference(n, t):
-                        note(t, f"n={n}")
+                        report.note("kset_disagreement", term=render(t), at=f"n={n}")
             elif system == "poly":
                 for j in (0, -1):
                     report.checked += 1
                     if poly.kset(j, t) != poly.kset_reference(j, t):
-                        note(t, f"j={j}")
+                        report.note("kset_disagreement", term=render(t), at=f"j={j}")
             elif system == "xi":
                 for j in (0, -1):
                     report.checked += 1
                     if xi.kset(j, t) != xi.kset_reference(j, t):
-                        note(t, f"j={j}")
+                        report.note("kset_disagreement", term=render(t), at=f"j={j}")
             else:
                 for n in (1, 2):
                     report.checked += 1
                     if mixed.kset_low(n, t) != mixed.kset_low_reference(n, t):
-                        note(t, f"low n={n}")
+                        report.note("kset_disagreement", term=render(t), at=f"low n={n}")
                     report.checked += 1
                     c = mixed.large(0, n)
                     if mixed.kset_high(c, n, t) != mixed.kset_high_reference(c, n, t):
-                        note(t, f"high c=(0,{n})")
+                        report.note("kset_disagreement", term=render(t), at=f"high c=(0,{n})")
                 report.checked += 1
                 c = mixed.large(0, 0)
                 if mixed.kset_xi(c, t) != mixed.kset_xi_reference(c, t):
-                    note(t, "xi c=(0,0)")
-    report.elapsed_ms = timer.ms
+                    report.note("kset_disagreement", term=render(t), at="xi c=(0,0)")
     return report
 
 
 # -- parser round trip ---------------------------------------------------------------
 
 def check_roundtrip(system: str, terms, seed: int = 0) -> CheckReport:
-    report = CheckReport(check="parse_render_roundtrip", system=system, checked=0, seed=seed)
-    with _Timer() as timer:
+    with _checking("parse_render_roundtrip", system, seed) as report:
         for t in terms:
             report.checked += 1
             back = syntax.parse(system, render(t))
             if back is not t:
-                if len(report.violations) < 25:
-                    report.violations.append(
-                        {"kind": "roundtrip", "term": render(t), "reparsed": render(back)}
-                    )
-    report.elapsed_ms = timer.ms
+                report.note("roundtrip", term=render(t), reparsed=render(back))
     return report
 
 
@@ -449,10 +437,6 @@ def check_roundtrip(system: str, terms, seed: int = 0) -> CheckReport:
 #
 # Each fixture is an independently derived expected value: ladder facts,
 # cardinality readings, critical-subterm sets, and cardinal arithmetic.
-
-def _fix_parse(system, text):
-    return syntax.parse(system, text)
-
 
 def _expect_equal(got, want):
     return got == want, f"got {got!r}, want {want!r}"
@@ -463,10 +447,10 @@ def _expect_outcome(got: Outcome, want: Outcome):
 
 
 def _fixture_table():
-    pb = lambda s: _fix_parse("buchholz", s)
-    pp = lambda s: _fix_parse("poly", s)
-    px = lambda s: _fix_parse("xi", s)
-    pm = lambda s: _fix_parse("mixed", s)
+    pb = lambda s: syntax.parse("buchholz", s)
+    pp = lambda s: syntax.parse("poly", s)
+    px = lambda s: syntax.parse("xi", s)
+    pm = lambda s: syntax.parse("mixed", s)
     L, G = Outcome.LESS, Outcome.GREATER
 
     def ladder(cmp, a, b):
@@ -487,12 +471,13 @@ def _fixture_table():
         ),
         (
             "buchholz/parser_rejects_scope_violation",
-            lambda: _expect_equal(_parse_fails("buchholz", "th_1(v.x_1)"), True),
+            lambda: _expect_equal(_raises(syntax.ParseError, lambda: pb("th_1(v.x_1)")), True),
         ),
         (
             "buchholz/substitution_needs_small_target",
             lambda: _expect_equal(
-                _raises_precondition(
+                _raises(
+                    PreconditionError,
                     lambda: buchholz.substitute(
                         theta_idx(2, var_idx("x", 1)), "x", 1, omega_idx(1)
                     )
@@ -516,7 +501,7 @@ def _fixture_table():
         (
             "poly/shift_collision",
             lambda: _expect_equal(
-                _raises_shift(lambda: poly.shift(pp("th(O^(-1))"), 0, 1)), True
+                _raises(ShiftError, lambda: poly.shift(pp("th(O^(-1))"), 0, 1)), True
             ),
         ),
         (
@@ -576,8 +561,7 @@ def _fixture_table():
         ("mixed/plain_below_upper", ladder(mixed.compare, pm("O_5"), pm("OO_1^(0)"))),
         ("mixed/upper_below_function", ladder(mixed.compare, pm("OO_2^(-1)"), pm("Xi^(0)(0)"))),
         ("mixed/function_below_upper_same_level", ladder(mixed.compare, pm("Xi^(0)(0)"), pm("OO_1^(0)"))),
-        # grammar-level ladder samples driven through the CLI wire format
-        ("poly/cli_ladder", ladder(poly.compare, pp("O^(-2)"), pp("O^(-1)"))),
+        # critical-subterm set in the CLI wire format
         (
             "poly/cli_kset",
             lambda: _expect_equal(
@@ -588,36 +572,17 @@ def _fixture_table():
     return fixtures
 
 
-def _parse_fails(system, text):
-    try:
-        syntax.parse(system, text)
-    except syntax.ParseError:
-        return True
-    return False
-
-
-def _raises_precondition(thunk):
+def _raises(exc_type, thunk) -> bool:
     try:
         thunk()
-    except PreconditionError:
-        return True
-    return False
-
-
-def _raises_shift(thunk):
-    from .core import ShiftError
-
-    try:
-        thunk()
-    except ShiftError:
+    except exc_type:
         return True
     return False
 
 
 def check_fixtures(seed: int = 0) -> CheckReport:
     """Run every pinned fixture; each must match exactly."""
-    report = CheckReport(check="fixtures", system="all", checked=0, seed=seed)
-    with _Timer() as timer:
+    with _checking("fixtures", "all", seed) as report:
         for name, thunk in _fixture_table():
             report.checked += 1
             try:
@@ -626,7 +591,6 @@ def check_fixtures(seed: int = 0) -> CheckReport:
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
             if not ok:
                 report.violations.append({"kind": "fixture", "name": name, "detail": detail})
-    report.elapsed_ms = timer.ms
     report.details["fixtures"] = report.checked
     return report
 
@@ -636,48 +600,38 @@ def check_fixtures(seed: int = 0) -> CheckReport:
 def check_m_membership(terms, seed: int = 0) -> CheckReport:
     """Every closed term's star form passes the structural class predicate at
     its own class index."""
-    report = CheckReport(check="m_membership", system="poly", checked=0, seed=seed)
-    with _Timer() as timer:
+    with _checking("m_membership", "poly", seed) as report:
         for t in terms:
             report.checked += 1
             r = poly.normalize(t)
             if not r.m_member:
-                if len(report.violations) < 25:
-                    report.violations.append(
-                        {
-                            "kind": "m_membership",
-                            "term": render(t),
-                            "star": render(r.star),
-                            "class_index": repr(r.class_index),
-                        }
-                    )
-    report.elapsed_ms = timer.ms
+                report.note(
+                    "m_membership",
+                    term=render(t),
+                    star=render(r.star),
+                    class_index=repr(r.class_index),
+                )
     return report
 
 
 def check_m_closure(terms, seed: int = 0, sum_samples: int = 20_000) -> CheckReport:
     """Class membership is preserved by omega powers, by collapse after a
     downward shift, and by sums after aligning classes."""
-    report = CheckReport(check="m_closure", system="poly", checked=0, seed=seed)
     rng = random.Random(_derive_seed(seed, "m_closure"))
     stars = []
     for t in terms:
         s = poly.star(t)
         stars.append((s, poly.class_of(s)))
 
-    def note(kind, **kw):
-        if len(report.violations) < 25:
-            report.violations.append({"kind": kind, **kw})
-
-    with _Timer() as timer:
+    with _checking("m_closure", "poly", seed) as report:
         for s, n in stars:
             report.checked += 1
             if not poly.m_member(omega_pow(s), n):
-                note("omega_closure", term=render(s))
+                report.note("omega_closure", term=render(s))
             report.checked += 1
             collapsed = theta(poly.shift(s, 0, -1))
             if not poly.m_member(collapsed, n):
-                note("collapse_closure", term=render(s))
+                report.note("collapse_closure", term=render(s))
         for _ in range(sum_samples):
             (sa, m), (sb, n) = rng.choice(stars), rng.choice(stars)
             if m > n:
@@ -688,25 +642,17 @@ def check_m_closure(terms, seed: int = 0, sum_samples: int = 20_000) -> CheckRep
                 shifted = poly.shift(sa, 0, -(n - m))
             report.checked += 1
             combined = sum_of(
-                [*_summands(shifted), *_summands(sb)]
+                [*summands(shifted), *summands(sb)]
             )
             if not poly.m_member(combined, n):
-                note("sum_closure", left=render(sa), right=render(sb))
-    report.elapsed_ms = timer.ms
+                report.note("sum_closure", left=render(sa), right=render(sb))
     return report
-
-
-def _summands(t):
-    from .core import summands
-
-    return summands(t)
 
 
 def check_k_class_drop(terms, seed: int = 0) -> CheckReport:
     """For a top-class term, every critical subterm's star falls in a
     strictly smaller class (what the class recursion needs)."""
-    report = CheckReport(check="k_class_drop", system="poly", checked=0, seed=seed)
-    with _Timer() as timer:
+    with _checking("k_class_drop", "poly", seed) as report:
         for t in terms:
             if poly.fc_max(t) != 0:
                 continue
@@ -715,15 +661,7 @@ def check_k_class_drop(terms, seed: int = 0) -> CheckReport:
                 report.checked += 1
                 bstar = poly.star(beta)
                 if not poly.class_of(bstar) < cls:
-                    if len(report.violations) < 25:
-                        report.violations.append(
-                            {
-                                "kind": "class_drop",
-                                "term": render(t),
-                                "critical": render(beta),
-                            }
-                        )
-    report.elapsed_ms = timer.ms
+                    report.note("class_drop", term=render(t), critical=render(beta))
     return report
 
 
@@ -732,33 +670,23 @@ def check_k_fc_drop(terms, seed: int = 0) -> CheckReport:
     strictly smaller top cardinality than its source term.  The self-critical
     collapse (K of th(O^(0)) contains the term itself) falsifies this; the
     report exists to document the failure honestly."""
-    report = CheckReport(check="k_fc_drop_literal", system="poly", checked=0, seed=seed)
-    with _Timer() as timer:
+    with _checking("k_fc_drop_literal", "poly", seed) as report:
         for t in terms:
             top = poly.fc_max(t)
             for beta in poly.kset(0, t):
                 report.checked += 1
                 if not poly.fc_max(beta) < top:
-                    if len(report.violations) < 25:
-                        report.violations.append(
-                            {
-                                "kind": "fc_drop",
-                                "term": render(t),
-                                "critical": render(beta),
-                            }
-                        )
-    report.elapsed_ms = timer.ms
+                    report.note("fc_drop", term=render(t), critical=render(beta))
     return report
 
 
 def check_fc_monotone(terms, seed: int = 0, pair_cap: int = 250_000) -> CheckReport:
     """Stratified system: a strictly larger top cardinality implies a larger
     term."""
-    report = CheckReport(check="fc_monotone", system="buchholz", checked=0, seed=seed)
     terms = list(terms)
     n = len(terms)
     rng = random.Random(_derive_seed(seed, "fc_monotone"))
-    with _Timer() as timer:
+    with _checking("fc_monotone", "buchholz", seed) as report:
         total_pairs = n * (n - 1) // 2
         if total_pairs <= pair_cap:
             pairs = itertools.combinations(range(n), 2)
@@ -775,27 +703,18 @@ def check_fc_monotone(terms, seed: int = 0, pair_cap: int = 250_000) -> CheckRep
                 a, b, fa, fb = b, a, fb, fa
             report.checked += 1
             if buchholz.compare(a, b) is not Outcome.LESS:
-                if len(report.violations) < 25:
-                    report.violations.append(
-                        {"kind": "fc_monotone", "small": render(a), "large": render(b)}
-                    )
-    report.elapsed_ms = timer.ms
+                report.note("fc_monotone", small=render(a), large=render(b))
     return report
 
 
 def check_abstraction_roundtrip(terms, seed: int = 0) -> CheckReport:
     """Reapplying a canonical abstraction's parameters reproduces the term."""
-    report = CheckReport(check="abstraction_roundtrip", system="xi", checked=0, seed=seed)
-    with _Timer() as timer:
+    with _checking("abstraction_roundtrip", "xi", seed) as report:
         for t in terms:
             report.checked += 1
             a = xi.abstract(t)
             if xi.apply_abstraction(a) is not t:
-                if len(report.violations) < 25:
-                    report.violations.append(
-                        {"kind": "abstraction", "term": render(t), "body": render(a.body)}
-                    )
-    report.elapsed_ms = timer.ms
+                report.note("abstraction", term=render(t), body=render(a.body))
     return report
 
 
@@ -803,12 +722,9 @@ def check_collapse_not_self_value(terms, seed: int = 0, limit: int = 4000) -> Ch
     """A collapse is never a value of one of its own collected functions:
     for gamma in K(body) and any enumerated delta < th(body),
     gamma[delta] != th(body)."""
-    report = CheckReport(check="collapse_not_self_value", system="xi", checked=0, seed=seed)
-    from .core import Theta as _Theta
-
-    collapses = [t for t in terms if isinstance(t, _Theta)]
+    collapses = [t for t in terms if isinstance(t, Theta)]
     small = [t for t in terms if t.size <= 4]
-    with _Timer() as timer:
+    with _checking("collapse_not_self_value", "xi", seed) as report:
         for t in collapses[:limit]:
             items = [i for i in xi.kset(0, t.body) if i.var is not None]
             if not items:
@@ -819,16 +735,12 @@ def check_collapse_not_self_value(terms, seed: int = 0, limit: int = 4000) -> Ch
                 for item in items:
                     report.checked += 1
                     if xi.instantiate(item, delta) is t:
-                        if len(report.violations) < 25:
-                            report.violations.append(
-                                {
-                                    "kind": "self_value",
-                                    "term": render(t),
-                                    "function": render(item.term),
-                                    "argument": render(delta),
-                                }
-                            )
-    report.elapsed_ms = timer.ms
+                        report.note(
+                            "self_value",
+                            term=render(t),
+                            function=render(item.term),
+                            argument=render(delta),
+                        )
     return report
 
 
@@ -840,15 +752,10 @@ _KL_POOL_BUDGETS = {
     "xi": dict(max_size=5, min_level=-2),
 }
 
-_POOL_CACHE: dict[EnumBudget, tuple[Term, ...]] = {}
 
-
+@functools.cache
 def _pool(budget: EnumBudget) -> tuple[Term, ...]:
-    cached = _POOL_CACHE.get(budget)
-    if cached is None:
-        cached = enumerate_terms(budget)
-        _POOL_CACHE[budget] = cached
-    return cached
+    return enumerate_terms(budget)
 
 
 def _run_item(report, label, rng, gen, check, samples, max_factor=60):
@@ -863,14 +770,10 @@ def _run_item(report, label, rng, gen, check, samples, max_factor=60):
         except PreconditionError:
             continue
         accepted += 1
-        if not ok and len(report.violations) < 25:
-            report.violations.append(
-                {
-                    "kind": label,
-                    "instance": [
-                        render(x) if isinstance(x, Term) else x for x in instance
-                    ],
-                }
+        if not ok:
+            report.note(
+                label,
+                instance=[render(x) if isinstance(x, Term) else x for x in instance],
             )
     rate = accepted / attempts if attempts else 0.0
     report.details[label] = {
@@ -926,7 +829,6 @@ def _kl_pools_buchholz():
 
 
 def _kl_buchholz(samples: int, seed: int) -> CheckReport:
-    report = CheckReport(check="key_lemma", system="buchholz", checked=0, seed=seed)
     closed, gamma_pool, mention, valid_open, gamma3 = _kl_pools_buchholz()
 
     def gen1(rng):
@@ -953,12 +855,11 @@ def _kl_buchholz(samples: int, seed: int) -> CheckReport:
             return None
         return n, delta, rng.choice(closed), rng.choice(closed), gamma, "x"
 
-    with _Timer() as timer:
+    with _checking("key_lemma", "buchholz", seed) as report:
         rng = random.Random(_derive_seed(seed, "kl:buchholz"))
         _run_item(report, "item1", rng, gen1, buchholz.key_lemma_1, samples)
         _run_item(report, "item2", rng, gen2, buchholz.key_lemma_2, samples)
         _run_item(report, "item3", rng, gen3, buchholz.key_lemma_3, samples)
-    report.elapsed_ms = timer.ms
     return report
 
 
@@ -973,7 +874,6 @@ def _kl_pools_poly():
 
 
 def _kl_poly(samples: int, seed: int) -> CheckReport:
-    report = CheckReport(check="key_lemma", system="poly", checked=0, seed=seed)
     closed, both, small, subst0 = _kl_pools_poly()
 
     def gen1(rng):
@@ -998,12 +898,11 @@ def _kl_poly(samples: int, seed: int) -> CheckReport:
         gamma = rng.choice(subst0 if rng.random() < 0.5 else closed)
         return rng.choice(small), rng.choice(closed), rng.choice(closed), gamma, "x"
 
-    with _Timer() as timer:
+    with _checking("key_lemma", "poly", seed) as report:
         rng = random.Random(_derive_seed(seed, "kl:poly"))
         _run_item(report, "item1", rng, gen1, poly.key_lemma_1, samples)
         _run_item(report, "item2", rng, gen2, poly.key_lemma_2, samples)
         _run_item(report, "item3", rng, gen3, poly.key_lemma_3, samples)
-    report.elapsed_ms = timer.ms
     return report
 
 
@@ -1047,7 +946,6 @@ def _kl_pools_xi():
 
 
 def _kl_xi(samples: int, seed: int) -> CheckReport:
-    report = CheckReport(check="key_lemma", system="xi", checked=0, seed=seed)
     closed, small, gamma1, fpool, bodies, gamma4, deep = _kl_pools_xi()
 
     def gen1(rng):
@@ -1074,13 +972,12 @@ def _kl_xi(samples: int, seed: int) -> CheckReport:
             "X",
         )
 
-    with _Timer() as timer:
+    with _checking("key_lemma", "xi", seed) as report:
         rng = random.Random(_derive_seed(seed, "kl:xi"))
         _run_item(report, "item1", rng, gen1, xi.key_lemma_1, samples)
         _run_item(report, "item2", rng, gen2, xi.key_lemma_2, samples)
         _run_item(report, "item3", rng, gen3, xi.key_lemma_3, samples)
         _run_item(report, "item4", rng, gen4, xi.key_lemma_4, samples)
-    report.elapsed_ms = timer.ms
     return report
 
 
@@ -1100,13 +997,12 @@ def check_key_lemmas(system: str, samples: int = 10_000, seed: int = 0) -> Check
 def diff_clause_variants(terms, pairs: int = 20_000, seed: int = 0) -> CheckReport:
     """Informational: how often each alternate (literal) clause reading
     changes a comparison or substitution outcome on the mixed system."""
-    report = CheckReport(check="clause_variants", system="mixed", checked=0, seed=seed)
     terms = list(terms)
     n = len(terms)
     rng = random.Random(_derive_seed(seed, "variants"))
     sampled = [(terms[rng.randrange(n)], terms[rng.randrange(n)]) for _ in range(pairs)]
     default = mixed.get_variants()
-    with _Timer() as timer:
+    with _checking("clause_variants", "mixed", seed) as report:
         baseline = [mixed.compare(a, b) for a, b in sampled]
         try:
             for flag in ("omega_low_ladder", "theta_below_cardinal"):
@@ -1119,7 +1015,6 @@ def diff_clause_variants(terms, pairs: int = 20_000, seed: int = 0) -> CheckRepo
                 report.details[flag] = {"pairs": pairs, "differences": diffs}
         finally:
             mixed.set_variants(default)
-    report.elapsed_ms = timer.ms
     return report
 
 

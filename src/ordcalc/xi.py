@@ -98,8 +98,7 @@ class ComparePolicy(Enum):
 _POLICY = ComparePolicy.SYMMETRIC_PARAMS
 
 _FC: dict[tuple[int, int], frozenset] = {}
-_K: dict[tuple[int, int], frozenset] = {}
-_KD: dict[tuple[int, int], frozenset] = {}
+_K: dict[tuple[int, int, bool], frozenset] = {}
 
 
 def set_policy(policy: ComparePolicy):
@@ -415,26 +414,31 @@ def kset(j: int, t: Term) -> frozenset[KItem]:
     return _kset(j, t)
 
 
-def _kset(j: int, t: Term) -> frozenset[KItem]:
-    memo_key = (j, t.serial)
+def _kset(j: int, t: Term, strict: bool = False) -> frozenset[KItem]:
+    """The inclusive walk collects a bound collapse of class exactly j as a
+    function of its parameters, which is the ordering's closure device.  The
+    strict walk (for the dominance relation) descends into such a collapse
+    instead, as the other systems do."""
+    memo_key = (j, t.serial, strict)
     cached = _K.get(memo_key)
     if cached is not None:
         return cached
     match t:
         case Sum(children):
-            out = frozenset().union(*(_kset(j, c) for c in children))
+            out = frozenset().union(*(_kset(j, c, strict) for c in children))
         case OmegaPow(e):
-            out = _kset(j, e)
+            out = _kset(j, e, strict)
         case Xi(j1, arg):
             if j1 < j:
                 out = frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
             else:
-                out = _kset(j - j1, arg)
+                out = _kset(j - j1, arg, strict)
         case Theta(body):
-            if _fc_bar0(t) <= j:
+            fc_bar = _fc_bar0(t)
+            if fc_bar < j or (fc_bar == j and not strict):
                 out = frozenset({_bound_collapse_item(t, j)})
             else:
-                out = _kset(j - 1, body)
+                out = _kset(j - 1, body, strict)
         case VarLev(name, j1):
             if j1 < j:
                 out = frozenset({KItem(var_lev(name, j1 - (j - 1)))})
@@ -444,7 +448,7 @@ def _kset(j: int, t: Term) -> frozenset[KItem]:
             if j1 < j:
                 out = frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
             else:
-                out = _kset(j - j1, arg)
+                out = _kset(j - j1, arg, strict)
         case _:
             raise InvariantError(f"not a function-sorted term: {t!r}")
     _K[memo_key] = out
@@ -468,47 +472,6 @@ def instantiate(item: KItem, value: Term) -> Term:
     if item.var is None:
         return item.term
     return _subst(item.term, item.var, 0, value)
-
-
-def _kset_dominance(j: int, t: Term) -> frozenset[KItem]:
-    """Critical subterms with the strict cardinality condition on bound
-    collapses.  The inclusive condition (a collapse of class exactly j
-    collected as a function of its parameters) is the ordering's closure
-    device; the dominance relation descends into such a collapse instead,
-    as the other systems do."""
-    memo_key = (j, t.serial)
-    cached = _KD.get(memo_key)
-    if cached is not None:
-        return cached
-    match t:
-        case Sum(children):
-            out = frozenset().union(*(_kset_dominance(j, c) for c in children))
-        case OmegaPow(e):
-            out = _kset_dominance(j, e)
-        case Xi(j1, arg):
-            if j1 < j:
-                out = frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
-            else:
-                out = _kset_dominance(j - j1, arg)
-        case Theta(body):
-            if _fc_bar0(t) < j:
-                out = frozenset({_bound_collapse_item(t, j)})
-            else:
-                out = _kset_dominance(j - 1, body)
-        case VarLev(name, j1):
-            if j1 < j:
-                out = frozenset({KItem(var_lev(name, j1 - (j - 1)))})
-            else:
-                out = frozenset()
-        case FVar(name, j1, arg):
-            if j1 < j:
-                out = frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
-            else:
-                out = _kset_dominance(j - j1, arg)
-        case _:
-            raise InvariantError(f"not a function-sorted term: {t!r}")
-    _KD[memo_key] = out
-    return out
 
 
 # -- ordering -----------------------------------------------------------------
@@ -745,7 +708,7 @@ def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
         raise PreconditionError("llrel subscript must have negative cardinality")
     if compare(alpha, beta) is not Outcome.LESS:
         return False
-    items = _kset_dominance(0, alpha)
+    items = _kset(0, alpha, strict=True)
     if items and (beta.has_fvar or gamma.has_fvar):
         # Dominance values wrap their argument in a collapse, which cannot
         # hold a function variable; with critical subterms to bound, the

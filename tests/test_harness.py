@@ -8,6 +8,7 @@ import pytest
 import ordcalc
 from ordcalc import harness as H
 from ordcalc import parse, render
+from ordcalc import poly as P
 
 
 def test_tiny_buchholz_enumeration_exact():
@@ -120,6 +121,28 @@ def test_literal_fc_drop_fails_as_documented():
     assert not report.ok
 
 
+def test_report_keeps_the_first_violations_only():
+    terms = H.enumerate_terms(H.EnumBudget("poly", max_size=6, min_level=-2))
+    report = H.check_k_fc_drop(terms)
+    found = [
+        {"kind": "fc_drop", "term": render(t), "critical": render(beta)}
+        for t in terms
+        for beta in P.kset(0, t)
+        if not P.fc_max(beta) < P.fc_max(t)
+    ]
+    assert report.checked == 229
+    assert len(found) == 200
+    assert H.MAX_VIOLATIONS == 25
+    assert report.violations == found[:25]
+
+
+def test_fixture_report_keeps_every_failure(monkeypatch):
+    table = [(f"f{i}", lambda: (False, "no")) for i in range(H.MAX_VIOLATIONS + 5)]
+    monkeypatch.setattr(H, "_fixture_table", lambda: table)
+    report = H.check_fixtures()
+    assert [v["name"] for v in report.violations] == [name for name, _ in table]
+
+
 def test_clause_variant_diff_runs():
     terms = [parse("mixed", "O_1"), parse("mixed", "O_2"), parse("mixed", "thO_1(O_3)")]
     report = H.diff_clause_variants(terms, pairs=300, seed=6)
@@ -157,6 +180,7 @@ def test_selfcheck_quick():
     assert {"fixtures", "order_axioms", "parse_render_roundtrip", "key_lemma"} <= names
     bad = [r for r in reports if not r.ok]
     assert bad == []
+    assert all(r.elapsed_ms > 0 for r in reports)
     # The JSONL without timing is pinned byte for byte.
     with open(_GOLDEN_SELFCHECK, encoding="utf-8") as f:
         golden = f.read()

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ordcalc
 from ordcalc import harness, parse, render
 from ordcalc import xi as X
 from ordcalc.core import (
@@ -199,7 +203,7 @@ def _llrel_rebuilt_per_item(gamma, alpha, beta):
         return False
     return all(
         any(X._lt(item.term, bound) for bound in tower())
-        for item in X._kset_dominance(0, alpha)
+        for item in X._kset(0, alpha, strict=True)
     )
 
 
@@ -229,7 +233,30 @@ def test_strict_critical_items_carry_no_variable():
         )
     )
     items = [
-        item for t in pool for j in (0, -1, -2, -3) for item in X._kset_dominance(j, t)
+        item for t in pool for j in (0, -1, -2, -3) for item in X._kset(j, t, strict=True)
     ]
     assert all(item.var is None for item in items)
     assert sum(isinstance(item.term, Theta) for item in items) > 1000
+
+
+_XI_MEMO_SIZE = """
+from ordcalc import harness, xi
+harness.check_key_lemmas("xi", samples=50, seed=1)
+print(len(xi._LT))
+"""
+
+
+def test_work_done_is_the_same_in_every_process():
+    # Critical-item sets are frozensets; if their iteration order depended on
+    # anything but term serials, any/all over them would stop at different
+    # items and fill the comparison memo differently from run to run.
+    src = os.path.dirname(os.path.dirname(ordcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    sizes = {
+        subprocess.run(
+            [sys.executable, "-c", _XI_MEMO_SIZE],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for _ in range(3)
+    }
+    assert len(sizes) == 1
