@@ -25,7 +25,7 @@ from .core import (
     add,
     is_sc,
     make_order,
-    multiset_rest,
+    make_reference,
     omega_idx,
     omega_pow,
     sum_of,
@@ -314,42 +314,8 @@ def kset_reference(n: int, t: Term) -> frozenset[Term]:
     raise InvariantError(f"not a stratified term: {t!r}")
 
 
-def compare_reference(a: Term, b: Term) -> Outcome:
-    if a is b:
-        return Outcome.EQUAL
-    lt_ab = _ref_lt(a, b)
-    lt_ba = _ref_lt(b, a)
-    if lt_ab and lt_ba:
-        raise InvariantError(f"ordering is not antisymmetric on {a!r}, {b!r}")
-    if lt_ab:
-        return Outcome.LESS
-    if lt_ba:
-        return Outcome.GREATER
-    return Outcome.INCOMPARABLE
-
-
-def _ref_leq(a, b):
-    return a == b or _ref_lt(a, b)
-
-
-def _ref_lt(a: Term, b: Term) -> bool:
-    if a == b:
-        return False
+def _ref_head_lt(a: Term, b: Term) -> bool:
     match a, b:
-        case (Sum(xs), Sum(ys)):
-            rest_a = multiset_rest(xs, ys)
-            rest_b = multiset_rest(ys, xs)
-            return any(all(_ref_lt(x, y0) for x in rest_a) for y0 in rest_b)
-        case (_, Sum(ys)):
-            return any(_ref_leq(a, y) for y in ys)
-        case (Sum(xs), _):
-            return all(_ref_lt(x, b) for x in xs)
-        case (OmegaPow(x), OmegaPow(y)):
-            return _ref_lt(x, y)
-        case (OmegaPow(x), _):
-            return _ref_leq(x, b)
-        case (_, OmegaPow(y)):
-            return _ref_lt(a, y)
         case (OmegaIdx(m), OmegaIdx(n)):
             return m < n
         case (OmegaIdx(_) | VarIdx(_, _), ThetaIdx(n, beta)):
@@ -368,3 +334,6 @@ def _ref_lt(a: Term, b: Term) -> bool:
             return n <= m
         case (VarIdx(_, _), VarIdx(_, _)):
             return False
+
+
+compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -27,6 +27,11 @@ concurrent callers must not mix readings.
 The ordering kernel (`make_order`) is shared by all four systems: it owns
 the comparison memo, the cycle guard and the sum and omega-power clauses,
 and each system supplies only the rule for two strongly critical heads.
+Its unmemoized twin, `make_reference`, builds each system's reference
+order, the oracle the memoized order is checked against: the same clauses
+written a second time in plain recursion, sharing no code with
+`make_order`, with no memo and no cycle guard.  Each system supplies its own
+reference head rule and critical-set walks.
 """
 
 from __future__ import annotations
@@ -703,3 +708,53 @@ def make_order(head, check):
         return cached
 
     return compare, lt, leq, memo
+
+
+def make_reference(head):
+    """Build one system's unmemoized reference order from its head rule.
+
+    The plain-recursion twin of `make_order`, kept a separate
+    implementation so that the oracle check compares two codings of the
+    sum and omega-power clauses: no memo, no cycle guard, and `head(a, b)`
+    decides a < b only for two strongly critical terms.  Returns
+    `(compare, lt, leq)`; `compare` raises InvariantError when both a < b
+    and b < a hold.
+    """
+
+    def compare(a: Term, b: Term) -> Outcome:
+        if a is b:
+            return Outcome.EQUAL
+        lt_ab = lt(a, b)
+        lt_ba = lt(b, a)
+        if lt_ab and lt_ba:
+            raise InvariantError(f"ordering is not antisymmetric on {a!r}, {b!r}")
+        if lt_ab:
+            return Outcome.LESS
+        if lt_ba:
+            return Outcome.GREATER
+        return Outcome.INCOMPARABLE
+
+    def leq(a, b):
+        return a == b or lt(a, b)
+
+    def lt(a: Term, b: Term) -> bool:
+        if a == b:
+            return False
+        match a, b:
+            case (Sum(xs), Sum(ys)):
+                rest_a = multiset_rest(xs, ys)
+                rest_b = multiset_rest(ys, xs)
+                return any(all(lt(x, y0) for x in rest_a) for y0 in rest_b)
+            case (_, Sum(ys)):
+                return any(leq(a, y) for y in ys)
+            case (Sum(xs), _):
+                return all(lt(x, b) for x in xs)
+            case (OmegaPow(x), OmegaPow(y)):
+                return lt(x, y)
+            case (OmegaPow(x), _):
+                return leq(x, b)
+            case (_, OmegaPow(y)):
+                return lt(a, y)
+        return head(a, b)
+
+    return compare, lt, leq

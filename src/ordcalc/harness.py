@@ -15,7 +15,7 @@ import random
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cmp_to_key
 
 from . import buchholz, mixed, poly, syntax, xi
@@ -1005,7 +1005,7 @@ def diff_clause_variants(terms, pairs: int = 20_000, seed: int = 0) -> CheckRepo
     with _checking("clause_variants", "mixed", seed) as report:
         baseline = [mixed.compare(a, b) for a, b in sampled]
         try:
-            for flag in ("omega_low_ladder", "theta_below_cardinal"):
+            for flag in (f.name for f in fields(mixed.Variants)):
                 mixed.set_variants(replace(default, **{flag: False}))
                 diffs = 0
                 for (a, b), want in zip(sampled, baseline):

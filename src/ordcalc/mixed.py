@@ -37,7 +37,7 @@ from .core import (
     Xi,
     fresh_name,
     make_order,
-    multiset_rest,
+    make_reference,
     omega_high,
     omega_idx,
     omega_pow,
@@ -183,14 +183,13 @@ def parse_card(text: str) -> MCard:
     s = text.strip()
     if s == "-inf":
         return CARD_NEG_INF
-    if s.startswith("(") and s.endswith(")"):
-        parts = s[1:-1].split(",")
-        if len(parts) != 2:
-            raise PreconditionError(f"malformed cardinality {text!r}")
-        j = int(parts[0])
-        m = INF if parts[1].strip() == "inf" else int(parts[1])
-        return large(j, m)
-    return fin(int(s))
+    try:
+        if s.startswith("(") and s.endswith(")"):
+            j, m = s[1:-1].split(",")
+            return large(int(j), INF if m.strip() == "inf" else int(m))
+        return fin(int(s))
+    except ValueError:
+        raise PreconditionError(f"malformed cardinality {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -911,30 +910,6 @@ def kset_xi_reference(c: MCard, t: Term) -> frozenset[KItem]:
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-def compare_reference(a: Term, b: Term) -> Outcome:
-    if a is b:
-        return Outcome.EQUAL
-    lt_ab = _ref_lt(a, b)
-    lt_ba = _ref_lt(b, a)
-    if lt_ab and lt_ba:
-        raise InvariantError(f"ordering is not antisymmetric on {a!r}, {b!r}")
-    if lt_ab:
-        return Outcome.LESS
-    if lt_ba:
-        return Outcome.GREATER
-    return Outcome.INCOMPARABLE
-
-
-def _ref_leq(a, b):
-    return a == b or _ref_lt(a, b)
-
-
-def _ref_inst(item: KItem, value: Term) -> Term:
-    if item.var is None:
-        return item.term
-    return _subst(item.term, item.var, 0, value)
-
-
 def _ref_family_kset(t: Term) -> tuple[KItem, ...]:
     match t:
         case ThetaLow(n, body):
@@ -947,7 +922,7 @@ def _ref_family_kset(t: Term) -> tuple[KItem, ...]:
 def _ref_card_side_kset(s: Term) -> tuple[Term, ...]:
     if isinstance(s, ThetaXi):
         return tuple(
-            _ref_inst(g, ZERO) for g in kset_xi_reference(large(0, 0), s.body)
+            instantiate(g, ZERO) for g in kset_xi_reference(large(0, 0), s.body)
         )
     return tuple(g.term for g in _ref_family_kset(s))
 
@@ -962,28 +937,12 @@ def _ref_instantiated_kset(s: Term, other: Term) -> frozenset[Term]:
     items = _ref_family_kset(s)
     if isinstance(s, ThetaXi):
         values = _ref_params(other.body) or (ZERO,)
-        return frozenset(_ref_inst(g, v) for g in items for v in values)
+        return frozenset(instantiate(g, v) for g in items for v in values)
     return frozenset(g.term for g in items)
 
 
-def _ref_lt(a: Term, b: Term) -> bool:
-    if a == b:
-        return False
+def _ref_head_lt(a: Term, b: Term) -> bool:
     match a, b:
-        case (Sum(xs), Sum(ys)):
-            rest_a = multiset_rest(xs, ys)
-            rest_b = multiset_rest(ys, xs)
-            return any(all(_ref_lt(x, y0) for x in rest_a) for y0 in rest_b)
-        case (_, Sum(ys)):
-            return any(_ref_leq(a, y) for y in ys)
-        case (Sum(xs), _):
-            return all(_ref_lt(x, b) for x in xs)
-        case (OmegaPow(x), OmegaPow(y)):
-            return _ref_lt(x, y)
-        case (OmegaPow(x), _):
-            return _ref_leq(x, b)
-        case (_, OmegaPow(y)):
-            return _ref_lt(a, y)
         case (OmegaIdx(m), OmegaIdx(n)):
             return _VARIANTS.omega_low_ladder and m < n
         case (OmegaIdx(_), OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _)):
@@ -1021,3 +980,6 @@ def _ref_lt(a: Term, b: Term) -> bool:
         ra, rb = _rank(a), _rank(b)
         return ra < rb or (ra == rb and _ref_lt(a.body, b.body))
     return False
+
+
+compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -37,7 +37,7 @@ from .core import (
     fvar,
     is_sc,
     make_order,
-    multiset_rest,
+    make_reference,
     omega_pow,
     subterms,
     sum_of,
@@ -888,30 +888,6 @@ def kset_reference(j: int, t: Term) -> frozenset[KItem]:
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
-def compare_reference(a: Term, b: Term) -> Outcome:
-    if a is b:
-        return Outcome.EQUAL
-    lt_ab = _ref_lt(a, b)
-    lt_ba = _ref_lt(b, a)
-    if lt_ab and lt_ba:
-        raise InvariantError(f"ordering is not antisymmetric on {a!r}, {b!r}")
-    if lt_ab:
-        return Outcome.LESS
-    if lt_ba:
-        return Outcome.GREATER
-    return Outcome.INCOMPARABLE
-
-
-def _ref_leq(a, b):
-    return a == b or _ref_lt(a, b)
-
-
-def _ref_inst(item: KItem, value: Term) -> Term:
-    if item.var is None:
-        return item.term
-    return _subst(item.term, item.var, 0, value)
-
-
 def _ref_params(body: Term) -> set:
     found: set = set()
     _collect_params(body, 0, found)
@@ -954,24 +930,8 @@ def _ref_class_split(a: Term, b: Term):
     return fa < fb
 
 
-def _ref_lt(a: Term, b: Term) -> bool:
-    if a == b:
-        return False
+def _ref_head_lt(a: Term, b: Term) -> bool:
     match a, b:
-        case (Sum(xs), Sum(ys)):
-            rest_a = multiset_rest(xs, ys)
-            rest_b = multiset_rest(ys, xs)
-            return any(all(_ref_lt(x, y0) for x in rest_a) for y0 in rest_b)
-        case (_, Sum(ys)):
-            return any(_ref_leq(a, y) for y in ys)
-        case (Sum(xs), _):
-            return all(_ref_lt(x, b) for x in xs)
-        case (OmegaPow(x), OmegaPow(y)):
-            return _ref_lt(x, y)
-        case (OmegaPow(x), _):
-            return _ref_leq(x, b)
-        case (_, OmegaPow(y)):
-            return _ref_lt(a, y)
         case (Xi(j, x), Xi(j1, y)):
             return j < j1 or (j == j1 and _ref_lt(x, y))
         case (Xi(_, _), Theta(beta)):
@@ -979,7 +939,7 @@ def _ref_lt(a: Term, b: Term) -> bool:
             if split is not None:
                 return split
             return any(
-                _ref_leq(a, _ref_inst(g, w))
+                _ref_leq(a, instantiate(g, w))
                 for w in _ref_legit_candidates((beta,), (b,))
                 for g in kset_reference(0, beta)
             )
@@ -988,7 +948,7 @@ def _ref_lt(a: Term, b: Term) -> bool:
             if split is not None:
                 return split
             return all(
-                _ref_lt(_ref_inst(g, w), b)
+                _ref_lt(instantiate(g, w), b)
                 for w in _ref_legit_candidates((alpha,), (a,))
                 for g in kset_reference(0, alpha)
             )
@@ -999,13 +959,13 @@ def _ref_lt(a: Term, b: Term) -> bool:
             if _POLICY is ComparePolicy.LITERAL_ZERO:
                 if _ref_lt(alpha, beta):
                     return all(
-                        _ref_lt(_ref_inst(g, w), b)
+                        _ref_lt(instantiate(g, w), b)
                         for w in _ref_cross_candidates(alpha, beta)
                         for g in kset_reference(0, alpha)
                     )
                 if _ref_lt(beta, alpha):
                     return any(
-                        _ref_leq(a, _ref_inst(g, w))
+                        _ref_leq(a, instantiate(g, w))
                         for w in _ref_cross_candidates(beta, alpha)
                         for g in kset_reference(0, beta)
                     )
@@ -1013,13 +973,13 @@ def _ref_lt(a: Term, b: Term) -> bool:
             ws = _ref_legit_candidates((alpha, beta), (a, b))
             if _ref_lt(alpha, beta):
                 return all(
-                    _ref_lt(_ref_inst(g, w), b)
+                    _ref_lt(instantiate(g, w), b)
                     for w in ws
                     for g in kset_reference(0, alpha)
                 )
             if _ref_lt(beta, alpha):
                 return any(
-                    _ref_leq(a, _ref_inst(g, w))
+                    _ref_leq(a, instantiate(g, w))
                     for w in ws
                     for g in kset_reference(0, beta)
                 )
@@ -1030,7 +990,7 @@ def _ref_lt(a: Term, b: Term) -> bool:
             return False
         case (VarLev(_, _) | FVar(_, _, _), Theta(beta)):
             return any(
-                _ref_leq(a, _ref_inst(g, w))
+                _ref_leq(a, instantiate(g, w))
                 for w in _ref_legit_candidates((beta,), (b,))
                 for g in kset_reference(0, beta)
             )
@@ -1041,3 +1001,6 @@ def _ref_lt(a: Term, b: Term) -> bool:
         case (FVar(f, j, x), FVar(g, j1, y)):
             return f == g and (j < j1 or (j == j1 and _ref_lt(x, y)))
     return False
+
+
+compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -116,6 +116,7 @@ def test_criterion_5_surrogate_class_descent():
     report = H.check_k_class_drop(pool("poly"), seed=SEED)
     report_line(5, "critical-subterm class descent (surrogate)", report.ok)
     assert report.ok, report.violations
+    assert report.checked > 0
 
 
 @pytest.mark.parametrize("system", ["buchholz", "poly", "xi"])
@@ -143,6 +144,14 @@ def test_criterion_8_abstraction_identity():
     report = H.check_abstraction_roundtrip(pool("xi"), seed=SEED)
     report_line(8, "abstraction reapplication identity", report.ok, f"{report.checked} terms")
     assert report.ok, report.violations
+
+
+def test_collapse_is_not_a_value_of_its_own_functions():
+    # The quick selfcheck pool has no collapse with a collected function, so
+    # this is the only run of the check that tests anything.
+    report = H.check_collapse_not_self_value(pool("xi"), seed=SEED)
+    assert report.ok, report.violations
+    assert report.checked > 0
 
 
 @pytest.mark.parametrize("system", ["buchholz", "poly", "xi", "mixed"])

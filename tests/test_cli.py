@@ -53,6 +53,13 @@ def test_precondition_exit_code(capsys):
     assert code == 2 and "precondition" in err
 
 
+@pytest.mark.parametrize("card", ["abc", "(0,x)", "(0)"])
+def test_malformed_cardinality_exits_with_precondition_code(capsys, card):
+    code, out, err = run(capsys, "fc", "--system", "mixed", "--card", card, "O_1")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.splitlines() == [f"precondition violation: malformed cardinality {card!r}"]
+
+
 def test_subst_and_d_and_ll(capsys):
     code, out, _ = run(
         capsys,

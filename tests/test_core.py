@@ -205,3 +205,12 @@ def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
     want = core.Outcome.LESS if a.serial < b.serial else core.Outcome.GREATER
     assert compare(a, b) is want
     assert leq(a, a) and not lt(a, a)
+
+
+def test_reference_kernel_reports_an_antisymmetry_failure():
+    compare, lt, leq = core.make_reference(lambda a, b: True)
+    a, b = omega_idx(1), omega_idx(2)
+    assert is_sc(a) and is_sc(b)
+    with pytest.raises(core.InvariantError, match="not antisymmetric"):
+        compare(a, b)
+    assert leq(a, a) and not lt(a, a)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -146,6 +147,8 @@ def test_fixture_report_keeps_every_failure(monkeypatch):
 def test_clause_variant_diff_runs():
     terms = [parse("mixed", "O_1"), parse("mixed", "O_2"), parse("mixed", "thO_1(O_3)")]
     report = H.diff_clause_variants(terms, pairs=300, seed=6)
+    assert set(report.details) == {f.name for f in fields(H.mixed.Variants)}
+    assert all(d["pairs"] == 300 for d in report.details.values())
     assert report.details["omega_low_ladder"]["differences"] > 0
     assert report.details["theta_below_cardinal"]["differences"] > 0
 
