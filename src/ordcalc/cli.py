@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import buchholz, harness, mixed, poly, xi
+from . import buchholz, mixed, poly, xi
 from .core import (
     InvariantError,
     KItem,
@@ -250,6 +250,8 @@ def _cmd_ll(args, out: _Output) -> int:
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
+    from . import harness  # only enumerate and selfcheck need it
+
     budget = harness.EnumBudget(
         system=args.system,
         max_size=args.max_size,
@@ -269,6 +271,8 @@ def _cmd_enumerate(args, out: _Output) -> int:
 
 
 def _cmd_selfcheck(args, out: _Output) -> int:
+    from . import harness
+
     reports = harness.selfcheck(
         seed=args.seed,
         samples=args.samples,

@@ -638,10 +638,23 @@ def subterms(t: Term):
 _IN_PROGRESS = object()  # memo marker of a comparison still being decided
 
 
-def multiset_rest(xs, ys):
-    """Components of xs left after cancelling common elements with ys."""
-    rest = Counter(xs) - Counter(ys)
-    return list(rest.elements())
+def _sum_rests(xs, ys):
+    """The children tuples xs and ys with their common elements cancelled,
+    each rest in its own order.  Equal terms are identical, so `in` and
+    `remove` test identity and no term is hashed."""
+    for x in xs:
+        if x in ys:
+            break
+    else:
+        return xs, ys  # disjoint, the common case
+    rest_a = []
+    rest_b = list(ys)
+    for x in xs:
+        if x in rest_b:
+            rest_b.remove(x)
+        else:
+            rest_a.append(x)
+    return rest_a, rest_b
 
 
 def make_order(head, check):
@@ -654,6 +667,12 @@ def make_order(head, check):
     `(a.serial, b.serial)` to the answer of `lt(a, b)`, and whoever switches
     the reading `head` depends on must clear it.  A comparison that needs
     its own answer raises InvariantError instead of recursing without end.
+
+    `compare` reads `memo` for `(a, b)` and then `(b, a)` itself, so a warm
+    comparison costs one or two dict lookups and no call to `lt`; it calls
+    `lt` on a miss, and on the in-progress marker, so that a cycle met
+    through `compare` still raises.  The sum-versus-sum clause cancels the
+    common children with `_sum_rests`, not with a `Counter`.
     """
     memo: dict[tuple[int, int], object] = {}
 
@@ -662,9 +681,13 @@ def make_order(head, check):
         check(a, b)
         if a is b:
             return Outcome.EQUAL
-        if lt(a, b):
+        # A memoized answer is read here; a miss or an in-progress marker
+        # goes through `lt`, which decides it or raises on the cycle.
+        cached = memo.get((a.serial, b.serial))
+        if cached is True or (cached is not False and lt(a, b)):
             return Outcome.LESS
-        if lt(b, a):
+        cached = memo.get((b.serial, a.serial))
+        if cached is True or (cached is not False and lt(b, a)):
             return Outcome.GREATER
         return Outcome.INCOMPARABLE
 
@@ -683,8 +706,7 @@ def make_order(head, check):
             try:
                 if isinstance(a, Sum):
                     if isinstance(b, Sum):
-                        rest_a = multiset_rest(a.children, b.children)
-                        rest_b = multiset_rest(b.children, a.children)
+                        rest_a, rest_b = _sum_rests(a.children, b.children)
                         cached = any(all(lt(x, b0) for x in rest_a) for b0 in rest_b)
                     else:
                         cached = all(lt(ai, b) for ai in a.children)
@@ -708,6 +730,13 @@ def make_order(head, check):
         return cached
 
     return compare, lt, leq, memo
+
+
+def multiset_rest(xs, ys):
+    """Components of xs left after cancelling common elements with ys; the
+    reference's multiset difference, apart from the kernel's `_sum_rests`."""
+    rest = Counter(xs) - Counter(ys)
+    return list(rest.elements())
 
 
 def make_reference(head):

@@ -211,6 +211,12 @@ _FC: dict[tuple[MCard, int], frozenset] = {}
 _KLOW: dict[tuple[int, int], frozenset] = {}
 _KHIGH: dict[tuple[MCard, int, int], frozenset] = {}
 _KXI: dict[tuple[MCard, int], frozenset] = {}
+# Per-serial head facts for the ordering.  No variant changes them, so
+# `set_variants` leaves them alone: a thXi entry's instantiation, which
+# reads a variant, is made per call and never stored.
+_FAMILY: dict[int, tuple[KItem, ...]] = {}
+_PLAIN: dict[int, frozenset[Term]] = {}
+_PARAMS: dict[int, tuple[Term, ...]] = {}
 
 
 def set_variants(v: Variants):
@@ -441,9 +447,16 @@ def _collect_params(t: Term, ambient: int, out: set):
 
 def parameters(t: Term) -> tuple[Term, ...]:
     _check_system(t)
-    found: set = set()
-    _collect_params(t, 0, found)
-    return tuple(sorted(found, key=lambda p: p.key))
+    return _params(t)
+
+
+def _params(t: Term) -> tuple[Term, ...]:
+    cached = _PARAMS.get(t.serial)
+    if cached is None:
+        found: set = set()
+        _collect_params(t, 0, found)
+        cached = _PARAMS[t.serial] = tuple(sorted(found, key=lambda p: p.key))
+    return cached
 
 
 # -- critical subterms ----------------------------------------------------------
@@ -669,20 +682,30 @@ def _rank(t: Term) -> tuple:
     raise InvariantError(f"not a collapse: {t!r}")
 
 
-def _body(t: Term) -> Term:
-    return t.body
-
-
 def _family_kset(t: Term) -> tuple[KItem, ...]:
     """The collapse's own critical set, taken at the cardinal it collapses."""
+    cached = _FAMILY.get(t.serial)
+    if cached is not None:
+        return cached
     match t:
         case ThetaLow(n, body):
-            return tuple(KItem(x) for x in _kset_low(n, body))
+            out = tuple(KItem(x) for x in _kset_low(n, body))
         case ThetaHigh(n, body):
-            return tuple(KItem(x) for x in _kset_high(large(0, n), n, body))
+            out = tuple(KItem(x) for x in _kset_high(large(0, n), n, body))
         case ThetaXi(body):
-            return tuple(_kset_xi(large(0, 0), body))
-    raise InvariantError(f"not a collapse: {t!r}")
+            out = tuple(_kset_xi(large(0, 0), body))
+        case _:
+            raise InvariantError(f"not a collapse: {t!r}")
+    _FAMILY[t.serial] = out
+    return out
+
+
+def _plain_kset(t: Term) -> frozenset[Term]:
+    """The critical set of a thO or thOO collapse as plain terms."""
+    cached = _PLAIN.get(t.serial)
+    if cached is None:
+        cached = _PLAIN[t.serial] = frozenset(g.term for g in _family_kset(t))
+    return cached
 
 
 def critical_sets(a: Term, b: Term) -> tuple[frozenset[Term], frozenset[Term]]:
@@ -697,11 +720,10 @@ def critical_sets(a: Term, b: Term) -> tuple[frozenset[Term], frozenset[Term]]:
 
 
 def _instantiated_kset(s: Term, other: Term) -> frozenset[Term]:
-    items = _family_kset(s)
     if isinstance(s, ThetaXi):
-        values = parameters(other.body) or (ZERO,)
-        return frozenset(instantiate(g, v) for g in items for v in values)
-    return frozenset(g.term for g in items)
+        values = _params(other.body) or (ZERO,)
+        return frozenset(instantiate(g, v) for g in _family_kset(s) for v in values)
+    return _plain_kset(s)
 
 
 def _check_pair(a: Term, b: Term):
@@ -745,7 +767,7 @@ def _head_lt(a: Term, b: Term) -> bool:
             return False
         return all(_lt(g, b) for g in _card_side_kset(a))
     if isinstance(a, _COLLAPSES) and isinstance(b, _COLLAPSES):
-        csl, dsl = critical_sets(a, b)
+        csl, dsl = _instantiated_kset(a, b), _instantiated_kset(b, a)
         if any(_leq(a, d0) for d0 in dsl):
             return True
         if any(_leq(b, c0) for c0 in csl):
@@ -761,16 +783,9 @@ compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
 def _card_side_kset(s: Term) -> tuple[Term, ...]:
     """The collapse's critical set as plain terms for comparisons against
     cardinal-like heads; function entries are instantiated at 0."""
-    match s:
-        case ThetaLow(n, body):
-            return tuple(_kset_low(n, body))
-        case ThetaHigh(n, body):
-            return tuple(_kset_high(large(0, n), n, body))
-        case ThetaXi(body):
-            return tuple(
-                instantiate(g, ZERO) for g in _kset_xi(large(0, 0), body)
-            )
-    raise InvariantError(f"not a collapse: {s!r}")
+    if isinstance(s, ThetaXi):
+        return tuple(instantiate(g, ZERO) for g in _family_kset(s))
+    return tuple(g.term for g in _family_kset(s))
 
 
 # -- reference implementations ---------------------------------------------------

@@ -99,6 +99,11 @@ _POLICY = ComparePolicy.SYMMETRIC_PARAMS
 
 _FC: dict[tuple[int, int], frozenset] = {}
 _K: dict[tuple[int, int, bool], frozenset] = {}
+# Per-serial facts read by the collapse clauses: the top class `_fc_bar0`
+# and the parameters.  The policy changes neither, so `set_policy` leaves
+# them alone.
+_TOP: dict[int, float] = {}
+_PARAMS: dict[int, tuple[Term, ...]] = {}
 
 
 def set_policy(policy: ComparePolicy):
@@ -223,8 +228,11 @@ def _fc_set(j: int, t: Term) -> frozenset:
 
 
 def _fc_bar0(t: Term):
-    values = _fc_set(0, t)
-    return max(values) if values else NEG_INF
+    top = _TOP.get(t.serial)
+    if top is None:
+        values = _fc_set(0, t)
+        top = _TOP[t.serial] = max(values) if values else NEG_INF
+    return top
 
 
 # -- ordinal-variable substitution ------------------------------------------
@@ -305,9 +313,16 @@ def _collect_params(t: Term, ambient: int, out: set):
 def parameters(t: Term) -> tuple[Term, ...]:
     """All parameters of t (level-0 values of its abstraction), key-sorted."""
     _check_system(t)
-    found: set = set()
-    _collect_params(t, 0, found)
-    return tuple(sorted(found, key=lambda p: p.key))
+    return _params(t)
+
+
+def _params(t: Term) -> tuple[Term, ...]:
+    cached = _PARAMS.get(t.serial)
+    if cached is None:
+        found: set = set()
+        _collect_params(t, 0, found)
+        cached = _PARAMS[t.serial] = tuple(sorted(found, key=lambda p: p.key))
+    return cached
 
 
 def _replace_params(t: Term, ambient: int, names: dict):
@@ -374,8 +389,11 @@ def apply_abstraction(a: Abstraction) -> Term:
 
 def _abstract_one(t: Term) -> tuple[Term, str | None]:
     """Like `abstract` but with a single distinguished variable standing for
-    every parameter occurrence; used when collecting collapsed functions."""
-    params = parameters(t)
+    every parameter occurrence; used when collecting collapsed functions.
+    The reference walk collects through here too, so the parameters are
+    walked afresh, not read from the table."""
+    params: set = set()
+    _collect_params(t, 0, params)
     if not params:
         return t, None
     name = fresh_name("k", t.var_names)
@@ -488,7 +506,7 @@ def _candidates(*bodies: Term) -> tuple[Term, ...]:
     both comparison directions keeps the collapse clauses dual."""
     found: set = {ZERO}
     for body in bodies:
-        found.update(parameters(body))
+        found.update(_params(body))
     return tuple(sorted(found, key=lambda p: p.key))
 
 
@@ -545,8 +563,8 @@ def _head_lt(a: Term, b: Term) -> bool:
                 return split
             if _POLICY is ComparePolicy.LITERAL_ZERO:
                 # each side's functions at the other side's parameters only
-                ws_alpha = parameters(beta) or (ZERO,)
-                ws_beta = parameters(alpha) or (ZERO,)
+                ws_alpha = _params(beta) or (ZERO,)
+                ws_beta = _params(alpha) or (ZERO,)
             else:
                 ws_alpha = ws_beta = _legit_candidates((alpha, beta), (a, b))
             if _lt(alpha, beta):
@@ -763,13 +781,6 @@ def key_lemma_2(
     rhs = fsubstitute(beta, vname, 0, gamma, w)
     # Non-strict: a constant function body collapses both sides to one value.
     return compare(lhs, rhs) in (Outcome.LESS, Outcome.EQUAL)
-
-
-def _sub_top_class(t: Term):
-    """Largest cardinality class of t below the top one (top-class content
-    is captured by a dominance wrapper and does not constrain the items)."""
-    values = [c for c in _fc_set(0, t) if c < 0]
-    return max(values) if values else NEG_INF
 
 
 def _all_vars_below_top(t: Term) -> bool:

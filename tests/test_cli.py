@@ -139,3 +139,16 @@ def test_too_deep_input_exits_with_precondition_code(argv):
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert err.splitlines() == ["precondition violation: term nested too deeply"]
+
+
+def test_cli_import_leaves_the_harness_out():
+    # Only enumerate and selfcheck need the harness; the one-shot commands
+    # must not pay for importing it.
+    src = os.path.dirname(os.path.dirname(ordcalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ordcalc.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "'ordcalc.cli'" in proc.stdout
+    assert "'ordcalc.harness'" not in proc.stdout

@@ -1,9 +1,11 @@
+import dataclasses
 import importlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ordcalc import core, harness
+from ordcalc import core, harness, mixed, xi as X
 from ordcalc.core import (
     ONE,
     TermError,
@@ -190,13 +192,31 @@ def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
 
     def head(x, y):
         # Re-enters on the pair the outermost comparison started from.
-        return lt(*outer[-1]) if outer else x.serial < y.serial
+        if not outer:
+            return x.serial < y.serial
+        reenter, pair = outer[-1]
+        return reenter(*pair)
+
+    def through_compare(x, y):
+        return compare(x, y) is core.Outcome.LESS
 
     compare, lt, leq, memo = core.make_order(head, mod._check_pair)
     # The cycle is reached directly and through the shared sum and omega
     # clauses, whose sub-comparisons are in progress when it is found.
     for pair in ((a, b), (add(ONE, a), add(ONE, b)), (omega_pow(a), b)):
-        outer.append(pair)
+        outer.append((lt, pair))
+        with pytest.raises(core.InvariantError, match="comparison cycle"):
+            compare(*pair)
+        assert not any(v is core._IN_PROGRESS for v in memo.values())
+    # `compare` reads the memo itself, (x, y) first and then (y, x); a marker
+    # met in either lookup must still raise.  With lt(hi, lo) memoized as
+    # False, compare(hi, lo) decides lt(lo, hi), whose re-entry meets the
+    # marker in the second lookup.
+    outer.clear()
+    lo, hi = sorted((a, b), key=lambda t: t.serial)
+    assert not lt(hi, lo)
+    for pair in ((lo, hi), (hi, lo)):
+        outer.append((through_compare, pair))
         with pytest.raises(core.InvariantError, match="comparison cycle"):
             compare(*pair)
         assert not any(v is core._IN_PROGRESS for v in memo.values())
@@ -214,3 +234,145 @@ def test_reference_kernel_reports_an_antisymmetry_failure():
     with pytest.raises(core.InvariantError, match="not antisymmetric"):
         compare(a, b)
     assert leq(a, a) and not lt(a, a)
+
+
+def test_sum_rests_match_the_counter_difference():
+    pool = [t for t in closed("buchholz", max_size=4) if is_h(t)]
+    rng = random.Random(1)
+    for _ in range(3000):
+        a = sum_of(rng.choices(pool, k=rng.randrange(2, 5)))
+        b = sum_of(rng.choices(pool + list(core.summands(a)), k=rng.randrange(2, 5)))
+        if isinstance(a, core.Sum) and isinstance(b, core.Sum):
+            rest_a, rest_b = core._sum_rests(a.children, b.children)
+            assert list(rest_a) == core.multiset_rest(a.children, b.children)
+            assert list(rest_b) == core.multiset_rest(b.children, a.children)
+
+
+# -- per-serial head facts of xi and mixed ---------------------------------------
+
+
+def _params_by_walk(module, t):
+    found = set()
+    module._collect_params(t, 0, found)
+    return tuple(sorted(found, key=lambda p: p.key))
+
+
+def _check_fact_tables(pools):
+    """Every table entry of a term in the pools, or of one of its subterms,
+    equals a fresh computation."""
+    by_serial = {s.serial: s for pool in pools for t in pool for s in subterms(t)}
+    checked = 0
+    for serial, t in by_serial.items():
+        for module in (X, mixed):
+            if serial in module._PARAMS:
+                assert module._PARAMS[serial] == _params_by_walk(module, t), t
+                checked += 1
+        if serial in X._TOP:
+            assert X._TOP[serial] == max(X._fc_set(0, t), default=core.NEG_INF), t
+            checked += 1
+        items = mixed._FAMILY.get(serial)
+        if items is None:
+            assert serial not in mixed._PLAIN
+            continue
+        checked += 1
+        match t:
+            case core.ThetaLow(n, body):
+                walk = mixed._kset_low(n, body)
+                ref = mixed.kset_low_reference(n, body)
+            case core.ThetaHigh(n, body):
+                walk = mixed._kset_high(mixed.large(0, n), n, body)
+                ref = mixed.kset_high_reference(mixed.large(0, n), n, body)
+            case core.ThetaXi(body):
+                walk = mixed._kset_xi(mixed.large(0, 0), body)
+                assert items == tuple(walk), t
+                assert frozenset(items) == mixed.kset_xi_reference(mixed.large(0, 0), body)
+                assert serial not in mixed._PLAIN
+                continue
+        assert items == tuple(core.KItem(x) for x in walk), t
+        assert frozenset(g.term for g in items) == ref, t
+        assert mixed._PLAIN.get(serial, walk) == walk, t
+    assert checked > 0
+
+
+def _warm_fact_tables(pools):
+    for pool in pools:
+        for t in pool:
+            if t.in_system("xi"):
+                X.parameters(t)
+                X._fc_bar0(t)
+            if t.in_system("mixed"):
+                mixed.parameters(t)
+                if isinstance(t, mixed._COLLAPSES):
+                    mixed._card_side_kset(t)
+                    mixed.critical_sets(t, t)
+
+
+def _assert_compare_matches_reference(system, pairs, seed):
+    """`compare` gives the reference's decision on seeded pairs of the
+    system's order universe.  Where the reference finds both a < b and
+    b < a (some pairs under a literal clause), `compare_reference` raises
+    and `compare` must answer LESS, as its first test is a < b."""
+    mod = importlib.import_module(f"ordcalc.{system}")
+    terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        a, b = rng.choice(terms), rng.choice(terms)
+        if a is b:
+            want = core.Outcome.EQUAL
+        elif mod._ref_lt(a, b):
+            want = core.Outcome.LESS
+        elif mod._ref_lt(b, a):
+            want = core.Outcome.GREATER
+        else:
+            want = core.Outcome.INCOMPARABLE
+        assert mod.compare(a, b) is want, (a, b)
+
+
+def test_fact_tables_agree_with_a_fresh_walk():
+    pools = list(_acceptance_pools())
+    _warm_fact_tables(pools)
+    for system in ("xi", "mixed"):
+        _assert_compare_matches_reference(system, pairs=3000, seed=2)
+    assert X._PARAMS and X._TOP and mixed._PARAMS and mixed._FAMILY and mixed._PLAIN
+    _check_fact_tables(pools)
+
+
+_TOGGLES = [field.name for field in dataclasses.fields(mixed.Variants)] + ["literal_zero"]
+
+
+@pytest.mark.parametrize("toggle", _TOGGLES)
+def test_toggles_leave_no_stale_fact(toggle):
+    """No toggle clears the fact tables, so none may change what they hold."""
+    pools = list(_acceptance_pools())
+    _warm_fact_tables(pools)
+    try:
+        if toggle == "literal_zero":
+            X.set_policy(X.ComparePolicy.LITERAL_ZERO)
+            _assert_compare_matches_reference("xi", pairs=3000, seed=3)
+        else:
+            mixed.set_variants(mixed.Variants(**{toggle: False}))
+            _assert_compare_matches_reference("mixed", pairs=3000, seed=3)
+        _warm_fact_tables(pools)
+        _check_fact_tables(pools)
+    finally:
+        mixed.set_variants(mixed.Variants())
+        X.set_policy(X.ComparePolicy.SYMMETRIC_PARAMS)
+
+
+def test_reference_reads_no_fact_table():
+    # The oracle must stay independent of the tables it checks: with every
+    # table empty, reference comparisons and walks fill none of them.
+    tables = (X._PARAMS, X._TOP, mixed._PARAMS, mixed._FAMILY, mixed._PLAIN)
+    for table in tables:
+        table.clear()
+    for system, mod in (("xi", X), ("mixed", mixed)):
+        terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
+        rng = random.Random(4)
+        for _ in range(500):
+            mod.compare_reference(rng.choice(terms), rng.choice(terms))
+        for t in rng.sample(terms, 200):
+            if system == "xi":
+                X.kset_reference(0, t)
+            else:
+                mixed.kset_xi_reference(mixed.FULL, t)
+    assert not any(tables)
