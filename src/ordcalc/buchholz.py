@@ -150,28 +150,32 @@ def _check_pair(a: Term, b: Term):
 
 
 def _head_lt(a: Term, b: Term) -> bool:
-    """a < b for strongly critical a and b."""
-    match a, b:
-        case (OmegaIdx(m), OmegaIdx(n)):
-            return m < n
-        case (OmegaIdx(_) | VarIdx(_, _), ThetaIdx(n, beta)):
-            return any(_leq(a, g) for g in _kset(n, beta))
-        case (ThetaIdx(m, alpha), OmegaIdx(_)):
-            return all(_lt(g, b) for g in _kset(m, alpha))
-        case (ThetaIdx(_, _), VarIdx(_, _)):
-            return False  # left incomparable: a vacuous bound is not stable
-        case (ThetaIdx(m, alpha), ThetaIdx(n, beta)):
-            if any(_leq(a, g) for g in _kset(n, beta)):
+    """a < b for strongly critical a and b (heads Omega_n, theta_n, x_n)."""
+    ta, tb = type(a), type(b)
+    if ta is ThetaIdx:
+        if tb is ThetaIdx:
+            for g in _kset(b.index, b.body):
+                if a is g or _lt(a, g):
+                    return True
+            m, n = a.index, b.index
+            for g in _kset(m, a.body):
+                if not _lt(g, b):
+                    return False
+            return m < n or (m == n and _lt(a.body, b.body))
+        if tb is OmegaIdx:
+            for g in _kset(a.index, a.body):
+                if not _lt(g, b):
+                    return False
+            return True
+        return False  # left incomparable to a variable: a vacuous bound is not stable
+    if tb is ThetaIdx:  # a cardinal or a variable
+        for g in _kset(b.index, b.body):
+            if a is g or _lt(a, g):
                 return True
-            return (
-                all(_lt(g, b) for g in _kset(m, alpha))
-                and (m < n or (m == n and _lt(alpha, beta)))
-            )
-        case (VarIdx(_, n), OmegaIdx(m)):
-            return n <= m
-        case (VarIdx(_, _), VarIdx(_, _)):
-            return False  # distinct variables are incomparable
-    return False
+        return False
+    if tb is OmegaIdx:
+        return a.index < b.index if ta is OmegaIdx else a.index <= b.index
+    return False  # distinct variables are incomparable, as is Omega_n to x_m
 
 
 compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)

@@ -673,6 +673,15 @@ def make_order(head, check):
     `lt` on a miss, and on the in-progress marker, so that a cycle met
     through `compare` still raises.  The sum-versus-sum clause cancels the
     common children with `_sum_rests`, not with a `Counter`.
+
+    `lt` and the four memoized head rules pick a clause by `type(x) is C`
+    and decide it with explicit `for` loops: no tuple `match`, no
+    `any`/`all` over a generator, and `leq` inlined as `x is y or lt(x, y)`.
+    Each clause runs the same sub-comparisons, in the same order and with
+    the same short cuts, as the reference's coding of it.  The reference
+    (`make_reference` and every `_ref_head_lt`) keeps tuple `match` and
+    `any`/`all` on purpose, so the oracle check compares two codings of the
+    clauses.
     """
     memo: dict[tuple[int, int], object] = {}
 
@@ -701,23 +710,42 @@ def make_order(head, check):
         cached = memo.get(memo_key)
         if cached is None:
             memo[memo_key] = _IN_PROGRESS
-            # The shared clauses stay inline: a nested sum or omega power
-            # then costs one stack frame per level, so deep terms compare.
+            # The shared clauses stay inline and loop without generators: a
+            # nested sum or omega power then costs one stack frame per
+            # level, so deep terms compare.
             try:
-                if isinstance(a, Sum):
-                    if isinstance(b, Sum):
+                ta, tb = type(a), type(b)
+                if ta is Sum:
+                    cached = False
+                    if tb is Sum:
+                        # some rest_b entry is above every rest_a entry
                         rest_a, rest_b = _sum_rests(a.children, b.children)
-                        cached = any(all(lt(x, b0) for x in rest_a) for b0 in rest_b)
+                        for y in rest_b:
+                            for x in rest_a:
+                                if not lt(x, y):
+                                    break
+                            else:
+                                cached = True
+                                break
                     else:
-                        cached = all(lt(ai, b) for ai in a.children)
-                elif isinstance(b, Sum):
-                    cached = any(leq(a, bi) for bi in b.children)
-                elif isinstance(a, OmegaPow):
-                    if isinstance(b, OmegaPow):
+                        for x in a.children:
+                            if not lt(x, b):
+                                break
+                        else:
+                            cached = True
+                elif tb is Sum:
+                    cached = False
+                    for y in b.children:
+                        if a is y or lt(a, y):
+                            cached = True
+                            break
+                elif ta is OmegaPow:
+                    if tb is OmegaPow:
                         cached = lt(a.exponent, b.exponent)
                     else:
-                        cached = leq(a.exponent, b)
-                elif isinstance(b, OmegaPow):
+                        x = a.exponent
+                        cached = x is b or lt(x, b)
+                elif tb is OmegaPow:
                     cached = lt(a, b.exponent)
                 else:  # both strongly critical
                     cached = head(a, b)

@@ -996,7 +996,8 @@ def check_key_lemmas(system: str, samples: int = 10_000, seed: int = 0) -> Check
 
 def diff_clause_variants(terms, pairs: int = 20_000, seed: int = 0) -> CheckReport:
     """Informational: how often each alternate (literal) clause reading
-    changes a comparison or substitution outcome on the mixed system."""
+    changes a comparison or substitution outcome on the mixed system, and
+    on how many sampled pairs it makes both a < b and b < a hold."""
     terms = list(terms)
     n = len(terms)
     rng = random.Random(_derive_seed(seed, "variants"))
@@ -1007,12 +1008,20 @@ def diff_clause_variants(terms, pairs: int = 20_000, seed: int = 0) -> CheckRepo
         try:
             for flag in (f.name for f in fields(mixed.Variants)):
                 mixed.set_variants(replace(default, **{flag: False}))
-                diffs = 0
+                diffs = asymmetric = 0
                 for (a, b), want in zip(sampled, baseline):
                     report.checked += 1
-                    if mixed.compare(a, b) is not want:
+                    got = mixed.compare(a, b)
+                    if got is not want:
                         diffs += 1
-                report.details[flag] = {"pairs": pairs, "differences": diffs}
+                    # compare answers LESS as soon as a < b holds; b < a may too
+                    if got is Outcome.LESS and mixed._lt(b, a):
+                        asymmetric += 1
+                report.details[flag] = {
+                    "pairs": pairs,
+                    "differences": diffs,
+                    "asymmetric": asymmetric,
+                }
         finally:
             mixed.set_variants(default)
     return report

@@ -668,6 +668,7 @@ def instantiate(item: KItem, value: Term) -> Term:
 # -- ordering -------------------------------------------------------------------
 
 _COLLAPSES = (ThetaLow, ThetaHigh, ThetaXi)
+_COLLAPSE_TYPES = frozenset(_COLLAPSES)
 
 
 def _rank(t: Term) -> tuple:
@@ -733,48 +734,55 @@ def _check_pair(a: Term, b: Term):
 
 
 def _head_lt(a: Term, b: Term) -> bool:
-    """a < b for strongly critical a and b."""
+    """a < b for strongly critical a and b.
+
+    The collapse clauses come first, so the cardinal ladder at the end is
+    reached only for two cardinal-like heads (O_n, OO^(J)_n, Xi^(J)(x), x^(J)).
+    """
+    ta, tb = type(a), type(b)
+    if ta in _COLLAPSE_TYPES:
+        if tb in _COLLAPSE_TYPES:
+            csl, dsl = _instantiated_kset(a, b), _instantiated_kset(b, a)
+            for d0 in dsl:
+                if a is d0 or _lt(a, d0):
+                    return True
+            for c0 in csl:
+                if b is c0 or _lt(b, c0):
+                    return False
+            ra, rb = _rank(a), _rank(b)
+            return ra < rb or (ra == rb and _lt(a.body, b.body))
+        if tb is VarLev or not _VARIANTS.theta_below_cardinal:
+            # The added direction stops at cardinal heads; a collapse stays
+            # incomparable to a bare variable (a vacuous bound is not stable).
+            return False
+        for g in _card_side_kset(a):
+            if not _lt(g, b):
+                return False
+        return True
+    if tb in _COLLAPSE_TYPES:
+        for g in _card_side_kset(b):
+            if a is g or _lt(a, g):
+                return True
+        return False
     # cardinal ladder
-    match a, b:
-        case (OmegaIdx(m), OmegaIdx(n)):
-            return _VARIANTS.omega_low_ladder and m < n
-        case (OmegaIdx(_), OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _)):
-            return True
-        case (OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _), OmegaIdx(_)):
-            return False
-        case (OmegaHigh(j, m), OmegaHigh(j1, n)):
-            return j < j1 or (j == j1 and m < n)
-        case (Xi(j, _), OmegaHigh(j1, _)):
-            return j <= j1
-        case (OmegaHigh(j, _), Xi(j1, _)):
-            return j < j1
-        case (Xi(j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _lt(x, y))
-        case (VarLev(_, j), Xi(j1, _) | OmegaHigh(j1, _)):
-            return j <= j1
-        case (Xi(_, _) | OmegaHigh(_, _), VarLev(_, _)):
-            return False
-        case (VarLev(_, _), VarLev(_, _)):
-            return False  # distinct variables are incomparable
-    # cardinal-like heads against collapses
-    a_card = isinstance(a, (OmegaIdx, OmegaHigh, Xi, VarLev))
-    if a_card and isinstance(b, _COLLAPSES):
-        return any(_leq(a, g) for g in _card_side_kset(b))
-    if isinstance(a, _COLLAPSES) and isinstance(b, (OmegaIdx, OmegaHigh, Xi)):
-        # The added direction stops at cardinal heads; a collapse stays
-        # incomparable to a bare variable (a vacuous bound is not stable).
-        if not _VARIANTS.theta_below_cardinal:
-            return False
-        return all(_lt(g, b) for g in _card_side_kset(a))
-    if isinstance(a, _COLLAPSES) and isinstance(b, _COLLAPSES):
-        csl, dsl = _instantiated_kset(a, b), _instantiated_kset(b, a)
-        if any(_leq(a, d0) for d0 in dsl):
-            return True
-        if any(_leq(b, c0) for c0 in csl):
-            return False
-        ra, rb = _rank(a), _rank(b)
-        return ra < rb or (ra == rb and _lt(a.body, b.body))
-    return False
+    if ta is OmegaIdx:
+        if tb is OmegaIdx:
+            return _VARIANTS.omega_low_ladder and a.index < b.index
+        return True
+    if tb is OmegaIdx:
+        return False
+    if ta is VarLev:  # distinct variables are incomparable
+        return tb is not VarLev and a.level <= b.level
+    if tb is VarLev:
+        return False
+    j, j1 = a.level, b.level
+    if ta is Xi:
+        if tb is Xi:
+            return j < j1 or (j == j1 and _lt(a.arg, b.arg))
+        return j <= j1
+    if tb is Xi:
+        return j < j1
+    return j < j1 or (j == j1 and a.index < b.index)
 
 
 compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)

@@ -199,27 +199,35 @@ def _check_pair(a: Term, b: Term):
 
 
 def _head_lt(a: Term, b: Term) -> bool:
-    """a < b for strongly critical a and b."""
-    match a, b:
-        case (OmegaLev(j), OmegaLev(j1)):
-            return j < j1
-        case (OmegaLev(_) | VarLev(_, _), Theta(beta)):
-            return any(_leq(a, g) for g in _kset(0, beta))
-        case (Theta(alpha), OmegaLev(_)):
-            return all(_lt(g, b) for g in _kset(0, alpha))
-        case (Theta(_), VarLev(_, _)):
-            return False  # left incomparable: a vacuous bound is not stable
-        case (Theta(alpha), Theta(beta)):
+    """a < b for strongly critical a and b (heads Omega^(J), theta, x^(J))."""
+    ta, tb = type(a), type(b)
+    if ta is Theta:
+        if tb is Theta:
+            alpha, beta = a.body, b.body
             if _lt(alpha, beta):
-                return all(_lt(g, b) for g in _kset(0, alpha))
+                for g in _kset(0, alpha):
+                    if not _lt(g, b):
+                        return False
+                return True
             if _lt(beta, alpha):
-                return any(_leq(a, g) for g in _kset(0, beta))
+                for g in _kset(0, beta):
+                    if a is g or _lt(a, g):
+                        return True
             return False
-        case (VarLev(_, j), OmegaLev(j1)):
-            return j <= j1
-        case (VarLev(_, _), VarLev(_, _)):
-            return False  # distinct variables are incomparable
-    return False
+        if tb is OmegaLev:
+            for g in _kset(0, a.body):
+                if not _lt(g, b):
+                    return False
+            return True
+        return False  # left incomparable to a variable: a vacuous bound is not stable
+    if tb is Theta:  # a cardinal or a variable
+        for g in _kset(0, b.body):
+            if a is g or _lt(a, g):
+                return True
+        return False
+    if tb is OmegaLev:
+        return a.level < b.level if ta is OmegaLev else a.level <= b.level
+    return False  # distinct variables are incomparable, as is Omega^(J) to x^(K)
 
 
 compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)

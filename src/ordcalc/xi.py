@@ -535,32 +535,15 @@ def _class_split(a: Term, b: Term):
 
 
 def _head_lt(a: Term, b: Term) -> bool:
-    """a < b for strongly critical a and b."""
-    match a, b:
-        case (Xi(j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _lt(x, y))
-        case (Xi(_, _), Theta(beta)):
+    """a < b for strongly critical a and b (heads Xi^(J)(x), theta, x^(J)
+    and V^(J)(x))."""
+    ta, tb = type(a), type(b)
+    if ta is Theta:
+        if tb is Theta:
             split = _class_split(a, b)
             if split is not None:
                 return split
-            return any(
-                _leq(a, instantiate(g, w))
-                for w in _legit_candidates((beta,), (b,))
-                for g in _kset(0, beta)
-            )
-        case (Theta(alpha), Xi(_, _)):
-            split = _class_split(a, b)
-            if split is not None:
-                return split
-            return all(
-                _lt(instantiate(g, w), b)
-                for w in _legit_candidates((alpha,), (a,))
-                for g in _kset(0, alpha)
-            )
-        case (Theta(alpha), Theta(beta)):
-            split = _class_split(a, b)
-            if split is not None:
-                return split
+            alpha, beta = a.body, b.body
             if _POLICY is ComparePolicy.LITERAL_ZERO:
                 # each side's functions at the other side's parameters only
                 ws_alpha = _params(beta) or (ZERO,)
@@ -568,35 +551,58 @@ def _head_lt(a: Term, b: Term) -> bool:
             else:
                 ws_alpha = ws_beta = _legit_candidates((alpha, beta), (a, b))
             if _lt(alpha, beta):
-                return all(
-                    _lt(instantiate(g, w), b)
-                    for w in ws_alpha
-                    for g in _kset(0, alpha)
-                )
+                gs = _kset(0, alpha)
+                for w in ws_alpha:
+                    for g in gs:
+                        if not _lt(instantiate(g, w), b):
+                            return False
+                return True
             if _lt(beta, alpha):
-                return any(
-                    _leq(a, instantiate(g, w))
-                    for w in ws_beta
-                    for g in _kset(0, beta)
-                )
+                gs = _kset(0, beta)
+                for w in ws_beta:
+                    for g in gs:
+                        x = instantiate(g, w)
+                        if a is x or _lt(a, x):
+                            return True
             return False
-        case (VarLev(_, j), Xi(j1, _)):
+        if tb is Xi:
+            split = _class_split(a, b)
+            if split is not None:
+                return split
+            alpha = a.body
+            ws = _legit_candidates((alpha,), (a,))
+            gs = _kset(0, alpha)
+            for w in ws:
+                for g in gs:
+                    if not _lt(instantiate(g, w), b):
+                        return False
+            return True
+        return False  # left incomparable to a variable: a vacuous bound is not stable
+    if tb is Theta:  # a cardinal, a variable or a function variable
+        if ta is Xi:
+            split = _class_split(a, b)
+            if split is not None:
+                return split
+        beta = b.body
+        ws = _legit_candidates((beta,), (b,))
+        gs = _kset(0, beta)
+        for w in ws:
+            for g in gs:
+                x = instantiate(g, w)
+                if a is x or _lt(a, x):
+                    return True
+        return False
+    if tb is Xi:
+        j, j1 = a.level, b.level
+        if ta is Xi:
+            return j < j1 or (j == j1 and _lt(a.arg, b.arg))
+        if ta is VarLev:
             return j <= j1
-        case (VarLev(_, _), VarLev(_, _)):
-            return False  # distinct variables are incomparable
-        case (VarLev(_, _) | FVar(_, _, _), Theta(beta)):
-            return any(
-                _leq(a, instantiate(g, w))
-                for w in _legit_candidates((beta,), (b,))
-                for g in _kset(0, beta)
-            )
-        case (Theta(_), VarLev(_, _) | FVar(_, _, _)):
-            return False  # left incomparable: a vacuous bound is not stable
-        case (FVar(_, j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _leq(x, y))
-        case (FVar(f, j, x), FVar(g, j1, y)):
-            return f == g and (j < j1 or (j == j1 and _lt(x, y)))
-    return False
+        return j < j1 or (j == j1 and _leq(a.arg, b.arg))  # a function variable
+    if ta is FVar and tb is FVar:
+        j, j1 = a.level, b.level
+        return a.name == b.name and (j < j1 or (j == j1 and _lt(a.arg, b.arg)))
+    return False  # distinct variables are incomparable, and x^(J) to V^(K)(y)
 
 
 compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)

@@ -22,6 +22,29 @@ def test_cmp_examples(capsys):
     assert (code, out) == (0, "EQ")
 
 
+@pytest.mark.parametrize(
+    "term, text, payload",
+    [
+        (
+            "Xi^(0)(0) # Xi^(0)(w^(0))",
+            "v.p1^(0) # v.p2^(0)  with p1 = Xi^(0)(0), p2 = Xi^(0)(w^(0))",
+            {
+                "body": "v.p1^(0) # v.p2^(0)",
+                "variables": ["p1", "p2"],
+                "parameters": ["Xi^(0)(0)", "Xi^(0)(w^(0))"],
+            },
+        ),
+        ("w^(0)", "w^(0)", {"body": "w^(0)", "variables": [], "parameters": []}),
+    ],
+    ids=["two-parameters", "no-parameter"],
+)
+def test_abstract_text_and_json(capsys, term, text, payload):
+    assert run(capsys, "abstract", term) == (0, text, "")
+    code, raw, err = run(capsys, "abstract", "--output", "json", term)
+    assert (code, err) == (0, "")
+    assert json.loads(raw) == payload
+
+
 def test_k_example(capsys):
     code, out, _ = run(capsys, "k", "--system", "poly", "--level", "0", "th(O^(0))")
     assert (code, out) == (0, "{th(O^(0))}")

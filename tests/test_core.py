@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,16 +156,17 @@ def _names_by_walk(t):
     return out
 
 
+_XI_FVARS = harness.EnumBudget(
+    "xi", max_size=6, min_level=-1, closed_only=False, include_fvars=True
+)
+
+
 def _acceptance_pools():
     for budget in harness.ORDER_BUDGETS.values():
         yield harness.enumerate_terms(budget)
     for system in harness.SYSTEMS:
         yield opened(system)
-    yield harness.enumerate_terms(
-        harness.EnumBudget(
-            "xi", max_size=6, min_level=-1, closed_only=False, include_fvars=True
-        )
-    )
+    yield harness.enumerate_terms(_XI_FVARS)
 
 
 def test_cached_term_facts_over_acceptance_pools():
@@ -246,6 +248,79 @@ def test_sum_rests_match_the_counter_difference():
             rest_a, rest_b = core._sum_rests(a.children, b.children)
             assert list(rest_a) == core.multiset_rest(a.children, b.children)
             assert list(rest_b) == core.multiset_rest(b.children, a.children)
+
+
+def _tower(depth, leaf):
+    """w^(1 + w^(1 + ... w^(1 + leaf))): a sum inside every omega power."""
+    t = leaf
+    for _ in range(depth):
+        t = omega_pow(add(ONE, t))
+    return t
+
+
+# The deepest such pair compare decides at the default recursion limit,
+# from the top of a script, is 498; generator frames in the sum clauses
+# stopped it at 166.
+_TOWER_DEPTH = 400
+
+
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_compare_decides_a_deep_sum_inside_omega_tower(system):
+    assert sys.getrecursionlimit() == 1000
+    mod = importlib.import_module(f"ordcalc.{system}")
+    low, high = _tower(_TOWER_DEPTH, ZERO), _tower(_TOWER_DEPTH, ONE)
+    assert mod.compare(low, high) is core.Outcome.LESS
+    assert mod.compare(high, low) is core.Outcome.GREATER
+
+
+# -- the memoized head rules against the reference's -----------------------------
+
+
+def _head_sample(terms, per_head, seed=7):
+    """The strongly critical terms of a pool, at most `per_head` of each head
+    type (a seeded draw where a type has more)."""
+    by_head = {}
+    for t in terms:
+        if is_sc(t):
+            by_head.setdefault(type(t), []).append(t)
+    rng = random.Random(seed)
+    out = []
+    for heads in by_head.values():
+        out += heads if len(heads) <= per_head else rng.sample(heads, per_head)
+    return out
+
+
+def _assert_heads_agree(mod, heads):
+    for a in heads:
+        for b in heads:
+            assert mod._head_lt(a, b) is bool(mod._ref_head_lt(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_head_rule_matches_reference_head(system):
+    """The type-dispatched head rule decides every ordered pair of a sample
+    of heads as the reference's `match` coding does, under every reading."""
+    mod = importlib.import_module(f"ordcalc.{system}")
+    # mixed's reference walks its critical sets unmemoized: a smaller sample
+    heads = _head_sample(opened(system), per_head=30 if system == "mixed" else 60)
+    if system == "xi":
+        heads += _head_sample(harness.enumerate_terms(_XI_FVARS), per_head=40)
+    head_types = {"buchholz": 3, "poly": 3, "xi": 4, "mixed": 7}[system]
+    assert len({type(t) for t in heads}) == head_types
+    _assert_heads_agree(mod, heads)
+    if system not in ("xi", "mixed"):
+        return
+    try:
+        if system == "xi":
+            X.set_policy(X.ComparePolicy.LITERAL_ZERO)
+            _assert_heads_agree(mod, heads)
+        else:
+            for field in dataclasses.fields(mixed.Variants):
+                mixed.set_variants(mixed.Variants(**{field.name: False}))
+                _assert_heads_agree(mod, heads)
+    finally:
+        mixed.set_variants(mixed.Variants())
+        X.set_policy(X.ComparePolicy.SYMMETRIC_PARAMS)
 
 
 # -- per-serial head facts of xi and mixed ---------------------------------------

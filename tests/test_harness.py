@@ -153,6 +153,19 @@ def test_clause_variant_diff_runs():
     assert report.details["theta_below_cardinal"]["differences"] > 0
 
 
+def test_clause_variant_diff_counts_asymmetric_pairs():
+    # Either literal comparison clause makes the closed mixed order lose
+    # antisymmetry: on these sampled pairs a < b and b < a both hold (the
+    # reference's _ref_lt finds the same pairs).
+    terms = H.enumerate_terms(H.ORDER_BUDGETS["mixed"])
+    report = H.diff_clause_variants(terms, pairs=20_000, seed=1)
+    assert {flag: d["asymmetric"] for flag, d in report.details.items()} == {
+        "omega_low_ladder": 9,
+        "theta_below_cardinal": 33,
+        "high_substitution_identity": 0,
+    }
+
+
 def test_clause_variant_diff_restores_defaults_on_error(monkeypatch):
     terms = [parse("mixed", "O_1"), parse("mixed", "O_2"), parse("mixed", "thO_1(O_3)")]
     default = H.mixed.get_variants()

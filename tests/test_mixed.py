@@ -35,6 +35,17 @@ def test_card_ladder_shape():
     assert M.large(-1, M.INF) < M.large(0, 0) < M.large(0, 2) < M.large(0, M.INF)
 
 
+def test_card_comparison_protocol():
+    chain = [M.parse_card(s) for s in ("-inf", "1", "2", "(-1,0)", "(-1,1)", "(0,inf)")]
+    assert chain[-1] == M.FULL
+    for i, a in enumerate(chain):
+        for j, b in enumerate(chain):
+            assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+                i < j, i <= j, i > j, i >= j, i == j, i != j
+            ), (a, b)
+    assert M.fin(2) != (1, 2)  # only another MCard can be equal
+
+
 @given(a=cards(), b=cards(), c=cards())
 @settings(max_examples=300)
 def test_card_total_order(a, b, c):
