@@ -48,7 +48,6 @@ __all__ = [
     "key_lemma_1",
     "key_lemma_2",
     "key_lemma_3",
-    "check_key_lemma",
 ]
 
 _FC: dict[int, frozenset] = {}
@@ -289,13 +288,6 @@ def key_lemma_3(
     return llrel(n - 1, delta, lhs, rhs)
 
 
-def check_key_lemma(samples: int = 10_000, seed: int = 0):
-    """Sampled verification of the three Key Lemma items; see the harness."""
-    from . import harness
-
-    return harness.check_key_lemmas("buchholz", samples, seed)
-
-
 # -- Reference implementations ---------------------------------------------
 #
 # Plain direct recursion with no caching, kept deliberately separate from the
@@ -338,6 +330,7 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             return n <= m
         case (VarIdx(_, _), VarIdx(_, _)):
             return False
+    return False
 
 
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -165,11 +165,9 @@ def _cmd_shift(args, out: _Output) -> int:
         res = poly.shift(t, args.level, args.by)
     elif args.system == "xi":
         res = xi.shift(t, args.level, args.by)
-    elif args.system == "mixed":
+    else:
         card = mixed.parse_card(args.card) if args.card else mixed.FULL
         res = mixed.shift(t, card, args.by)
-    else:
-        raise PreconditionError("the stratified system has no level shifting")
     out.emit({"term": render(res)}, render(res))
     return EXIT_OK
 
@@ -209,42 +207,28 @@ def _cmd_kappa(args, out: _Output) -> int:
 
 
 def _cmd_d(args, out: _Output) -> int:
+    gamma = parse(args.system, args.gamma)
+    beta = parse(args.system, args.beta)
     if args.system == "buchholz":
-        gamma = parse("buchholz", args.gamma)
-        beta = parse("buchholz", args.beta)
         res = buchholz.dfun(args.m, args.n, gamma, beta)
     elif args.system == "poly":
-        gamma = parse("poly", args.gamma)
-        beta = parse("poly", args.beta)
         res = poly.dfun(args.m, gamma, beta)
-    elif args.system == "xi":
-        gamma = parse("xi", args.gamma)
-        beta = parse("xi", args.beta)
-        res = xi.dfun(args.m, gamma, beta, args.var)
     else:
-        raise PreconditionError("no dominance function for the mixed system")
+        res = xi.dfun(args.m, gamma, beta, args.var)
     out.emit({"term": render(res)}, render(res))
     return EXIT_OK
 
 
 def _cmd_ll(args, out: _Output) -> int:
+    gamma = parse(args.system, args.gamma)
+    a = parse(args.system, args.left)
+    b = parse(args.system, args.right)
     if args.system == "buchholz":
-        gamma = parse("buchholz", args.gamma)
-        a = parse("buchholz", args.left)
-        b = parse("buchholz", args.right)
         res = buchholz.llrel(args.n, gamma, a, b, relativized=not args.plain)
     elif args.system == "poly":
-        gamma = parse("poly", args.gamma)
-        a = parse("poly", args.left)
-        b = parse("poly", args.right)
         res = poly.llrel(gamma, a, b)
-    elif args.system == "xi":
-        gamma = parse("xi", args.gamma)
-        a = parse("xi", args.left)
-        b = parse("xi", args.right)
-        res = xi.llrel(gamma, a, b, args.var)
     else:
-        raise PreconditionError("no dominance relation for the mixed system")
+        res = xi.llrel(gamma, a, b, args.var)
     out.emit({"holds": res}, "yes" if res else "no")
     return EXIT_OK
 

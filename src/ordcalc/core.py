@@ -32,6 +32,10 @@ order, the oracle the memoized order is checked against: the same clauses
 written a second time in plain recursion, sharing no code with
 `make_order`, with no memo and no cycle guard.  Each system supplies its own
 reference head rule and critical-set walks.
+
+Canonical abstraction, with which xi and mixed collect functions, lives
+here too: one parameter walk, one replace walk, one single-variable
+abstraction and the per-serial parameter table.
 """
 
 from __future__ import annotations
@@ -631,6 +635,88 @@ def subterms(t: Term):
             yield from subterms(body)
         case Theta(body) | ThetaXi(body):
             yield from subterms(body)
+
+
+# -- canonical abstraction --------------------------------------------------------
+
+# Per-serial parameters of xi and mixed terms.  No toggle changes them.
+_PARAMS: dict[int, tuple[Term, ...]] = {}
+
+
+def collect_params(t: Term, ambient: int, out: set):
+    """Record t's maximal cardinal-head occurrences realizable as level-0
+    parameters Xi^(0)(arg).  One walk serves xi and mixed: th and thXi move
+    the ambient level one step down, thOO keeps it, a function variable is
+    passed like Xi but never collected, and thO and the leaves stop it."""
+    match t:
+        case Sum(children):
+            for c in children:
+                collect_params(c, ambient, out)
+        case OmegaPow(e):
+            collect_params(e, ambient, out)
+        case Xi(j1, arg):
+            if j1 == ambient:
+                out.add(xi(0, arg))
+            elif ambient <= j1:
+                collect_params(arg, ambient - j1, out)
+        case FVar(_, j1, arg):
+            if ambient <= j1:
+                collect_params(arg, ambient - j1, out)
+        case Theta(body) | ThetaXi(body):
+            collect_params(body, ambient - 1, out)
+        case ThetaHigh(_, body):
+            collect_params(body, ambient, out)
+
+
+def params(t: Term) -> tuple[Term, ...]:
+    """The parameters of t, key-sorted; memoized per serial."""
+    cached = _PARAMS.get(t.serial)
+    if cached is None:
+        found: set = set()
+        collect_params(t, 0, found)
+        cached = _PARAMS[t.serial] = tuple(sorted(found, key=_key_of))
+    return cached
+
+
+def replace_params(t: Term, ambient: int, names: dict) -> Term:
+    """t with every parameter occurrence that `names` maps, met on the walk
+    of `collect_params`, replaced by the variable of that name."""
+    match t:
+        case Sum(children):
+            return sum_of(replace_params(c, ambient, names) for c in children)
+        case OmegaPow(e):
+            return omega_pow(replace_params(e, ambient, names))
+        case Xi(j1, arg):
+            if j1 == ambient:
+                name = names.get(xi(0, arg))
+                if name is not None:
+                    return var_lev(name, j1)
+            if ambient <= j1:
+                return xi(j1, replace_params(arg, ambient - j1, names))
+        case FVar(f, j1, arg):
+            if ambient <= j1:
+                return fvar(f, j1, replace_params(arg, ambient - j1, names))
+        case Theta(body):
+            return theta(replace_params(body, ambient - 1, names))
+        case ThetaXi(body):
+            return theta_xi(replace_params(body, ambient - 1, names))
+        case ThetaHigh(n, body):
+            return theta_high(n, replace_params(body, ambient, names))
+    return t
+
+
+def abstract_one(t: Term) -> tuple[Term, str | None]:
+    """Canonical abstraction with a single distinguished variable standing
+    for every parameter occurrence, as collapsed functions are collected:
+    `(body, name)`, or `(t, None)` when t has no parameter.  The reference
+    walks collect through here too, so the parameters are walked afresh,
+    not read from the table."""
+    found: set = set()
+    collect_params(t, 0, found)
+    if not found:
+        return t, None
+    name = fresh_name("k", t.var_names)
+    return replace_params(t, 0, dict.fromkeys(found, name)), name
 
 
 # -- the ordering kernel --------------------------------------------------------

@@ -35,12 +35,14 @@ from .core import (
     ThetaXi,
     VarLev,
     Xi,
-    fresh_name,
+    abstract_one,
+    collect_params,
     make_order,
     make_reference,
     omega_high,
     omega_idx,
     omega_pow,
+    params,
     sum_of,
     theta_high,
     theta_xi,
@@ -211,12 +213,11 @@ _FC: dict[tuple[MCard, int], frozenset] = {}
 _KLOW: dict[tuple[int, int], frozenset] = {}
 _KHIGH: dict[tuple[MCard, int, int], frozenset] = {}
 _KXI: dict[tuple[MCard, int], frozenset] = {}
-# Per-serial head facts for the ordering.  No variant changes them, so
-# `set_variants` leaves them alone: a thXi entry's instantiation, which
-# reads a variant, is made per call and never stored.
-_FAMILY: dict[int, tuple[KItem, ...]] = {}
-_PLAIN: dict[int, frozenset[Term]] = {}
-_PARAMS: dict[int, tuple[Term, ...]] = {}
+# A collapse's own critical set, per serial: plain terms for thO and thOO,
+# KItems for thXi.  No variant changes it, so `set_variants` leaves it
+# alone: a thXi entry's instantiation, which reads a variant, is made per
+# call and never stored.
+_FAMILY: dict[int, frozenset] = {}
 
 
 def set_variants(v: Variants):
@@ -425,38 +426,9 @@ def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
 
 # -- parameters ---------------------------------------------------------------
 
-def _collect_params(t: Term, ambient: int, out: set):
-    match t:
-        case Sum(children):
-            for x in children:
-                _collect_params(x, ambient, out)
-        case OmegaPow(e):
-            _collect_params(e, ambient, out)
-        case Xi(j1, arg):
-            if j1 == ambient:
-                out.add(mk_xi(0, arg))
-            elif ambient <= j1:
-                _collect_params(arg, ambient - j1, out)
-        case ThetaHigh(_, body):
-            _collect_params(body, ambient, out)
-        case ThetaXi(body):
-            _collect_params(body, ambient - 1, out)
-        case _:
-            pass  # plain collapses and leaves carry no reachable parameters
-
-
 def parameters(t: Term) -> tuple[Term, ...]:
     _check_system(t)
-    return _params(t)
-
-
-def _params(t: Term) -> tuple[Term, ...]:
-    cached = _PARAMS.get(t.serial)
-    if cached is None:
-        found: set = set()
-        _collect_params(t, 0, found)
-        cached = _PARAMS[t.serial] = tuple(sorted(found, key=lambda p: p.key))
-    return cached
+    return params(t)
 
 
 # -- critical subterms ----------------------------------------------------------
@@ -627,36 +599,8 @@ def _bound_collapse_item(t: Term, c: MCard) -> KItem:
     into one distinguished variable, and re-level the body one step out.
     Raises ShiftError when the collapse cannot be re-levelled; callers then
     descend into the body instead."""
-    lifted = _shift(t, FULL, -c.j, True)
-    params: set = set()
-    _collect_params(lifted, 0, params)
-    if not params:
-        return KItem(_shift(lifted, FULL, 1, True))
-    name = fresh_name("k", lifted.var_names)
-    body = _replace_params(lifted, 0, {p: name for p in params})
-    return KItem(_shift(body, FULL, 1, True), name)
-
-
-def _replace_params(t: Term, ambient: int, names: dict):
-    match t:
-        case Sum(children):
-            return sum_of(_replace_params(x, ambient, names) for x in children)
-        case OmegaPow(e):
-            return omega_pow(_replace_params(e, ambient, names))
-        case Xi(j1, arg):
-            if j1 == ambient:
-                name = names.get(mk_xi(0, arg))
-                if name is not None:
-                    return var_lev(name, j1)
-            if ambient <= j1:
-                return mk_xi(j1, _replace_params(arg, ambient - j1, names))
-            return t
-        case ThetaHigh(n, body):
-            return theta_high(n, _replace_params(body, ambient, names))
-        case ThetaXi(body):
-            return theta_xi(_replace_params(body, ambient - 1, names))
-        case _:
-            return t
+    body, var = abstract_one(_shift(t, FULL, -c.j, True))
+    return KItem(_shift(body, FULL, 1, True), var)
 
 
 def instantiate(item: KItem, value: Term) -> Term:
@@ -683,32 +627,6 @@ def _rank(t: Term) -> tuple:
     raise InvariantError(f"not a collapse: {t!r}")
 
 
-def _family_kset(t: Term) -> tuple[KItem, ...]:
-    """The collapse's own critical set, taken at the cardinal it collapses."""
-    cached = _FAMILY.get(t.serial)
-    if cached is not None:
-        return cached
-    match t:
-        case ThetaLow(n, body):
-            out = tuple(KItem(x) for x in _kset_low(n, body))
-        case ThetaHigh(n, body):
-            out = tuple(KItem(x) for x in _kset_high(large(0, n), n, body))
-        case ThetaXi(body):
-            out = tuple(_kset_xi(large(0, 0), body))
-        case _:
-            raise InvariantError(f"not a collapse: {t!r}")
-    _FAMILY[t.serial] = out
-    return out
-
-
-def _plain_kset(t: Term) -> frozenset[Term]:
-    """The critical set of a thO or thOO collapse as plain terms."""
-    cached = _PLAIN.get(t.serial)
-    if cached is None:
-        cached = _PLAIN[t.serial] = frozenset(g.term for g in _family_kset(t))
-    return cached
-
-
 def critical_sets(a: Term, b: Term) -> tuple[frozenset[Term], frozenset[Term]]:
     """The sets C (from a) and D (from b) mediating a collapse comparison;
     function-collapse entries are instantiated at the other side's parameters
@@ -717,14 +635,29 @@ def critical_sets(a: Term, b: Term) -> tuple[frozenset[Term], frozenset[Term]]:
     _check_system(b)
     if not isinstance(a, _COLLAPSES) or not isinstance(b, _COLLAPSES):
         raise PreconditionError("critical sets need collapse-headed terms")
-    return _instantiated_kset(a, b), _instantiated_kset(b, a)
+    return _instantiated_kset(a, params(b.body)), _instantiated_kset(b, params(a.body))
 
 
-def _instantiated_kset(s: Term, other: Term) -> frozenset[Term]:
-    if isinstance(s, ThetaXi):
-        values = _params(other.body) or (ZERO,)
-        return frozenset(instantiate(g, v) for g in _family_kset(s) for v in values)
-    return _plain_kset(s)
+def _instantiated_kset(s: Term, values: tuple[Term, ...]) -> frozenset[Term]:
+    """The collapse's own critical set, taken at the cardinal it collapses,
+    as plain terms: thXi entries are instantiated at `values`, or at 0 when
+    `values` is empty."""
+    family = _FAMILY.get(s.serial)
+    if family is None:
+        match s:
+            case ThetaLow(n, body):
+                family = _kset_low(n, body)
+            case ThetaHigh(n, body):
+                family = _kset_high(large(0, n), n, body)
+            case ThetaXi(body):
+                family = _kset_xi(large(0, 0), body)
+            case _:
+                raise InvariantError(f"not a collapse: {s!r}")
+        _FAMILY[s.serial] = family
+    if type(s) is ThetaXi:
+        values = values or (ZERO,)
+        return frozenset(instantiate(g, v) for g in family for v in values)
+    return family
 
 
 def _check_pair(a: Term, b: Term):
@@ -742,7 +675,8 @@ def _head_lt(a: Term, b: Term) -> bool:
     ta, tb = type(a), type(b)
     if ta in _COLLAPSE_TYPES:
         if tb in _COLLAPSE_TYPES:
-            csl, dsl = _instantiated_kset(a, b), _instantiated_kset(b, a)
+            csl = _instantiated_kset(a, params(b.body))
+            dsl = _instantiated_kset(b, params(a.body))
             for d0 in dsl:
                 if a is d0 or _lt(a, d0):
                     return True
@@ -755,12 +689,12 @@ def _head_lt(a: Term, b: Term) -> bool:
             # The added direction stops at cardinal heads; a collapse stays
             # incomparable to a bare variable (a vacuous bound is not stable).
             return False
-        for g in _card_side_kset(a):
+        for g in _instantiated_kset(a, ()):
             if not _lt(g, b):
                 return False
         return True
     if tb in _COLLAPSE_TYPES:
-        for g in _card_side_kset(b):
+        for g in _instantiated_kset(b, ()):
             if a is g or _lt(a, g):
                 return True
         return False
@@ -786,14 +720,6 @@ def _head_lt(a: Term, b: Term) -> bool:
 
 
 compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
-
-
-def _card_side_kset(s: Term) -> tuple[Term, ...]:
-    """The collapse's critical set as plain terms for comparisons against
-    cardinal-like heads; function entries are instantiated at 0."""
-    if isinstance(s, ThetaXi):
-        return tuple(instantiate(g, ZERO) for g in _family_kset(s))
-    return tuple(g.term for g in _family_kset(s))
 
 
 # -- reference implementations ---------------------------------------------------
@@ -952,7 +878,7 @@ def _ref_card_side_kset(s: Term) -> tuple[Term, ...]:
 
 def _ref_params(t: Term) -> tuple[Term, ...]:
     found: set = set()
-    _collect_params(t, 0, found)
+    collect_params(t, 0, found)
     return tuple(sorted(found, key=lambda p: p.key))
 
 

@@ -31,6 +31,7 @@ from .core import (
     make_reference,
     omega_lev,
     omega_pow,
+    subterms,
     sum_of,
     theta,
     var_lev,
@@ -58,7 +59,6 @@ __all__ = [
     "key_lemma_1",
     "key_lemma_2",
     "key_lemma_3",
-    "check_key_lemma",
 ]
 
 _FC: dict[tuple[int, int], frozenset] = {}
@@ -419,8 +419,6 @@ def _vars_below_top(t: Term) -> bool:
     """Every variable occurrence sits at its matching ambient position and
     strictly below the top level (a top-level variable would be captured by
     a dominance wrapper and block its witnesses)."""
-    from .core import subterms
-
     for name in t.var_names:
         if not _substitutable(name, 0, t):
             return False
@@ -448,12 +446,6 @@ def key_lemma_3(delta: Term, alpha: Term, beta: Term, gamma: Term, name: str) ->
     collapse = _shift(dfun(0, delta, alpha), 0, -1)
     lhs = dfun(0, collapse, _subst(gamma, name, 0, collapse))
     return llrel(ZERO, lhs, dfun(0, delta, beta))
-
-
-def check_key_lemma(samples: int = 10_000, seed: int = 0):
-    from . import harness
-
-    return harness.check_key_lemmas("poly", samples, seed)
 
 
 # -- Reference implementations ---------------------------------------------
@@ -510,6 +502,7 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             return j <= j1
         case (VarLev(_, _), VarLev(_, _)):
             return False
+    return False
 
 
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

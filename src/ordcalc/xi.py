@@ -32,13 +32,17 @@ from .core import (
     Theta,
     VarLev,
     Xi,
+    abstract_one,
     add,
+    collect_params,
     fresh_name,
     fvar,
     is_sc,
     make_order,
     make_reference,
     omega_pow,
+    params,
+    replace_params,
     subterms,
     sum_of,
     theta,
@@ -75,7 +79,6 @@ __all__ = [
     "key_lemma_2",
     "key_lemma_3",
     "key_lemma_4",
-    "check_key_lemma",
 ]
 
 
@@ -99,11 +102,10 @@ _POLICY = ComparePolicy.SYMMETRIC_PARAMS
 
 _FC: dict[tuple[int, int], frozenset] = {}
 _K: dict[tuple[int, int, bool], frozenset] = {}
-# Per-serial facts read by the collapse clauses: the top class `_fc_bar0`
-# and the parameters.  The policy changes neither, so `set_policy` leaves
-# them alone.
+# The per-serial top class `_fc_bar0`, read by the collapse clauses with
+# the parameters of `core.params`.  The policy changes neither, so
+# `set_policy` leaves them alone.
 _TOP: dict[int, float] = {}
-_PARAMS: dict[int, tuple[Term, ...]] = {}
 
 
 def set_policy(policy: ComparePolicy):
@@ -288,65 +290,10 @@ def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
 
 # -- parameters and canonical abstraction ------------------------------------
 
-def _collect_params(t: Term, ambient: int, out: set):
-    """Record level-0-realizable cardinal-head occurrences (maximal ones)."""
-    match t:
-        case Sum(children):
-            for c in children:
-                _collect_params(c, ambient, out)
-        case OmegaPow(e):
-            _collect_params(e, ambient, out)
-        case Xi(j1, arg):
-            if j1 == ambient:
-                out.add(mk_xi(0, arg))
-            elif ambient <= j1:
-                _collect_params(arg, ambient - j1, out)
-        case Theta(body):
-            _collect_params(body, ambient - 1, out)
-        case FVar(_, j1, arg):
-            if ambient <= j1:
-                _collect_params(arg, ambient - j1, out)
-        case _:
-            pass
-
-
 def parameters(t: Term) -> tuple[Term, ...]:
     """All parameters of t (level-0 values of its abstraction), key-sorted."""
     _check_system(t)
-    return _params(t)
-
-
-def _params(t: Term) -> tuple[Term, ...]:
-    cached = _PARAMS.get(t.serial)
-    if cached is None:
-        found: set = set()
-        _collect_params(t, 0, found)
-        cached = _PARAMS[t.serial] = tuple(sorted(found, key=lambda p: p.key))
-    return cached
-
-
-def _replace_params(t: Term, ambient: int, names: dict):
-    match t:
-        case Sum(children):
-            return sum_of(_replace_params(c, ambient, names) for c in children)
-        case OmegaPow(e):
-            return omega_pow(_replace_params(e, ambient, names))
-        case Xi(j1, arg):
-            if j1 == ambient:
-                name = names.get(mk_xi(0, arg))
-                if name is not None:
-                    return var_lev(name, j1)
-            if ambient <= j1:
-                return mk_xi(j1, _replace_params(arg, ambient - j1, names))
-            return t
-        case Theta(body):
-            return theta(_replace_params(body, ambient - 1, names))
-        case FVar(f, j1, arg):
-            if ambient <= j1:
-                return fvar(f, j1, _replace_params(arg, ambient - j1, names))
-            return t
-        case _:
-            return t
+    return params(t)
 
 
 @dataclass(frozen=True)
@@ -363,21 +310,21 @@ def abstract(t: Term) -> Abstraction:
     """Canonical abstraction: pull out every maximal cardinal-head occurrence
     realizable as a level-0 parameter; equal values share one variable."""
     _check_system(t)
-    params = parameters(t)
-    if not params:
+    values = parameters(t)
+    if not values:
         return Abstraction(body=t, variables=(), parameters=())
     taken = set(t.var_names)
     names: dict[Term, str] = {}
     variables = []
-    for p in params:
+    for p in values:
         name = fresh_name(f"p{len(variables) + 1}", taken)
         taken.add(name)
         names[p] = name
         variables.append(name)
-    body = _replace_params(t, 0, names)
+    body = replace_params(t, 0, names)
     if not _fc_bar0(body) < 0:
         raise InvariantError(f"abstraction body kept a level-0 cardinal: {body!r}")
-    return Abstraction(body=body, variables=tuple(variables), parameters=params)
+    return Abstraction(body=body, variables=tuple(variables), parameters=values)
 
 
 def apply_abstraction(a: Abstraction) -> Term:
@@ -385,20 +332,6 @@ def apply_abstraction(a: Abstraction) -> Term:
     for name, value in zip(a.variables, a.parameters):
         out = substitute(out, name, 0, value)
     return out
-
-
-def _abstract_one(t: Term) -> tuple[Term, str | None]:
-    """Like `abstract` but with a single distinguished variable standing for
-    every parameter occurrence; used when collecting collapsed functions.
-    The reference walk collects through here too, so the parameters are
-    walked afresh, not read from the table."""
-    params: set = set()
-    _collect_params(t, 0, params)
-    if not params:
-        return t, None
-    name = fresh_name("k", t.var_names)
-    names = {p: name for p in params}
-    return _replace_params(t, 0, names), name
 
 
 def kappa(t: Term):
@@ -478,7 +411,7 @@ def _bound_collapse_item(t: Term, j: int) -> KItem:
     and re-level the function body one step out."""
     try:
         lifted = _shift(t, 0, -j)
-        body, var = _abstract_one(lifted)
+        body, var = abstract_one(lifted)
         body = _shift(body, 0, 1)
     except ShiftError as exc:  # pragma: no cover
         raise InvariantError(f"bound collapse failed to re-level: {exc}")
@@ -506,7 +439,7 @@ def _candidates(*bodies: Term) -> tuple[Term, ...]:
     both comparison directions keeps the collapse clauses dual."""
     found: set = {ZERO}
     for body in bodies:
-        found.update(_params(body))
+        found.update(params(body))
     return tuple(sorted(found, key=lambda p: p.key))
 
 
@@ -546,8 +479,8 @@ def _head_lt(a: Term, b: Term) -> bool:
             alpha, beta = a.body, b.body
             if _POLICY is ComparePolicy.LITERAL_ZERO:
                 # each side's functions at the other side's parameters only
-                ws_alpha = _params(beta) or (ZERO,)
-                ws_beta = _params(alpha) or (ZERO,)
+                ws_alpha = params(beta) or (ZERO,)
+                ws_beta = params(alpha) or (ZERO,)
             else:
                 ws_alpha = ws_beta = _legit_candidates((alpha, beta), (a, b))
             if _lt(alpha, beta):
@@ -843,12 +776,6 @@ def key_lemma_4(
     return llrel(ZERO, lhs, dfun(0, delta, beta))
 
 
-def check_key_lemma(samples: int = 10_000, seed: int = 0):
-    from . import harness
-
-    return harness.check_key_lemmas("xi", samples, seed)
-
-
 # -- Reference implementations -------------------------------------------------
 
 def _ref_fc_set(j: int, t: Term) -> frozenset:
@@ -907,7 +834,7 @@ def kset_reference(j: int, t: Term) -> frozenset[KItem]:
 
 def _ref_params(body: Term) -> set:
     found: set = set()
-    _collect_params(body, 0, found)
+    collect_params(body, 0, found)
     return found
 
 

@@ -293,7 +293,7 @@ def _head_sample(terms, per_head, seed=7):
 def _assert_heads_agree(mod, heads):
     for a in heads:
         for b in heads:
-            assert mod._head_lt(a, b) is bool(mod._ref_head_lt(a, b)), (a, b)
+            assert mod._head_lt(a, b) is mod._ref_head_lt(a, b), (a, b)
 
 
 @pytest.mark.parametrize("system", harness.SYSTEMS)
@@ -326,9 +326,9 @@ def test_head_rule_matches_reference_head(system):
 # -- per-serial head facts of xi and mixed ---------------------------------------
 
 
-def _params_by_walk(module, t):
+def _params_by_walk(t):
     found = set()
-    module._collect_params(t, 0, found)
+    core.collect_params(t, 0, found)
     return tuple(sorted(found, key=lambda p: p.key))
 
 
@@ -338,16 +338,17 @@ def _check_fact_tables(pools):
     by_serial = {s.serial: s for pool in pools for t in pool for s in subterms(t)}
     checked = 0
     for serial, t in by_serial.items():
-        for module in (X, mixed):
-            if serial in module._PARAMS:
-                assert module._PARAMS[serial] == _params_by_walk(module, t), t
-                checked += 1
+        if serial in core._PARAMS:
+            params = core._PARAMS[serial]
+            assert params == _params_by_walk(t), t
+            ref = X._ref_params(t) if t.in_system("xi") else mixed._ref_params(t)
+            assert set(params) == set(ref), t
+            checked += 1
         if serial in X._TOP:
             assert X._TOP[serial] == max(X._fc_set(0, t), default=core.NEG_INF), t
             checked += 1
-        items = mixed._FAMILY.get(serial)
-        if items is None:
-            assert serial not in mixed._PLAIN
+        family = mixed._FAMILY.get(serial)
+        if family is None:
             continue
         checked += 1
         match t:
@@ -359,13 +360,9 @@ def _check_fact_tables(pools):
                 ref = mixed.kset_high_reference(mixed.large(0, n), n, body)
             case core.ThetaXi(body):
                 walk = mixed._kset_xi(mixed.large(0, 0), body)
-                assert items == tuple(walk), t
-                assert frozenset(items) == mixed.kset_xi_reference(mixed.large(0, 0), body)
-                assert serial not in mixed._PLAIN
-                continue
-        assert items == tuple(core.KItem(x) for x in walk), t
-        assert frozenset(g.term for g in items) == ref, t
-        assert mixed._PLAIN.get(serial, walk) == walk, t
+                ref = mixed.kset_xi_reference(mixed.large(0, 0), body)
+        assert family == walk, t
+        assert family == ref, t
     assert checked > 0
 
 
@@ -378,7 +375,7 @@ def _warm_fact_tables(pools):
             if t.in_system("mixed"):
                 mixed.parameters(t)
                 if isinstance(t, mixed._COLLAPSES):
-                    mixed._card_side_kset(t)
+                    mixed._instantiated_kset(t, ())
                     mixed.critical_sets(t, t)
 
 
@@ -408,7 +405,7 @@ def test_fact_tables_agree_with_a_fresh_walk():
     _warm_fact_tables(pools)
     for system in ("xi", "mixed"):
         _assert_compare_matches_reference(system, pairs=3000, seed=2)
-    assert X._PARAMS and X._TOP and mixed._PARAMS and mixed._FAMILY and mixed._PLAIN
+    assert core._PARAMS and X._TOP and mixed._FAMILY
     _check_fact_tables(pools)
 
 
@@ -437,7 +434,7 @@ def test_toggles_leave_no_stale_fact(toggle):
 def test_reference_reads_no_fact_table():
     # The oracle must stay independent of the tables it checks: with every
     # table empty, reference comparisons and walks fill none of them.
-    tables = (X._PARAMS, X._TOP, mixed._PARAMS, mixed._FAMILY, mixed._PLAIN)
+    tables = (core._PARAMS, X._TOP, mixed._FAMILY)
     for table in tables:
         table.clear()
     for system, mod in (("xi", X), ("mixed", mixed)):
