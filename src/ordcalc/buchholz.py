@@ -8,7 +8,7 @@ countable (closed-below-Omega_1) terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     NEG_INF,
@@ -59,8 +59,7 @@ def _check_system(t: Term):
         raise PreconditionError(f"term {t!r} is not a stratified-system term")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     is_h: bool
     is_sc: bool
     is_closed: bool

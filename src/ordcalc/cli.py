@@ -2,17 +2,21 @@
 
 Exit codes: 0 success, 1 parse or flag error, 2 precondition violation
 (including a term nested too deeply for the interpreter stack), 3 internal
-invariant failure, 4 selfcheck found violations.
+invariant failure or any other unexpected error, 4 selfcheck found
+violations.
+
+A one-shot command imports only the system module it names (`_system`);
+the other systems and the harness stay unloaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 
-from . import buchholz, mixed, poly, xi
 from .core import (
     InvariantError,
     KItem,
@@ -29,6 +33,11 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_INVARIANT = 3
 EXIT_VIOLATIONS = 4
+
+
+def _system(name: str):
+    """The module of one notation system, imported on first use."""
+    return importlib.import_module(f"ordcalc.{name}")
 
 
 def _card_str(value) -> str:
@@ -71,8 +80,7 @@ def _cmd_parse(args, out: _Output) -> int:
 def _cmd_cmp(args, out: _Output) -> int:
     a = parse(args.system, args.left)
     b = parse(args.system, args.right)
-    cmp = _COMPARE[args.system]
-    o = cmp(a, b)
+    o = _system(args.system).compare(a, b)
     out.emit({"left": render(a), "right": render(b), "outcome": o.value}, o.value)
     return EXIT_OK
 
@@ -81,7 +89,7 @@ def _cmd_sort(args, out: _Output) -> int:
     from functools import cmp_to_key
 
     terms = [parse(args.system, s) for s in args.terms]
-    cmp = _COMPARE[args.system]
+    cmp = _system(args.system).compare
 
     def as_cmp(x, y):
         o = cmp(x, y)
@@ -100,20 +108,19 @@ def _cmd_sort(args, out: _Output) -> int:
 
 def _cmd_k(args, out: _Output) -> int:
     t = parse(args.system, args.term)
+    mod = _system(args.system)
     if args.system == "buchholz":
-        items = buchholz.kset(args.index, t)
-    elif args.system == "poly":
-        items = poly.kset(args.level, t)
-    elif args.system == "xi":
-        items = xi.kset(args.level, t)
+        items = mod.kset(args.index, t)
+    elif args.system in ("poly", "xi"):
+        items = mod.kset(args.level, t)
     else:
-        card = mixed.parse_card(args.card) if args.card else mixed.large(0, args.index)
+        card = mod.parse_card(args.card) if args.card else mod.large(0, args.index)
         if args.family == "low":
-            items = mixed.kset_low(args.index, t)
+            items = mod.kset_low(args.index, t)
         elif args.family == "high":
-            items = mixed.kset_high(card, args.index, t)
+            items = mod.kset_high(card, args.index, t)
         else:
-            items = mixed.kset_xi(card, t)
+            items = mod.kset_xi(card, t)
     payload, text = _kset_output(items)
     out.emit({"kset": payload}, text)
     return EXIT_OK
@@ -121,15 +128,14 @@ def _cmd_k(args, out: _Output) -> int:
 
 def _cmd_fc(args, out: _Output) -> int:
     t = parse(args.system, args.term)
+    mod = _system(args.system)
     if args.system == "buchholz":
-        values, top = buchholz.fc(t)
-    elif args.system == "poly":
-        values, top = poly.fc(args.level, t)
-    elif args.system == "xi":
-        values, top = xi.fc(args.level, t)
+        values, top = mod.fc(t)
+    elif args.system in ("poly", "xi"):
+        values, top = mod.fc(args.level, t)
     else:
-        card = mixed.parse_card(args.card) if args.card else mixed.FULL
-        values, top = mixed.fc(card, t)
+        card = mod.parse_card(args.card) if args.card else mod.FULL
+        values, top = mod.fc(card, t)
     values_s = sorted(_card_str(v) for v in values)
     out.emit(
         {"values": values_s, "max": _card_str(top)},
@@ -139,8 +145,8 @@ def _cmd_fc(args, out: _Output) -> int:
 
 
 def _cmd_ground(args, out: _Output) -> int:
-    t = parse("poly", args.term)
-    r = poly.normalize(t)
+    t = parse(args.system, args.term)
+    r = _system(args.system).normalize(t)
     out.emit(
         {
             "ground": _card_str(r.ground),
@@ -154,20 +160,20 @@ def _cmd_ground(args, out: _Output) -> int:
 
 
 def _cmd_star(args, out: _Output) -> int:
-    t = parse("poly", args.term)
-    out.emit({"star": render(poly.star(t))}, render(poly.star(t)))
+    t = parse(args.system, args.term)
+    star = render(_system(args.system).star(t))
+    out.emit({"star": star}, star)
     return EXIT_OK
 
 
 def _cmd_shift(args, out: _Output) -> int:
     t = parse(args.system, args.term)
-    if args.system == "poly":
-        res = poly.shift(t, args.level, args.by)
-    elif args.system == "xi":
-        res = xi.shift(t, args.level, args.by)
+    mod = _system(args.system)
+    if args.system in ("poly", "xi"):
+        res = mod.shift(t, args.level, args.by)
     else:
-        card = mixed.parse_card(args.card) if args.card else mixed.FULL
-        res = mixed.shift(t, card, args.by)
+        card = mod.parse_card(args.card) if args.card else mod.FULL
+        res = mod.shift(t, card, args.by)
     out.emit({"term": render(res)}, render(res))
     return EXIT_OK
 
@@ -175,21 +181,15 @@ def _cmd_shift(args, out: _Output) -> int:
 def _cmd_subst(args, out: _Output) -> int:
     t = parse(args.system, args.term)
     value = parse(args.system, args.value)
-    if args.system == "buchholz":
-        res = buchholz.substitute(t, args.var, args.index, value)
-    elif args.system == "poly":
-        res = poly.substitute(t, args.var, args.level, value)
-    elif args.system == "xi":
-        res = xi.substitute(t, args.var, args.level, value)
-    else:
-        res = mixed.substitute(t, args.var, args.level, value)
+    at = args.index if args.system == "buchholz" else args.level
+    res = _system(args.system).substitute(t, args.var, at, value)
     out.emit({"term": render(res)}, render(res))
     return EXIT_OK
 
 
 def _cmd_abstract(args, out: _Output) -> int:
-    t = parse("xi", args.term)
-    a = xi.abstract(t)
+    t = parse(args.system, args.term)
+    a = _system(args.system).abstract(t)
     payload = {
         "body": render(a.body),
         "variables": list(a.variables),
@@ -201,20 +201,22 @@ def _cmd_abstract(args, out: _Output) -> int:
 
 
 def _cmd_kappa(args, out: _Output) -> int:
-    t = parse("xi", args.term)
-    out.emit({"kappa": _card_str(xi.kappa(t))}, _card_str(xi.kappa(t)))
+    t = parse(args.system, args.term)
+    kappa = _card_str(_system(args.system).kappa(t))
+    out.emit({"kappa": kappa}, kappa)
     return EXIT_OK
 
 
 def _cmd_d(args, out: _Output) -> int:
     gamma = parse(args.system, args.gamma)
     beta = parse(args.system, args.beta)
+    mod = _system(args.system)
     if args.system == "buchholz":
-        res = buchholz.dfun(args.m, args.n, gamma, beta)
+        res = mod.dfun(args.m, args.n, gamma, beta)
     elif args.system == "poly":
-        res = poly.dfun(args.m, gamma, beta)
+        res = mod.dfun(args.m, gamma, beta)
     else:
-        res = xi.dfun(args.m, gamma, beta, args.var)
+        res = mod.dfun(args.m, gamma, beta, args.var)
     out.emit({"term": render(res)}, render(res))
     return EXIT_OK
 
@@ -223,12 +225,13 @@ def _cmd_ll(args, out: _Output) -> int:
     gamma = parse(args.system, args.gamma)
     a = parse(args.system, args.left)
     b = parse(args.system, args.right)
+    mod = _system(args.system)
     if args.system == "buchholz":
-        res = buchholz.llrel(args.n, gamma, a, b, relativized=not args.plain)
+        res = mod.llrel(args.n, gamma, a, b, relativized=not args.plain)
     elif args.system == "poly":
-        res = poly.llrel(gamma, a, b)
+        res = mod.llrel(gamma, a, b)
     else:
-        res = xi.llrel(gamma, a, b, args.var)
+        res = mod.llrel(gamma, a, b, args.var)
     out.emit({"holds": res}, "yes" if res else "no")
     return EXIT_OK
 
@@ -274,14 +277,6 @@ def _cmd_selfcheck(args, out: _Output) -> int:
         file=sys.stderr,
     )
     return EXIT_VIOLATIONS if failed else EXIT_OK
-
-
-_COMPARE = {
-    "buchholz": buchholz.compare,
-    "poly": poly.compare,
-    "xi": xi.compare,
-    "mixed": mixed.compare,
-}
 
 
 def _add_system(p, choices=("buchholz", "poly", "xi", "mixed")):
@@ -440,6 +435,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("precondition violation: term nested too deeply", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ values of this lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     KItem,
@@ -194,8 +194,7 @@ def parse_card(text: str) -> MCard:
         raise PreconditionError(f"malformed cardinality {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Variants:
+class Variants(NamedTuple):
     """Alternate clause readings, switchable for differential runs.
 
     The defaults are the corrected readings; turning a flag off runs the

@@ -10,7 +10,7 @@ Values live in {-inf} union {..., -2, -1, 0}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     NEG_INF,
@@ -251,8 +251,7 @@ def class_of(t: Term):
     return NEG_INF if g == NEG_INF else -g
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     star: Term
     ground: float
     class_index: float

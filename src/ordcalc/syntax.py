@@ -17,7 +17,7 @@ canonical term, so `parse(system, render(t)) == t` for every canonical t.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core
 from .core import (
@@ -42,8 +42,7 @@ from .core import (
 SYSTEMS = ("buchholz", "poly", "xi", "mixed")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     start: int
     end: int
 

@@ -14,8 +14,8 @@ cardinality is one less than its written level would suggest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import (
     KItem,
@@ -296,8 +296,7 @@ def parameters(t: Term) -> tuple[Term, ...]:
     return params(t)
 
 
-@dataclass(frozen=True)
-class Abstraction:
+class Abstraction(NamedTuple):
     """body with `variables[i]` standing for `parameters[i]` at level 0;
     substituting them back reproduces the source term exactly."""
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 import ordcalc
-from ordcalc.cli import EXIT_PRECONDITION, main
+from ordcalc import cli
+from ordcalc.cli import EXIT_INVARIANT, EXIT_PRECONDITION, main
 
 
 def run(capsys, *argv):
@@ -164,14 +166,35 @@ def test_too_deep_input_exits_with_precondition_code(argv):
     assert err.splitlines() == ["precondition violation: term nested too deeply"]
 
 
-def test_cli_import_leaves_the_harness_out():
-    # Only enumerate and selfcheck need the harness; the one-shot commands
-    # must not pay for importing it.
+def _child_modules(code):
+    """The sorted module names loaded in a fresh interpreter after `code`."""
     src = os.path.dirname(os.path.dirname(ordcalc.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ordcalc.cli; print(sorted(sys.modules))"],
+        [sys.executable, "-c", f"{code}\nimport sys; print(sorted(sys.modules))"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert "'ordcalc.cli'" in proc.stdout
-    assert "'ordcalc.harness'" not in proc.stdout
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("system", ["buchholz", "poly", "xi", "mixed"])
+def test_one_shot_command_loads_only_its_system(system):
+    # A one-shot command pays for importing its own system only: not the
+    # other three, not the harness, and not `dataclasses` with its `inspect`.
+    loaded = _child_modules(
+        f"import ordcalc.cli; ordcalc.cli.main(['cmp', '--system', '{system}', '0', '0'])"
+    )
+    ours = {m for m in loaded if m == "ordcalc" or m.startswith("ordcalc.")}
+    assert ours == {"ordcalc", "ordcalc.cli", "ordcalc.core", "ordcalc.syntax", f"ordcalc.{system}"}
+    heavy = {"dataclasses", "inspect"}
+    assert loaded & heavy <= _child_modules("pass") & heavy
+
+
+def test_unexpected_error_exits_with_one_line(capsys, monkeypatch):
+    def boom(args, out):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_cmp", boom)
+    code, out, err = run(capsys, "cmp", "--system", "poly", "0", "0")
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.splitlines() == ["internal error: KeyError: 'boom'"]

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 import sys
@@ -315,8 +314,8 @@ def test_head_rule_matches_reference_head(system):
             X.set_policy(X.ComparePolicy.LITERAL_ZERO)
             _assert_heads_agree(mod, heads)
         else:
-            for field in dataclasses.fields(mixed.Variants):
-                mixed.set_variants(mixed.Variants(**{field.name: False}))
+            for flag in mixed.Variants._fields:
+                mixed.set_variants(mixed.Variants(**{flag: False}))
                 _assert_heads_agree(mod, heads)
     finally:
         mixed.set_variants(mixed.Variants())
@@ -409,7 +408,7 @@ def test_fact_tables_agree_with_a_fresh_walk():
     _check_fact_tables(pools)
 
 
-_TOGGLES = [field.name for field in dataclasses.fields(mixed.Variants)] + ["literal_zero"]
+_TOGGLES = list(mixed.Variants._fields) + ["literal_zero"]
 
 
 @pytest.mark.parametrize("toggle", _TOGGLES)
