@@ -26,6 +26,7 @@ from .core import (
     is_sc,
     make_order,
     make_reference,
+    make_walk,
     omega_idx,
     omega_pow,
     sum_of,
@@ -49,10 +50,6 @@ __all__ = [
     "key_lemma_2",
     "key_lemma_3",
 ]
-
-_FC: dict[int, frozenset] = {}
-_K: dict[tuple[int, int], frozenset] = {}
-
 
 def _check_system(t: Term):
     if not t.in_system("buchholz"):
@@ -81,7 +78,7 @@ def classify(t: Term) -> Classification:
 def fc(t: Term):
     """Formal cardinalities occurring in t, and their maximum (-inf if none)."""
     _check_system(t)
-    values = _fc_set(t)
+    values = _fc_set(None, t)
     return values, (max(values) if values else NEG_INF)
 
 
@@ -89,25 +86,16 @@ def fc_max(t: Term):
     return fc(t)[1]
 
 
-def _fc_set(t: Term) -> frozenset:
-    cached = _FC.get(t.serial)
-    if cached is not None:
-        return cached
+def _fc_head(_, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_fc_set(c) for c in children))
-        case OmegaPow(e):
-            out = _fc_set(e)
-        case OmegaIdx(n):
-            out = frozenset({n})
+        case OmegaIdx(n) | VarIdx(_, n):
+            return frozenset({n})
         case ThetaIdx(n, body):
-            out = frozenset(m for m in _fc_set(body) if m < n)
-        case VarIdx(_, n):
-            out = frozenset({n})
-        case _:
-            raise InvariantError(f"not a stratified term: {t!r}")
-    _FC[t.serial] = out
-    return out
+            return None, body, lambda values: frozenset(m for m in values if m < n)
+    raise InvariantError(f"not a stratified term: {t!r}")
+
+
+_fc_set = make_walk(_fc_head)  # no threshold: callers pass None as its arg
 
 
 def kset(n: int, t: Term) -> frozenset[Term]:
@@ -118,26 +106,16 @@ def kset(n: int, t: Term) -> frozenset[Term]:
     return _kset(n, t)
 
 
-def _kset(n: int, t: Term) -> frozenset[Term]:
-    memo_key = (n, t.serial)
-    cached = _K.get(memo_key)
-    if cached is not None:
-        return cached
+def _kset_head(n: int, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_kset(n, c) for c in children))
-        case OmegaPow(e):
-            out = _kset(n, e)
-        case OmegaIdx(m):
-            out = frozenset({t}) if m < n else frozenset()
+        case OmegaIdx(m) | VarIdx(_, m):
+            return frozenset({t}) if m < n else frozenset()
         case ThetaIdx(m, body):
-            out = _kset(n, body) if n < m else frozenset({t})
-        case VarIdx(_, m):
-            out = frozenset({t}) if m < n else frozenset()
-        case _:
-            raise InvariantError(f"not a stratified term: {t!r}")
-    _K[memo_key] = out
-    return out
+            return (n, body) if n < m else frozenset({t})
+    raise InvariantError(f"not a stratified term: {t!r}")
+
+
+_kset = make_walk(_kset_head)
 
 
 def _check_pair(a: Term, b: Term):
@@ -187,6 +165,8 @@ def substitute(t: Term, name: str, n: int, gamma: Term) -> Term:
     """
     _check_system(t)
     _check_system(gamma)
+    if n < 1:
+        raise PreconditionError(f"variable subscript must be >= 1, got {n}")
     if not fc_max(gamma) < n:
         raise PreconditionError(
             f"substitution target must have formal cardinality < {n}"

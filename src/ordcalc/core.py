@@ -19,10 +19,11 @@ hot paths -- size, closedness, `var_names` and the like -- are slots filled
 at construction; equal variable-name sets share one frozenset.
 
 Terms are immutable, and the intern table is lock-protected.  Everything
-else is a process global: the per-module memo caches, xi's comparison policy
-and mixed's clause variants.  Switching a policy or a variant clears the
-comparison memo it affects, but neither switch is scoped or thread-safe, so
-concurrent callers must not mix readings.
+else is a process global: the memos held by the ordering and set-walk
+kernels, the per-serial tables, xi's comparison policy and mixed's clause
+variants.  Switching a policy or a variant clears the comparison memo it
+affects, but neither switch is scoped or thread-safe, so concurrent callers
+must not mix readings.
 
 The ordering kernel (`make_order`) is shared by all four systems: it owns
 the comparison memo, the cycle guard and the sum and omega-power clauses,
@@ -32,6 +33,12 @@ order, the oracle the memoized order is checked against: the same clauses
 written a second time in plain recursion, sharing no code with
 `make_order`, with no memo and no cycle guard.  Each system supplies its own
 reference head rule and critical-set walks.
+
+The set-walk kernel (`make_walk`) makes the same cut for the
+formal-cardinality and critical-subterm walks: one kernel owns every walk's
+memo and the sum and omega-power clauses, and each system supplies only the
+clauses for its other heads.  The reference walks stay plain recursion
+outside it.
 
 Canonical abstraction, with which xi and mixed collect functions, lives
 here too: one parameter walk, one replace walk, one single-variable
@@ -844,6 +851,64 @@ def make_order(head, check):
         return cached
 
     return compare, lt, leq, memo
+
+
+# -- the set-walk kernel ----------------------------------------------------------
+
+
+def make_walk(head):
+    """Build one memoized set walk -- a formal-cardinality or critical-subterm
+    walk -- from its head clauses.
+
+    `walk(arg, t)` owns the memo, keyed `(arg, t.serial)`, and the clauses
+    every system shares: a sum's set is the union of its children's sets
+    and an omega power's set is its exponent's, both at the same `arg`.
+    `head(arg, t)` decides every other term and returns either the set or a
+    descent: `(arg1, child)`, whose set is `walk(arg1, child)`, or
+    `(arg1, child, then)`, whose set is `then(walk(arg1, child))`.
+
+    The walk follows descents and omega powers in a loop, after `head` has
+    returned, and memoizes every level it passed once the innermost set is
+    known.  Only a sum's children cost a stack frame each, so a collapse or
+    omega-power nest is walked to any depth.
+    """
+    memo: dict[tuple, frozenset] = {}
+
+    def walk(arg, t: Term) -> frozenset:
+        memo_key = (arg, t.serial)
+        out = memo.get(memo_key)
+        if out is not None:
+            return out
+        pending = []  # (memo key, then or None) of each level passed
+        while True:
+            tt = type(t)
+            if tt is Sum:
+                parts = []
+                for c in t.children:
+                    parts.append(walk(arg, c))
+                out = memo[memo_key] = frozenset().union(*parts)
+                break
+            if tt is OmegaPow:
+                pending.append((memo_key, None))
+                t = t.exponent
+            else:
+                out = head(arg, t)
+                if type(out) is not tuple:
+                    memo[memo_key] = out
+                    break
+                pending.append((memo_key, out[2] if len(out) == 3 else None))
+                arg, t = out[0], out[1]
+            memo_key = (arg, t.serial)
+            out = memo.get(memo_key)
+            if out is not None:
+                break
+        for memo_key, then in reversed(pending):
+            if then is not None:
+                out = then(out)
+            memo[memo_key] = out
+        return out
+
+    return walk
 
 
 def multiset_rest(xs, ys):

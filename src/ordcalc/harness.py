@@ -21,7 +21,6 @@ from functools import cmp_to_key
 from . import buchholz, mixed, poly, syntax, xi
 from .core import (
     NEG_INF,
-    FVar,
     Outcome,
     PreconditionError,
     ShiftError,
@@ -797,14 +796,6 @@ def _mentions_var_lev(t: Term, name: str) -> bool:
     )
 
 
-def _mentions_fvar(t: Term, name: str) -> bool:
-    return (
-        t.has_fvar
-        and name in t.var_names
-        and any(isinstance(s, FVar) and s.name == name for s in subterms(t))
-    )
-
-
 # Each system's sampling pools are derived once per process and shared by
 # every call, which only reads them; their order fixes the RNG stream.
 
@@ -929,7 +920,7 @@ def _kl_pools_xi():
         if _mentions_var_lev(t, "x") and xi.substitutable("x", 0, t)
     ]
     fpool = [
-        t for t in open_f if _mentions_fvar(t, "X") and xi.fsubstitutable("X", 0, t)
+        t for t in open_f if xi._occurs_fvar("X", t) and xi.fsubstitutable("X", 0, t)
     ]
     bodies = [
         t

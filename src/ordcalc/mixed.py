@@ -39,6 +39,7 @@ from .core import (
     collect_params,
     make_order,
     make_reference,
+    make_walk,
     omega_high,
     omega_idx,
     omega_pow,
@@ -208,10 +209,6 @@ class Variants(NamedTuple):
 
 _VARIANTS = Variants()
 
-_FC: dict[tuple[MCard, int], frozenset] = {}
-_KLOW: dict[tuple[int, int], frozenset] = {}
-_KHIGH: dict[tuple[MCard, int, int], frozenset] = {}
-_KXI: dict[tuple[MCard, int], frozenset] = {}
 # A collapse's own critical set, per serial: plain terms for thO and thOO,
 # KItems for thXi.  No variant changes it, so `set_variants` leaves it
 # alone: a thXi entry's instantiation, which reads a variant, is made per
@@ -313,42 +310,33 @@ def fc_max(t: Term, c: MCard = FULL) -> MCard:
     return fc(c, t)[1]
 
 
-def _fc_set(c: MCard, t: Term) -> frozenset:
-    memo_key = (c, t.serial)
-    cached = _FC.get(memo_key)
-    if cached is not None:
-        return cached
+def _fc_head(c: MCard, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_fc_set(c, x) for x in children))
-        case OmegaPow(e):
-            out = _fc_set(c, e)
         case OmegaIdx(n):
-            out = frozenset({fin(n)})
+            return frozenset({fin(n)})
         case OmegaHigh(j1, n):
             if large(j1, n) < c:
-                out = frozenset({large(level_minus_card(j1, c), n)})
-            else:
-                out = frozenset()
+                return frozenset({large(level_minus_card(j1, c), n)})
+            return frozenset()
         case Xi(j1, arg):
-            out = _fc_set(card_minus_level(c, j1), arg)
             if large(j1, 0) < c:
-                out = out | frozenset({large(level_minus_card(j1, c), 0)})
+                own = frozenset({large(level_minus_card(j1, c), 0)})
+                return card_minus_level(c, j1), arg, lambda values: values | own
+            return card_minus_level(c, j1), arg
         case ThetaLow(_, body):
-            out = _fc_set(c, body)
+            return c, body
         case ThetaHigh(n, body):
-            out = _fc_set(card_min_nat(c, n), body)
+            return card_min_nat(c, n), body
         case ThetaXi(body):
-            out = _fc_set(card_minus_level(c, 1), body)
+            return card_minus_level(c, 1), body
         case VarLev(_, j1):
             if large(j1, 0) < c:
-                out = frozenset({large(level_minus_card(j1, c), 0)})
-            else:
-                out = frozenset()
-        case _:
-            raise InvariantError(f"not a mixed-system term: {t!r}")
-    _FC[memo_key] = out
-    return out
+                return frozenset({large(level_minus_card(j1, c), 0)})
+            return frozenset()
+    raise InvariantError(f"not a mixed-system term: {t!r}")
+
+
+_fc_set = make_walk(_fc_head)
 
 
 def _fc_bar(t: Term) -> MCard:
@@ -440,28 +428,20 @@ def kset_low(n: int, t: Term) -> frozenset[Term]:
     return _kset_low(n, t)
 
 
-def _kset_low(n: int, t: Term) -> frozenset[Term]:
-    memo_key = (n, t.serial)
-    cached = _KLOW.get(memo_key)
-    if cached is not None:
-        return cached
+def _kset_low_head(n: int, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_kset_low(n, x) for x in children))
-        case OmegaPow(e):
-            out = _kset_low(n, e)
         case OmegaIdx(m):
-            out = frozenset({t}) if m < n else frozenset()
+            return frozenset({t}) if m < n else frozenset()
         case OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _):
-            out = frozenset()
+            return frozenset()
         case ThetaLow(m, body):
-            out = frozenset({t}) if m <= n else _kset_low(n, body)
+            return frozenset({t}) if m <= n else (n, body)
         case ThetaHigh(_, body) | ThetaXi(body):
-            out = _kset_low(n, body)
-        case _:
-            raise InvariantError(f"not a mixed-system term: {t!r}")
-    _KLOW[memo_key] = out
-    return out
+            return n, body
+    raise InvariantError(f"not a mixed-system term: {t!r}")
+
+
+_kset_low = make_walk(_kset_low_head)
 
 
 def kset_high(c: MCard, n: int, t: Term) -> frozenset[Term]:
@@ -470,62 +450,41 @@ def kset_high(c: MCard, n: int, t: Term) -> frozenset[Term]:
     _check_large(c)
     if n < 1:
         raise PreconditionError(f"kset index must be >= 1, got {n}")
-    return _kset_high(c, n, t)
+    return _kset_high((c, n), t)
 
 
-def _kset_high(c: MCard, n: int, t: Term) -> frozenset[Term]:
-    memo_key = (c, n, t.serial)
-    cached = _KHIGH.get(memo_key)
-    if cached is not None:
-        return cached
+def _kset_high_head(cn: tuple[MCard, int], t: Term):
+    c, n = cn
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_kset_high(c, n, x) for x in children))
-        case OmegaPow(e):
-            out = _kset_high(c, n, e)
-        case OmegaIdx(_):
-            out = frozenset({t})
+        case OmegaIdx(_) | ThetaLow(_, _):
+            return frozenset({t})
         case OmegaHigh(j1, m):
             if large(j1, m) < c:
-                out = frozenset({omega_high(level_minus_card(j1, c), m)})
-            else:
-                out = frozenset()
+                return frozenset({omega_high(level_minus_card(j1, c), m)})
+            return frozenset()
         case Xi(j1, arg):
             if large(j1, 0) < c:
-                out = frozenset({mk_xi(level_minus_card(j1, c), arg)})
-            else:
-                out = _kset_high(card_minus_level(c, j1), n, arg)
-        case ThetaLow(_, _):
-            out = frozenset({t})
-        case ThetaHigh(_, body):
+                return frozenset({mk_xi(level_minus_card(j1, c), arg)})
+            return (card_minus_level(c, j1), n), arg
+        case ThetaHigh(_, body) | ThetaXi(body):
             # A collapse whose re-levelling would collide with its own held
             # tier cannot be collected whole; descend instead.
-            out = None
             if _fc_bar(t) < card_min_nat(c, n):
                 try:
-                    out = frozenset({_shift(t, FULL, -c.j, True)})
+                    return frozenset({_shift(t, FULL, -c.j, True)})
                 except ShiftError:
-                    out = None
-            if out is None:
-                out = _kset_high(card_min_nat(c, n), n, body)
-        case ThetaXi(body):
-            out = None
-            if _fc_bar(t) < card_min_nat(c, n):
-                try:
-                    out = frozenset({_shift(t, FULL, -c.j, True)})
-                except ShiftError:
-                    out = None
-            if out is None:
-                out = _kset_high(card_minus_level(c, 1), n, body)
+                    pass
+            if type(t) is ThetaHigh:
+                return (card_min_nat(c, n), n), body
+            return (card_minus_level(c, 1), n), body
         case VarLev(name, j1):
             if large(j1, 0) < card_min_nat(c, n):
-                out = frozenset({var_lev(name, level_minus_card(j1, c))})
-            else:
-                out = frozenset()
-        case _:
-            raise InvariantError(f"not a mixed-system term: {t!r}")
-    _KHIGH[memo_key] = out
-    return out
+                return frozenset({var_lev(name, level_minus_card(j1, c))})
+            return frozenset()
+    raise InvariantError(f"not a mixed-system term: {t!r}")
+
+
+_kset_high = make_walk(_kset_high_head)  # arg (c, n)
 
 
 def kset_xi(c: MCard, t: Term) -> frozenset[KItem]:
@@ -536,61 +495,43 @@ def kset_xi(c: MCard, t: Term) -> frozenset[KItem]:
     return _kset_xi(c, t)
 
 
-def _kset_xi(c: MCard, t: Term) -> frozenset[KItem]:
-    memo_key = (c, t.serial)
-    cached = _KXI.get(memo_key)
-    if cached is not None:
-        return cached
+def _kset_xi_head(c: MCard, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_kset_xi(c, x) for x in children))
-        case OmegaPow(e):
-            out = _kset_xi(c, e)
-        case OmegaIdx(_):
-            out = frozenset({KItem(t)})
+        case OmegaIdx(_) | ThetaLow(_, _):
+            return frozenset({KItem(t)})
         case OmegaHigh(j1, m):
             if large(j1, m) < c:
-                out = frozenset({KItem(omega_high(level_minus_card(j1, c), m))})
-            else:
-                out = frozenset()
+                return frozenset({KItem(omega_high(level_minus_card(j1, c), m))})
+            return frozenset()
         case Xi(j1, arg):
-            out = None
             if large(j1, 0) < c:
                 try:
-                    out = frozenset({KItem(_shift(t, FULL, -c.j, True))})
+                    return frozenset({KItem(_shift(t, FULL, -c.j, True))})
                 except ShiftError:
-                    out = None
-            if out is None:
-                out = _kset_xi(card_minus_level(c, j1), arg)
-        case ThetaLow(_, _):
-            out = frozenset({KItem(t)})
+                    pass
+            return card_minus_level(c, j1), arg
         case ThetaHigh(n, body):
-            out = None
             if _fc_bar(t) < card_minus_level(c, 1):
                 try:
-                    out = frozenset({KItem(_shift(t, FULL, 1 - c.j, True))})
+                    return frozenset({KItem(_shift(t, FULL, 1 - c.j, True))})
                 except ShiftError:
-                    out = None
-            if out is None:
-                out = _kset_xi(card_min_nat(c, n), body)
+                    pass
+            return card_min_nat(c, n), body
         case ThetaXi(body):
-            out = None
             if _fc_bar(t) < c:
                 try:
-                    out = frozenset({_bound_collapse_item(t, c)})
+                    return frozenset({_bound_collapse_item(t, c)})
                 except ShiftError:
-                    out = None
-            if out is None:
-                out = _kset_xi(card_minus_level(c, 1), body)
+                    pass
+            return card_minus_level(c, 1), body
         case VarLev(name, j1):
             if large(j1, 0) < c:
-                out = frozenset({KItem(var_lev(name, level_minus_card(j1, c)))})
-            else:
-                out = frozenset()
-        case _:
-            raise InvariantError(f"not a mixed-system term: {t!r}")
-    _KXI[memo_key] = out
-    return out
+                return frozenset({KItem(var_lev(name, level_minus_card(j1, c)))})
+            return frozenset()
+    raise InvariantError(f"not a mixed-system term: {t!r}")
+
+
+_kset_xi = make_walk(_kset_xi_head)
 
 
 def _bound_collapse_item(t: Term, c: MCard) -> KItem:
@@ -647,7 +588,7 @@ def _instantiated_kset(s: Term, values: tuple[Term, ...]) -> frozenset[Term]:
             case ThetaLow(n, body):
                 family = _kset_low(n, body)
             case ThetaHigh(n, body):
-                family = _kset_high(large(0, n), n, body)
+                family = _kset_high((large(0, n), n), body)
             case ThetaXi(body):
                 family = _kset_xi(large(0, 0), body)
             case _:

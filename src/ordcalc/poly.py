@@ -29,6 +29,7 @@ from .core import (
     is_sc,
     make_order,
     make_reference,
+    make_walk,
     omega_lev,
     omega_pow,
     subterms,
@@ -61,8 +62,6 @@ __all__ = [
     "key_lemma_3",
 ]
 
-_FC: dict[tuple[int, int], frozenset] = {}
-_K: dict[tuple[int, int], frozenset] = {}
 _M: dict[tuple[int, float], bool] = {}
 
 
@@ -88,27 +87,17 @@ def fc_max(t: Term, j: int = 0):
     return fc(j, t)[1]
 
 
-def _fc_set(j: int, t: Term) -> frozenset:
-    memo_key = (j, t.serial)
-    cached = _FC.get(memo_key)
-    if cached is not None:
-        return cached
+def _fc_head(j: int, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_fc_set(j, c) for c in children))
-        case OmegaPow(e):
-            out = _fc_set(j, e)
-        case OmegaLev(j1):
-            out = frozenset({j1 - j}) if j1 <= j else frozenset()
-        case Theta(body):
-            out = _fc_set(j - 1, body)
-        case VarLev(_, j1):
+        case OmegaLev(j1) | VarLev(_, j1):
             # variables count at the level of the cardinal they track
-            out = frozenset({j1 - j}) if j1 <= j else frozenset()
-        case _:
-            raise InvariantError(f"not a polymorphic term: {t!r}")
-    _FC[memo_key] = out
-    return out
+            return frozenset({j1 - j}) if j1 <= j else frozenset()
+        case Theta(body):
+            return j - 1, body
+    raise InvariantError(f"not a polymorphic term: {t!r}")
+
+
+_fc_set = make_walk(_fc_head)
 
 
 def shift(t: Term, j: int, d: int) -> Term:
@@ -159,32 +148,23 @@ def kset(j: int, t: Term) -> frozenset[Term]:
     return _kset(j, t)
 
 
-def _kset(j: int, t: Term) -> frozenset[Term]:
-    memo_key = (j, t.serial)
-    cached = _K.get(memo_key)
-    if cached is not None:
-        return cached
+def _kset_head(j: int, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_kset(j, c) for c in children))
-        case OmegaPow(e):
-            out = _kset(j, e)
         case OmegaLev(j1):
-            out = frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
+            return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
         case Theta(body):
             if _fc_bar0(t) < j:
                 try:
-                    out = frozenset({_shift(t, 0, 1 - j)})
+                    return frozenset({_shift(t, 0, 1 - j)})
                 except ShiftError as exc:  # pragma: no cover
                     raise InvariantError(f"bound collapse failed to re-level: {exc}")
-            else:
-                out = _kset(j - 1, body)
+            return j - 1, body
         case VarLev(name, j1):
-            out = frozenset({var_lev(name, j1 - (j - 1))}) if j1 < j else frozenset()
-        case _:
-            raise InvariantError(f"not a polymorphic term: {t!r}")
-    _K[memo_key] = out
-    return out
+            return frozenset({var_lev(name, j1 - (j - 1))}) if j1 < j else frozenset()
+    raise InvariantError(f"not a polymorphic term: {t!r}")
+
+
+_kset = make_walk(_kset_head)
 
 
 def _fc_bar0(t: Term):

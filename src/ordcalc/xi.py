@@ -40,6 +40,7 @@ from .core import (
     is_sc,
     make_order,
     make_reference,
+    make_walk,
     omega_pow,
     params,
     replace_params,
@@ -100,8 +101,6 @@ class ComparePolicy(Enum):
 
 _POLICY = ComparePolicy.SYMMETRIC_PARAMS
 
-_FC: dict[tuple[int, int], frozenset] = {}
-_K: dict[tuple[int, int, bool], frozenset] = {}
 # The per-serial top class `_fc_bar0`, read by the collapse clauses with
 # the parameters of `core.params`.  The policy changes neither, so
 # `set_policy` leaves them alone.
@@ -195,38 +194,23 @@ def fc_max(t: Term, j: int = 0):
     return fc(j, t)[1]
 
 
-def _fc_set(j: int, t: Term) -> frozenset:
-    memo_key = (j, t.serial)
-    cached = _FC.get(memo_key)
-    if cached is not None:
-        return cached
+def _fc_head(j: int, t: Term):
     match t:
-        case Sum(children):
-            out = frozenset().union(*(_fc_set(j, c) for c in children))
-        case OmegaPow(e):
-            out = _fc_set(j, e)
-        case Xi(j1, arg):
-            if j1 <= j:
-                rel = j1 - j
-                out = frozenset({rel}) | frozenset(x + rel for x in _fc_set(0, arg))
-            else:
-                out = _fc_set(j - j1, arg)
+        case Xi(j1, arg) | FVar(_, j1, arg):
+            if j1 > j:
+                return j - j1, arg
+            rel = j1 - j
+            # a function variable sits one class below its cardinal
+            own = frozenset({rel if type(t) is Xi else rel - 1})
+            return 0, arg, lambda values: own | frozenset(x + rel for x in values)
         case Theta(body):
-            out = _fc_set(j - 1, body)
+            return j - 1, body
         case VarLev(_, j1):
-            out = frozenset({j1 - j - 1}) if j1 <= j else frozenset()
-        case FVar(_, j1, arg):
-            if j1 <= j:
-                rel = j1 - j
-                out = frozenset({rel - 1}) | frozenset(
-                    x + rel for x in _fc_set(0, arg)
-                )
-            else:
-                out = _fc_set(j - j1, arg)
-        case _:
-            raise InvariantError(f"not a function-sorted term: {t!r}")
-    _FC[memo_key] = out
-    return out
+            return frozenset({j1 - j - 1}) if j1 <= j else frozenset()
+    raise InvariantError(f"not a function-sorted term: {t!r}")
+
+
+_fc_set = make_walk(_fc_head)
 
 
 def _fc_bar0(t: Term):
@@ -364,45 +348,39 @@ def kset(j: int, t: Term) -> frozenset[KItem]:
     return _kset(j, t)
 
 
-def _kset(j: int, t: Term, strict: bool = False) -> frozenset[KItem]:
-    """The inclusive walk collects a bound collapse of class exactly j as a
-    function of its parameters, which is the ordering's closure device.  The
-    strict walk (for the dominance relation) descends into such a collapse
-    instead, as the other systems do."""
-    memo_key = (j, t.serial, strict)
-    cached = _K.get(memo_key)
-    if cached is not None:
-        return cached
-    match t:
-        case Sum(children):
-            out = frozenset().union(*(_kset(j, c, strict) for c in children))
-        case OmegaPow(e):
-            out = _kset(j, e, strict)
-        case Xi(j1, arg):
-            if j1 < j:
-                out = frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
-            else:
-                out = _kset(j - j1, arg, strict)
-        case Theta(body):
-            fc_bar = _fc_bar0(t)
-            if fc_bar < j or (fc_bar == j and not strict):
-                out = frozenset({_bound_collapse_item(t, j)})
-            else:
-                out = _kset(j - 1, body, strict)
-        case VarLev(name, j1):
-            if j1 < j:
-                out = frozenset({KItem(var_lev(name, j1 - (j - 1)))})
-            else:
-                out = frozenset()
-        case FVar(name, j1, arg):
-            if j1 < j:
-                out = frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
-            else:
-                out = _kset(j - j1, arg, strict)
-        case _:
-            raise InvariantError(f"not a function-sorted term: {t!r}")
-    _K[memo_key] = out
-    return out
+def _kset_head(strict: bool):
+    """The head clauses of the inclusive and the strict walk.  The inclusive
+    walk collects a bound collapse of class exactly j as a function of its
+    parameters, which is the ordering's closure device.  The strict walk
+    (for the dominance relation) descends into such a collapse instead, as
+    the other systems do."""
+
+    def head(j: int, t: Term):
+        match t:
+            case Xi(j1, arg):
+                if j1 < j:
+                    return frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
+                return j - j1, arg
+            case Theta(body):
+                fc_bar = _fc_bar0(t)
+                if fc_bar < j or (fc_bar == j and not strict):
+                    return frozenset({_bound_collapse_item(t, j)})
+                return j - 1, body
+            case VarLev(name, j1):
+                if j1 < j:
+                    return frozenset({KItem(var_lev(name, j1 - (j - 1)))})
+                return frozenset()
+            case FVar(name, j1, arg):
+                if j1 < j:
+                    return frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
+                return j - j1, arg
+        raise InvariantError(f"not a function-sorted term: {t!r}")
+
+    return head
+
+
+_kset = make_walk(_kset_head(False))
+_kset_strict = make_walk(_kset_head(True))
 
 
 def _bound_collapse_item(t: Term, j: int) -> KItem:
@@ -664,7 +642,7 @@ def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
         raise PreconditionError("llrel subscript must have negative cardinality")
     if compare(alpha, beta) is not Outcome.LESS:
         return False
-    items = _kset(0, alpha, strict=True)
+    items = _kset_strict(0, alpha)
     if items and (beta.has_fvar or gamma.has_fvar):
         # Dominance values wrap their argument in a collapse, which cannot
         # hold a function variable; with critical subterms to bound, the

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordcalc import buchholz as B
 from ordcalc import parse, render
+from ordcalc.cli import EXIT_PRECONDITION, main
 from ordcalc.core import NEG_INF, Outcome, PreconditionError, ZERO, omega_idx, theta_idx, var_idx
 from pools import closed, opened
 
@@ -69,6 +70,21 @@ def test_substitute():
     assert B.substitute(pb("v.x_1 # O_1"), "x", 1, ZERO) is pb("O_1")
     with pytest.raises(PreconditionError):
         B.substitute(pb("th_2(v.x_1)"), "x", 1, omega_idx(1))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_substitute_rejects_subscript_below_one(capsys, n):
+    # No variable has a subscript below 1, so such a request is an error,
+    # not a substitution that silently changes nothing.
+    with pytest.raises(PreconditionError, match="subscript must be >= 1"):
+        B.substitute(pb("v.x_1"), "x", n, ZERO)
+    argv = ["subst", "--system", "buchholz", "v.x_1", "--var", "x", "--index", str(n)]
+    assert main(argv + ["--value", "0"]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"precondition violation: variable subscript must be >= 1, got {n}"
+    ]
 
 
 def test_dfun_unfoldings():

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from ordcalc import core, harness, mixed, xi as X
+from ordcalc import buchholz as B, core, harness, mixed, poly as P, xi as X
 from ordcalc.core import (
     ONE,
     TermError,
@@ -13,12 +13,17 @@ from ordcalc.core import (
     add,
     is_h,
     is_sc,
+    omega_high,
     omega_idx,
     omega_lev,
     omega_pow,
     subterms,
     sum_of,
+    theta,
+    theta_high,
     theta_idx,
+    theta_low,
+    theta_xi,
     var_idx,
     var_names,
     xi,
@@ -272,6 +277,82 @@ def test_compare_decides_a_deep_sum_inside_omega_tower(system):
     assert mod.compare(high, low) is core.Outcome.GREATER
 
 
+# -- the set walks on deep nests ---------------------------------------------------
+
+
+def _nest(wrap, leaf, depth):
+    t = leaf
+    for _ in range(depth):
+        t = wrap(t)
+    return t
+
+
+# Each case walks a nest of `depth` levels that the walk descends through to
+# its leaf, and returns (result, the leaf's contribution).  The collapse
+# nests reach every walk's descent; the th_1, Xi^(0) and Xi nests reach the
+# clauses that map the child's set on the way back.
+_DEEP_WALKS = {
+    "buchholz.fc": lambda d: (
+        B.fc(_nest(lambda b: theta_idx(1, b), omega_idx(1), d)),
+        (frozenset(), core.NEG_INF),
+    ),
+    "buchholz.kset": lambda d: (
+        B.kset(2, _nest(lambda b: theta_idx(3, b), omega_idx(1), d)),
+        {omega_idx(1)},
+    ),
+    "poly.fc": lambda d: (P.fc(0, _nest(theta, omega_lev(-d), d)), ({0}, 0)),
+    "poly.kset": lambda d: (
+        P.kset(0, _nest(theta, add(omega_lev(-d), omega_lev(-d - 1)), d)),
+        {omega_lev(0)},
+    ),
+    "xi.fc": lambda d: (X.fc(0, _nest(theta, xi(-d, ZERO), d)), ({0}, 0)),
+    "xi.fc Xi^(0)": lambda d: (X.fc(0, _nest(lambda b: xi(0, b), ONE, d)), ({0}, 0)),
+    "xi.kset": lambda d: (
+        X.kset(-1, _nest(theta, add(xi(-d, ZERO), xi(-d - 2, ZERO)), d)),
+        {core.KItem(xi(0, ZERO))},
+    ),
+    "xi.kset strict": lambda d: (
+        X._kset_strict(0, _nest(theta, add(xi(-d, ZERO), xi(-d - 1, ZERO)), d)),
+        {core.KItem(xi(0, ZERO))},
+    ),
+    "mixed.fc": lambda d: (
+        mixed.fc(mixed.FULL, _nest(theta_xi, omega_idx(1), d)),
+        ({mixed.fin(1)}, mixed.fin(1)),
+    ),
+    "mixed.fc Xi": lambda d: (
+        mixed.fc(mixed.FULL, _nest(lambda b: xi(0, b), ZERO, d)),
+        ({mixed.large(0, 0)}, mixed.large(0, 0)),
+    ),
+    "mixed.kset_low": lambda d: (
+        mixed.kset_low(1, _nest(lambda b: theta_low(2, b), theta_low(1, ZERO), d)),
+        {theta_low(1, ZERO)},
+    ),
+    "mixed.kset_high": lambda d: (
+        mixed.kset_high(
+            mixed.large(0, 1),
+            1,
+            _nest(lambda b: theta_high(3, b), add(omega_high(0, 2), omega_idx(1)), d),
+        ),
+        {omega_idx(1)},
+    ),
+    "mixed.kset_xi": lambda d: (
+        mixed.kset_xi(
+            mixed.large(0, 0),
+            _nest(lambda b: theta_high(3, b), add(omega_high(0, 2), omega_idx(1)), d),
+        ),
+        {core.KItem(omega_idx(1))},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _DEEP_WALKS)
+def test_set_walk_descends_a_deep_nest(case):
+    """A nesting level costs a walk at most one stack frame, so a nest 200
+    levels short of the recursion limit is walked without RecursionError."""
+    got, want = _DEEP_WALKS[case](sys.getrecursionlimit() - 200)
+    assert got == want
+
+
 # -- the memoized head rules against the reference's -----------------------------
 
 
@@ -355,7 +436,7 @@ def _check_fact_tables(pools):
                 walk = mixed._kset_low(n, body)
                 ref = mixed.kset_low_reference(n, body)
             case core.ThetaHigh(n, body):
-                walk = mixed._kset_high(mixed.large(0, n), n, body)
+                walk = mixed._kset_high((mixed.large(0, n), n), body)
                 ref = mixed.kset_high_reference(mixed.large(0, n), n, body)
             case core.ThetaXi(body):
                 walk = mixed._kset_xi(mixed.large(0, 0), body)

@@ -203,7 +203,7 @@ def _llrel_rebuilt_per_item(gamma, alpha, beta):
         return False
     return all(
         any(X._lt(item.term, bound) for bound in tower())
-        for item in X._kset(0, alpha, strict=True)
+        for item in X._kset_strict(0, alpha)
     )
 
 
@@ -233,7 +233,7 @@ def test_strict_critical_items_carry_no_variable():
         )
     )
     items = [
-        item for t in pool for j in (0, -1, -2, -3) for item in X._kset(j, t, strict=True)
+        item for t in pool for j in (0, -1, -2, -3) for item in X._kset_strict(j, t)
     ]
     assert all(item.var is None for item in items)
     assert sum(isinstance(item.term, Theta) for item in items) > 1000
