@@ -207,13 +207,21 @@ def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
         return compare(x, y) is core.Outcome.LESS
 
     compare, lt, leq, memo = core.make_order(head, mod._check_pair)
+
+    def assert_no_marker():
+        answers = [v for row in memo.values() for v in row.values()]
+        assert answers and not any(v is core._IN_PROGRESS for v in answers)
+
+    # One decided answer, reached without `head`, so that every scan below
+    # reads at least one entry.
+    assert lt(ZERO, a)
     # The cycle is reached directly and through the shared sum and omega
     # clauses, whose sub-comparisons are in progress when it is found.
     for pair in ((a, b), (add(ONE, a), add(ONE, b)), (omega_pow(a), b)):
         outer.append((lt, pair))
         with pytest.raises(core.InvariantError, match="comparison cycle"):
             compare(*pair)
-        assert not any(v is core._IN_PROGRESS for v in memo.values())
+        assert_no_marker()
     # `compare` reads the memo itself, (x, y) first and then (y, x); a marker
     # met in either lookup must still raise.  With lt(hi, lo) memoized as
     # False, compare(hi, lo) decides lt(lo, hi), whose re-entry meets the
@@ -225,12 +233,47 @@ def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
         outer.append((through_compare, pair))
         with pytest.raises(core.InvariantError, match="comparison cycle"):
             compare(*pair)
-        assert not any(v is core._IN_PROGRESS for v in memo.values())
+        assert_no_marker()
     # No marker was left behind, so the same pair now compares normally.
     outer.clear()
     want = core.Outcome.LESS if a.serial < b.serial else core.Outcome.GREATER
     assert compare(a, b) is want
     assert leq(a, a) and not lt(a, a)
+
+
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_warm_compare_reads_only_the_memo(system):
+    mod = importlib.import_module(f"ordcalc.{system}")
+    pool = closed(system, max_size=4, max_subscript=1)
+    heads = []
+
+    def head(x, y):
+        heads.append((x, y))
+        return x.key < y.key
+
+    compare, lt, _, memo = core.make_order(head, mod._check_pair)
+    ref_compare, ref_lt, _ = core.make_reference(lambda x, y: x.key < y.key)
+    # Every pair `lt` is called on, its recursion included.
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is lt.__code__:
+            x, y = frame.f_locals["a"], frame.f_locals["b"]
+            if x is not y:
+                called.add((x, y))
+
+    sys.setprofile(profile)
+    try:
+        cold = [compare(a, b) for a in pool for b in pool]
+    finally:
+        sys.setprofile(None)
+    assert heads and cold == [ref_compare(a, b) for a in pool for b in pool]
+    heads.clear()
+    assert [compare(a, b) for a in pool for b in pool] == cold
+    assert heads == []
+    flat = {(sa, sb): v for sa, row in memo.items() for sb, v in row.items()}
+    assert flat.keys() == {(x.serial, y.serial) for x, y in called}
+    assert all(flat[x.serial, y.serial] is ref_lt(x, y) for x, y in called)
 
 
 def test_reference_kernel_reports_an_antisymmetry_failure():
