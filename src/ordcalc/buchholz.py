@@ -24,12 +24,12 @@ from .core import (
     VarIdx,
     add,
     is_sc,
+    make_level_walk,
     make_order,
     make_reference,
     make_walk,
     omega_idx,
     omega_pow,
-    sum_of,
     theta_idx,
     ZERO,
 )
@@ -171,22 +171,19 @@ def substitute(t: Term, name: str, n: int, gamma: Term) -> Term:
         raise PreconditionError(
             f"substitution target must have formal cardinality < {n}"
         )
-    return _subst(t, name, n, gamma)
+    return _subst(t, n, name, gamma)
 
 
-def _subst(t: Term, name: str, n: int, gamma: Term) -> Term:
+def _subst_head(t: Term, n: int, name: str, gamma: Term):
     if t.closed:
         return t
-    match t:
-        case Sum(children):
-            return sum_of(_subst(c, name, n, gamma) for c in children)
-        case OmegaPow(e):
-            return omega_pow(_subst(e, name, n, gamma))
-        case ThetaIdx(m, body):
-            return theta_idx(m, _subst(body, name, n, gamma))
-        case VarIdx(v, m):
-            return gamma if (v, m) == (name, n) else t
-    return t
+    if type(t) is VarIdx and t.name == name and t.index == n:
+        return gamma
+    return None
+
+
+# The kernel's level stays n throughout: th_m keeps it.
+_subst = make_level_walk(_subst_head)
 
 
 def dfun(m: int, n: int, gamma: Term, beta: Term) -> Term:

@@ -40,9 +40,11 @@ memo and the sum and omega-power clauses, and each system supplies only the
 clauses for its other heads.  The reference walks stay plain recursion
 outside it.
 
-Canonical abstraction, with which xi and mixed collect functions, lives
-here too: one parameter walk, one replace walk, one single-variable
-abstraction and the per-serial parameter table.
+The level-walk kernel (`make_level_walk`) makes the cut once more for the
+maps and tests that carry an ambient level: substitution and its test,
+shifting, function substitution, and the parameter walks of canonical
+abstraction, with which xi and mixed collect functions.  One descent table
+moves the level for every head; each walk supplies only its head clause.
 """
 
 from __future__ import annotations
@@ -628,20 +630,131 @@ class KItem:
 
 
 def subterms(t: Term):
-    """All subterm occurrences of t, including t itself (pre-order)."""
-    yield t
-    match t:
-        case Sum(children):
-            for c in children:
-                yield from subterms(c)
-        case OmegaPow(e):
-            yield from subterms(e)
-        case Xi(_, arg) | FVar(_, _, arg):
-            yield from subterms(arg)
-        case ThetaIdx(_, body) | ThetaLow(_, body) | ThetaHigh(_, body):
-            yield from subterms(body)
-        case Theta(body) | ThetaXi(body):
-            yield from subterms(body)
+    """All subterm occurrences of t, including t itself (pre-order).  The
+    walk keeps its own stack, so an item costs O(1) at any depth."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        tt = type(t)
+        if tt is Sum:
+            stack.extend(reversed(t.children))
+        elif tt is OmegaPow:
+            stack.append(t.exponent)
+        elif tt is Xi or tt is FVar:
+            stack.append(t.arg)
+        elif isinstance(t, (ThetaIdx, Theta, ThetaLow, ThetaHigh, ThetaXi)):
+            stack.append(t.body)
+
+
+# -- the level-walk kernel --------------------------------------------------------
+
+
+def _rebuild(t: Term, child: Term) -> Term:
+    """t with its one child replaced.  The constructors are called through
+    their module names, so whoever rebinds one is seen here too."""
+    tt = type(t)
+    if tt is OmegaPow:
+        return omega_pow(child)
+    if tt is Theta:
+        return theta(child)
+    if tt is ThetaXi:
+        return theta_xi(child)
+    if tt is ThetaHigh:
+        return theta_high(t.index, child)
+    if tt is ThetaIdx:
+        return theta_idx(t.index, child)
+    if tt is Xi:
+        return xi(t.level, child)
+    return fvar(t.name, t.level, child)
+
+
+def make_level_walk(head, test=False):
+    """Build one level-carrying walk from its head clause: a term map -- a
+    substitution, a shift, a parameter walk -- or, with `test`, a predicate.
+
+    `walk(t, j, *args)` takes t at the ambient level j.  `head(t, j, *args)`
+    runs first at every term and returns the answer there, or None to
+    descend; early exits such as `name not in t.var_names` belong in it.
+    The kernel owns the rest.  A sum maps to the sum of its children's
+    images, or holds when every child does.  Every other head passes its one
+    child a level, by one table for all systems: th and thXi one level down,
+    thOO and th_n the same level, Xi^(J1) and V^(J1) the level j - J1 when
+    j <= J1.  Where the walk stops, a map keeps the term; a predicate fails
+    at an Xi or a function variable above j (blocked) and holds at thO and
+    the leaves (opaque).
+
+    Single-child descents run in a loop, and a map rebuilds the heads it
+    passed on the way up, keeping each one whose child came back unchanged.
+    Only a sum's children cost a stack frame each, so a collapse or argument
+    nest is walked to any depth.
+    """
+
+    def walk(t: Term, j: int, *args):
+        passed = []  # the single-child heads a map descended through
+        while True:
+            out = head(t, j, *args)
+            if out is not None:
+                break
+            tt = type(t)
+            if tt is Sum:
+                if test:
+                    return all(walk(c, j, *args) for c in t.children)
+                parts = [walk(c, j, *args) for c in t.children]
+                changed = any(p is not c for p, c in zip(parts, t.children))
+                out = sum_of(parts) if changed else t
+                break
+            if tt is OmegaPow:
+                child = t.exponent
+            elif tt is Theta or tt is ThetaXi:
+                child, j = t.body, j - 1
+            elif tt is ThetaHigh or tt is ThetaIdx:
+                child = t.body
+            elif (tt is Xi or tt is FVar) and j <= t.level:
+                child, j = t.arg, j - t.level
+            elif test:
+                return tt is not Xi and tt is not FVar
+            else:
+                out = t
+                break
+            if not test:
+                passed.append(t)
+            t = child
+        for p in reversed(passed):
+            out = p if out is t else _rebuild(p, out)
+            t = p
+        return out
+
+    return walk
+
+
+def check_level(j: int, what: str = "threshold"):
+    """Reject a threshold or substitution level above 0, alike in every system."""
+    if j > 0:
+        raise PreconditionError(f"{what} level must be <= 0, got {j}")
+
+
+def _substitutable_head(t: Term, j: int, name: str):
+    if name not in t.var_names:
+        return True
+    if type(t) is VarLev:
+        return j == t.level
+    return None
+
+
+# `substitutable(t, j, name)`: every occurrence of the variable sits at the
+# level a substitution from j reaches it with (poly, xi and mixed alike).
+substitutable = make_level_walk(_substitutable_head, test=True)
+
+
+def vars_below_top(t: Term) -> bool:
+    """Every variable of t is 0-substitutable and no occurrence sits at the
+    top level, where a dominance wrapper would capture it and block its
+    witnesses."""
+    for name in t.var_names:
+        if not substitutable(t, 0, name):
+            return False
+    return not any(type(s) is VarLev and s.level == 0 for s in subterms(t))
 
 
 # -- canonical abstraction --------------------------------------------------------
@@ -650,29 +763,27 @@ def subterms(t: Term):
 _PARAMS: dict[int, tuple[Term, ...]] = {}
 
 
-def collect_params(t: Term, ambient: int, out: set):
-    """Record t's maximal cardinal-head occurrences realizable as level-0
-    parameters Xi^(0)(arg).  One walk serves xi and mixed: th and thXi move
-    the ambient level one step down, thOO keeps it, a function variable is
-    passed like Xi but never collected, and thO and the leaves stop it."""
-    match t:
-        case Sum(children):
-            for c in children:
-                collect_params(c, ambient, out)
-        case OmegaPow(e):
-            collect_params(e, ambient, out)
-        case Xi(j1, arg):
-            if j1 == ambient:
-                out.add(xi(0, arg))
-            elif ambient <= j1:
-                collect_params(arg, ambient - j1, out)
-        case FVar(_, j1, arg):
-            if ambient <= j1:
-                collect_params(arg, ambient - j1, out)
-        case Theta(body) | ThetaXi(body):
-            collect_params(body, ambient - 1, out)
-        case ThetaHigh(_, body):
-            collect_params(body, ambient, out)
+def _collect_head(t: Term, j: int, out: set):
+    if type(t) is Xi and t.level == j:
+        out.add(xi(0, t.arg))
+        return t
+    return None
+
+
+def _replace_head(t: Term, j: int, names: dict):
+    if type(t) is Xi and t.level == j:
+        name = names.get(xi(0, t.arg))
+        if name is not None:
+            return var_lev(name, j)
+    return None
+
+
+# `collect_params(t, ambient, out)` adds to `out` the parameters Xi^(0)(arg)
+# of t: its Xi heads met at their own level.  It returns t unchanged.
+collect_params = make_level_walk(_collect_head)
+# `replace_params(t, ambient, names)`: t with each parameter occurrence that
+# `names` maps replaced by the variable of that name.
+replace_params = make_level_walk(_replace_head)
 
 
 def params(t: Term) -> tuple[Term, ...]:
@@ -683,33 +794,6 @@ def params(t: Term) -> tuple[Term, ...]:
         collect_params(t, 0, found)
         cached = _PARAMS[t.serial] = tuple(sorted(found, key=_key_of))
     return cached
-
-
-def replace_params(t: Term, ambient: int, names: dict) -> Term:
-    """t with every parameter occurrence that `names` maps, met on the walk
-    of `collect_params`, replaced by the variable of that name."""
-    match t:
-        case Sum(children):
-            return sum_of(replace_params(c, ambient, names) for c in children)
-        case OmegaPow(e):
-            return omega_pow(replace_params(e, ambient, names))
-        case Xi(j1, arg):
-            if j1 == ambient:
-                name = names.get(xi(0, arg))
-                if name is not None:
-                    return var_lev(name, j1)
-            if ambient <= j1:
-                return xi(j1, replace_params(arg, ambient - j1, names))
-        case FVar(f, j1, arg):
-            if ambient <= j1:
-                return fvar(f, j1, replace_params(arg, ambient - j1, names))
-        case Theta(body):
-            return theta(replace_params(body, ambient - 1, names))
-        case ThetaXi(body):
-            return theta_xi(replace_params(body, ambient - 1, names))
-        case ThetaHigh(n, body):
-            return theta_high(n, replace_params(body, ambient, names))
-    return t
 
 
 def abstract_one(t: Term) -> tuple[Term, str | None]:

@@ -36,7 +36,9 @@ from .core import (
     VarLev,
     Xi,
     abstract_one,
+    check_level,
     collect_params,
+    make_level_walk,
     make_order,
     make_reference,
     make_walk,
@@ -44,6 +46,7 @@ from .core import (
     omega_idx,
     omega_pow,
     params,
+    substitutable as _substitutable,
     sum_of,
     theta_high,
     theta_xi,
@@ -348,67 +351,33 @@ def _fc_bar(t: Term) -> MCard:
 
 def substitutable(name: str, j: int, t: Term) -> bool:
     _check_system(t)
-    if j > 0:
-        raise PreconditionError(f"substitution level must be <= 0, got {j}")
-    return _substitutable(name, j, t)
-
-
-def _substitutable(name: str, j: int, t: Term) -> bool:
-    if name not in t.var_names:
-        return True
-    match t:
-        case Sum(children):
-            return all(_substitutable(name, j, x) for x in children)
-        case OmegaPow(e):
-            return _substitutable(name, j, e)
-        case OmegaIdx(_) | OmegaHigh(_, _):
-            return True
-        case Xi(j1, arg):
-            return j <= j1 and _substitutable(name, j - j1, arg)
-        case ThetaLow(_, _):
-            return True  # substitution does not reach below a plain collapse
-        case ThetaHigh(_, body):
-            return _substitutable(name, j, body)
-        case ThetaXi(body):
-            return _substitutable(name, j - 1, body)
-        case VarLev(w, j1):
-            return w != name or j == j1
-    raise InvariantError(f"not a mixed-system term: {t!r}")
+    check_level(j, "substitution")
+    return _substitutable(t, j, name)
 
 
 def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
     _check_system(t)
     _check_system(beta)
-    if j > 0:
-        raise PreconditionError(f"substitution level must be <= 0, got {j}")
-    if not _substitutable(name, j, t):
+    check_level(j, "substitution")
+    if not _substitutable(t, j, name):
         raise PreconditionError(f"variable {name!r} is not {j}-substitutable")
-    return _subst(t, name, j, beta)
+    return _subst(t, j, name, beta)
 
 
-def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
-    if _VARIANTS.high_substitution_identity and name not in t.var_names:
-        return t
-    match t:
-        case Sum(children):
-            return sum_of(_subst(x, name, j, beta) for x in children)
-        case OmegaPow(e):
-            return omega_pow(_subst(e, name, j, beta))
-        case OmegaHigh(j1, n):
-            if _VARIANTS.high_substitution_identity:
-                return t
-            return omega_idx(n)  # the literal clause erases the upper tier
-        case Xi(j1, arg):
-            return mk_xi(j1, _subst(arg, name, j - j1, beta)) if j <= j1 else t
-        case ThetaLow(_, _):
+def _subst_head(t: Term, j: int, name: str, beta: Term):
+    # The walk stops at a plain collapse thO.  The literal clause erases
+    # every upper cardinal reached, so it skips no variable-free subterm.
+    if _VARIANTS.high_substitution_identity:
+        if name not in t.var_names:
             return t
-        case ThetaHigh(n, body):
-            return theta_high(n, _subst(body, name, j, beta))
-        case ThetaXi(body):
-            return theta_xi(_subst(body, name, j - 1, beta))
-        case VarLev(w, _):
-            return _shift(beta, FULL, j, False) if w == name else t
-    return t
+    elif type(t) is OmegaHigh:
+        return omega_idx(t.index)
+    if type(t) is VarLev and t.name == name:
+        return _shift(beta, FULL, j, False)
+    return None
+
+
+_subst = make_level_walk(_subst_head)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -546,7 +515,7 @@ def _bound_collapse_item(t: Term, c: MCard) -> KItem:
 def instantiate(item: KItem, value: Term) -> Term:
     if item.var is None:
         return item.term
-    return _subst(item.term, item.var, 0, value)
+    return _subst(item.term, 0, item.var, value)
 
 
 # -- ordering -------------------------------------------------------------------

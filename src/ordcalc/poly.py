@@ -26,16 +26,18 @@ from .core import (
     Theta,
     VarLev,
     add,
+    check_level,
     is_sc,
+    make_level_walk,
     make_order,
     make_reference,
     make_walk,
     omega_lev,
     omega_pow,
-    subterms,
-    sum_of,
+    substitutable as _substitutable,
     theta,
     var_lev,
+    vars_below_top,
     ZERO,
 )
 
@@ -70,15 +72,10 @@ def _check_system(t: Term):
         raise PreconditionError(f"term {t!r} is not a polymorphic-system term")
 
 
-def _check_level(j: int):
-    if j > 0:
-        raise PreconditionError(f"threshold level must be <= 0, got {j}")
-
-
 def fc(j: int, t: Term):
     """Formal cardinalities of t relative to threshold j, with their max."""
     _check_system(t)
-    _check_level(j)
+    check_level(j)
     values = _fc_set(j, t)
     return values, (max(values) if values else NEG_INF)
 
@@ -107,44 +104,33 @@ def shift(t: Term, j: int, d: int) -> Term:
     threshold; that raises ShiftError.
     """
     _check_system(t)
-    _check_level(j)
+    check_level(j)
     return _shift(t, j, d)
 
 
-def _shift(t: Term, j: int, d: int) -> Term:
+def _shift_head(t: Term, j: int, d: int):
     if d == 0:
         return t
-    match t:
-        case Sum(children):
-            return sum_of(_shift(c, j, d) for c in children)
-        case OmegaPow(e):
-            return omega_pow(_shift(e, j, d))
-        case OmegaLev(j1):
-            if j1 > j:
-                return t
-            if j1 + d > j:
-                raise ShiftError(
-                    f"shifting level {j1} by {d:+d} collides at threshold {j}"
-                )
-            return omega_lev(j1 + d)
-        case Theta(body):
-            return theta(_shift(body, j - 1, d))
-        case VarLev(name, j1):
-            if j1 > j:
-                return t
-            if j1 + d > j:
-                raise ShiftError(
-                    f"shifting variable level {j1} by {d:+d} collides at threshold {j}"
-                )
-            return var_lev(name, j1 + d)
-    raise InvariantError(f"not a polymorphic term: {t!r}")
+    tt = type(t)
+    if tt is OmegaLev or tt is VarLev:
+        j1 = t.level
+        if j1 > j:
+            return t
+        if j1 + d > j:
+            what = "level" if tt is OmegaLev else "variable level"
+            raise ShiftError(f"shifting {what} {j1} by {d:+d} collides at threshold {j}")
+        return omega_lev(j1 + d) if tt is OmegaLev else var_lev(t.name, j1 + d)
+    return None
+
+
+_shift = make_level_walk(_shift_head)
 
 
 def kset(j: int, t: Term) -> frozenset[Term]:
     """Critical subterms of t below threshold j, re-levelled to sit one
     collapse outside the comparison root."""
     _check_system(t)
-    _check_level(j)
+    check_level(j)
     return _kset(j, t)
 
 
@@ -288,24 +274,8 @@ def substitutable(name: str, j: int, t: Term) -> bool:
     """A variable is substitutable at j when every occurrence sits at the
     ambient level the substitution will reach it with."""
     _check_system(t)
-    return _substitutable(name, j, t)
-
-
-def _substitutable(name: str, j: int, t: Term) -> bool:
-    if name not in t.var_names:
-        return True
-    match t:
-        case Sum(children):
-            return all(_substitutable(name, j, c) for c in children)
-        case OmegaPow(e):
-            return _substitutable(name, j, e)
-        case OmegaLev(_):
-            return True
-        case Theta(body):
-            return _substitutable(name, j - 1, body)
-        case VarLev(w, j1):
-            return w != name or j == j1
-    raise InvariantError(f"not a polymorphic term: {t!r}")
+    check_level(j, "substitution")
+    return _substitutable(t, j, name)
 
 
 def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
@@ -313,24 +283,21 @@ def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
     level.  Requires the variable to be j-substitutable in t."""
     _check_system(t)
     _check_system(beta)
-    if not _substitutable(name, j, t):
+    check_level(j, "substitution")
+    if not _substitutable(t, j, name):
         raise PreconditionError(f"variable {name!r} is not {j}-substitutable")
-    return _subst(t, name, j, beta)
+    return _subst(t, j, name, beta)
 
 
-def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
+def _subst_head(t: Term, j: int, name: str, beta: Term):
     if name not in t.var_names:
         return t
-    match t:
-        case Sum(children):
-            return sum_of(_subst(c, name, j, beta) for c in children)
-        case OmegaPow(e):
-            return omega_pow(_subst(e, name, j, beta))
-        case Theta(body):
-            return theta(_subst(body, name, j - 1, beta))
-        case VarLev(w, _):
-            return _shift(beta, 0, j) if w == name else t
-    return t
+    if type(t) is VarLev:
+        return _shift(beta, 0, j)
+    return None
+
+
+_subst = make_level_walk(_subst_head)
 
 
 def dfun(m: int, gamma: Term, beta: Term) -> Term:
@@ -391,26 +358,11 @@ def key_lemma_1(alpha: Term, beta: Term, name: str, gamma: Term) -> bool:
         raise PreconditionError("key lemma (1) needs a small substitution target")
     if compare(alpha, beta) is not Outcome.LESS:
         raise PreconditionError("key lemma (1) needs alpha < beta")
-    return compare(_subst(alpha, name, 0, gamma), _subst(beta, name, 0, gamma)) is Outcome.LESS
-
-
-def _vars_below_top(t: Term) -> bool:
-    """Every variable occurrence sits at its matching ambient position and
-    strictly below the top level (a top-level variable would be captured by
-    a dominance wrapper and block its witnesses)."""
-    for name in t.var_names:
-        if not _substitutable(name, 0, t):
-            return False
-        if any(
-            isinstance(s, VarLev) and s.name == name and s.level == 0
-            for s in subterms(t)
-        ):
-            return False
-    return True
+    return compare(_subst(alpha, 0, name, gamma), _subst(beta, 0, name, gamma)) is Outcome.LESS
 
 
 def key_lemma_2(delta: Term, alpha: Term, beta: Term) -> bool:
-    if not (_vars_below_top(alpha) and _vars_below_top(beta)):
+    if not (vars_below_top(alpha) and vars_below_top(beta)):
         raise PreconditionError("key lemma (2) needs variables below the top level")
     if not llrel(delta, alpha, beta):
         raise PreconditionError("key lemma (2) needs alpha << beta")
@@ -423,7 +375,7 @@ def key_lemma_3(delta: Term, alpha: Term, beta: Term, gamma: Term, name: str) ->
     if not (llrel(delta, alpha, beta) and llrel(delta, gamma, beta)):
         raise PreconditionError("key lemma (3) needs alpha, gamma << beta")
     collapse = _shift(dfun(0, delta, alpha), 0, -1)
-    lhs = dfun(0, collapse, _subst(gamma, name, 0, collapse))
+    lhs = dfun(0, collapse, _subst(gamma, 0, name, collapse))
     return llrel(ZERO, lhs, dfun(0, delta, beta))
 
 

@@ -34,20 +34,23 @@ from .core import (
     Xi,
     abstract_one,
     add,
+    check_level,
     collect_params,
     fresh_name,
     fvar,
     is_sc,
+    make_level_walk,
     make_order,
     make_reference,
     make_walk,
     omega_pow,
     params,
     replace_params,
+    substitutable as _substitutable,
     subterms,
-    sum_of,
     theta,
     var_lev,
+    vars_below_top,
     xi as mk_xi,
     ONE,
     ZERO,
@@ -123,11 +126,6 @@ def _check_system(t: Term):
         raise PreconditionError(f"term {t!r} is not a function-sorted-system term")
 
 
-def _check_level(j: int):
-    if j > 0:
-        raise PreconditionError(f"threshold level must be <= 0, got {j}")
-
-
 # -- shifting ---------------------------------------------------------------
 
 def shift(t: Term, j: int, d: int) -> Term:
@@ -138,46 +136,33 @@ def shift(t: Term, j: int, d: int) -> Term:
     level must stay <= 0.
     """
     _check_system(t)
-    _check_level(j)
+    check_level(j)
     return _shift(t, j, d)
 
 
-def _shift(t: Term, j: int, d: int) -> Term:
+def _shift_head(t: Term, j: int, d: int):
     if d == 0:
         return t
-    match t:
-        case Sum(children):
-            return sum_of(_shift(c, j, d) for c in children)
-        case OmegaPow(e):
-            return omega_pow(_shift(e, j, d))
-        case Xi(j1, arg):
-            if j1 <= j:
-                if j1 + d > j:
-                    raise ShiftError(
-                        f"shifting level {j1} by {d:+d} collides at threshold {j}"
-                    )
-                return mk_xi(j1 + d, arg)
-            return mk_xi(j1, _shift(arg, j - j1, d))
-        case Theta(body):
-            return theta(_shift(body, j - 1, d))
-        case VarLev(name, j1):
-            if j1 > j:
-                return t
+    tt = type(t)
+    if tt is Xi:
+        j1 = t.level
+        if j1 <= j:
+            if j1 + d > j:
+                raise ShiftError(f"shifting level {j1} by {d:+d} collides at threshold {j}")
+            return mk_xi(j1 + d, t.arg)
+    elif tt is VarLev or tt is FVar:
+        j1 = t.level
+        if j1 <= j:
             if j1 + d > j + 1 or j1 + d > 0:
+                what = "variable" if tt is VarLev else "function-variable"
                 raise ShiftError(
-                    f"shifting variable level {j1} by {d:+d} collides at threshold {j}"
+                    f"shifting {what} level {j1} by {d:+d} collides at threshold {j}"
                 )
-            return var_lev(name, j1 + d)
-        case FVar(name, j1, arg):
-            if j1 <= j:
-                if j1 + d > j + 1 or j1 + d > 0:
-                    raise ShiftError(
-                        f"shifting function-variable level {j1} by {d:+d} "
-                        f"collides at threshold {j}"
-                    )
-                return fvar(name, j1 + d, arg)
-            return fvar(name, j1, _shift(arg, j - j1, d))
-    raise InvariantError(f"not a function-sorted term: {t!r}")
+            return var_lev(t.name, j1 + d) if tt is VarLev else fvar(t.name, j1 + d, t.arg)
+    return None
+
+
+_shift = make_level_walk(_shift_head)
 
 
 # -- formal cardinality -----------------------------------------------------
@@ -185,7 +170,7 @@ def _shift(t: Term, j: int, d: int) -> Term:
 def fc(j: int, t: Term):
     """Formal cardinalities relative to threshold j, and their max."""
     _check_system(t)
-    _check_level(j)
+    check_level(j)
     values = _fc_set(j, t)
     return values, (max(values) if values else NEG_INF)
 
@@ -225,51 +210,28 @@ def _fc_bar0(t: Term):
 
 def substitutable(name: str, j: int, t: Term) -> bool:
     _check_system(t)
-    return _substitutable(name, j, t)
-
-
-def _substitutable(name: str, j: int, t: Term) -> bool:
-    if name not in t.var_names:
-        return True
-    match t:
-        case Sum(children):
-            return all(_substitutable(name, j, c) for c in children)
-        case OmegaPow(e):
-            return _substitutable(name, j, e)
-        case Xi(j1, arg) | FVar(_, j1, arg):
-            return j <= j1 and _substitutable(name, j - j1, arg)
-        case Theta(body):
-            return _substitutable(name, j - 1, body)
-        case VarLev(w, j1):
-            return w != name or j == j1
-    raise InvariantError(f"not a function-sorted term: {t!r}")
+    check_level(j, "substitution")
+    return _substitutable(t, j, name)
 
 
 def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
     _check_system(t)
     _check_system(beta)
-    if not _substitutable(name, j, t):
+    check_level(j, "substitution")
+    if not _substitutable(t, j, name):
         raise PreconditionError(f"variable {name!r} is not {j}-substitutable")
-    return _subst(t, name, j, beta)
+    return _subst(t, j, name, beta)
 
 
-def _subst(t: Term, name: str, j: int, beta: Term) -> Term:
+def _subst_head(t: Term, j: int, name: str, beta: Term):
     if name not in t.var_names:
         return t
-    match t:
-        case Sum(children):
-            return sum_of(_subst(c, name, j, beta) for c in children)
-        case OmegaPow(e):
-            return omega_pow(_subst(e, name, j, beta))
-        case Xi(j1, arg):
-            return mk_xi(j1, _subst(arg, name, j - j1, beta)) if j <= j1 else t
-        case Theta(body):
-            return theta(_subst(body, name, j - 1, beta))
-        case VarLev(w, _):
-            return _shift(beta, 0, j) if w == name else t
-        case FVar(f, j1, arg):
-            return fvar(f, j1, _subst(arg, name, j - j1, beta)) if j <= j1 else t
-    return t
+    if type(t) is VarLev:
+        return _shift(beta, 0, j)
+    return None
+
+
+_subst = make_level_walk(_subst_head)
 
 
 # -- parameters and canonical abstraction ------------------------------------
@@ -344,7 +306,7 @@ def kset(j: int, t: Term) -> frozenset[KItem]:
     """Critical subterms below threshold j.  Entries collected from a bound
     collapse are function bodies carrying a distinguished variable."""
     _check_system(t)
-    _check_level(j)
+    check_level(j)
     return _kset(j, t)
 
 
@@ -399,7 +361,7 @@ def instantiate(item: KItem, value: Term) -> Term:
     """Apply a collected function body to a value (identity when plain)."""
     if item.var is None:
         return item.term
-    return _subst(item.term, item.var, 0, value)
+    return _subst(item.term, 0, item.var, value)
 
 
 # -- ordering -----------------------------------------------------------------
@@ -522,7 +484,8 @@ compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
 
 def fsubstitutable(name: str, j: int, t: Term) -> bool:
     _check_system(t)
-    return _fsubstitutable(name, j, t)
+    check_level(j, "substitution")
+    return _fsubstitutable(t, j, name)
 
 
 def _occurs_fvar(name: str, t: Term) -> bool:
@@ -533,25 +496,21 @@ def _occurs_fvar(name: str, t: Term) -> bool:
     )
 
 
-def _fsubstitutable(name: str, j: int, t: Term) -> bool:
-    if not _occurs_fvar(name, t):
+def _fsubstitutable_head(t: Term, j: int, name: str):
+    # A cheap superset test walks down; an ordinal variable may share the
+    # name, so a clause that fails first scans for a real occurrence.  No
+    # collapse body holds a function variable, so none is entered.
+    if not (t.has_fvar and name in t.var_names):
         return True
-    match t:
-        case Sum(children):
-            return all(_fsubstitutable(name, j, c) for c in children)
-        case OmegaPow(e):
-            return _fsubstitutable(name, j, e)
-        case Xi(j1, arg):
-            return j <= j1 and _fsubstitutable(name, j - j1, arg)
-        case Theta(_):
-            return False  # a function variable may not occur under a collapse
-        case VarLev(_, _):
-            return True
-        case FVar(f, j1, arg):
-            if f == name:
-                return j == j1 and _fsubstitutable(name, 0, arg)
-            return j <= j1 and _fsubstitutable(name, j - j1, arg)
-    raise InvariantError(f"not a function-sorted term: {t!r}")
+    tt = type(t)
+    if tt is FVar and t.name == name:
+        return None if j == t.level else False
+    if (tt is Xi or tt is FVar) and j > t.level:
+        return not _occurs_fvar(name, t)
+    return None
+
+
+_fsubstitutable = make_level_walk(_fsubstitutable_head, test=True)
 
 
 def fsubstitute(t: Term, name: str, j: int, body: Term, w: str) -> Term:
@@ -559,36 +518,28 @@ def fsubstitute(t: Term, name: str, j: int, body: Term, w: str) -> Term:
     occurrence's argument is substituted for w at level 0."""
     _check_system(t)
     _check_system(body)
-    if not _substitutable(w, 0, body):
+    check_level(j, "substitution")
+    if not _substitutable(body, 0, w):
         raise PreconditionError(f"argument variable {w!r} is not 0-substitutable")
-    if not _fsubstitutable(name, j, t):
+    if not _fsubstitutable(t, j, name):
         raise PreconditionError(f"function variable {name!r} is not {j}-substitutable")
-    return _fsubst(t, name, j, body, w)
+    return _fsubst(t, j, name, body, w)
 
 
-def _fsubst(t: Term, name: str, j: int, body: Term, w: str) -> Term:
-    if not _occurs_fvar(name, t):
+def _fsubst_head(t: Term, j: int, name: str, body: Term, w: str):
+    # Runs only where `_fsubstitutable` holds, so every occurrence is reached
+    # at its own level and its argument at level 0.
+    if not (t.has_fvar and name in t.var_names):
         return t
-    match t:
-        case Sum(children):
-            return sum_of(_fsubst(c, name, j, body, w) for c in children)
-        case OmegaPow(e):
-            return omega_pow(_fsubst(e, name, j, body, w))
-        case Xi(j1, arg):
-            return mk_xi(j1, _fsubst(arg, name, j - j1, body, w))
-        case FVar(f, j1, arg):
-            if f == name:
-                inner = _fsubst(arg, name, 0, body, w)
-                return _subst(body, w, 0, inner)
-            return fvar(f, j1, _fsubst(arg, name, j - j1, body, w))
-    return t
+    if type(t) is FVar and t.name == name:
+        return _subst(body, 0, w, _fsubst(t.arg, 0, name, body, w))
+    return None
+
+
+_fsubst = make_level_walk(_fsubst_head)
 
 
 # -- dominance ----------------------------------------------------------------
-
-def _apply_fn(gamma: Term, var: str | None, value: Term) -> Term:
-    return gamma if var is None else _subst(gamma, var, 0, value)
-
 
 def dfun(m: int, gamma: Term, beta: Term, var: str | None = None) -> Term:
     """Iterated dominance value; gamma may be a function given by `var`."""
@@ -596,7 +547,7 @@ def dfun(m: int, gamma: Term, beta: Term, var: str | None = None) -> Term:
         raise PreconditionError(f"dfun iteration count must be >= 0, got {m}")
     if not fc_max(gamma) < 0:
         raise PreconditionError("dfun subscript must have negative cardinality")
-    seed = _apply_fn(gamma, var, mk_xi(0, ZERO))
+    seed = instantiate(KItem(gamma, var), mk_xi(0, ZERO))
     out = theta(add(omega_pow(add(mk_xi(0, ONE), beta)), seed))
     for _ in range(m):
         out = theta(omega_pow(add(mk_xi(0, ONE), out)))
@@ -668,8 +619,8 @@ def key_lemma_1(alpha: Term, beta: Term, gamma: Term, name: str) -> bool:
         raise PreconditionError("key lemma (1) needs the variable to occur")
     if compare(alpha, beta) is not Outcome.LESS:
         raise PreconditionError("key lemma (1) needs alpha < beta")
-    lhs = _subst(gamma, name, 0, alpha)
-    rhs = _subst(gamma, name, 0, beta)
+    lhs = _subst(gamma, 0, name, alpha)
+    rhs = _subst(gamma, 0, name, beta)
     return compare(lhs, rhs) is Outcome.LESS
 
 
@@ -699,25 +650,11 @@ def key_lemma_2(
     return compare(lhs, rhs) in (Outcome.LESS, Outcome.EQUAL)
 
 
-def _all_vars_below_top(t: Term) -> bool:
-    """Every ordinal variable sits at its matching ambient position strictly
-    below the top level, and no function variable is present (a top-level
-    or function variable would be captured by a dominance wrapper)."""
-    if t.has_fvar:
-        return False
-    for name in t.var_names:
-        if not _substitutable(name, 0, t):
-            return False
-        if any(
-            isinstance(s, VarLev) and s.name == name and s.level == 0
-            for s in subterms(t)
-        ):
-            return False
-    return True
-
-
 def key_lemma_3(delta: Term, alpha: Term, beta: Term) -> bool:
-    if not (_all_vars_below_top(alpha) and _all_vars_below_top(beta)):
+    # a function variable would be captured by a dominance wrapper too
+    if alpha.has_fvar or beta.has_fvar or not (
+        vars_below_top(alpha) and vars_below_top(beta)
+    ):
         raise PreconditionError("key lemma (3) needs variables below the top level")
     for t in (delta, alpha, beta):
         if not _fc_bar0(t) < -1:
@@ -738,7 +675,7 @@ def key_lemma_4(
         raise PreconditionError("key lemma (4) needs a 0-substitutable function variable")
     if _occurs_fvar(vname, beta):
         raise PreconditionError("key lemma (4) forbids the function variable in beta")
-    gamma_content = _fsubst(gamma, vname, 0, ZERO, "w")
+    gamma_content = _fsubst(gamma, 0, vname, ZERO, "w")
     for t in (delta, alpha, beta, gamma_content):
         if not _fc_bar0(t) < -1:
             # As in item (3); note a gamma actually carrying the function

@@ -104,6 +104,17 @@ def test_subst_and_d_and_ll(capsys):
     assert (code, out) == (0, "yes")
 
 
+@pytest.mark.parametrize("system", ["poly", "xi", "mixed"])
+def test_subst_rejects_a_level_above_zero(capsys, system):
+    code, out, err = run(
+        capsys, "subst", "--system", system, "0", "--var", "x", "--level", "1", "--value", "0"
+    )
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.splitlines() == [
+        "precondition violation: substitution level must be <= 0, got 1"
+    ]
+
+
 def test_ground_and_star_and_kappa(capsys):
     code, out, _ = run(capsys, "star", "O^(-1) # O^(-2)")
     assert (code, out) == (0, "O^(-1) # O^(0)")

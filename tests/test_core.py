@@ -11,6 +11,7 @@ from ordcalc.core import (
     TermError,
     ZERO,
     add,
+    fvar,
     is_h,
     is_sc,
     omega_high,
@@ -25,6 +26,7 @@ from ordcalc.core import (
     theta_low,
     theta_xi,
     var_idx,
+    var_lev,
     var_names,
     xi,
 )
@@ -393,6 +395,80 @@ def test_set_walk_descends_a_deep_nest(case):
     """A nesting level costs a walk at most one stack frame, so a nest 200
     levels short of the recursion limit is walked without RecursionError."""
     got, want = _DEEP_WALKS[case](sys.getrecursionlimit() - 200)
+    assert got == want
+
+
+# -- the level maps on deep nests --------------------------------------------------
+
+
+def _xi0(b):
+    return xi(0, b)
+
+
+# Each case runs a public level map, or `subterms`, on a collapse or Xi^(0)
+# nest of `depth` levels with the variable (or the parameter) at its leaf,
+# and returns (result, expected result).
+_DEEP_MAPS = {
+    "buchholz.substitute": lambda d: (
+        B.substitute(_nest(lambda b: theta_idx(2, b), var_idx("x", 1), d), "x", 1, ZERO),
+        _nest(lambda b: theta_idx(2, b), ZERO, d),
+    ),
+    "poly.substitute": lambda d: (
+        P.substitute(_nest(theta, var_lev("x", -d), d), "x", 0, omega_lev(0)),
+        _nest(theta, omega_lev(-d), d),
+    ),
+    "poly.substitutable": lambda d: (
+        P.substitutable("x", 0, _nest(theta, var_lev("x", -d), d)),
+        True,
+    ),
+    "poly.shift": lambda d: (
+        P.shift(_nest(theta, omega_lev(-d), d), 0, -1),
+        _nest(theta, omega_lev(-d - 1), d),
+    ),
+    "xi.substitute": lambda d: (
+        X.substitute(_nest(_xi0, var_lev("x", 0), d), "x", 0, ONE),
+        _nest(_xi0, ONE, d),
+    ),
+    "xi.substitutable": lambda d: (
+        X.substitutable("x", 0, _nest(theta, var_lev("x", -d), d)),
+        True,
+    ),
+    "xi.shift": lambda d: (
+        X.shift(_nest(theta, xi(-d, ZERO), d), 0, -1),
+        _nest(theta, xi(-d - 1, ZERO), d),
+    ),
+    "xi.fsubstitute": lambda d: (
+        X.fsubstitute(_nest(_xi0, fvar("X", 0, ZERO), d), "X", 0, _xi0(var_lev("w", 0)), "w"),
+        _nest(_xi0, _xi0(ZERO), d),
+    ),
+    "xi.fsubstitutable": lambda d: (
+        X.fsubstitutable("X", 0, _nest(_xi0, fvar("X", 0, ZERO), d)),
+        True,
+    ),
+    "xi.abstract": lambda d: (
+        X.abstract(_nest(theta, xi(-d, ONE), d)),
+        X.Abstraction(_nest(theta, var_lev("p1", -d), d), ("p1",), (xi(0, ONE),)),
+    ),
+    "mixed.substitute": lambda d: (
+        mixed.substitute(_nest(theta_xi, var_lev("x", -d), d), "x", 0, xi(0, ZERO)),
+        _nest(theta_xi, xi(-d, ZERO), d),
+    ),
+    "mixed.substitutable": lambda d: (
+        mixed.substitutable("x", 0, _nest(theta_xi, var_lev("x", -d), d)),
+        True,
+    ),
+    "core.subterms": lambda d: (
+        [type(s) for s in subterms(_nest(_xi0, var_lev("x", 0), d))],
+        [core.Xi] * d + [core.VarLev],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _DEEP_MAPS)
+def test_level_map_descends_a_deep_nest(case):
+    """A nesting level costs a level map no stack frame, so a nest three
+    times the recursion limit deep is mapped without RecursionError."""
+    got, want = _DEEP_MAPS[case](3 * sys.getrecursionlimit())
     assert got == want
 
 
