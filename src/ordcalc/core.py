@@ -10,8 +10,10 @@ terms are syntactically identical iff they are the same interned object.
 
 Interning is hash-consing on a shallow key: each constructor looks its term
 up by (tag, scalar fields, child serials), which costs O(arity) because the
-children are already interned.  Only on a miss does it build the deep `key`
-tuple, which stays the deterministic order token for canonical sum order,
+children are already interned; a sum's child serials are sorted as ints,
+so any order or grouping of its summands finds it.  Only on a miss does it
+build the deep `key` tuple (a sum sorts its children by it then), which
+stays the deterministic order token for canonical sum order,
 enumeration order and printing.  Equality is identity, and `hash(t)` is
 `t.serial`: process-local and dependent on construction order, so a hash
 must never be persisted or used for ordering (use `key`).  Facts needed on
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from enum import Enum
 
 NEG_INF = float("-inf")
@@ -309,33 +311,42 @@ def sum_of(components) -> Term:
     """
     flat: list[Term] = []
     for c in components:
-        if isinstance(c, Sum):
+        if type(c) is Sum:
             flat.extend(c.children)
         else:
             flat.append(c)
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=_key_of)
-    shallow = (TAG_SUM, *[t.serial for t in flat])
+    serials = [t.serial for t in flat]
+    serials.sort()
+    shallow = (TAG_SUM, *serials)
     cached = _INTERN.get(shallow)
     if cached is not None:
         return cached
+    flat.sort(key=_key_of)
     children = tuple(flat)
-    names = _NO_NAMES
+    keys = [TAG_SUM, len(children)]
+    size, closed, has_fvar, vmax, valid, names = 1, True, False, -1, True, _NO_NAMES
     for t in children:
+        keys.append(t.key)
+        size += t.size
+        closed &= t.closed
+        has_fvar |= t.has_fvar
+        vmax = t.vmax if t.vmax > vmax else vmax
+        valid &= t.valid
         if t.var_names and t.var_names is not names:
             names = names | t.var_names if names else t.var_names
     return _intern(
         Sum,
         shallow,
-        (TAG_SUM, len(children)) + tuple(t.key for t in children),
+        tuple(keys),
         {"children": children},
         mask=_join_masks(children),
-        size=1 + sum(t.size for t in children),
-        closed=all(t.closed for t in children),
-        has_fvar=any(t.has_fvar for t in children),
-        vmax=max((t.vmax for t in children), default=-1),
-        valid=all(t.valid for t in children),
+        size=size,
+        closed=closed,
+        has_fvar=has_fvar,
+        vmax=vmax,
+        valid=valid,
         names=_shared_names(names),
     )
 
@@ -574,7 +585,7 @@ def summands(t: Term) -> tuple[Term, ...]:
 
 
 def add(*terms: Term) -> Term:
-    return sum_of(itertools.chain.from_iterable(summands(t) for t in terms))
+    return sum_of(terms)
 
 
 def is_h(t: Term) -> bool:
@@ -669,6 +680,14 @@ def _rebuild(t: Term, child: Term) -> Term:
     return fvar(t.name, t.level, child)
 
 
+def rebuild_path(passed, t: Term, out: Term) -> Term:
+    """The heads `passed`, outermost first, rebuilt over out where a child changed."""
+    for p in reversed(passed):
+        out = p if out is t else _rebuild(p, out)
+        t = p
+    return out
+
+
 def make_level_walk(head, test=False):
     """Build one level-carrying walk from its head clause: a term map -- a
     substitution, a shift, a parameter walk -- or, with `test`, a predicate.
@@ -700,8 +719,13 @@ def make_level_walk(head, test=False):
             if tt is Sum:
                 if test:
                     return all(walk(c, j, *args) for c in t.children)
-                parts = [walk(c, j, *args) for c in t.children]
-                changed = any(p is not c for p, c in zip(parts, t.children))
+                parts = []
+                changed = False
+                for c in t.children:
+                    p = walk(c, j, *args)
+                    if p is not c:
+                        changed = True
+                    parts.append(p)
                 out = sum_of(parts) if changed else t
                 break
             if tt is OmegaPow:
@@ -720,10 +744,7 @@ def make_level_walk(head, test=False):
             if not test:
                 passed.append(t)
             t = child
-        for p in reversed(passed):
-            out = p if out is t else _rebuild(p, out)
-            t = p
-        return out
+        return rebuild_path(passed, t, out) if passed else out
 
     return walk
 
@@ -751,6 +772,8 @@ def vars_below_top(t: Term) -> bool:
     """Every variable of t is 0-substitutable and no occurrence sits at the
     top level, where a dominance wrapper would capture it and block its
     witnesses."""
+    if not t.var_names:
+        return True
     for name in t.var_names:
         if not substitutable(t, 0, name):
             return False
@@ -954,7 +977,8 @@ def make_walk(head):
     """Build one memoized set walk -- a formal-cardinality or critical-subterm
     walk -- from its head clauses.
 
-    `walk(arg, t)` owns the memo, keyed `(arg, t.serial)`, and the clauses
+    `walk(arg, t)` owns the memo, one row per threshold, `memo[arg][t.serial]`
+    (no tuple key; a descent that moves `arg` switches rows), and the clauses
     every system shares: a sum's set is the union of its children's sets
     and an omega power's set is its exponent's, both at the same `arg`.
     `head(arg, t)` decides every other term and returns either the set or a
@@ -966,40 +990,42 @@ def make_walk(head):
     known.  Only a sum's children cost a stack frame each, so a collapse or
     omega-power nest is walked to any depth.
     """
-    memo: dict[tuple, frozenset] = {}
+    memo: defaultdict[object, dict[int, frozenset]] = defaultdict(dict)
 
     def walk(arg, t: Term) -> frozenset:
-        memo_key = (arg, t.serial)
-        out = memo.get(memo_key)
+        row = memo[arg]
+        out = row.get(t.serial)
         if out is not None:
             return out
-        pending = []  # (memo key, then or None) of each level passed
+        pending = []  # (row, serial, then or None) of each level passed
         while True:
             tt = type(t)
             if tt is Sum:
                 parts = []
                 for c in t.children:
                     parts.append(walk(arg, c))
-                out = memo[memo_key] = frozenset().union(*parts)
+                out = row[t.serial] = frozenset().union(*parts)
                 break
             if tt is OmegaPow:
-                pending.append((memo_key, None))
+                pending.append((row, t.serial, None))
                 t = t.exponent
             else:
                 out = head(arg, t)
                 if type(out) is not tuple:
-                    memo[memo_key] = out
+                    row[t.serial] = out
                     break
-                pending.append((memo_key, out[2] if len(out) == 3 else None))
-                arg, t = out[0], out[1]
-            memo_key = (arg, t.serial)
-            out = memo.get(memo_key)
+                pending.append((row, t.serial, out[2] if len(out) == 3 else None))
+                if out[0] is not arg:
+                    arg = out[0]
+                    row = memo[arg]
+                t = out[1]
+            out = row.get(t.serial)
             if out is not None:
                 break
-        for memo_key, then in reversed(pending):
+        for row, serial, then in reversed(pending):
             if then is not None:
                 out = then(out)
-            memo[memo_key] = out
+            row[serial] = out
         return out
 
     return walk

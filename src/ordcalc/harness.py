@@ -791,9 +791,10 @@ def _mentions_var_idx(t: Term, name: str, n: int) -> bool:
 
 
 def _mentions_var_lev(t: Term, name: str) -> bool:
-    return name in t.var_names and any(
-        isinstance(s, VarLev) and s.name == name for s in subterms(t)
-    )
+    # Outside buchholz every name is a level or a function variable's.
+    if name not in t.var_names or not t.has_fvar:
+        return name in t.var_names
+    return any(isinstance(s, VarLev) and s.name == name for s in subterms(t))
 
 
 # Each system's sampling pools are derived once per process and shared by

@@ -46,6 +46,7 @@ from .core import (
     omega_idx,
     omega_pow,
     params,
+    rebuild_path,
     substitutable as _substitutable,
     sum_of,
     theta_high,
@@ -253,14 +254,34 @@ def shift(t: Term, c: MCard, d: int) -> Term:
 
 
 def _shift(t: Term, c: MCard, d: int, var_slack: bool) -> Term:
+    """Single-child descents (omega power, Xi at or above c, thOO, thXi) run
+    in a loop, so only a sum's children cost a stack frame."""
     if d == 0:
         return t
+    passed = []
+    while True:
+        tt = type(t)
+        if tt is OmegaPow:
+            child = t.exponent
+        elif tt is Xi and not large(t.level, 0) < c:
+            child, c = t.arg, card_minus_level(c, t.level)
+        elif tt is ThetaHigh:
+            child, c = t.body, card_min_nat(c, t.index)
+        elif tt is ThetaXi:
+            child, c = t.body, card_minus_level(c, 1)
+        else:
+            break
+        passed.append(t)
+        t = child
+    return rebuild_path(passed, t, _shift_stop(t, c, d, var_slack))
+
+
+def _shift_stop(t: Term, c: MCard, d: int, var_slack: bool) -> Term:
+    """Shift a term where the descent loop of `_shift` stops."""
     match t:
         case Sum(children):
-            return sum_of(_shift(x, c, d, var_slack) for x in children)
-        case OmegaPow(e):
-            return omega_pow(_shift(e, c, d, var_slack))
-        case OmegaIdx(_):
+            return sum_of([_shift(x, c, d, var_slack) for x in children])
+        case OmegaIdx(_) | ThetaLow(_, _):
             return t
         case OmegaHigh(j1, n):
             if large(j1, n) < c:
@@ -271,21 +292,13 @@ def _shift(t: Term, c: MCard, d: int, var_slack: bool) -> Term:
                     )
                 return omega_high(new, n)
             return t
-        case Xi(j1, arg):
-            if large(j1, 0) < c:
-                new = j1 + d
-                if new > 0 or large(new, 0) >= c:
-                    raise ShiftError(
-                        f"shifting function cardinal level {j1} by {d:+d} collides at {c}"
-                    )
-                return mk_xi(new, arg)
-            return mk_xi(j1, _shift(arg, card_minus_level(c, j1), d, var_slack))
-        case ThetaLow(_, _):
-            return t
-        case ThetaHigh(n, body):
-            return theta_high(n, _shift(body, card_min_nat(c, n), d, var_slack))
-        case ThetaXi(body):
-            return theta_xi(_shift(body, card_minus_level(c, 1), d, var_slack))
+        case Xi(j1, arg):  # below c: the descent passes the others
+            new = j1 + d
+            if new > 0 or large(new, 0) >= c:
+                raise ShiftError(
+                    f"shifting function cardinal level {j1} by {d:+d} collides at {c}"
+                )
+            return mk_xi(new, arg)
         case VarLev(name, j1):
             if large(j1, 0) < c:
                 new = j1 + d

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import sys
 
@@ -20,6 +21,7 @@ from ordcalc.core import (
     omega_pow,
     subterms,
     sum_of,
+    summands,
     theta,
     theta_high,
     theta_idx,
@@ -77,6 +79,30 @@ def test_interning_gives_identity():
     assert a is b
 
 
+def test_sum_interning_ignores_child_order():
+    """A sum is looked up by its children's serials, so every order and
+    grouping of the same multiset of summands is the one term, its children
+    in key order."""
+    pool = [t for t in closed("poly", max_size=4) if is_h(t)]
+    rng = random.Random(3)
+    for _ in range(200):
+        parts = rng.choices(pool, k=rng.randrange(2, 5))
+        parts.append(rng.choice(parts))  # a duplicate
+        want = sum_of(parts)
+        keys = [c.key for c in want.children]
+        assert keys == sorted(keys) and len(keys) == len(parts)
+        for perm in itertools.permutations(parts):
+            assert sum_of(perm) is want
+            assert add(*perm) is want
+            cut = rng.randrange(1, len(perm))
+            assert add(sum_of(perm[:cut]), sum_of(perm[cut:])) is want
+            assert sum_of([perm[0], sum_of([sum_of(perm[1:cut]), *perm[cut:]])]) is want
+    terms = pool + [sum_of(rng.choices(pool, k=3)) for _ in range(50)]
+    for _ in range(500):
+        a, b, c = rng.choices(terms, k=3)
+        assert add(a, b, c) is sum_of([*summands(a), *summands(b), *summands(c)])
+
+
 def test_classification_helpers():
     assert is_h(ONE) and not is_sc(ONE)
     assert is_sc(omega_idx(1))
@@ -95,8 +121,6 @@ def test_flatten_idempotent(data):
     pool = closed("buchholz", max_size=4)
     parts = data.draw(st.lists(st.sampled_from(pool), max_size=4))
     t = sum_of(parts)
-    from ordcalc.core import summands
-
     assert sum_of(summands(t)) is t
 
 
@@ -398,6 +422,34 @@ def test_set_walk_descends_a_deep_nest(case):
     assert got == want
 
 
+_WARM_WALKS = {
+    "poly.kset": (P._kset_head, P._kset, (0, -1)),
+    "mixed.fc": (mixed._fc_head, mixed._fc_set, (mixed.FULL, mixed.large(-1, mixed.INF))),
+}
+
+
+@pytest.mark.parametrize("case", _WARM_WALKS)
+def test_warm_set_walk_reads_only_the_memo(case):
+    """A second pass at the same thresholds reads every answer from the
+    memo, one row per threshold: no call to `head`, the same objects."""
+    head, system_walk, args = _WARM_WALKS[case]
+    pool = closed(case.split(".")[0], max_size=5)
+    calls = []
+
+    def counting_head(arg, t):
+        calls.append((arg, t))
+        return head(arg, t)
+
+    walk = core.make_walk(counting_head)
+    cold = [walk(arg, t) for arg in args for t in pool]
+    assert calls
+    assert cold == [system_walk(arg, t) for arg in args for t in pool]
+    calls.clear()
+    warm = [walk(arg, t) for arg in args for t in pool]
+    assert calls == []
+    assert all(w is c for w, c in zip(warm, cold, strict=True))
+
+
 # -- the level maps on deep nests --------------------------------------------------
 
 
@@ -457,6 +509,10 @@ _DEEP_MAPS = {
         mixed.substitutable("x", 0, _nest(theta_xi, var_lev("x", -d), d)),
         True,
     ),
+    "mixed.shift": lambda d: (
+        mixed.shift(_nest(theta_xi, var_lev("x", -d), d), mixed.FULL, -1),
+        _nest(theta_xi, var_lev("x", -d - 1), d),
+    ),
     "core.subterms": lambda d: (
         [type(s) for s in subterms(_nest(_xi0, var_lev("x", 0), d))],
         [core.Xi] * d + [core.VarLev],
@@ -470,6 +526,37 @@ def test_level_map_descends_a_deep_nest(case):
     times the recursion limit deep is mapped without RecursionError."""
     got, want = _DEEP_MAPS[case](3 * sys.getrecursionlimit())
     assert got == want
+
+
+def test_level_map_keeps_an_unchanged_wide_sum():
+    t = sum_of([omega_lev(-k) for k in range(2000)])
+    old, new = omega_lev(-7), omega_lev(-2000)
+
+    def head(s, j):
+        if s is old:
+            return new
+        return None if type(s) is core.Sum else s
+
+    keep = core.make_level_walk(lambda s, j: None if type(s) is core.Sum else s)
+    assert keep(t, 0) is t
+    out = core.make_level_walk(head)(t, 0)
+    assert len(out.children) == 2000
+    assert set(out.children) ^ set(t.children) == {old, new}
+
+
+def test_variable_free_fast_paths_match_a_full_scan():
+    """`vars_below_top` and `_mentions_var_lev` answer a term without
+    variables, or without function variables, from its cached names."""
+    for pool in (opened("poly"), opened("xi"), harness.enumerate_terms(_XI_FVARS)):
+        for t in pool:
+            subs = list(subterms(t))
+            levs = {s.name for s in subs if type(s) is core.VarLev}
+            assert core.vars_below_top(t) == (
+                all(core.substitutable(t, 0, name) for name in t.var_names)
+                and not any(type(s) is core.VarLev and s.level == 0 for s in subs)
+            ), t
+            for name in t.var_names | {"x"}:
+                assert harness._mentions_var_lev(t, name) == (name in levs), (t, name)
 
 
 # -- the memoized head rules against the reference's -----------------------------
