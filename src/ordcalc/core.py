@@ -47,6 +47,10 @@ maps and tests that carry an ambient level: substitution and its test,
 shifting, function substitution, and the parameter walks of canonical
 abstraction, with which xi and mixed collect functions.  One descent table
 moves the level for every head; each walk supplies only its head clause.
+Both walk kernels share one head contract: a head returns its answer or a
+descent, `(level, child)` or `(level, child, then)`, which the kernel
+follows in a loop without reading the level, so mixed's cardinality
+thresholds ride the same kernel as the integer levels.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import itertools
 import threading
 from collections import Counter, defaultdict
 from enum import Enum
+from typing import NamedTuple
 
 NEG_INF = float("-inf")
 
@@ -72,7 +77,6 @@ SYSTEM_NAMES = {
     "xi": SYS_XI,
     "mixed": SYS_MIXED,
 }
-SYSTEM_BITS = {bit: name for name, bit in SYSTEM_NAMES.items()}
 
 
 class TermError(Exception):
@@ -261,11 +265,12 @@ def _shared_names(names: frozenset) -> frozenset:
 
 
 def _intern(
-    cls, shallow, key, fields: dict, *, mask, size, closed, has_fvar, vmax, valid, names
+    cls, shallow, key, values, *, mask, size, closed, has_fvar, vmax, valid, names
 ):
-    """Build and register a term the caller's lookup on `shallow` missed."""
+    """Build and register a term the caller's lookup on `shallow` missed;
+    `values` fills its fields in `__match_args__` order."""
     t = object.__new__(cls)
-    for slot, value in fields.items():
+    for slot, value in zip(cls.__match_args__, values):
         object.__setattr__(t, slot, value)
     t.key = key
     t.mask = mask
@@ -282,6 +287,28 @@ def _intern(
         t.serial = next(_SERIAL)
         _INTERN[shallow] = t
     return t
+
+
+def _intern_over(cls, shallow, key, child, systems, nodes, valid=None):
+    """`_intern` for a term over one child, whose shallow key is its tag,
+    its scalar fields and then the child's serial.  The term belongs to
+    those of `systems` the child belongs to, adds `nodes` nodes to the
+    child's, and inherits its closedness, function variables, `vmax`,
+    validity (unless `valid` overrides it) and names."""
+    return _intern(
+        cls,
+        shallow,
+        key,
+        (*shallow[1:-1], child),
+        # `_join_masks` runs only to raise its error on an empty mask.
+        mask=child.mask & systems or _join_masks((child,), systems),
+        size=nodes + child.size,
+        closed=child.closed,
+        has_fvar=child.has_fvar,
+        vmax=child.vmax,
+        valid=child.valid if valid is None else valid,
+        names=child.var_names,
+    )
 
 
 def _join_masks(parts, extra=SYS_ALL):
@@ -340,7 +367,7 @@ def sum_of(components) -> Term:
         Sum,
         shallow,
         tuple(keys),
-        {"children": children},
+        (children,),
         mask=_join_masks(children),
         size=size,
         closed=closed,
@@ -359,27 +386,15 @@ def omega_pow(exponent: Term) -> Term:
     cached = _INTERN.get(shallow)
     if cached is not None:
         return cached
-    return _intern(
-        OmegaPow,
-        shallow,
-        (TAG_OMEGA_POW, exponent.key),
-        {"exponent": exponent},
-        mask=exponent.mask,
-        size=1 + exponent.size,
-        closed=exponent.closed,
-        has_fvar=exponent.has_fvar,
-        vmax=exponent.vmax,
-        valid=exponent.valid,
-        names=exponent.var_names,
-    )
+    return _intern_over(OmegaPow, shallow, (TAG_OMEGA_POW, exponent.key), exponent, SYS_ALL, 1)
 
 
 ONE = omega_pow(ZERO)
 
 
-def _leaf(cls, key, fields, *, mask, size, var=None, vmax=-1):
+def _leaf(cls, key, *, mask, size, var=None, vmax=-1):
     """Intern a term without children (a variable when `var` names it); its
-    shallow and deep keys coincide."""
+    shallow and deep keys coincide, and its fields follow the tag."""
     cached = _INTERN.get(key)
     if cached is not None:
         return cached
@@ -387,7 +402,7 @@ def _leaf(cls, key, fields, *, mask, size, var=None, vmax=-1):
         cls,
         key,
         key,
-        fields,
+        key[1:],
         mask=mask,
         size=size,
         closed=var is None,
@@ -401,9 +416,7 @@ def _leaf(cls, key, fields, *, mask, size, var=None, vmax=-1):
 def omega_idx(n: int) -> Term:
     if n < 1:
         raise TermError(f"cardinal subscript must be >= 1, got {n}")
-    return _leaf(
-        OmegaIdx, (TAG_OMEGA_IDX, n), {"index": n}, mask=SYS_BUCHHOLZ | SYS_MIXED, size=1
-    )
+    return _leaf(OmegaIdx, (TAG_OMEGA_IDX, n), mask=SYS_BUCHHOLZ | SYS_MIXED, size=1)
 
 
 def _check_level(j: int):
@@ -413,20 +426,14 @@ def _check_level(j: int):
 
 def omega_lev(j: int) -> Term:
     _check_level(j)
-    return _leaf(OmegaLev, (TAG_OMEGA_LEV, j), {"level": j}, mask=SYS_POLY, size=2)
+    return _leaf(OmegaLev, (TAG_OMEGA_LEV, j), mask=SYS_POLY, size=2)
 
 
 def omega_high(j: int, n: int) -> Term:
     _check_level(j)
     if n < 1:
         raise TermError(f"cardinal subscript must be >= 1, got {n}")
-    return _leaf(
-        OmegaHigh,
-        (TAG_OMEGA_HIGH, j, n),
-        {"level": j, "index": n},
-        mask=SYS_MIXED,
-        size=2,
-    )
+    return _leaf(OmegaHigh, (TAG_OMEGA_HIGH, j, n), mask=SYS_MIXED, size=2)
 
 
 def xi(j: int, arg: Term) -> Term:
@@ -435,19 +442,7 @@ def xi(j: int, arg: Term) -> Term:
     cached = _INTERN.get(shallow)
     if cached is not None:
         return cached
-    return _intern(
-        Xi,
-        shallow,
-        (TAG_XI, j, arg.key),
-        {"level": j, "arg": arg},
-        mask=_join_masks((arg,), SYS_XI | SYS_MIXED),
-        size=2 + arg.size,
-        closed=arg.closed,
-        has_fvar=arg.has_fvar,
-        vmax=arg.vmax,
-        valid=arg.valid,
-        names=arg.var_names,
-    )
+    return _intern_over(Xi, shallow, (TAG_XI, j, arg.key), arg, SYS_XI | SYS_MIXED, 2)
 
 
 def theta_idx(n: int, body: Term) -> Term:
@@ -457,21 +452,11 @@ def theta_idx(n: int, body: Term) -> Term:
     cached = _INTERN.get(shallow)
     if cached is not None:
         return cached
+    key = (TAG_THETA_IDX, n, body.key)
     # The variable-scope rule (no variable subscript >= n inside) is recorded
     # in `valid` rather than enforced, so invalid terms can be classified.
-    return _intern(
-        ThetaIdx,
-        shallow,
-        (TAG_THETA_IDX, n, body.key),
-        {"index": n, "body": body},
-        mask=_join_masks((body,), SYS_BUCHHOLZ),
-        size=1 + body.size,
-        closed=body.closed,
-        has_fvar=False,
-        vmax=body.vmax,
-        valid=body.valid and body.vmax < n,
-        names=body.var_names,
-    )
+    valid = body.valid and body.vmax < n
+    return _intern_over(ThetaIdx, shallow, key, body, SYS_BUCHHOLZ, 1, valid)
 
 
 def theta(body: Term) -> Term:
@@ -481,19 +466,7 @@ def theta(body: Term) -> Term:
     cached = _INTERN.get(shallow)
     if cached is not None:
         return cached
-    return _intern(
-        Theta,
-        shallow,
-        (TAG_THETA, body.key),
-        {"body": body},
-        mask=_join_masks((body,), SYS_POLY | SYS_XI),
-        size=1 + body.size,
-        closed=body.closed,
-        has_fvar=False,
-        vmax=body.vmax,
-        valid=body.valid,
-        names=body.var_names,
-    )
+    return _intern_over(Theta, shallow, (TAG_THETA, body.key), body, SYS_POLY | SYS_XI, 1)
 
 
 def _theta_mixed(cls, tag, n, body, with_index):
@@ -504,20 +477,7 @@ def _theta_mixed(cls, tag, n, body, with_index):
     if cached is not None:
         return cached
     key = (tag, n, body.key) if with_index else (tag, body.key)
-    fields = {"index": n, "body": body} if with_index else {"body": body}
-    return _intern(
-        cls,
-        shallow,
-        key,
-        fields,
-        mask=_join_masks((body,), SYS_MIXED),
-        size=1 + body.size,
-        closed=body.closed,
-        has_fvar=False,
-        vmax=body.vmax,
-        valid=body.valid,
-        names=body.var_names,
-    )
+    return _intern_over(cls, shallow, key, body, SYS_MIXED, 1)
 
 
 def theta_low(n: int, body: Term) -> Term:
@@ -536,25 +496,14 @@ def var_idx(name: str, n: int) -> Term:
     if n < 1:
         raise TermError(f"variable subscript must be >= 1, got {n}")
     return _leaf(
-        VarIdx,
-        (TAG_VAR_IDX, name, n),
-        {"name": name, "index": n},
-        mask=SYS_BUCHHOLZ,
-        size=1,
-        var=name,
-        vmax=n,
+        VarIdx, (TAG_VAR_IDX, name, n), mask=SYS_BUCHHOLZ, size=1, var=name, vmax=n
     )
 
 
 def var_lev(name: str, j: int) -> Term:
     _check_level(j)
     return _leaf(
-        VarLev,
-        (TAG_VAR_LEV, name, j),
-        {"name": name, "level": j},
-        mask=SYS_POLY | SYS_XI | SYS_MIXED,
-        size=2,
-        var=name,
+        VarLev, (TAG_VAR_LEV, name, j), mask=SYS_POLY | SYS_XI | SYS_MIXED, size=2, var=name
     )
 
 
@@ -568,7 +517,7 @@ def fvar(name: str, j: int, arg: Term) -> Term:
         FVar,
         shallow,
         (TAG_FVAR, name, j, arg.key),
-        {"name": name, "level": j, "arg": arg},
+        (name, j, arg),
         mask=_join_masks((arg,), SYS_XI),
         size=2 + arg.size,
         closed=False,
@@ -613,22 +562,12 @@ def fresh_name(stem: str, taken) -> str:
     raise InvariantError("unreachable")
 
 
-class KItem:
+class KItem(NamedTuple):
     """A critical-subterm entry: a term plus an optional distinguished
     variable marking where a collapsed function expects its argument."""
 
-    __slots__ = ("term", "var")
-
-    def __init__(self, term: Term, var: str | None = None):
-        self.term = term
-        self.var = var
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KItem)
-            and self.term == other.term
-            and self.var == other.var
-        )
+    term: Term
+    var: str | None = None
 
     def __hash__(self):
         # The serial alone: on CPython 3.11 hash(None) comes from its address,
@@ -680,28 +619,27 @@ def _rebuild(t: Term, child: Term) -> Term:
     return fvar(t.name, t.level, child)
 
 
-def rebuild_path(passed, t: Term, out: Term) -> Term:
-    """The heads `passed`, outermost first, rebuilt over out where a child changed."""
-    for p in reversed(passed):
-        out = p if out is t else _rebuild(p, out)
-        t = p
-    return out
-
-
 def make_level_walk(head, test=False):
     """Build one level-carrying walk from its head clause: a term map -- a
     substitution, a shift, a parameter walk -- or, with `test`, a predicate.
 
     `walk(t, j, *args)` takes t at the ambient level j.  `head(t, j, *args)`
-    runs first at every term and returns the answer there, or None to
-    descend; early exits such as `name not in t.var_names` belong in it.
+    runs first at every term and returns the answer there, None to let the
+    kernel descend, or a descent of its own, as `make_walk`'s heads do:
+    `(j1, child)`, whose answer is t rebuilt over `walk(child, j1, *args)`
+    (a predicate's is that answer itself), or `(j1, child, then)`, whose
+    answer is `then(walk(child, j1, *args))`.  The kernel passes j1 on and
+    never reads it, so a level may be any value the head understands.
+    Early exits such as `name not in t.var_names` belong in the head.
+
     The kernel owns the rest.  A sum maps to the sum of its children's
-    images, or holds when every child does.  Every other head passes its one
-    child a level, by one table for all systems: th and thXi one level down,
-    thOO and th_n the same level, Xi^(J1) and V^(J1) the level j - J1 when
-    j <= J1.  Where the walk stops, a map keeps the term; a predicate fails
-    at an Xi or a function variable above j (blocked) and holds at thO and
-    the leaves (opaque).
+    images, or holds when every child does, and an omega power passes its
+    exponent the same level.  Every other head passes its one child a level,
+    by one table for all systems: th and thXi one level down, thOO and th_n
+    the same level, Xi^(J1) and V^(J1) the level j - J1 when j <= J1.  Where
+    the walk stops, a map keeps the term; a predicate fails at an Xi or a
+    function variable above j (blocked) and holds at thO and the leaves
+    (opaque).
 
     Single-child descents run in a loop, and a map rebuilds the heads it
     passed on the way up, keeping each one whose child came back unchanged.
@@ -709,16 +647,22 @@ def make_level_walk(head, test=False):
     nest is walked to any depth.
     """
 
-    def walk(t: Term, j: int, *args):
-        passed = []  # the single-child heads a map descended through
+    def walk(t: Term, j, *args):
+        passed = []  # each single-child head passed, or (head, then)
         while True:
             out = head(t, j, *args)
             if out is not None:
-                break
-            tt = type(t)
-            if tt is Sum:
+                if type(out) is not tuple:
+                    break
+                j, child = out[0], out[1]
+                if len(out) == 3:
+                    passed.append((t, out[2]))
+                    t = child
+                    continue
+            elif (tt := type(t)) is Sum:
                 if test:
-                    return all(walk(c, j, *args) for c in t.children)
+                    out = all(walk(c, j, *args) for c in t.children)
+                    break
                 parts = []
                 changed = False
                 for c in t.children:
@@ -728,7 +672,7 @@ def make_level_walk(head, test=False):
                     parts.append(p)
                 out = sum_of(parts) if changed else t
                 break
-            if tt is OmegaPow:
+            elif tt is OmegaPow:
                 child = t.exponent
             elif tt is Theta or tt is ThetaXi:
                 child, j = t.body, j - 1
@@ -737,14 +681,26 @@ def make_level_walk(head, test=False):
             elif (tt is Xi or tt is FVar) and j <= t.level:
                 child, j = t.arg, j - t.level
             elif test:
-                return tt is not Xi and tt is not FVar
+                out = tt is not Xi and tt is not FVar
+                break
             else:
                 out = t
                 break
             if not test:
                 passed.append(t)
             t = child
-        return rebuild_path(passed, t, out) if passed else out
+        if not passed:
+            return out
+        # On the way up, outermost last: a `then` takes the answer below it,
+        # and a map rebuilds a head only where its child changed.
+        for p in reversed(passed):
+            if type(p) is tuple:
+                p, then = p
+                out = then(out)
+            else:
+                out = p if out is t else _rebuild(p, out)
+            t = p
+        return out
 
     return walk
 
@@ -983,7 +939,9 @@ def make_walk(head):
     and an omega power's set is its exponent's, both at the same `arg`.
     `head(arg, t)` decides every other term and returns either the set or a
     descent: `(arg1, child)`, whose set is `walk(arg1, child)`, or
-    `(arg1, child, then)`, whose set is `then(walk(arg1, child))`.
+    `(arg1, child, then)`, whose set is `then(walk(arg1, child))`.  This is
+    the head contract `make_level_walk` shares; the kernel uses `arg1` only
+    as the key of its next memo row.
 
     The walk follows descents and omega powers in a loop, after `head` has
     returned, and memoizes every level it passed once the innermost set is

@@ -82,6 +82,10 @@ class EnumBudget:
 
 # A report keeps the first MAX_VIOLATIONS violations (fixtures keep all).
 MAX_VIOLATIONS = 25
+# Above PAIR_CAP pairs a pairwise check samples PAIR_CAP of them; the order
+# axioms also re-check SORT_SAMPLE sampled pairs of the sorted pool.
+PAIR_CAP = 250_000
+SORT_SAMPLE = 20_000
 
 
 @dataclass
@@ -278,11 +282,9 @@ def check_order_axioms(
     terms,
     sample_triples: int = 100_000,
     seed: int = 0,
-    pair_cap: int = 250_000,
-    sort_sample: int = 20_000,
 ) -> CheckReport:
     """Totality + irreflexivity over all pairs (or a declared sample above
-    pair_cap), transitivity over sampled triples, and sort consistency."""
+    PAIR_CAP), transitivity over sampled triples, and sort consistency."""
     cmp = _COMPARE[system]
     terms = list(terms)
     n = len(terms)
@@ -294,16 +296,16 @@ def check_order_axioms(
                 report.note("irreflexivity", term=render(t))
 
         total_pairs = n * (n - 1) // 2
-        if total_pairs <= pair_cap:
+        if total_pairs <= PAIR_CAP:
             pairs = itertools.combinations(range(n), 2)
             report.details["pairs_mode"] = "all"
             report.details["pairs"] = total_pairs
         else:
             pairs = (
-                tuple(sorted(rng.sample(range(n), 2))) for _ in range(pair_cap)
+                tuple(sorted(rng.sample(range(n), 2))) for _ in range(PAIR_CAP)
             )
             report.details["pairs_mode"] = "sampled"
-            report.details["pairs"] = pair_cap
+            report.details["pairs"] = PAIR_CAP
         for i, j in pairs:
             a, b = terms[i], terms[j]
             ab, ba = cmp(a, b), cmp(b, a)
@@ -342,7 +344,7 @@ def check_order_axioms(
             report.checked += 1
             if cmp(a, b) is not Outcome.LESS:
                 report.note("sort_adjacent", left=render(a), right=render(b))
-        for _ in range(min(sort_sample, n * n)):
+        for _ in range(min(SORT_SAMPLE, n * n)):
             i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
             if i != j:
                 report.checked += 1
@@ -679,7 +681,7 @@ def check_k_fc_drop(terms, seed: int = 0) -> CheckReport:
     return report
 
 
-def check_fc_monotone(terms, seed: int = 0, pair_cap: int = 250_000) -> CheckReport:
+def check_fc_monotone(terms, seed: int = 0) -> CheckReport:
     """Stratified system: a strictly larger top cardinality implies a larger
     term."""
     terms = list(terms)
@@ -687,11 +689,11 @@ def check_fc_monotone(terms, seed: int = 0, pair_cap: int = 250_000) -> CheckRep
     rng = random.Random(_derive_seed(seed, "fc_monotone"))
     with _checking("fc_monotone", "buchholz", seed) as report:
         total_pairs = n * (n - 1) // 2
-        if total_pairs <= pair_cap:
+        if total_pairs <= PAIR_CAP:
             pairs = itertools.combinations(range(n), 2)
             report.details["pairs_mode"] = "all"
         else:
-            pairs = (tuple(rng.sample(range(n), 2)) for _ in range(pair_cap))
+            pairs = (tuple(rng.sample(range(n), 2)) for _ in range(PAIR_CAP))
             report.details["pairs_mode"] = "sampled"
         for i, j in pairs:
             a, b = terms[i], terms[j]
@@ -717,14 +719,14 @@ def check_abstraction_roundtrip(terms, seed: int = 0) -> CheckReport:
     return report
 
 
-def check_collapse_not_self_value(terms, seed: int = 0, limit: int = 4000) -> CheckReport:
+def check_collapse_not_self_value(terms, seed: int = 0) -> CheckReport:
     """A collapse is never a value of one of its own collected functions:
     for gamma in K(body) and any enumerated delta < th(body),
-    gamma[delta] != th(body)."""
+    gamma[delta] != th(body).  The first 4000 collapses are checked."""
     collapses = [t for t in terms if isinstance(t, Theta)]
     small = [t for t in terms if t.size <= 4]
     with _checking("collapse_not_self_value", "xi", seed) as report:
-        for t in collapses[:limit]:
+        for t in collapses[:4000]:
             items = [i for i in xi.kset(0, t.body) if i.var is not None]
             if not items:
                 continue
@@ -757,9 +759,9 @@ def _pool(budget: EnumBudget) -> tuple[Term, ...]:
     return enumerate_terms(budget)
 
 
-def _run_item(report, label, rng, gen, check, samples, max_factor=60):
+def _run_item(report, label, rng, gen, check, samples):
     accepted = attempts = 0
-    while accepted < samples and attempts < samples * max_factor:
+    while accepted < samples and attempts < samples * 60:
         attempts += 1
         instance = gen(rng)
         if instance is None:
@@ -1037,12 +1039,11 @@ def selfcheck(
     samples: int = 10_000,
     triples: int = 100_000,
     oracle_pairs: int = 100_000,
-    budgets: dict | None = None,
     quick: bool = False,
 ) -> list[CheckReport]:
     """The one-command acceptance run: fixtures, order axioms, Key Lemmas,
     round trips, and oracle equivalence, with documented default budgets."""
-    budgets = dict(ORDER_BUDGETS, **(budgets or {}))
+    budgets = ORDER_BUDGETS
     if quick:
         budgets = {
             "buchholz": EnumBudget("buchholz", max_size=4, max_subscript=2),

@@ -44,13 +44,8 @@ from .core import (
     make_walk,
     omega_high,
     omega_idx,
-    omega_pow,
     params,
-    rebuild_path,
     substitutable as _substitutable,
-    sum_of,
-    theta_high,
-    theta_xi,
     var_lev,
     xi as mk_xi,
     ZERO,
@@ -253,34 +248,14 @@ def shift(t: Term, c: MCard, d: int) -> Term:
     return _shift(t, c, d, False)
 
 
-def _shift(t: Term, c: MCard, d: int, var_slack: bool) -> Term:
-    """Single-child descents (omega power, Xi at or above c, thOO, thXi) run
-    in a loop, so only a sum's children cost a stack frame."""
+def _shift_head(t: Term, c: MCard, d: int, var_slack: bool):
+    """`_shift`'s head clause.  Its threshold is a cardinality, so every
+    descent but a sum's and an omega power's, which keep it, is its own."""
     if d == 0:
         return t
-    passed = []
-    while True:
-        tt = type(t)
-        if tt is OmegaPow:
-            child = t.exponent
-        elif tt is Xi and not large(t.level, 0) < c:
-            child, c = t.arg, card_minus_level(c, t.level)
-        elif tt is ThetaHigh:
-            child, c = t.body, card_min_nat(c, t.index)
-        elif tt is ThetaXi:
-            child, c = t.body, card_minus_level(c, 1)
-        else:
-            break
-        passed.append(t)
-        t = child
-    return rebuild_path(passed, t, _shift_stop(t, c, d, var_slack))
-
-
-def _shift_stop(t: Term, c: MCard, d: int, var_slack: bool) -> Term:
-    """Shift a term where the descent loop of `_shift` stops."""
     match t:
-        case Sum(children):
-            return sum_of([_shift(x, c, d, var_slack) for x in children])
+        case Sum() | OmegaPow():
+            return None
         case OmegaIdx(_) | ThetaLow(_, _):
             return t
         case OmegaHigh(j1, n):
@@ -292,13 +267,19 @@ def _shift_stop(t: Term, c: MCard, d: int, var_slack: bool) -> Term:
                     )
                 return omega_high(new, n)
             return t
-        case Xi(j1, arg):  # below c: the descent passes the others
+        case Xi(j1, arg):
+            if not large(j1, 0) < c:
+                return card_minus_level(c, j1), arg
             new = j1 + d
             if new > 0 or large(new, 0) >= c:
                 raise ShiftError(
                     f"shifting function cardinal level {j1} by {d:+d} collides at {c}"
                 )
             return mk_xi(new, arg)
+        case ThetaHigh(n, body):
+            return card_min_nat(c, n), body
+        case ThetaXi(body):
+            return card_minus_level(c, 1), body
         case VarLev(name, j1):
             if large(j1, 0) < c:
                 new = j1 + d
@@ -310,6 +291,11 @@ def _shift_stop(t: Term, c: MCard, d: int, var_slack: bool) -> Term:
                 return var_lev(name, new)
             return t
     raise InvariantError(f"not a mixed-system term: {t!r}")
+
+
+# `_shift(t, c, d, var_slack)`: `shift`; with `var_slack` a variable may land
+# up to one level above c's, as the critical-set walks need.
+_shift = make_level_walk(_shift_head)
 
 
 # -- formal cardinality -------------------------------------------------------

@@ -528,11 +528,12 @@ def fsubstitute(t: Term, name: str, j: int, body: Term, w: str) -> Term:
 
 def _fsubst_head(t: Term, j: int, name: str, body: Term, w: str):
     # Runs only where `_fsubstitutable` holds, so every occurrence is reached
-    # at its own level and its argument at level 0.
+    # at its own level and its argument at level 0; the kernel maps the
+    # argument, nested occurrences included, before `body` takes it.
     if not (t.has_fvar and name in t.var_names):
         return t
     if type(t) is FVar and t.name == name:
-        return _subst(body, 0, w, _fsubst(t.arg, 0, name, body, w))
+        return 0, t.arg, lambda out: _subst(body, 0, w, out)
     return None
 
 

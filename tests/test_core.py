@@ -457,9 +457,9 @@ def _xi0(b):
     return xi(0, b)
 
 
-# Each case runs a public level map, or `subterms`, on a collapse or Xi^(0)
-# nest of `depth` levels with the variable (or the parameter) at its leaf,
-# and returns (result, expected result).
+# Each case runs a public level map, or `subterms`, on a collapse, Xi^(0) or
+# function-variable nest of `depth` levels with the variable (or the
+# parameter) at its leaf, and returns (result, expected result).
 _DEEP_MAPS = {
     "buchholz.substitute": lambda d: (
         B.substitute(_nest(lambda b: theta_idx(2, b), var_idx("x", 1), d), "x", 1, ZERO),
@@ -493,6 +493,12 @@ _DEEP_MAPS = {
         X.fsubstitute(_nest(_xi0, fvar("X", 0, ZERO), d), "X", 0, _xi0(var_lev("w", 0)), "w"),
         _nest(_xi0, _xi0(ZERO), d),
     ),
+    "xi.fsubstitute.nested": lambda d: (
+        X.fsubstitute(
+            _nest(lambda b: fvar("X", 0, b), ZERO, d), "X", 0, _xi0(var_lev("w", 0)), "w"
+        ),
+        _nest(_xi0, ZERO, d),
+    ),
     "xi.fsubstitutable": lambda d: (
         X.fsubstitutable("X", 0, _nest(_xi0, fvar("X", 0, ZERO), d)),
         True,
@@ -512,6 +518,14 @@ _DEEP_MAPS = {
     "mixed.shift": lambda d: (
         mixed.shift(_nest(theta_xi, var_lev("x", -d), d), mixed.FULL, -1),
         _nest(theta_xi, var_lev("x", -d - 1), d),
+    ),
+    "mixed.shift.thOO": lambda d: (
+        mixed.shift(_nest(lambda b: theta_high(1, b), var_lev("x", 0), d), mixed.FULL, -1),
+        _nest(lambda b: theta_high(1, b), var_lev("x", -1), d),
+    ),
+    "mixed.shift.thXi_Xi": lambda d: (
+        mixed.shift(_nest(lambda b: theta_xi(xi(0, b)), var_lev("x", -d), d), mixed.FULL, -1),
+        _nest(lambda b: theta_xi(xi(0, b)), var_lev("x", -d - 1), d),
     ),
     "core.subterms": lambda d: (
         [type(s) for s in subterms(_nest(_xi0, var_lev("x", 0), d))],
@@ -542,6 +556,38 @@ def test_level_map_keeps_an_unchanged_wide_sum():
     out = core.make_level_walk(head)(t, 0)
     assert len(out.children) == 2000
     assert set(out.children) ^ set(t.children) == {old, new}
+
+
+def test_level_walk_follows_a_head_descent():
+    """A head's `(j1, child, then)` descent has `then` applied once per level
+    on the way up, and a predicate head's `(j1, child)` descent is followed
+    at the level it names."""
+    depth = 3 * sys.getrecursionlimit()
+    nest = _nest(theta, ZERO, depth)
+    levels = []
+
+    def count_above(j):
+        def then(out):
+            levels.append(j)
+            return out + 1
+
+        return then
+
+    def count_head(t, j):
+        if type(t) is core.Theta:
+            return j + 1, t.body, count_above(j)
+        return 0
+
+    assert core.make_level_walk(count_head)(nest, 0) == depth
+    assert levels == list(range(depth - 1, -1, -1))
+
+    def deep_head(t, j):
+        if type(t) is core.Theta:
+            return j - 2, t.body
+        return j == -2 * depth
+
+    assert core.make_level_walk(deep_head, test=True)(nest, 0) is True
+    assert core.make_level_walk(deep_head, test=True)(theta(nest), 1) is False
 
 
 def test_variable_free_fast_paths_match_a_full_scan():
