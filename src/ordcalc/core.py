@@ -22,10 +22,10 @@ at construction; equal variable-name sets share one frozenset.
 
 Terms are immutable, and the intern table is lock-protected.  Everything
 else is a process global: the memos held by the ordering and set-walk
-kernels, the per-serial tables, xi's comparison policy and mixed's clause
-variants.  Switching a policy or a variant clears the comparison memo it
-affects, but neither switch is scoped or thread-safe, so concurrent callers
-must not mix readings.
+kernels, the per-serial tables and mixed's clause variants, the only
+toggle.  Switching a variant clears mixed's comparison memo, but the switch
+is neither scoped nor thread-safe, so concurrent callers must not mix
+readings.
 
 The ordering kernel (`make_order`) is shared by all four systems: it owns
 the comparison memo, the cycle guard and the sum and omega-power clauses,

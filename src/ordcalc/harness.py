@@ -83,9 +83,11 @@ class EnumBudget:
 # A report keeps the first MAX_VIOLATIONS violations (fixtures keep all).
 MAX_VIOLATIONS = 25
 # Above PAIR_CAP pairs a pairwise check samples PAIR_CAP of them; the order
-# axioms also re-check SORT_SAMPLE sampled pairs of the sorted pool.
+# axioms also re-check SORT_SAMPLE sampled pairs of the sorted pool, and the
+# M-class closure check tries SUM_SAMPLES sampled sums.
 PAIR_CAP = 250_000
 SORT_SAMPLE = 20_000
+SUM_SAMPLES = 20_000
 
 
 @dataclass
@@ -615,7 +617,7 @@ def check_m_membership(terms, seed: int = 0) -> CheckReport:
     return report
 
 
-def check_m_closure(terms, seed: int = 0, sum_samples: int = 20_000) -> CheckReport:
+def check_m_closure(terms, seed: int = 0) -> CheckReport:
     """Class membership is preserved by omega powers, by collapse after a
     downward shift, and by sums after aligning classes."""
     rng = random.Random(_derive_seed(seed, "m_closure"))
@@ -633,7 +635,7 @@ def check_m_closure(terms, seed: int = 0, sum_samples: int = 20_000) -> CheckRep
             collapsed = theta(poly.shift(s, 0, -1))
             if not poly.m_member(collapsed, n):
                 report.note("collapse_closure", term=render(s))
-        for _ in range(sum_samples):
+        for _ in range(SUM_SAMPLES):
             (sa, m), (sb, n) = rng.choice(stars), rng.choice(stars)
             if m > n:
                 (sa, m), (sb, n) = (sb, n), (sa, m)

@@ -308,8 +308,8 @@ def fc(c: MCard, t: Term):
     return values, (max(values) if values else CARD_NEG_INF)
 
 
-def fc_max(t: Term, c: MCard = FULL) -> MCard:
-    return fc(c, t)[1]
+def fc_max(t: Term) -> MCard:
+    return fc(FULL, t)[1]
 
 
 def _fc_head(c: MCard, t: Term):

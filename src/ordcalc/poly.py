@@ -80,8 +80,8 @@ def fc(j: int, t: Term):
     return values, (max(values) if values else NEG_INF)
 
 
-def fc_max(t: Term, j: int = 0):
-    return fc(j, t)[1]
+def fc_max(t: Term):
+    return fc(0, t)[1]
 
 
 def _fc_head(j: int, t: Term):

@@ -14,7 +14,6 @@ cardinality is one less than its written level would suggest.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .core import (
@@ -57,9 +56,6 @@ from .core import (
 )
 
 __all__ = [
-    "ComparePolicy",
-    "set_policy",
-    "get_policy",
     "shift",
     "fc",
     "fc_max",
@@ -86,39 +82,9 @@ __all__ = [
 ]
 
 
-class ComparePolicy(Enum):
-    """How collected function bodies are instantiated during comparisons.
-
-    LITERAL_ZERO is the bare reading: functions are applied to 0 only, with
-    no cardinality-class guard, and the collapse-versus-collapse bullets use
-    only the opposite side's parameters.  That reading admits comparison
-    cycles (a collapse whose class rides inside an abstracted parameter
-    looks vacuously small), so the default SYMMETRIC_PARAMS reading guards
-    collapse comparisons by cardinality class and applies functions to the
-    parameters of both compared bodies plus 0, which restores totality.
-    """
-
-    LITERAL_ZERO = "literal-zero"
-    SYMMETRIC_PARAMS = "symmetric-params"
-
-
-_POLICY = ComparePolicy.SYMMETRIC_PARAMS
-
 # The per-serial top class `_fc_bar0`, read by the collapse clauses with
-# the parameters of `core.params`.  The policy changes neither, so
-# `set_policy` leaves them alone.
+# the parameters of `core.params`.
 _TOP: dict[int, float] = {}
-
-
-def set_policy(policy: ComparePolicy):
-    global _POLICY
-    if policy is not _POLICY:
-        _POLICY = policy
-        _LT.clear()
-
-
-def get_policy() -> ComparePolicy:
-    return _POLICY
 
 
 def _check_system(t: Term):
@@ -175,8 +141,8 @@ def fc(j: int, t: Term):
     return values, (max(values) if values else NEG_INF)
 
 
-def fc_max(t: Term, j: int = 0):
-    return fc(j, t)[1]
+def fc_max(t: Term):
+    return fc(0, t)[1]
 
 
 def _fc_head(j: int, t: Term):
@@ -372,34 +338,29 @@ def _check_pair(a: Term, b: Term):
         _check_system(b)
 
 
-def _candidates(*bodies: Term) -> tuple[Term, ...]:
-    """Arguments at which collected functions are applied: 0 together with
-    every parameter of the given bodies.  Using the same candidate set for
-    both comparison directions keeps the collapse clauses dual."""
-    found: set = {ZERO}
-    for body in bodies:
-        found.update(params(body))
-    return tuple(sorted(found, key=lambda p: p.key))
-
-
 def _legit_candidates(bodies: tuple[Term, ...], collapses: tuple[Term, ...]):
     """Instantiation arguments for the collapses' collected functions: the
     parameters of the compared bodies, capped at the collapses' cardinality
     class (a larger-class argument would jump the comparison out of class),
-    plus 0.  The test is structural, so filtering cannot re-enter the
-    comparison, and it is symmetric in the two directions."""
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return (ZERO,)
+    plus 0, in `key` order.  The test is structural, so filtering cannot
+    re-enter the comparison, and it is symmetric in the two directions, which
+    keeps the collapse clauses dual."""
     cap = min(_fc_bar0(c) for c in collapses)
+    found: set = {ZERO}
+    for body in bodies:
+        found.update(params(body))
     return tuple(
-        w for w in _candidates(*bodies) if w is ZERO or _fc_bar0(w) <= cap
+        w
+        for w in sorted(found, key=lambda p: p.key)
+        if w is ZERO or _fc_bar0(w) <= cap
     )
 
 
 def _class_split(a: Term, b: Term):
-    """Cardinality-class guard for collapse comparisons (None: same class)."""
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return None
+    """Cardinality-class guard for collapse comparisons (None: same class).
+    Without it, and with functions applied to 0 only, the order has cycles:
+    a collapse whose class rides inside an abstracted parameter looks
+    vacuously small."""
     fa, fb = _fc_bar0(a), _fc_bar0(b)
     if fa == fb:
         return None
@@ -416,22 +377,17 @@ def _head_lt(a: Term, b: Term) -> bool:
             if split is not None:
                 return split
             alpha, beta = a.body, b.body
-            if _POLICY is ComparePolicy.LITERAL_ZERO:
-                # each side's functions at the other side's parameters only
-                ws_alpha = params(beta) or (ZERO,)
-                ws_beta = params(alpha) or (ZERO,)
-            else:
-                ws_alpha = ws_beta = _legit_candidates((alpha, beta), (a, b))
+            ws = _legit_candidates((alpha, beta), (a, b))
             if _lt(alpha, beta):
                 gs = _kset(0, alpha)
-                for w in ws_alpha:
+                for w in ws:
                     for g in gs:
                         if not _lt(instantiate(g, w), b):
                             return False
                 return True
             if _lt(beta, alpha):
                 gs = _kset(0, beta)
-                for w in ws_beta:
+                for w in ws:
                     for g in gs:
                         x = instantiate(g, w)
                         if a is x or _lt(a, x):
@@ -753,35 +709,19 @@ def _ref_params(body: Term) -> set:
     return found
 
 
-def _ref_candidates(*bodies: Term) -> list[Term]:
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return [ZERO]
+def _ref_legit_candidates(bodies, collapses):
+    cap = min(max(_ref_fc_set(0, c), default=NEG_INF) for c in collapses)
     found: set = {ZERO}
     for body in bodies:
         found |= _ref_params(body)
-    return sorted(found, key=lambda p: p.key)
-
-
-def _ref_cross_candidates(own: Term, other: Term) -> list[Term]:
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return sorted(_ref_params(other), key=lambda p: p.key) or [ZERO]
-    return _ref_candidates(own, other)
-
-
-def _ref_legit_candidates(bodies, collapses):
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return [ZERO]
-    cap = min(max(_ref_fc_set(0, c), default=NEG_INF) for c in collapses)
     return [
         w
-        for w in _ref_candidates(*bodies)
+        for w in sorted(found, key=lambda p: p.key)
         if w is ZERO or max(_ref_fc_set(0, w), default=NEG_INF) <= cap
     ]
 
 
 def _ref_class_split(a: Term, b: Term):
-    if _POLICY is ComparePolicy.LITERAL_ZERO:
-        return None
     fa = max(_ref_fc_set(0, a), default=NEG_INF)
     fb = max(_ref_fc_set(0, b), default=NEG_INF)
     if fa == fb:
@@ -815,20 +755,6 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             split = _ref_class_split(a, b)
             if split is not None:
                 return split
-            if _POLICY is ComparePolicy.LITERAL_ZERO:
-                if _ref_lt(alpha, beta):
-                    return all(
-                        _ref_lt(instantiate(g, w), b)
-                        for w in _ref_cross_candidates(alpha, beta)
-                        for g in kset_reference(0, alpha)
-                    )
-                if _ref_lt(beta, alpha):
-                    return any(
-                        _ref_leq(a, instantiate(g, w))
-                        for w in _ref_cross_candidates(beta, alpha)
-                        for g in kset_reference(0, beta)
-                    )
-                return False
             ws = _ref_legit_candidates((alpha, beta), (a, b))
             if _ref_lt(alpha, beta):
                 return all(

@@ -103,6 +103,13 @@ def test_sum_interning_ignores_child_order():
         assert add(a, b, c) is sum_of([*summands(a), *summands(b), *summands(c)])
 
 
+@pytest.mark.parametrize("module", ["ordcalc", *(f"ordcalc.{s}" for s in harness.SYSTEMS)])
+def test_all_names_exist(module):
+    # a stale entry breaks `from module import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
 def test_classification_helpers():
     assert is_h(ONE) and not is_sc(ONE)
     assert is_sc(omega_idx(1))
@@ -631,7 +638,8 @@ def _assert_heads_agree(mod, heads):
 @pytest.mark.parametrize("system", harness.SYSTEMS)
 def test_head_rule_matches_reference_head(system):
     """The type-dispatched head rule decides every ordered pair of a sample
-    of heads as the reference's `match` coding does, under every reading."""
+    of heads as the reference's `match` coding does, under every mixed
+    clause variant."""
     mod = importlib.import_module(f"ordcalc.{system}")
     # mixed's reference walks its critical sets unmemoized: a smaller sample
     heads = _head_sample(opened(system), per_head=30 if system == "mixed" else 60)
@@ -640,19 +648,14 @@ def test_head_rule_matches_reference_head(system):
     head_types = {"buchholz": 3, "poly": 3, "xi": 4, "mixed": 7}[system]
     assert len({type(t) for t in heads}) == head_types
     _assert_heads_agree(mod, heads)
-    if system not in ("xi", "mixed"):
+    if system != "mixed":
         return
     try:
-        if system == "xi":
-            X.set_policy(X.ComparePolicy.LITERAL_ZERO)
+        for flag in mixed.Variants._fields:
+            mixed.set_variants(mixed.Variants(**{flag: False}))
             _assert_heads_agree(mod, heads)
-        else:
-            for flag in mixed.Variants._fields:
-                mixed.set_variants(mixed.Variants(**{flag: False}))
-                _assert_heads_agree(mod, heads)
     finally:
         mixed.set_variants(mixed.Variants())
-        X.set_policy(X.ComparePolicy.SYMMETRIC_PARAMS)
 
 
 # -- per-serial head facts of xi and mixed ---------------------------------------
@@ -741,26 +744,18 @@ def test_fact_tables_agree_with_a_fresh_walk():
     _check_fact_tables(pools)
 
 
-_TOGGLES = list(mixed.Variants._fields) + ["literal_zero"]
-
-
-@pytest.mark.parametrize("toggle", _TOGGLES)
+@pytest.mark.parametrize("toggle", mixed.Variants._fields)
 def test_toggles_leave_no_stale_fact(toggle):
     """No toggle clears the fact tables, so none may change what they hold."""
     pools = list(_acceptance_pools())
     _warm_fact_tables(pools)
     try:
-        if toggle == "literal_zero":
-            X.set_policy(X.ComparePolicy.LITERAL_ZERO)
-            _assert_compare_matches_reference("xi", pairs=3000, seed=3)
-        else:
-            mixed.set_variants(mixed.Variants(**{toggle: False}))
-            _assert_compare_matches_reference("mixed", pairs=3000, seed=3)
+        mixed.set_variants(mixed.Variants(**{toggle: False}))
+        _assert_compare_matches_reference("mixed", pairs=3000, seed=3)
         _warm_fact_tables(pools)
         _check_fact_tables(pools)
     finally:
         mixed.set_variants(mixed.Variants())
-        X.set_policy(X.ComparePolicy.SYMMETRIC_PARAMS)
 
 
 def test_reference_reads_no_fact_table():

@@ -120,16 +120,6 @@ def test_compare_cases():
     assert X.compare(px("V.F^(0)(0)"), px("V.G^(0)(0)")) is Outcome.INCOMPARABLE
 
 
-def test_policy_toggle():
-    a, b = px("th(0)"), px("th(w^(0))")
-    assert X.compare(a, b) is Outcome.LESS
-    X.set_policy(X.ComparePolicy.LITERAL_ZERO)
-    try:
-        assert X.compare(a, b) is Outcome.LESS
-    finally:
-        X.set_policy(X.ComparePolicy.SYMMETRIC_PARAMS)
-
-
 def test_fsubstitute():
     assert X.fsubstitute(px("V.F^(0)(0)"), "F", 0, px("w^(v.w^(0))"), "w") is px("w^(0)")
     assert X.fsubstitute(
