@@ -154,7 +154,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return False  # distinct variables are incomparable, as is Omega_n to x_m
 
 
-compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
+compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
 
 
 def substitute(t: Term, name: str, n: int, gamma: Term) -> Term:

@@ -20,12 +20,10 @@ must never be persisted or used for ordering (use `key`).  Facts needed on
 hot paths -- size, closedness, `var_names` and the like -- are slots filled
 at construction; equal variable-name sets share one frozenset.
 
-Terms are immutable, and the intern table is lock-protected.  Everything
-else is a process global: the memos held by the ordering and set-walk
-kernels, the per-serial tables and mixed's clause variants, the only
-toggle.  Switching a variant clears mixed's comparison memo, but the switch
-is neither scoped nor thread-safe, so concurrent callers must not mix
-readings.
+Terms are immutable, and the intern table is lock-protected.  The memos
+held by the ordering and set-walk kernels and the per-serial tables are
+process globals; each holds facts of the one reading of its system's
+clauses, since no module has a toggle.
 
 The ordering kernel (`make_order`) is shared by all four systems: it owns
 the comparison memo, the cycle guard and the sum and omega-power clauses,

@@ -1,6 +1,7 @@
 """Verification harness: exhaustive term enumeration under a budget,
-order-axiom checks, Key-Lemma sampling, pinned fixtures, and cross-checks of
-the memoized operation paths against the plain reference paths.
+order-axiom checks, Key-Lemma sampling, pinned fixtures, cross-checks of
+the memoized operation paths against the plain reference paths, and order
+embeddings between systems.
 
 Reports are line-delimited JSON records; a report is reproducible from its
 budget and seed (timing excluded).
@@ -21,15 +22,18 @@ from functools import cmp_to_key
 from . import buchholz, mixed, poly, syntax, xi
 from .core import (
     NEG_INF,
+    OmegaLev,
     Outcome,
     PreconditionError,
     ShiftError,
     Term,
     Theta,
+    ThetaIdx,
     VarIdx,
     VarLev,
     fvar,
     is_sc,
+    make_level_walk,
     omega_high,
     omega_idx,
     omega_lev,
@@ -988,38 +992,65 @@ def check_key_lemmas(system: str, samples: int = 10_000, seed: int = 0) -> Check
     raise PreconditionError(f"no key lemma suite for system {system!r}")
 
 
-# -- clause-variant differential -------------------------------------------------
+# -- cross-system embeddings ------------------------------------------------------
+#
+# Order-preserving maps that commute with sums and omega powers: they test
+# a system's clauses against another system, so they catch a wrong clause
+# that both codings of the target share, as the oracle check cannot.
 
-def diff_clause_variants(terms, pairs: int = 20_000, seed: int = 0) -> CheckReport:
-    """Informational: how often each alternate (literal) clause reading
-    changes a comparison or substitution outcome on the mixed system, and
-    on how many sampled pairs it makes both a < b and b < a hold."""
+
+def _iota_head(t: Term, j: int):
+    """iota: buchholz -> mixed, O_n to O_n and th_n to thO_n."""
+    if type(t) is ThetaIdx:
+        return j, t.body, functools.partial(theta_low, t.index)
+    return None
+
+
+def _pi_head(t: Term, j: int):
+    """pi: poly -> xi at argument 0, O^(J) to Xi^(J)(0) and th to th."""
+    if type(t) is OmegaLev:
+        return mk_xi(t.level, ZERO)
+    return None
+
+
+# name -> (source system, target system, the map)
+EMBEDDINGS = {
+    "iota": ("buchholz", "mixed", make_level_walk(_iota_head)),
+    "pi": ("poly", "xi", make_level_walk(_pi_head)),
+}
+
+
+def check_embedding(name: str, terms, pairs: int = 100_000, seed: int = 0) -> CheckReport:
+    """The embedding `name` preserves the order: the source's `compare` on
+    sampled pairs of `terms` equals the target's on their images.  iota also
+    carries buchholz's critical sets onto mixed's: for n = 1..3 the image of
+    `buchholz.kset(n, t)` is `mixed.kset_low(n, iota(t))`."""
+    source, target, walk = EMBEDDINGS[name]
+    src_cmp, dst_cmp = _COMPARE[source], _COMPARE[target]
     terms = list(terms)
     n = len(terms)
-    rng = random.Random(_derive_seed(seed, "variants"))
-    sampled = [(terms[rng.randrange(n)], terms[rng.randrange(n)]) for _ in range(pairs)]
-    default = mixed.get_variants()
-    with _checking("clause_variants", "mixed", seed) as report:
-        baseline = [mixed.compare(a, b) for a, b in sampled]
-        try:
-            for flag in mixed.Variants._fields:
-                mixed.set_variants(default._replace(**{flag: False}))
-                diffs = asymmetric = 0
-                for (a, b), want in zip(sampled, baseline):
+    rng = random.Random(_derive_seed(seed, f"embedding:{name}"))
+    with _checking("embedding", source, seed) as report:
+        for _ in range(pairs):
+            a, b = terms[rng.randrange(n)], terms[rng.randrange(n)]
+            report.checked += 1
+            want, got = src_cmp(a, b), dst_cmp(walk(a, 0), walk(b, 0))
+            if got is not want:
+                report.note(
+                    "compare_disagreement",
+                    left=render(a),
+                    right=render(b),
+                    source=want.value,
+                    target=got.value,
+                )
+        if name == "iota":
+            for t in terms:
+                for k in (1, 2, 3):
                     report.checked += 1
-                    got = mixed.compare(a, b)
-                    if got is not want:
-                        diffs += 1
-                    # compare answers LESS as soon as a < b holds; b < a may too
-                    if got is Outcome.LESS and mixed._lt(b, a):
-                        asymmetric += 1
-                report.details[flag] = {
-                    "pairs": pairs,
-                    "differences": diffs,
-                    "asymmetric": asymmetric,
-                }
-        finally:
-            mixed.set_variants(default)
+                    image = frozenset(walk(g, 0) for g in buchholz.kset(k, t))
+                    if image != mixed.kset_low(k, walk(t, 0)):
+                        report.note("kset_disagreement", term=render(t), at=f"n={k}")
+    report.details.update(embedding=name, target=target, terms=n)
     return report
 
 
@@ -1044,7 +1075,8 @@ def selfcheck(
     quick: bool = False,
 ) -> list[CheckReport]:
     """The one-command acceptance run: fixtures, order axioms, Key Lemmas,
-    round trips, and oracle equivalence, with documented default budgets."""
+    round trips, oracle equivalence and the embeddings, with documented
+    default budgets."""
     budgets = ORDER_BUDGETS
     if quick:
         budgets = {
@@ -1076,4 +1108,8 @@ def selfcheck(
     reports.append(check_collapse_not_self_value(pools["xi"], seed=seed))
     for system in ("buchholz", "poly", "xi"):
         reports.append(check_key_lemmas(system, samples=samples, seed=seed))
+    for name, (source, _, _) in EMBEDDINGS.items():
+        reports.append(
+            check_embedding(name, pools[source], pairs=oracle_pairs, seed=seed)
+        )
     return reports

@@ -16,7 +16,6 @@ values of this lattice.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .core import (
     KItem,
@@ -43,7 +42,6 @@ from .core import (
     make_reference,
     make_walk,
     omega_high,
-    omega_idx,
     params,
     substitutable as _substitutable,
     var_lev,
@@ -63,9 +61,6 @@ __all__ = [
     "card_min_nat",
     "level_minus_card",
     "parse_card",
-    "Variants",
-    "set_variants",
-    "get_variants",
     "shift",
     "fc",
     "fc_max",
@@ -194,36 +189,10 @@ def parse_card(text: str) -> MCard:
         raise PreconditionError(f"malformed cardinality {text!r}") from None
 
 
-class Variants(NamedTuple):
-    """Alternate clause readings, switchable for differential runs.
-
-    The defaults are the corrected readings; turning a flag off runs the
-    executable literal clause instead (see docs/clause_variants.json).
-    """
-
-    omega_low_ladder: bool = True  # order the plain cardinals by index
-    theta_below_cardinal: bool = True  # allow a collapse below a cardinal head
-    high_substitution_identity: bool = True  # substitution keeps upper cardinals
-
-
-_VARIANTS = Variants()
-
 # A collapse's own critical set, per serial: plain terms for thO and thOO,
-# KItems for thXi.  No variant changes it, so `set_variants` leaves it
-# alone: a thXi entry's instantiation, which reads a variant, is made per
-# call and never stored.
+# KItems for thXi.  A thXi entry's instantiation depends on the other
+# side's parameters, so it is made per call and never stored.
 _FAMILY: dict[int, frozenset] = {}
-
-
-def set_variants(v: Variants):
-    global _VARIANTS
-    if v != _VARIANTS:
-        _VARIANTS = v
-        _LT.clear()
-
-
-def get_variants() -> Variants:
-    return _VARIANTS
 
 
 def _check_system(t: Term):
@@ -364,13 +333,10 @@ def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
 
 
 def _subst_head(t: Term, j: int, name: str, beta: Term):
-    # The walk stops at a plain collapse thO.  The literal clause erases
-    # every upper cardinal reached, so it skips no variable-free subterm.
-    if _VARIANTS.high_substitution_identity:
-        if name not in t.var_names:
-            return t
-    elif type(t) is OmegaHigh:
-        return omega_idx(t.index)
+    # The walk stops at a plain collapse thO and keeps every subterm without
+    # the variable whole, an upper cardinal OO_n^(J) among them.
+    if name not in t.var_names:
+        return t
     if type(t) is VarLev and t.name == name:
         return _shift(beta, FULL, j, False)
     return None
@@ -593,7 +559,7 @@ def _head_lt(a: Term, b: Term) -> bool:
                     return False
             ra, rb = _rank(a), _rank(b)
             return ra < rb or (ra == rb and _lt(a.body, b.body))
-        if tb is VarLev or not _VARIANTS.theta_below_cardinal:
+        if tb is VarLev:
             # The added direction stops at cardinal heads; a collapse stays
             # incomparable to a bare variable (a vacuous bound is not stable).
             return False
@@ -609,7 +575,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     # cardinal ladder
     if ta is OmegaIdx:
         if tb is OmegaIdx:
-            return _VARIANTS.omega_low_ladder and a.index < b.index
+            return a.index < b.index
         return True
     if tb is OmegaIdx:
         return False
@@ -627,7 +593,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return j < j1 or (j == j1 and a.index < b.index)
 
 
-compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
+compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
 
 
 # -- reference implementations ---------------------------------------------------
@@ -801,7 +767,7 @@ def _ref_instantiated_kset(s: Term, other: Term) -> frozenset[Term]:
 def _ref_head_lt(a: Term, b: Term) -> bool:
     match a, b:
         case (OmegaIdx(m), OmegaIdx(n)):
-            return _VARIANTS.omega_low_ladder and m < n
+            return m < n
         case (OmegaIdx(_), OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _)):
             return True
         case (OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _), OmegaIdx(_)):
@@ -824,8 +790,6 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     if a_card and isinstance(b, _COLLAPSES):
         return any(_ref_leq(a, g) for g in _ref_card_side_kset(b))
     if isinstance(a, _COLLAPSES) and isinstance(b, (OmegaIdx, OmegaHigh, Xi)):
-        if not _VARIANTS.theta_below_cardinal:
-            return False
         return all(_ref_lt(g, b) for g in _ref_card_side_kset(a))
     if isinstance(a, _COLLAPSES) and isinstance(b, _COLLAPSES):
         csl = _ref_instantiated_kset(a, b)

@@ -433,7 +433,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return False  # distinct variables are incomparable, and x^(J) to V^(K)(y)
 
 
-compare, _lt, _leq, _LT = make_order(_head_lt, _check_pair)
+compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
 
 
 # -- function-variable substitution ------------------------------------------

@@ -170,3 +170,17 @@ def test_criterion_10_oracle_equivalence(system):
         10, f"oracle equivalence ({system})", report.ok, f"100000 pairs, {elapsed:.0f}s"
     )
     assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("name", ["iota", "pi"])
+def test_criterion_11_embeddings(name):
+    source = H.EMBEDDINGS[name][0]
+    start = time.perf_counter()
+    report = H.check_embedding(name, pool(source), pairs=100_000, seed=SEED)
+    elapsed = time.perf_counter() - start
+    report_line(
+        11, f"embedding {name} ({source})", report.ok, f"{report.checked} cases, {elapsed:.0f}s"
+    )
+    assert report.ok, report.violations
+    kset_cases = 3 * FROZEN_COUNTS[source] if name == "iota" else 0
+    assert report.checked == 100_000 + kset_cases

@@ -9,6 +9,7 @@ import ordcalc
 from ordcalc import harness as H
 from ordcalc import parse, render
 from ordcalc import poly as P
+from ordcalc.core import ThetaLow
 
 
 def test_tiny_buchholz_enumeration_exact():
@@ -143,45 +144,37 @@ def test_fixture_report_keeps_every_failure(monkeypatch):
     assert [v["name"] for v in report.violations] == [name for name, _ in table]
 
 
-def test_clause_variant_diff_runs():
-    terms = [parse("mixed", "O_1"), parse("mixed", "O_2"), parse("mixed", "thO_1(O_3)")]
-    report = H.diff_clause_variants(terms, pairs=300, seed=6)
-    assert set(report.details) == set(H.mixed.Variants._fields)
-    assert all(d["pairs"] == 300 for d in report.details.values())
-    assert report.details["omega_low_ladder"]["differences"] > 0
-    assert report.details["theta_below_cardinal"]["differences"] > 0
+def test_embeddings_map_heads():
+    iota, pi = H.EMBEDDINGS["iota"][2], H.EMBEDDINGS["pi"][2]
+    t = parse("buchholz", "th_2(O_1 # w^(th_1(0)))")
+    assert iota(t, 0) is parse("mixed", "thO_2(O_1 # w^(thO_1(0)))")
+    t = parse("poly", "th(O^(-1) # w^(O^(0)))")
+    assert pi(t, 0) is parse("xi", "th(Xi^(-1)(0) # w^(Xi^(0)(0)))")
 
 
-def test_clause_variant_diff_counts_asymmetric_pairs():
-    # Either literal comparison clause makes the closed mixed order lose
-    # antisymmetry: on these sampled pairs a < b and b < a both hold (the
-    # reference's _ref_lt finds the same pairs).
-    terms = H.enumerate_terms(H.ORDER_BUDGETS["mixed"])
-    report = H.diff_clause_variants(terms, pairs=20_000, seed=1)
-    assert {flag: d["asymmetric"] for flag, d in report.details.items()} == {
-        "omega_low_ladder": 9,
-        "theta_below_cardinal": 33,
-        "high_substitution_identity": 0,
-    }
+def test_embedding_sees_a_rank_fault_the_oracle_misses(monkeypatch):
+    # A wrong clause that both codings of mixed share: thO_n ranked by -n.
+    # The oracle compares two codings that read the same `_rank`, so it
+    # passes on the images of the pool; iota measures mixed against buchholz.
+    rank = H.mixed._rank
 
+    def faulty_rank(t):
+        return (0, -t.index) if type(t) is ThetaLow else rank(t)
 
-def test_clause_variant_diff_restores_defaults_on_error(monkeypatch):
-    terms = [parse("mixed", "O_1"), parse("mixed", "O_2"), parse("mixed", "thO_1(O_3)")]
-    default = H.mixed.get_variants()
-    real_compare = H.mixed.compare
-    calls = []
-
-    def failing_compare(a, b):
-        calls.append(H.mixed.get_variants())
-        if len(calls) == 450:  # inside the first literal-reading pass
-            raise RuntimeError("compare failed")
-        return real_compare(a, b)
-
-    monkeypatch.setattr(H.mixed, "compare", failing_compare)
-    with pytest.raises(RuntimeError, match="compare failed"):
-        H.diff_clause_variants(terms, pairs=300, seed=6)
-    assert calls[-1] != default
-    assert H.mixed.get_variants() == default
+    terms = H.enumerate_terms(H.EnumBudget("buchholz", max_size=4, max_subscript=2))
+    iota = H.EMBEDDINGS["iota"][2]
+    H.mixed.LT_MEMO.clear()
+    monkeypatch.setattr(H.mixed, "_rank", faulty_rank)
+    try:
+        embedding = H.check_embedding("iota", terms, pairs=5_000, seed=1)
+        oracle = H.check_oracle_equivalence(
+            "mixed", [iota(t, 0) for t in terms], pairs=5_000, seed=1
+        )
+    finally:
+        H.mixed.LT_MEMO.clear()
+    assert not embedding.ok
+    assert {v["kind"] for v in embedding.violations} == {"compare_disagreement"}
+    assert oracle.ok and oracle.checked == 5_000
 
 
 _GOLDEN_SELFCHECK = os.path.join(

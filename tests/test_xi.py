@@ -232,7 +232,7 @@ def test_strict_critical_items_carry_no_variable():
 _XI_MEMO_SIZE = """
 from ordcalc import harness, xi
 harness.check_key_lemmas("xi", samples=50, seed=1)
-print(sum(len(row) for row in xi._LT.values()))
+print(sum(len(row) for row in xi.LT_MEMO.values()))
 """
 
 
