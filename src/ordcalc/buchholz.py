@@ -95,7 +95,7 @@ def _fc_head(_, t: Term):
     raise InvariantError(f"not a stratified term: {t!r}")
 
 
-_fc_set = make_walk(_fc_head)  # no threshold: callers pass None as its arg
+_fc_set = make_walk(_fc_head)  # threshold-free, as in every system: arg is None
 
 
 def kset(n: int, t: Term) -> frozenset[Term]:

@@ -36,9 +36,9 @@ reference head rule and critical-set walks.
 
 The set-walk kernel (`make_walk`) makes the same cut for the
 formal-cardinality and critical-subterm walks: one kernel owns every walk's
-memo and the sum and omega-power clauses, and each system supplies only the
-clauses for its other heads.  The reference walks stay plain recursion
-outside it.
+memo and the sum and omega-power clauses, each system supplies only its
+other heads' clauses, and only the critical-subterm walks take a threshold.
+The reference walks stay plain recursion outside it.
 
 The level-walk kernel (`make_level_walk`) makes the cut once more for the
 maps and tests that carry an ambient level: substitution and its test,
@@ -931,7 +931,8 @@ def make_walk(head):
     """Build one memoized set walk -- a formal-cardinality or critical-subterm
     walk -- from its head clauses.
 
-    `walk(arg, t)` owns the memo, one row per threshold, `memo[arg][t.serial]`
+    `walk(arg, t)` owns the memo, one row per `arg` (a `kset*` walk's
+    threshold; None in the threshold-free `fc` walks), `memo[arg][t.serial]`
     (no tuple key; a descent that moves `arg` switches rows), and the clauses
     every system shares: a sum's set is the union of its children's sets
     and an omega power's set is its exponent's, both at the same `arg`.

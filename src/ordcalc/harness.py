@@ -109,7 +109,8 @@ class CheckReport:
         return not self.violations
 
     def note(self, kind: str, **fields):
-        """Record one violation; those past the first MAX_VIOLATIONS are dropped."""
+        """Count a violation in details["violations_total"]; keep MAX_VIOLATIONS."""
+        self.details["violations_total"] = self.details.get("violations_total", 0) + 1
         if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append({"kind": kind, **fields})
 
@@ -402,15 +403,11 @@ def check_kset_oracle(system: str, terms, seed: int = 0) -> CheckReport:
                     report.checked += 1
                     if buchholz.kset(n, t) != buchholz.kset_reference(n, t):
                         report.note("kset_disagreement", term=render(t), at=f"n={n}")
-            elif system == "poly":
+            elif system in ("poly", "xi"):
+                mod = poly if system == "poly" else xi
                 for j in (0, -1):
                     report.checked += 1
-                    if poly.kset(j, t) != poly.kset_reference(j, t):
-                        report.note("kset_disagreement", term=render(t), at=f"j={j}")
-            elif system == "xi":
-                for j in (0, -1):
-                    report.checked += 1
-                    if xi.kset(j, t) != xi.kset_reference(j, t):
+                    if mod.kset(j, t) != mod.kset_reference(j, t):
                         report.note("kset_disagreement", term=render(t), at=f"j={j}")
             else:
                 for n in (1, 2):

@@ -9,8 +9,9 @@ Formal cardinalities form the lattice
 
 where (J,0) is the class of Xi^(J), (J,n) that of the upper cardinal with
 index n at level J, and (J,inf) the gap state between level J and J+1.
-Thresholds for shifting and cardinality collection are "large" (pair-shaped)
-values of this lattice.
+Thresholds for shifting and critical-subterm collection are "large"
+(pair-shaped) values of this lattice.  Formal cardinality below such a
+threshold is read off one threshold-free profile per term.
 """
 
 from __future__ import annotations
@@ -273,46 +274,52 @@ def fc(c: MCard, t: Term):
     """Formal cardinalities of t restricted below c, and their max."""
     _check_system(t)
     _check_large(c)
-    values = _fc_set(c, t)
-    return values, (max(values) if values else CARD_NEG_INF)
+    _, j, m = c.rank
+    values = frozenset(
+        x if type(x) is MCard else large(x[0] - j, x[1])
+        for x in _fc_set(None, t)
+        if type(x) is MCard or (x[0], x[2]) < (j, m)
+    )
+    return values, max(values, default=CARD_NEG_INF)
 
 
 def fc_max(t: Term) -> MCard:
     return fc(FULL, t)[1]
 
 
-def _fc_head(c: MCard, t: Term):
+def _fc_head(_, t: Term):
+    """The profile of t: its plain cardinalities, and each large one as
+    (v, k, g), which counts below (J, m) as (v - J, k) when (v, g) < (J, m)."""
     match t:
         case OmegaIdx(n):
             return frozenset({fin(n)})
         case OmegaHigh(j1, n):
-            if large(j1, n) < c:
-                return frozenset({large(level_minus_card(j1, c), n)})
-            return frozenset()
+            return frozenset({(j1, n, n)})
         case Xi(j1, arg):
-            if large(j1, 0) < c:
-                own = frozenset({large(level_minus_card(j1, c), 0)})
-                return card_minus_level(c, j1), arg, lambda values: values | own
-            return card_minus_level(c, j1), arg
+            return None, arg, lambda items: _fc_lift(items, j1) | {(j1, 0, 0)}
         case ThetaLow(_, body):
-            return c, body
+            return None, body
         case ThetaHigh(n, body):
-            return card_min_nat(c, n), body
+            # read below (J, min(m, n)): a gate index from n up never counts at J
+            return None, body, lambda items: frozenset(
+                x if type(x) is MCard or x[2] < n else (x[0], x[1], INF) for x in items
+            )
         case ThetaXi(body):
-            return card_minus_level(c, 1), body
+            return None, body, lambda items: _fc_lift(items, 1)
         case VarLev(_, j1):
-            if large(j1, 0) < c:
-                return frozenset({large(level_minus_card(j1, c), 0)})
-            return frozenset()
+            return frozenset({(j1, 0, 0)})
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-_fc_set = make_walk(_fc_head)
+def _fc_lift(items: frozenset, d: int) -> frozenset:
+    """A profile read below (J - d, inf), as read below J: finite gate indices become -1."""
+    return frozenset(
+        x if type(x) is MCard else (x[0] + d, x[1], INF if x[2] == INF else -1)
+        for x in items
+    )
 
 
-def _fc_bar(t: Term) -> MCard:
-    values = _fc_set(FULL, t)
-    return max(values) if values else CARD_NEG_INF
+_fc_set = make_walk(_fc_head)  # threshold-free: arg is None
 
 
 # -- substitution -------------------------------------------------------------
@@ -403,7 +410,7 @@ def _kset_high_head(cn: tuple[MCard, int], t: Term):
         case ThetaHigh(_, body) | ThetaXi(body):
             # A collapse whose re-levelling would collide with its own held
             # tier cannot be collected whole; descend instead.
-            if _fc_bar(t) < card_min_nat(c, n):
+            if fc_max(t) < card_min_nat(c, n):
                 try:
                     return frozenset({_shift(t, FULL, -c.j, True)})
                 except ShiftError:
@@ -445,14 +452,14 @@ def _kset_xi_head(c: MCard, t: Term):
                     pass
             return card_minus_level(c, j1), arg
         case ThetaHigh(n, body):
-            if _fc_bar(t) < card_minus_level(c, 1):
+            if fc_max(t) < card_minus_level(c, 1):
                 try:
                     return frozenset({KItem(_shift(t, FULL, 1 - c.j, True))})
                 except ShiftError:
                     pass
             return card_min_nat(c, n), body
         case ThetaXi(body):
-            if _fc_bar(t) < c:
+            if fc_max(t) < c:
                 try:
                     return frozenset({_bound_collapse_item(t, c)})
                 except ShiftError:

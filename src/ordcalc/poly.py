@@ -3,8 +3,9 @@ J <= 0, one collapse, level shifting, critical subterms, ground/star
 normalization with a structural class-membership predicate, variables,
 substitution, and the dominance machinery.
 
-Level bookkeeping: formal cardinality is relative, so most operations carry a
-threshold J that decrements every time the recursion enters a collapse body.
+Level bookkeeping: formal cardinality at a level J <= 0 is read off one
+threshold-free profile per term, and the critical-subterm walk carries a
+threshold J that decrements every time it enters a collapse body.
 Values live in {-inf} union {..., -2, -1, 0}.
 """
 
@@ -76,25 +77,28 @@ def fc(j: int, t: Term):
     """Formal cardinalities of t relative to threshold j, with their max."""
     _check_system(t)
     check_level(j)
-    values = _fc_set(j, t)
-    return values, (max(values) if values else NEG_INF)
+    values = frozenset(e - j for e in _fc_set(None, t) if e <= j)
+    return values, max(values, default=NEG_INF)
 
 
 def fc_max(t: Term):
-    return fc(0, t)[1]
+    _check_system(t)
+    return max(_fc_set(None, t), default=NEG_INF)
 
 
-def _fc_head(j: int, t: Term):
+def _fc_head(_, t: Term):
+    """The profile of t: its formal cardinalities at level 0."""
     match t:
         case OmegaLev(j1) | VarLev(_, j1):
             # variables count at the level of the cardinal they track
-            return frozenset({j1 - j}) if j1 <= j else frozenset()
+            return frozenset({j1})
         case Theta(body):
-            return j - 1, body
+            # the body's profile read at level -1
+            return None, body, lambda values: frozenset(e + 1 for e in values if e <= -1)
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
-_fc_set = make_walk(_fc_head)
+_fc_set = make_walk(_fc_head)  # threshold-free: arg is None
 
 
 def shift(t: Term, j: int, d: int) -> Term:
@@ -139,7 +143,7 @@ def _kset_head(j: int, t: Term):
         case OmegaLev(j1):
             return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
         case Theta(body):
-            if _fc_bar0(t) < j:
+            if fc_max(t) < j:
                 try:
                     return frozenset({_shift(t, 0, 1 - j)})
                 except ShiftError as exc:  # pragma: no cover
@@ -151,11 +155,6 @@ def _kset_head(j: int, t: Term):
 
 
 _kset = make_walk(_kset_head)
-
-
-def _fc_bar0(t: Term):
-    values = _fc_set(0, t)
-    return max(values) if values else NEG_INF
 
 
 def _check_pair(a: Term, b: Term):
@@ -201,13 +200,12 @@ compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
 
 def ground(t: Term):
     """Least formal cardinality occurring free in t (-inf if none)."""
-    values = _fc_set(0, t)
-    return min(values) if values else NEG_INF
+    return min(_fc_set(None, t), default=NEG_INF)
 
 
 def star(t: Term) -> Term:
     """t re-levelled so its greatest free level is 0 (identity when none)."""
-    top = _fc_bar0(t)
+    top = fc_max(t)
     return t if top == NEG_INF else _shift(t, 0, -top)
 
 
@@ -252,11 +250,11 @@ def m_member(t: Term, n) -> bool:
 
 
 def _m_member(t: Term, n) -> bool:
-    if _fc_bar0(t) == NEG_INF:
+    if fc_max(t) == NEG_INF:
         return True  # cardinal-free terms belong to every class
     if n == NEG_INF:
         return False
-    if _fc_bar0(t) != 0:
+    if fc_max(t) != 0:
         return False
     if ground(t) < -n:
         return False
@@ -323,7 +321,7 @@ def _least_dominance_bound(chain: list, gamma: Term, beta: Term, target) -> Term
                 if chain
                 else dfun(0, gamma, beta)
             )
-        if _fc_bar0(chain[m]) <= target:
+        if fc_max(chain[m]) <= target:
             return chain[m]
     raise InvariantError("dominance iteration failed to reach the target class")
 
@@ -338,7 +336,7 @@ def llrel(gamma: Term, alpha: Term, beta: Term) -> bool:
     chain: list[Term] = []
     bounds = {}  # target class -> least bound reaching it
     for eta in _kset(0, alpha):
-        target = _fc_bar0(eta)
+        target = fc_max(eta)
         bound = bounds.get(target)
         if bound is None:
             bound = bounds[target] = _least_dominance_bound(chain, gamma, beta, target)

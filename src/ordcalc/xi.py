@@ -9,7 +9,8 @@ other side's parameters.
 
 Levels are J <= 0 throughout; a variable v^(J) sits strictly between the
 cardinals at level J-1 and those at level J, which is why its formal
-cardinality is one less than its written level would suggest.
+cardinality is one less than its written level would suggest.  Formal
+cardinality at a level J is read off one threshold-free profile per term.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ __all__ = [
 ]
 
 
-# The per-serial top class `_fc_bar0`, read by the collapse clauses with
-# the parameters of `core.params`.
-_TOP: dict[int, float] = {}
-
-
 def _check_system(t: Term):
     if not t.in_system("xi"):
         raise PreconditionError(f"term {t!r} is not a function-sorted-system term")
@@ -137,38 +133,39 @@ def fc(j: int, t: Term):
     """Formal cardinalities relative to threshold j, and their max."""
     _check_system(t)
     check_level(j)
-    values = _fc_set(j, t)
-    return values, (max(values) if values else NEG_INF)
+    values = frozenset(e - j for e, g in _fc_set(None, t) if g <= j)
+    return values, max(values, default=NEG_INF)
 
 
 def fc_max(t: Term):
-    return fc(0, t)[1]
+    _check_system(t)
+    return _fc_bar0(t)
 
 
-def _fc_head(j: int, t: Term):
+def _fc_head(_, t: Term):
+    """The profile of t: pairs (e, g), each a formal cardinality e at level 0
+    that counts at every level J >= g, as e - J."""
     match t:
         case Xi(j1, arg) | FVar(_, j1, arg):
-            if j1 > j:
-                return j - j1, arg
-            rel = j1 - j
             # a function variable sits one class below its cardinal
-            own = frozenset({rel if type(t) is Xi else rel - 1})
-            return 0, arg, lambda values: own | frozenset(x + rel for x in values)
-        case Theta(body):
-            return j - 1, body
+            own = {(j1 if type(t) is Xi else j1 - 1, j1)}
+            return None, arg, lambda ps: frozenset((e + j1, g + j1) for e, g in ps) | own
+        case Theta(body):  # the body's profile read at level -1
+            return None, body, lambda ps: frozenset((e + 1, g + 1) for e, g in ps if g <= -1)
         case VarLev(_, j1):
-            return frozenset({j1 - j - 1}) if j1 <= j else frozenset()
+            return frozenset({(j1 - 1, j1)})
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
-_fc_set = make_walk(_fc_head)
+_fc_set = make_walk(_fc_head)  # threshold-free: arg is None
+_TOP: dict[int, float] = {}  # per serial: the profile's top class, read by collapse clauses
 
 
 def _fc_bar0(t: Term):
     top = _TOP.get(t.serial)
     if top is None:
-        values = _fc_set(0, t)
-        top = _TOP[t.serial] = max(values) if values else NEG_INF
+        pairs = _fc_set(None, t)
+        top = _TOP[t.serial] = max(pairs)[0] if pairs else NEG_INF
     return top
 
 

@@ -431,14 +431,15 @@ def test_set_walk_descends_a_deep_nest(case):
 
 _WARM_WALKS = {
     "poly.kset": (P._kset_head, P._kset, (0, -1)),
-    "mixed.fc": (mixed._fc_head, mixed._fc_set, (mixed.FULL, mixed.large(-1, mixed.INF))),
+    "mixed.fc": (mixed._fc_head, mixed._fc_set, (None,)),
 }
 
 
 @pytest.mark.parametrize("case", _WARM_WALKS)
 def test_warm_set_walk_reads_only_the_memo(case):
     """A second pass at the same thresholds reads every answer from the
-    memo, one row per threshold: no call to `head`, the same objects."""
+    memo, one row per threshold (the one row None of a threshold-free `fc`
+    walk): no call to `head`, the same objects."""
     head, system_walk, args = _WARM_WALKS[case]
     pool = closed(case.split(".")[0], max_size=5)
     calls = []
@@ -455,6 +456,82 @@ def test_warm_set_walk_reads_only_the_memo(case):
     warm = [walk(arg, t) for arg in args for t in pool]
     assert calls == []
     assert all(w is c for w, c in zip(warm, cold, strict=True))
+
+
+# Each case runs a `kset*` walk on a collapse nest of `depth` levels, each of
+# whose heads reads the level's top class: (module, name of the walk, its
+# head, run).
+_NEST_KSETS = {
+    "poly.kset": (
+        P,
+        "_kset",
+        P._kset_head,
+        lambda d: P.kset(-1, _nest(theta, add(omega_lev(-d), omega_lev(-d - 2)), d)),
+    ),
+    "xi.kset": (
+        X,
+        "_kset",
+        X._kset_head(False),
+        lambda d: X.kset(-1, _nest(theta, add(xi(-d, ZERO), xi(-d - 2, ZERO)), d)),
+    ),
+    "mixed.kset_xi": (
+        mixed,
+        "_kset_xi",
+        mixed._kset_xi_head,
+        lambda d: mixed.kset_xi(
+            mixed.large(-1, 0), _nest(theta_xi, add(xi(-d, ZERO), xi(-d - 2, ZERO)), d)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _NEST_KSETS)
+def test_kset_on_a_collapse_nest_makes_linear_head_calls(case, monkeypatch):
+    """Doubling a collapse nest's depth at most doubles the head calls of the
+    `kset*` walk and of the `fc` walk its heads read: each term has one
+    formal-cardinality profile, so no level walks the rest of the nest again."""
+    mod, walk_name, kset_head, run = _NEST_KSETS[case]
+
+    def head_calls(depth):
+        calls = []
+
+        def counted(head):
+            def counting_head(arg, t):
+                calls.append(t)
+                return head(arg, t)
+
+            return core.make_walk(counting_head)
+
+        # fresh memos for each nest
+        monkeypatch.setattr(mod, walk_name, counted(kset_head))
+        monkeypatch.setattr(mod, "_fc_set", counted(mod._fc_head))
+        run(depth)
+        return len(calls)
+
+    small, large = head_calls(40), head_calls(80)
+    assert 0 < large <= 2 * small
+
+
+_CARD_GRID = [mixed.large(j, m) for j in (1, 0, -1, -2) for m in (0, 1, 2, mixed.INF)]
+
+
+@pytest.mark.parametrize("system", ["poly", "xi", "mixed"])
+def test_fc_agrees_with_the_reference_walk(system):
+    """Each threshold's reading of the memoized profile, and `fc_max`, equal
+    the reference walk, which recurses once per threshold."""
+    mod = importlib.import_module(f"ordcalc.{system}")
+    if system == "mixed":
+        thresholds, top = _CARD_GRID, mixed.FULL
+    else:
+        thresholds, top = range(0, -4, -1), 0
+    pools = [closed(system), opened(system)]
+    if system == "xi":
+        pools.append(harness.enumerate_terms(_XI_FVARS))
+    for pool in pools:
+        for t in pool:
+            for j in thresholds:
+                assert mod.fc(j, t)[0] == mod._ref_fc_set(j, t), (t, j)
+            assert mod.fc_max(t) == mod.fc(top, t)[1], t
 
 
 # -- the level maps on deep nests --------------------------------------------------
@@ -667,7 +744,7 @@ def _check_fact_tables(pools):
             assert set(params) == set(ref), t
             checked += 1
         if serial in X._TOP:
-            assert X._TOP[serial] == max(X._fc_set(0, t), default=core.NEG_INF), t
+            assert X._TOP[serial] == max(X._ref_fc_set(0, t), default=core.NEG_INF), t
             checked += 1
         family = mixed._FAMILY.get(serial)
         if family is None:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -170,11 +171,21 @@ def test_embedding_sees_a_rank_fault_the_oracle_misses(monkeypatch):
         oracle = H.check_oracle_equivalence(
             "mixed", [iota(t, 0) for t in terms], pairs=5_000, seed=1
         )
+        # the same sampled pairs, recounted
+        rng = random.Random(H._derive_seed(1, "embedding:iota"))
+        recount = 0
+        for _ in range(5_000):
+            a, b = terms[rng.randrange(len(terms))], terms[rng.randrange(len(terms))]
+            recount += H.buchholz.compare(a, b) is not H.mixed.compare(iota(a, 0), iota(b, 0))
     finally:
         H.mixed.LT_MEMO.clear()
     assert not embedding.ok
     assert {v["kind"] for v in embedding.violations} == {"compare_disagreement"}
+    # the report keeps MAX_VIOLATIONS of them and counts them all
+    assert len(embedding.violations) == H.MAX_VIOLATIONS
+    assert embedding.details["violations_total"] == recount > H.MAX_VIOLATIONS
     assert oracle.ok and oracle.checked == 5_000
+    assert "violations_total" not in oracle.details
 
 
 _GOLDEN_SELFCHECK = os.path.join(

@@ -151,10 +151,10 @@ def _llrel_rebuilt_per_item(gamma, alpha, beta):
     """llrel as first written: every critical subterm rebuilds the chain."""
 
     def least_bound(eta):
-        target = P._fc_bar0(eta)
+        target = P.fc_max(eta)
         bound = P.dfun(0, gamma, beta)
         for _ in range(1, 64):
-            if P._fc_bar0(bound) <= target:
+            if P.fc_max(bound) <= target:
                 return bound
             bound = theta(omega_pow(add(omega_lev(0), bound)))
         raise AssertionError("unreachable")
