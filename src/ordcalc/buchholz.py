@@ -30,6 +30,7 @@ from .core import (
     make_walk,
     omega_idx,
     omega_pow,
+    reference_table,
     theta_idx,
     ZERO,
 )
@@ -266,9 +267,10 @@ def key_lemma_3(
 
 # -- Reference implementations ---------------------------------------------
 #
-# Plain direct recursion with no caching, kept deliberately separate from the
-# memoized paths above; the harness cross-checks the two.
+# Plain direct recursion with per-serial reference tables only, kept apart
+# from the memoized paths above; the harness cross-checks the two.
 
+@reference_table
 def kset_reference(n: int, t: Term) -> frozenset[Term]:
     match t:
         case Sum(children):

@@ -32,13 +32,13 @@ Its unmemoized twin, `make_reference`, builds each system's reference
 order, the oracle the memoized order is checked against: the same clauses
 written a second time in plain recursion, sharing no code with
 `make_order`, with no memo and no cycle guard.  Each system supplies its own
-reference head rule and critical-set walks.
+reference head rule and critical-set walks, tabled by `reference_table`.
 
 The set-walk kernel (`make_walk`) makes the same cut for the
 formal-cardinality and critical-subterm walks: one kernel owns every walk's
 memo and the sum and omega-power clauses, each system supplies only its
 other heads' clauses, and only the critical-subterm walks take a threshold.
-The reference walks stay plain recursion outside it.
+The reference walks stay plain recursion outside it, tabled apart from it.
 
 The level-walk kernel (`make_level_walk`) makes the cut once more for the
 maps and tests that carry an ambient level: substitution and its test,
@@ -1001,9 +1001,9 @@ def make_reference(head):
     The plain-recursion twin of `make_order`, kept a separate
     implementation so that the oracle check compares two codings of the
     sum and omega-power clauses: no memo, no cycle guard, and `head(a, b)`
-    decides a < b only for two strongly critical terms.  Returns
-    `(compare, lt, leq)`; `compare` raises InvariantError when both a < b
-    and b < a hold.
+    decides a < b only for two strongly critical terms, reading the tabled
+    reference critical sets.  Returns `(compare, lt, leq)`; `compare`
+    raises InvariantError when both a < b and b < a hold.
     """
 
     def compare(a: Term, b: Term) -> Outcome:
@@ -1043,3 +1043,26 @@ def make_reference(head):
         return head(a, b)
 
     return compare, lt, leq
+
+
+REFERENCE_TABLES: dict[str, dict] = {}  # by walk; only the tests clear them
+
+
+def reference_table(walk):
+    """Table one reference walk `walk(arg, t)` as `table[arg][t.serial]` in
+    `REFERENCE_TABLES`: the oracle's own cache, filled by this walk only and
+    sharing no code with `make_walk`, `make_order` or the fact tables.  A
+    decorator tables every level the walk's recursion passes; a new name,
+    only the readings asked of it.
+    """
+    table: defaultdict[object, dict[int, object]] = defaultdict(dict)
+    REFERENCE_TABLES[f"{walk.__module__.rpartition('.')[2]}.{walk.__name__}"] = table
+
+    def tabled(arg, t: Term):
+        row = table[arg]
+        out = row.get(t.serial)
+        if out is None:
+            out = row[t.serial] = walk(arg, t)
+        return out
+
+    return tabled

@@ -44,6 +44,7 @@ from .core import (
     make_walk,
     omega_high,
     params,
+    reference_table,
     substitutable as _substitutable,
     var_lev,
     xi as mk_xi,
@@ -636,10 +637,11 @@ def _ref_fc_set(c: MCard, t: Term) -> frozenset:
 
 
 def _ref_fc_bar(t: Term) -> MCard:
-    values = _ref_fc_set(FULL, t)
+    values = _ref_fc_at(FULL, t)
     return max(values) if values else CARD_NEG_INF
 
 
+@reference_table
 def kset_low_reference(n: int, t: Term) -> frozenset[Term]:
     match t:
         case Sum(children):
@@ -658,13 +660,17 @@ def kset_low_reference(n: int, t: Term) -> frozenset[Term]:
 
 
 def kset_high_reference(c: MCard, n: int, t: Term) -> frozenset[Term]:
+    return _ref_kset_high((c, n), t)
+
+
+@reference_table
+def _ref_kset_high(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
+    c, n = cn
     match t:
         case Sum(children):
-            return frozenset().union(
-                *(kset_high_reference(c, n, x) for x in children)
-            )
+            return frozenset().union(*(_ref_kset_high(cn, x) for x in children))
         case OmegaPow(e):
-            return kset_high_reference(c, n, e)
+            return _ref_kset_high(cn, e)
         case OmegaIdx(_):
             return frozenset({t})
         case OmegaHigh(j1, m):
@@ -674,7 +680,7 @@ def kset_high_reference(c: MCard, n: int, t: Term) -> frozenset[Term]:
         case Xi(j1, arg):
             if large(j1, 0) < c:
                 return frozenset({mk_xi(level_minus_card(j1, c), arg)})
-            return kset_high_reference(card_minus_level(c, j1), n, arg)
+            return _ref_kset_high((card_minus_level(c, j1), n), arg)
         case ThetaLow(_, _):
             return frozenset({t})
         case ThetaHigh(_, body):
@@ -683,14 +689,14 @@ def kset_high_reference(c: MCard, n: int, t: Term) -> frozenset[Term]:
                     return frozenset({_shift(t, FULL, -c.j, True)})
                 except ShiftError:
                     pass
-            return kset_high_reference(card_min_nat(c, n), n, body)
+            return _ref_kset_high((card_min_nat(c, n), n), body)
         case ThetaXi(body):
             if _ref_fc_bar(t) < card_min_nat(c, n):
                 try:
                     return frozenset({_shift(t, FULL, -c.j, True)})
                 except ShiftError:
                     pass
-            return kset_high_reference(card_minus_level(c, 1), n, body)
+            return _ref_kset_high((card_minus_level(c, 1), n), body)
         case VarLev(name, j1):
             if large(j1, 0) < card_min_nat(c, n):
                 return frozenset({var_lev(name, level_minus_card(j1, c))})
@@ -698,6 +704,7 @@ def kset_high_reference(c: MCard, n: int, t: Term) -> frozenset[Term]:
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
+@reference_table
 def kset_xi_reference(c: MCard, t: Term) -> frozenset[KItem]:
     match t:
         case Sum(children):
@@ -740,7 +747,8 @@ def kset_xi_reference(c: MCard, t: Term) -> frozenset[KItem]:
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-def _ref_family_kset(t: Term) -> tuple[KItem, ...]:
+@reference_table  # one row, None: a collapse's own reference critical set
+def _ref_family_kset(_, t: Term) -> tuple[KItem, ...]:
     match t:
         case ThetaLow(n, body):
             return tuple(KItem(x) for x in kset_low_reference(n, body))
@@ -754,7 +762,7 @@ def _ref_card_side_kset(s: Term) -> tuple[Term, ...]:
         return tuple(
             instantiate(g, ZERO) for g in kset_xi_reference(large(0, 0), s.body)
         )
-    return tuple(g.term for g in _ref_family_kset(s))
+    return tuple(g.term for g in _ref_family_kset(None, s))
 
 
 def _ref_params(t: Term) -> tuple[Term, ...]:
@@ -764,7 +772,7 @@ def _ref_params(t: Term) -> tuple[Term, ...]:
 
 
 def _ref_instantiated_kset(s: Term, other: Term) -> frozenset[Term]:
-    items = _ref_family_kset(s)
+    items = _ref_family_kset(None, s)
     if isinstance(s, ThetaXi):
         values = _ref_params(other.body) or (ZERO,)
         return frozenset(instantiate(g, v) for g in items for v in values)
@@ -810,4 +818,5 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
+_ref_fc_at = reference_table(_ref_fc_set)  # read at FULL only; recursion untabled
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

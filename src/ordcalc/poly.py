@@ -35,6 +35,7 @@ from .core import (
     make_walk,
     omega_lev,
     omega_pow,
+    reference_table,
     substitutable as _substitutable,
     theta,
     var_lev,
@@ -392,6 +393,7 @@ def _ref_fc_set(j: int, t: Term) -> frozenset:
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
+@reference_table
 def kset_reference(j: int, t: Term) -> frozenset[Term]:
     match t:
         case Sum(children):
@@ -401,7 +403,7 @@ def kset_reference(j: int, t: Term) -> frozenset[Term]:
         case OmegaLev(j1):
             return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
         case Theta(body):
-            values = _ref_fc_set(0, t)
+            values = _ref_fc_at(0, t)
             top = max(values) if values else NEG_INF
             if top < j:
                 return frozenset({shift(t, 0, 1 - j)})
@@ -434,4 +436,5 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
+_ref_fc_at = reference_table(_ref_fc_set)  # read at 0 only; recursion untabled
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -45,6 +45,7 @@ from .core import (
     make_walk,
     omega_pow,
     params,
+    reference_table,
     replace_params,
     substitutable as _substitutable,
     subterms,
@@ -673,6 +674,7 @@ def _ref_fc_set(j: int, t: Term) -> frozenset:
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
+@reference_table
 def kset_reference(j: int, t: Term) -> frozenset[KItem]:
     match t:
         case Sum(children):
@@ -684,7 +686,7 @@ def kset_reference(j: int, t: Term) -> frozenset[KItem]:
                 return frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
             return kset_reference(j - j1, arg)
         case Theta(body):
-            values = _ref_fc_set(0, t)
+            values = _ref_fc_at(0, t)
             top = max(values) if values else NEG_INF
             if top <= j:
                 return frozenset({_bound_collapse_item(t, j)})
@@ -707,20 +709,20 @@ def _ref_params(body: Term) -> set:
 
 
 def _ref_legit_candidates(bodies, collapses):
-    cap = min(max(_ref_fc_set(0, c), default=NEG_INF) for c in collapses)
+    cap = min(max(_ref_fc_at(0, c), default=NEG_INF) for c in collapses)
     found: set = {ZERO}
     for body in bodies:
         found |= _ref_params(body)
     return [
         w
         for w in sorted(found, key=lambda p: p.key)
-        if w is ZERO or max(_ref_fc_set(0, w), default=NEG_INF) <= cap
+        if w is ZERO or max(_ref_fc_at(0, w), default=NEG_INF) <= cap
     ]
 
 
 def _ref_class_split(a: Term, b: Term):
-    fa = max(_ref_fc_set(0, a), default=NEG_INF)
-    fb = max(_ref_fc_set(0, b), default=NEG_INF)
+    fa = max(_ref_fc_at(0, a), default=NEG_INF)
+    fb = max(_ref_fc_at(0, b), default=NEG_INF)
     if fa == fb:
         return None
     return fa < fb
@@ -785,4 +787,5 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
+_ref_fc_at = reference_table(_ref_fc_set)  # read at 0 only; recursion untabled
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -794,9 +794,16 @@ def test_fact_tables_agree_with_a_fresh_walk():
     _check_fact_tables(pools)
 
 
+def _clear_reference_tables():
+    for table in core.REFERENCE_TABLES.values():
+        table.clear()
+
+
 def test_reference_reads_no_fact_table():
     # The oracle must stay independent of the tables it checks: with every
-    # table empty, reference comparisons and walks fill none of them.
+    # table empty, reference comparisons and walks fill none of them.  The
+    # reference tables are emptied too, so every reference walk runs.
+    _clear_reference_tables()
     tables = (core._PARAMS, X._TOP, mixed._FAMILY)
     for table in tables:
         table.clear()
@@ -811,3 +818,102 @@ def test_reference_reads_no_fact_table():
             else:
                 mixed.kset_xi_reference(mixed.FULL, t)
     assert not any(tables)
+
+
+def _memoized_walks(system, t):
+    """Every memoized critical-set and formal-cardinality walk on t."""
+    if system == "buchholz":
+        B.fc(t)
+        for n in (1, 2, 3):
+            B.kset(n, t)
+    elif system in ("poly", "xi"):
+        mod = P if system == "poly" else X
+        mod.fc(0, t)
+        for j in (0, -1):
+            mod.kset(j, t)
+        if system == "xi":
+            X._kset_strict(0, t)  # the strict walk `llrel` reads
+    else:
+        mixed.fc(mixed.FULL, t)
+        for n in (1, 2):
+            mixed.kset_low(n, t)
+            mixed.kset_high(mixed.large(0, n), n, t)
+        mixed.kset_xi(mixed.large(0, 0), t)
+
+
+_MEMOIZED_WALK_HEADS = {  # module walk name -> its head, per system
+    "buchholz": {"_fc_set": B._fc_head, "_kset": B._kset_head},
+    "poly": {"_fc_set": P._fc_head, "_kset": P._kset_head},
+    "xi": {
+        "_fc_set": X._fc_head,
+        "_kset": X._kset_head(False),
+        "_kset_strict": X._kset_head(True),
+    },
+    "mixed": {
+        "_fc_set": mixed._fc_head,
+        "_kset_low": mixed._kset_low_head,
+        "_kset_high": mixed._kset_high_head,
+        "_kset_xi": mixed._kset_xi_head,
+    },
+}
+
+
+def test_memoized_paths_read_no_reference_table(monkeypatch):
+    # The mirror of the test above: with every reference table empty, the
+    # memoized comparisons and walks fill none of them.  Each walk is rebuilt
+    # over counting heads and the fact tables start empty, so the memoized
+    # heads run rather than answer from what earlier tests left.
+    assert sorted(core.REFERENCE_TABLES) == [
+        "buchholz.kset_reference",
+        "mixed._ref_family_kset",
+        "mixed._ref_fc_set",
+        "mixed._ref_kset_high",
+        "mixed.kset_low_reference",
+        "mixed.kset_xi_reference",
+        "poly._ref_fc_set",
+        "poly.kset_reference",
+        "xi._ref_fc_set",
+        "xi.kset_reference",
+    ]
+    _clear_reference_tables()
+    for mod, name in ((core, "_PARAMS"), (X, "_TOP"), (mixed, "_FAMILY"), (P, "_M")):
+        monkeypatch.setattr(mod, name, {})
+    calls = {}
+
+    def counted(key, head):
+        def counting_head(arg, t):
+            calls[key] += 1
+            return head(arg, t)
+
+        calls[key] = 0
+        return core.make_walk(counting_head)
+
+    for system in harness.SYSTEMS:
+        mod = importlib.import_module(f"ordcalc.{system}")
+        for name, head in _MEMOIZED_WALK_HEADS[system].items():
+            monkeypatch.setattr(mod, name, counted(f"{system}.{name}", head))
+        mod.LT_MEMO.clear()
+        terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
+        rng = random.Random(4)
+        for _ in range(500):
+            mod.compare(rng.choice(terms), rng.choice(terms))
+        for t in rng.sample(terms, 200):
+            _memoized_walks(system, t)
+    assert all(calls.values()), calls
+    assert not any(core.REFERENCE_TABLES.values())
+
+
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_reference_tables_cleared_give_the_same_outcomes(system):
+    mod = importlib.import_module(f"ordcalc.{system}")
+    terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
+
+    def outcomes():
+        rng = random.Random(6)
+        pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(3000)]
+        return [mod.compare_reference(a, b) for a, b in pairs]
+
+    first = outcomes()
+    _clear_reference_tables()
+    assert outcomes() == first  # from empty tables
+    assert outcomes() == first  # from the tables that run filled

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import ordcalc
-from ordcalc import harness as H
+from ordcalc import core, harness as H
 from ordcalc import parse, render
 from ordcalc import poly as P
 from ordcalc.core import ThetaLow
@@ -186,6 +186,69 @@ def test_embedding_sees_a_rank_fault_the_oracle_misses(monkeypatch):
     assert embedding.details["violations_total"] == recount > H.MAX_VIOLATIONS
     assert oracle.ok and oracle.checked == 5_000
     assert "violations_total" not in oracle.details
+
+
+def _drop_family_entry(monkeypatch):
+    # thOO_1(O_1)'s own critical set is {O_1}; the fault empties it.
+    t = parse("mixed", "thOO_1(O_1)")
+    H.mixed._instantiated_kset(t, ())
+    family = H.mixed._FAMILY[t.serial]
+    dropped = family - {min(family, key=lambda g: g.key)}
+    monkeypatch.setitem(H.mixed._FAMILY, t.serial, dropped)
+
+
+def _drop_poly_kset_entry(monkeypatch):
+    # Every threshold-0 critical set the poly head reads loses its first entry.
+    kset = P._kset
+
+    def faulty(j, t):
+        out = kset(j, t)
+        return frozenset(sorted(out, key=lambda g: g.key)[1:]) if j == 0 else out
+
+    monkeypatch.setattr(P, "_kset", faulty)
+
+
+_QUICK_BUDGETS = {  # the quick selfcheck pools
+    "mixed": H.EnumBudget("mixed", max_size=4, min_level=-2, max_subscript=1),
+    "poly": H.EnumBudget("poly", max_size=4, min_level=-2),
+}
+
+
+@pytest.mark.parametrize(
+    "system, fault",
+    [("mixed", _drop_family_entry), ("poly", _drop_poly_kset_entry)],
+    ids=["mixed_family", "poly_kset"],
+)
+def test_warm_reference_tables_still_see_a_memoized_fault(monkeypatch, system, fault):
+    # The reference tables are filled by the reference walks alone, so a fault
+    # put into a memoized path after they are warm still shows as violations.
+    terms = H.enumerate_terms(_QUICK_BUDGETS[system])
+    memo = getattr(H, system).LT_MEMO
+
+    def table_sizes():
+        return {
+            name: sum(map(len, table.values()))
+            for name, table in core.REFERENCE_TABLES.items()
+            if name.startswith(f"{system}.")
+        }
+
+    assert H.check_oracle_equivalence(system, terms, pairs=5_000, seed=1).ok
+    assert H.check_kset_oracle(system, terms, seed=1).ok
+    warm = table_sizes()
+    assert all(warm.values())
+    try:
+        with monkeypatch.context() as patch:
+            fault(patch)
+            memo.clear()
+            oracle = H.check_oracle_equivalence(system, terms, pairs=5_000, seed=1)
+            kset = H.check_kset_oracle(system, terms, seed=1)
+    finally:
+        memo.clear()
+    assert table_sizes() == warm  # the faulty run read the warm tables only
+    assert not oracle.ok
+    assert {v["kind"] for v in oracle.violations} == {"comparator_disagreement"}
+    # the kset oracle compares the walks themselves, which _FAMILY does not feed
+    assert kset.ok is (system == "mixed")
 
 
 _GOLDEN_SELFCHECK = os.path.join(
