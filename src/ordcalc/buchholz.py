@@ -30,7 +30,7 @@ from .core import (
     make_walk,
     omega_idx,
     omega_pow,
-    reference_table,
+    reference_walk,
     theta_idx,
     ZERO,
 )
@@ -200,21 +200,18 @@ def dfun(m: int, n: int, gamma: Term, beta: Term) -> Term:
     return out
 
 
-def llrel(n: int, gamma: Term, alpha: Term, beta: Term, relativized: bool = True) -> bool:
+def llrel(n: int, gamma: Term, alpha: Term, beta: Term) -> bool:
     """alpha << beta at level n relative to gamma: alpha < beta and every
     critical subterm of alpha at each level m <= n stays below the dominance
-    value at m.  With relativized=False the bounds drop the gamma summand
-    (the alternative reading of the dominance bound).
-    """
+    value at m."""
     if n < 0:
         raise PreconditionError(f"llrel level must be >= 0, got {n}")
     if not fc_max(gamma) < n:
         raise PreconditionError(f"llrel subscript must have cardinality < {n}")
     if compare(alpha, beta) is not Outcome.LESS:
         return False
-    sub = gamma if relativized else ZERO
     for m in range(1, n + 1):
-        bound = dfun(m, n, sub, beta)
+        bound = dfun(m, n, gamma, beta)
         for eta in _kset(m, alpha):
             if not _lt(eta, bound):
                 return False
@@ -270,18 +267,14 @@ def key_lemma_3(
 # Plain direct recursion with per-serial reference tables only, kept apart
 # from the memoized paths above; the harness cross-checks the two.
 
-@reference_table
+@reference_walk
 def kset_reference(n: int, t: Term) -> frozenset[Term]:
     match t:
-        case Sum(children):
-            return frozenset().union(*(kset_reference(n, c) for c in children))
-        case OmegaPow(e):
-            return kset_reference(n, e)
         case OmegaIdx(m):
             return frozenset({t}) if m < n else frozenset()
         case ThetaIdx(m, body):
             if n < m:
-                return kset_reference(n, body)
+                return n, body
             return frozenset({t})
         case VarIdx(_, m):
             return frozenset({t}) if m < n else frozenset()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import sys
 
 from .core import (
@@ -227,7 +226,7 @@ def _cmd_ll(args, out: _Output) -> int:
     b = parse(args.system, args.right)
     mod = _system(args.system)
     if args.system == "buchholz":
-        res = mod.llrel(args.n, gamma, a, b, relativized=not args.plain)
+        res = mod.llrel(args.n, gamma, a, b)
     elif args.system == "poly":
         res = mod.llrel(gamma, a, b)
     else:
@@ -388,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0, help="relation level (buchholz)")
     p.add_argument("--gamma", default="0")
     p.add_argument("--var", help="argument variable of gamma (xi)")
-    p.add_argument("--plain", action="store_true", help="drop the gamma summand from bounds")
     p.set_defaults(fn=_cmd_ll)
 
     p = sub.add_parser("enumerate", help="enumerate all terms within a budget")
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("selfcheck", help="run the verification suite (JSONL reports)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--triples", type=int, default=100_000)
     p.add_argument("--oracle-pairs", type=int, default=100_000)
@@ -418,8 +416,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if getattr(args, "seed", None) is None and args.command == "selfcheck":
-        args.seed = int(os.environ.get("ORDCALC_SEED", "0"))
     out = _Output(getattr(args, "output", "text"))
     try:
         return args.fn(args, out)

@@ -32,13 +32,16 @@ Its unmemoized twin, `make_reference`, builds each system's reference
 order, the oracle the memoized order is checked against: the same clauses
 written a second time in plain recursion, sharing no code with
 `make_order`, with no memo and no cycle guard.  Each system supplies its own
-reference head rule and critical-set walks, tabled by `reference_table`.
+reference head rule and its critical-set heads for `reference_walk`.
 
 The set-walk kernel (`make_walk`) makes the same cut for the
 formal-cardinality and critical-subterm walks: one kernel owns every walk's
 memo and the sum and omega-power clauses, each system supplies only its
 other heads' clauses, and only the critical-subterm walks take a threshold.
-The reference walks stay plain recursion outside it, tabled apart from it.
+Its plain-recursion twin, `reference_walk`, runs the reference critical-set
+walks on the same head contract: it decides sums and omega powers itself,
+tables every level in `REFERENCE_TABLES`, and follows a head's descent by
+calling itself, one stack frame per level.
 
 The level-walk kernel (`make_level_walk`) makes the cut once more for the
 maps and tests that carry an ambient level: substitution and its test,
@@ -1048,21 +1051,41 @@ def make_reference(head):
 REFERENCE_TABLES: dict[str, dict] = {}  # by walk; only the tests clear them
 
 
-def reference_table(walk):
-    """Table one reference walk `walk(arg, t)` as `table[arg][t.serial]` in
-    `REFERENCE_TABLES`: the oracle's own cache, filled by this walk only and
-    sharing no code with `make_walk`, `make_order` or the fact tables.  A
-    decorator tables every level the walk's recursion passes; a new name,
-    only the readings asked of it.
-    """
-    table: defaultdict[object, dict[int, object]] = defaultdict(dict)
-    REFERENCE_TABLES[f"{walk.__module__.rpartition('.')[2]}.{walk.__name__}"] = table
+def reference_walk(head):
+    """Build one tabled reference set walk from its head clauses.
 
-    def tabled(arg, t: Term):
+    The plain-recursion twin of `make_walk`, sharing no code with it,
+    `make_order` or the fact tables.  `walk(arg, t)` keeps its own table,
+    `table[arg][t.serial]`, registered in `REFERENCE_TABLES` under the
+    head's `module.name`: the oracle's cache, filled by this walk only.  It
+    decides a sum (the union of its children's sets) and an omega power
+    (its exponent's set) itself and asks `head(arg, t)` for every other
+    term, under `make_walk`'s head contract: the set, or a descent
+    `(arg1, child)` or `(arg1, child, then)` that the walk follows by
+    calling itself once the head has returned, so each level costs one
+    stack frame.
+    """
+    table: defaultdict[object, dict[int, frozenset]] = defaultdict(dict)
+    REFERENCE_TABLES[f"{head.__module__.rpartition('.')[2]}.{head.__name__}"] = table
+
+    def walk(arg, t: Term) -> frozenset:
         row = table[arg]
         out = row.get(t.serial)
         if out is None:
-            out = row[t.serial] = walk(arg, t)
+            tt = type(t)
+            if tt is Sum:
+                parts = []
+                for c in t.children:
+                    parts.append(walk(arg, c))
+                out = frozenset().union(*parts)
+            elif tt is OmegaPow:
+                out = walk(arg, t.exponent)
+            else:
+                out = head(arg, t)
+                if type(out) is tuple:
+                    below = walk(out[0], out[1])
+                    out = out[2](below) if len(out) == 3 else below
+            row[t.serial] = out
         return out
 
-    return tabled
+    return walk

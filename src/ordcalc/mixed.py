@@ -44,7 +44,7 @@ from .core import (
     make_walk,
     omega_high,
     params,
-    reference_table,
+    reference_walk,
     substitutable as _substitutable,
     var_lev,
     xi as mk_xi,
@@ -641,21 +641,17 @@ def _ref_fc_bar(t: Term) -> MCard:
     return max(values) if values else CARD_NEG_INF
 
 
-@reference_table
+@reference_walk
 def kset_low_reference(n: int, t: Term) -> frozenset[Term]:
     match t:
-        case Sum(children):
-            return frozenset().union(*(kset_low_reference(n, x) for x in children))
-        case OmegaPow(e):
-            return kset_low_reference(n, e)
         case OmegaIdx(m):
             return frozenset({t}) if m < n else frozenset()
         case OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _):
             return frozenset()
         case ThetaLow(m, body):
-            return frozenset({t}) if m <= n else kset_low_reference(n, body)
+            return frozenset({t}) if m <= n else (n, body)
         case ThetaHigh(_, body) | ThetaXi(body):
-            return kset_low_reference(n, body)
+            return n, body
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
@@ -663,14 +659,10 @@ def kset_high_reference(c: MCard, n: int, t: Term) -> frozenset[Term]:
     return _ref_kset_high((c, n), t)
 
 
-@reference_table
+@reference_walk
 def _ref_kset_high(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
     c, n = cn
     match t:
-        case Sum(children):
-            return frozenset().union(*(_ref_kset_high(cn, x) for x in children))
-        case OmegaPow(e):
-            return _ref_kset_high(cn, e)
         case OmegaIdx(_):
             return frozenset({t})
         case OmegaHigh(j1, m):
@@ -680,7 +672,7 @@ def _ref_kset_high(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
         case Xi(j1, arg):
             if large(j1, 0) < c:
                 return frozenset({mk_xi(level_minus_card(j1, c), arg)})
-            return _ref_kset_high((card_minus_level(c, j1), n), arg)
+            return (card_minus_level(c, j1), n), arg
         case ThetaLow(_, _):
             return frozenset({t})
         case ThetaHigh(_, body):
@@ -689,14 +681,14 @@ def _ref_kset_high(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
                     return frozenset({_shift(t, FULL, -c.j, True)})
                 except ShiftError:
                     pass
-            return _ref_kset_high((card_min_nat(c, n), n), body)
+            return (card_min_nat(c, n), n), body
         case ThetaXi(body):
             if _ref_fc_bar(t) < card_min_nat(c, n):
                 try:
                     return frozenset({_shift(t, FULL, -c.j, True)})
                 except ShiftError:
                     pass
-            return _ref_kset_high((card_minus_level(c, 1), n), body)
+            return (card_minus_level(c, 1), n), body
         case VarLev(name, j1):
             if large(j1, 0) < card_min_nat(c, n):
                 return frozenset({var_lev(name, level_minus_card(j1, c))})
@@ -704,13 +696,9 @@ def _ref_kset_high(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-@reference_table
+@reference_walk
 def kset_xi_reference(c: MCard, t: Term) -> frozenset[KItem]:
     match t:
-        case Sum(children):
-            return frozenset().union(*(kset_xi_reference(c, x) for x in children))
-        case OmegaPow(e):
-            return kset_xi_reference(c, e)
         case OmegaIdx(_):
             return frozenset({KItem(t)})
         case OmegaHigh(j1, m):
@@ -723,7 +711,7 @@ def kset_xi_reference(c: MCard, t: Term) -> frozenset[KItem]:
                     return frozenset({KItem(_shift(t, FULL, -c.j, True))})
                 except ShiftError:
                     pass
-            return kset_xi_reference(card_minus_level(c, j1), t.arg)
+            return card_minus_level(c, j1), t.arg
         case ThetaLow(_, _):
             return frozenset({KItem(t)})
         case ThetaHigh(n, body):
@@ -732,37 +720,19 @@ def kset_xi_reference(c: MCard, t: Term) -> frozenset[KItem]:
                     return frozenset({KItem(_shift(t, FULL, 1 - c.j, True))})
                 except ShiftError:
                     pass
-            return kset_xi_reference(card_min_nat(c, n), body)
+            return card_min_nat(c, n), body
         case ThetaXi(body):
             if _ref_fc_bar(t) < c:
                 try:
                     return frozenset({_bound_collapse_item(t, c)})
                 except ShiftError:
                     pass
-            return kset_xi_reference(card_minus_level(c, 1), body)
+            return card_minus_level(c, 1), body
         case VarLev(name, j1):
             if large(j1, 0) < c:
                 return frozenset({KItem(var_lev(name, level_minus_card(j1, c)))})
             return frozenset()
     raise InvariantError(f"not a mixed-system term: {t!r}")
-
-
-@reference_table  # one row, None: a collapse's own reference critical set
-def _ref_family_kset(_, t: Term) -> tuple[KItem, ...]:
-    match t:
-        case ThetaLow(n, body):
-            return tuple(KItem(x) for x in kset_low_reference(n, body))
-        case ThetaHigh(n, body):
-            return tuple(KItem(x) for x in kset_high_reference(large(0, n), n, body))
-    return tuple(kset_xi_reference(large(0, 0), t.body))
-
-
-def _ref_card_side_kset(s: Term) -> tuple[Term, ...]:
-    if isinstance(s, ThetaXi):
-        return tuple(
-            instantiate(g, ZERO) for g in kset_xi_reference(large(0, 0), s.body)
-        )
-    return tuple(g.term for g in _ref_family_kset(None, s))
 
 
 def _ref_params(t: Term) -> tuple[Term, ...]:
@@ -771,12 +741,17 @@ def _ref_params(t: Term) -> tuple[Term, ...]:
     return tuple(sorted(found, key=lambda p: p.key))
 
 
-def _ref_instantiated_kset(s: Term, other: Term) -> frozenset[Term]:
-    items = _ref_family_kset(None, s)
-    if isinstance(s, ThetaXi):
-        values = _ref_params(other.body) or (ZERO,)
-        return frozenset(instantiate(g, v) for g in items for v in values)
-    return frozenset(g.term for g in items)
+def _ref_instantiated_kset(s: Term, other: Term | None = None) -> frozenset[Term]:
+    """The collapse's own reference critical set, as plain terms: a thXi
+    set is instantiated at the parameters of `other`'s body, or at 0."""
+    match s:
+        case ThetaLow(n, body):
+            return kset_low_reference(n, body)
+        case ThetaHigh(n, body):
+            return kset_high_reference(large(0, n), n, body)
+    values = () if other is None else _ref_params(other.body)
+    items = kset_xi_reference(large(0, 0), s.body)
+    return frozenset(instantiate(g, v) for g in items for v in values or (ZERO,))
 
 
 def _ref_head_lt(a: Term, b: Term) -> bool:
@@ -803,9 +778,9 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             return False
     a_card = isinstance(a, (OmegaIdx, OmegaHigh, Xi, VarLev))
     if a_card and isinstance(b, _COLLAPSES):
-        return any(_ref_leq(a, g) for g in _ref_card_side_kset(b))
+        return any(_ref_leq(a, g) for g in _ref_instantiated_kset(b))
     if isinstance(a, _COLLAPSES) and isinstance(b, (OmegaIdx, OmegaHigh, Xi)):
-        return all(_ref_lt(g, b) for g in _ref_card_side_kset(a))
+        return all(_ref_lt(g, b) for g in _ref_instantiated_kset(a))
     if isinstance(a, _COLLAPSES) and isinstance(b, _COLLAPSES):
         csl = _ref_instantiated_kset(a, b)
         dsl = _ref_instantiated_kset(b, a)
@@ -818,5 +793,5 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_table(_ref_fc_set)  # read at FULL only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_set)  # read at FULL only; recursion untabled
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -35,7 +35,7 @@ from .core import (
     make_walk,
     omega_lev,
     omega_pow,
-    reference_table,
+    reference_walk,
     substitutable as _substitutable,
     theta,
     var_lev,
@@ -393,13 +393,9 @@ def _ref_fc_set(j: int, t: Term) -> frozenset:
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
-@reference_table
+@reference_walk
 def kset_reference(j: int, t: Term) -> frozenset[Term]:
     match t:
-        case Sum(children):
-            return frozenset().union(*(kset_reference(j, c) for c in children))
-        case OmegaPow(e):
-            return kset_reference(j, e)
         case OmegaLev(j1):
             return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
         case Theta(body):
@@ -407,7 +403,7 @@ def kset_reference(j: int, t: Term) -> frozenset[Term]:
             top = max(values) if values else NEG_INF
             if top < j:
                 return frozenset({shift(t, 0, 1 - j)})
-            return kset_reference(j - 1, body)
+            return j - 1, body
         case VarLev(name, j1):
             return frozenset({var_lev(name, j1 - (j - 1))}) if j1 < j else frozenset()
     raise InvariantError(f"not a polymorphic term: {t!r}")
@@ -436,5 +432,5 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_table(_ref_fc_set)  # read at 0 only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_set)  # read at 0 only; recursion untabled
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -45,7 +45,7 @@ from .core import (
     make_walk,
     omega_pow,
     params,
-    reference_table,
+    reference_walk,
     replace_params,
     substitutable as _substitutable,
     subterms,
@@ -674,23 +674,19 @@ def _ref_fc_set(j: int, t: Term) -> frozenset:
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
-@reference_table
+@reference_walk
 def kset_reference(j: int, t: Term) -> frozenset[KItem]:
     match t:
-        case Sum(children):
-            return frozenset().union(*(kset_reference(j, c) for c in children))
-        case OmegaPow(e):
-            return kset_reference(j, e)
         case Xi(j1, arg):
             if j1 < j:
                 return frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
-            return kset_reference(j - j1, arg)
+            return j - j1, arg
         case Theta(body):
             values = _ref_fc_at(0, t)
             top = max(values) if values else NEG_INF
             if top <= j:
                 return frozenset({_bound_collapse_item(t, j)})
-            return kset_reference(j - 1, body)
+            return j - 1, body
         case VarLev(name, j1):
             if j1 < j:
                 return frozenset({KItem(var_lev(name, j1 - (j - 1)))})
@@ -698,7 +694,7 @@ def kset_reference(j: int, t: Term) -> frozenset[KItem]:
         case FVar(name, j1, arg):
             if j1 < j:
                 return frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
-            return kset_reference(j - j1, arg)
+            return j - j1, arg
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
@@ -787,5 +783,5 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_table(_ref_fc_set)  # read at 0 only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_set)  # read at 0 only; recursion untabled
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

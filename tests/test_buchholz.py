@@ -104,10 +104,6 @@ def test_llrel_cases():
         B.llrel(1, omega_idx(1), ZERO, pb("w^(0)"))
 
 
-def test_llrel_plain_toggle_runs():
-    assert B.llrel(1, ZERO, ZERO, pb("w^(0)"), relativized=False)
-
-
 def test_key_lemma_unit_cases():
     assert B.key_lemma_1(pb("v.x_1"), pb("v.x_1 # w^(0)"), "x", 1, pb("th_1(0)"))
     assert B.key_lemma_2(1, ZERO, ZERO, pb("w^(0)"))

@@ -865,7 +865,6 @@ def test_memoized_paths_read_no_reference_table(monkeypatch):
     # heads run rather than answer from what earlier tests left.
     assert sorted(core.REFERENCE_TABLES) == [
         "buchholz.kset_reference",
-        "mixed._ref_family_kset",
         "mixed._ref_fc_set",
         "mixed._ref_kset_high",
         "mixed.kset_low_reference",
@@ -901,6 +900,39 @@ def test_memoized_paths_read_no_reference_table(monkeypatch):
             _memoized_walks(system, t)
     assert all(calls.values()), calls
     assert not any(core.REFERENCE_TABLES.values())
+
+
+# Each case runs a reference critical-set walk and its memoized twin on a
+# collapse nest of the given depth that both descend to the leaf.
+_DEEP_REFERENCE_WALKS = {
+    "buchholz": lambda d: (
+        (B.kset_reference, B.kset),
+        (1, _nest(lambda b: theta_idx(2, b), omega_idx(1), d)),
+    ),
+    "poly": lambda d: (
+        (P.kset_reference, P.kset),
+        (-1, _nest(theta, add(omega_lev(-d), omega_lev(-d - 2)), d)),
+    ),
+    "xi": lambda d: (
+        (X.kset_reference, X.kset),
+        (-1, _nest(theta, add(xi(-d, ZERO), xi(-d - 2, ZERO)), d)),
+    ),
+    "mixed": lambda d: (
+        (mixed.kset_low_reference, mixed.kset_low),
+        (1, _nest(lambda b: theta_high(1, b), omega_idx(2), d)),
+    ),
+}
+
+
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_reference_walk_descends_an_800_level_nest(system):
+    """`core.reference_walk` follows a head's descent after the head has
+    returned, so a nesting level costs one stack frame: an 800-level nest
+    is walked from empty tables at the default recursion limit."""
+    assert sys.getrecursionlimit() == 1000
+    (reference, memoized), (arg, t) = _DEEP_REFERENCE_WALKS[system](800)
+    _clear_reference_tables()
+    assert reference(arg, t) == memoized(arg, t)
 
 
 @pytest.mark.parametrize("system", harness.SYSTEMS)
