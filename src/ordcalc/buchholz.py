@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 def _check_system(t: Term):
-    if not t.in_system("buchholz"):
+    if not t.mask & SYS_BUCHHOLZ:
         raise PreconditionError(f"term {t!r} is not a stratified-system term")
 
 

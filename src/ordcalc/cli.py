@@ -6,14 +6,14 @@ invariant failure or any other unexpected error, 4 selfcheck found
 violations.
 
 A one-shot command imports only the system module it names (`_system`);
-the other systems and the harness stay unloaded.
+the other systems and the harness stay unloaded, and `json` is loaded only
+for `--output json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import sys
 
 from .core import (
@@ -53,6 +53,8 @@ class _Output:
 
     def emit(self, payload: dict, text: str):
         if self.mode == "json":
+            import json  # only here: a text-mode command never loads it
+
             print(json.dumps(payload, sort_keys=True))
         else:
             print(text)
@@ -271,8 +273,10 @@ def _cmd_selfcheck(args, out: _Output) -> int:
         print(report.to_json(), file=sys.stdout)
         if not report.ok:
             failed += 1
+    vacuous = ", ".join(f"{r.check} ({r.system})" for r in reports if r.checked == 0)
     print(
-        f"selfcheck: {len(reports)} checks, {failed} with violations",
+        f"selfcheck: {len(reports)} checks, {failed} with violations"
+        + (f"; checked nothing: {vacuous}" if vacuous else ""),
         file=sys.stderr,
     )
     return EXIT_VIOLATIONS if failed else EXIT_OK

@@ -819,19 +819,21 @@ def make_order(head, check):
 
     The sum and omega-power clauses are the same in every system and are
     decided here; `head(a, b)` decides a < b only for two strongly critical
-    terms.  `check(a, b)` validates the operands of every `compare` call and
-    raises on a bad pair.  Returns `(compare, lt, leq, memo)`: one row per
-    left operand, `memo[a.serial][b.serial]` is the answer of `lt(a, b)`;
-    keyed by the serial ints the terms hold, a lookup builds and hashes no
-    tuple.  Whoever switches the reading `head` depends on must clear `memo`,
-    which drops every row.  A comparison that needs its own answer raises
-    InvariantError instead of recursing without end.
+    terms and returns a bool.  `check(a, b)` validates the operands of a
+    `compare` call and raises on a bad pair.  Returns `(compare, lt, leq,
+    memo)`: one row per left operand, keyed by the serial ints the terms
+    hold, so a lookup builds and hashes no tuple.  Whoever switches the
+    reading `head` depends on must clear `memo`, which drops every row.  A
+    comparison that needs its own answer raises InvariantError instead of
+    recursing without end.
 
-    `compare` reads `memo` for `(a, b)` and then `(b, a)` itself, so a warm
-    comparison costs two to four dict lookups and no call to `lt`; it calls
-    `lt` on a miss, and on the in-progress marker, so that a cycle met
-    through `compare` still raises.  The sum-versus-sum clause cancels the
-    common children with `_sum_rests`, not with a `Counter`.
+    An entry `memo[a.serial][b.serial]` holds the bool `lt(a, b)` wrote, or
+    the `Outcome` that `compare(a, b)` put in its place once `check(a, b)`
+    passed; `check` reads only immutable facts, so a warm `compare` is one
+    row lookup with no `check` call, and a bool never skips it.  `lt` reads
+    an `Outcome` as `entry is LESS`; a miss or the in-progress marker goes
+    through `lt`, so a cycle met through `compare` still raises.  The
+    sum-versus-sum clause cancels common children with `_sum_rests`.
 
     `lt` and the four memoized head rules pick a clause by `type(x) is C`
     and decide it with explicit `for` loops: no tuple `match`, no
@@ -843,26 +845,32 @@ def make_order(head, check):
     clauses.
     """
     memo: dict[int, dict[int, object]] = {}
-    # Closure locals: a warm `compare` reads these far faster than Enum members.
+    # Closure locals: `compare` and `lt` read these far faster than Enum members.
     LESS, GREATER = Outcome.LESS, Outcome.GREATER
     EQUAL, INCOMPARABLE = Outcome.EQUAL, Outcome.INCOMPARABLE
 
     def compare(a: Term, b: Term) -> Outcome:
         """Decide the ordering; Incomparable only occurs on open terms."""
+        row = memo.get(a.serial)
+        cached = None if row is None else row.get(b.serial)
+        # An Outcome was stored after `check` passed on this very pair.
+        if cached.__class__ is Outcome:
+            return cached
         check(a, b)
         if a is b:
             return EQUAL
-        # A memoized answer is read here; a miss or an in-progress marker
-        # goes through `lt`, which decides it or raises on the cycle.
-        row = memo.get(a.serial)
-        cached = None if row is None else row.get(b.serial)
+        # A bool in the entry is used; a miss or the in-progress marker goes
+        # through `lt`, which decides it or raises on the cycle.
         if cached is True or (cached is not False and lt(a, b)):
-            return LESS
-        row = memo.get(b.serial)
-        cached = None if row is None else row.get(a.serial)
-        if cached is True or (cached is not False and lt(b, a)):
-            return GREATER
-        return INCOMPARABLE
+            cached = LESS
+        else:
+            row = memo.get(b.serial)
+            back = None if row is None else row.get(a.serial)
+            if back is None or back is _IN_PROGRESS:
+                back = lt(b, a)
+            cached = GREATER if back is True or back is LESS else INCOMPARABLE
+        memo[a.serial][b.serial] = cached
+        return cached
 
     def leq(a: Term, b: Term) -> bool:
         return a is b or lt(a, b)
@@ -920,9 +928,12 @@ def make_order(head, check):
                 row.pop(key, None)
                 raise
             row[key] = cached
-        elif cached is _IN_PROGRESS:
+            return cached
+        if cached is True or cached is False:
+            return cached
+        if cached is _IN_PROGRESS:
             raise InvariantError(f"comparison cycle on {a!r} vs {b!r}")
-        return cached
+        return cached is LESS  # an Outcome that `compare` stored
 
     return compare, lt, leq, memo
 

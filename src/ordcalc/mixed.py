@@ -198,7 +198,7 @@ _FAMILY: dict[int, frozenset] = {}
 
 
 def _check_system(t: Term):
-    if not t.in_system("mixed"):
+    if not t.mask & SYS_MIXED:
         raise PreconditionError(f"term {t!r} is not a mixed-system term")
 
 

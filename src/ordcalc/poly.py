@@ -70,7 +70,7 @@ _M: dict[tuple[int, float], bool] = {}
 
 
 def _check_system(t: Term):
-    if not t.in_system("poly"):
+    if not t.mask & SYS_POLY:
         raise PreconditionError(f"term {t!r} is not a polymorphic-system term")
 
 

@@ -85,7 +85,7 @@ __all__ = [
 
 
 def _check_system(t: Term):
-    if not t.in_system("xi"):
+    if not t.mask & SYS_XI:
         raise PreconditionError(f"term {t!r} is not a function-sorted-system term")
 
 

@@ -147,6 +147,15 @@ def test_selfcheck_quick(capsys):
     assert "selfcheck" in err
 
 
+def test_selfcheck_names_the_checks_that_checked_nothing(capsys):
+    code, out, err = run(capsys, "selfcheck", "--quick", "--seed", "1")
+    assert code == 0
+    vacuous = [rec for rec in map(json.loads, out.splitlines()) if rec["checked"] == 0]
+    named = "k_class_drop (poly), collapse_not_self_value (xi)"
+    assert [f"{rec['check']} ({rec['system']})" for rec in vacuous] == named.split(", ")
+    assert err.splitlines()[-1].endswith(f"; checked nothing: {named}")
+
+
 def run_child(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = os.path.dirname(os.path.dirname(ordcalc.__file__))
@@ -191,13 +200,14 @@ def _child_modules(code):
 @pytest.mark.parametrize("system", ["buchholz", "poly", "xi", "mixed"])
 def test_one_shot_command_loads_only_its_system(system):
     # A one-shot command pays for importing its own system only: not the
-    # other three, not the harness, and not `dataclasses` with its `inspect`.
+    # other three, not the harness, not `dataclasses` with its `inspect`,
+    # and, in text mode, not `json`.
     loaded = _child_modules(
         f"import ordcalc.cli; ordcalc.cli.main(['cmp', '--system', '{system}', '0', '0'])"
     )
     ours = {m for m in loaded if m == "ordcalc" or m.startswith("ordcalc.")}
     assert ours == {"ordcalc", "ordcalc.cli", "ordcalc.core", "ordcalc.syntax", f"ordcalc.{system}"}
-    heavy = {"dataclasses", "inspect"}
+    heavy = {"dataclasses", "inspect", "json"}
     assert loaded & heavy <= _child_modules("pass") & heavy
 
 

@@ -306,7 +306,50 @@ def test_warm_compare_reads_only_the_memo(system):
     assert heads == []
     flat = {(sa, sb): v for sa, row in memo.items() for sb, v in row.items()}
     assert flat.keys() == {(x.serial, y.serial) for x, y in called}
-    assert all(flat[x.serial, y.serial] is ref_lt(x, y) for x, y in called)
+    # A pair `compare` was called on holds its Outcome; any other pair holds
+    # the bool that `lt` wrote.
+    asked = {(a.serial, b.serial): ref_compare(a, b) for a in pool for b in pool if a is not b}
+    for x, y in called:
+        want = asked.get((x.serial, y.serial))
+        assert flat[x.serial, y.serial] is (ref_lt(x, y) if want is None else want)
+
+
+def test_only_a_stored_answer_skips_check():
+    # Entries that internal `lt` calls write are bools: they never let a
+    # pair skip `check`, for an invalid operand or a wrong-system one.
+    a, bad, foreign = omega_idx(1), theta_idx(1, var_idx("x", 1)), omega_lev(0)
+    assert not bad.valid
+    for x, y, message in [
+        (a, bad, "comparison requires valid terms"),
+        (ZERO, foreign, "not a stratified-system term"),
+    ]:
+        B._lt(x, y)
+        assert B.LT_MEMO[x.serial][y.serial].__class__ is bool
+        with pytest.raises(core.PreconditionError, match=message):
+            B.compare(x, y)
+    # Only `compare`'s own answer, stored after `check` passed, does.
+    calls = {"head": 0, "check": 0}
+
+    def head(x, y):
+        calls["head"] += 1
+        return B._head_lt(x, y)
+
+    def check(x, y):
+        calls["check"] += 1
+        B._check_pair(x, y)
+
+    compare, _, _, memo = core.make_order(head, check)
+    pool = closed("buchholz", max_size=4, max_subscript=1)
+    pairs = [(x, y) for x in pool for y in pool if x is not y]
+    cold = [compare(x, y) for x, y in pairs]
+    assert calls["check"] == len(pairs) and calls["head"] > 0
+    assert cold == [B.compare_reference(x, y) for x, y in pairs]
+    calls.update(head=0, check=0)
+    assert [compare(x, y) for x, y in pairs] == cold
+    assert calls == {"head": 0, "check": 0}
+    # `lt` reads any entry that is not a bool as `entry is LESS`: heads give bools.
+    kinds = {v.__class__ for m in (memo, B.LT_MEMO) for row in m.values() for v in row.values()}
+    assert kinds <= {bool, core.Outcome}
 
 
 def test_reference_kernel_reports_an_antisymmetry_failure():
