@@ -18,10 +18,11 @@ enumeration order and printing.  Equality is identity, and `hash(t)` is
 `t.serial`: process-local and dependent on construction order, so a hash
 must never be persisted or used for ordering (use `key`).  Facts needed on
 hot paths -- size, closedness, `var_names` and the like -- are slots filled
-at construction; equal variable-name sets share one frozenset.
+at construction.  Equal frozensets share one object, through one table:
+the variable-name sets and every set the set walks store.
 
 Terms are immutable, and the intern table is lock-protected.  The memos
-held by the ordering and set-walk kernels and the per-serial tables are
+held by the ordering and walk kernels and the per-serial tables are
 process globals; each holds facts of the one reading of its system's
 clauses, since no module has a toggle.
 
@@ -48,6 +49,12 @@ maps and tests that carry an ambient level: substitution and its test,
 shifting, function substitution, and the parameter walks of canonical
 abstraction, with which xi and mixed collect functions.  One descent table
 moves the level for every head; each walk supplies only its head clause.
+The walks whose inputs repeat often -- the substitutability tests and the
+poly and xi shifts -- keep a memo, one row per level and arguments; the
+substitutions, whose targets are fresh terms, the parameter walks, which
+carry an accumulator, and mixed's shift, which runs too rarely to gain,
+do not.  The reference critical-set walks shift through unmemoized twins, so
+the oracle reads no memo of the side it checks.
 Both walk kernels share one head contract: a head returns its answer or a
 descent, `(level, child)` or `(level, child, then)`, which the kernel
 follows in a loop without reading the level, so mixed's cardinality
@@ -256,13 +263,14 @@ _INTERN: dict[tuple, Term] = {}
 _INTERN_LOCK = threading.Lock()
 _SERIAL = itertools.count()
 
-# One shared object per distinct set of variable names.
+# One shared object per distinct frozenset: the variable-name sets of terms
+# and every set a set walk stores.
 _NO_NAMES: frozenset[str] = frozenset()
-_NAME_SETS: dict[frozenset, frozenset] = {_NO_NAMES: _NO_NAMES}
+_SHARED_SETS: dict[frozenset, frozenset] = {_NO_NAMES: _NO_NAMES}
 
 
-def _shared_names(names: frozenset) -> frozenset:
-    return _NAME_SETS.setdefault(names, names)
+def _shared(s: frozenset) -> frozenset:
+    return _SHARED_SETS.setdefault(s, s)
 
 
 def _intern(
@@ -272,7 +280,7 @@ def _intern(
     `values` fills its fields in `__match_args__` order."""
     t = object.__new__(cls)
     for slot, value in zip(cls.__match_args__, values):
-        object.__setattr__(t, slot, value)
+        setattr(t, slot, value)
     t.key = key
     t.mask = mask
     t.size = size
@@ -375,7 +383,7 @@ def sum_of(components) -> Term:
         has_fvar=has_fvar,
         vmax=vmax,
         valid=valid,
-        names=_shared_names(names),
+        names=_shared(names),
     )
 
 
@@ -410,7 +418,7 @@ def _leaf(cls, key, *, mask, size, var=None, vmax=-1):
         has_fvar=False,
         vmax=vmax,
         valid=True,
-        names=_NO_NAMES if var is None else _shared_names(frozenset((var,))),
+        names=_NO_NAMES if var is None else _shared(frozenset((var,))),
     )
 
 
@@ -525,7 +533,7 @@ def fvar(name: str, j: int, arg: Term) -> Term:
         has_fvar=True,
         vmax=arg.vmax,
         valid=arg.valid,
-        names=_shared_names(arg.var_names | {name}),
+        names=_shared(arg.var_names | {name}),
     )
 
 
@@ -620,7 +628,7 @@ def _rebuild(t: Term, child: Term) -> Term:
     return fvar(t.name, t.level, child)
 
 
-def make_level_walk(head, test=False):
+def make_level_walk(head, test=False, memoize=False):
     """Build one level-carrying walk from its head clause: a term map -- a
     substitution, a shift, a parameter walk -- or, with `test`, a predicate.
 
@@ -646,9 +654,32 @@ def make_level_walk(head, test=False):
     passed on the way up, keeping each one whose child came back unchanged.
     Only a sum's children cost a stack frame each, so a collapse or argument
     nest is walked to any depth.
+
+    With `memoize`, the walk keeps one memo row per ambient level and
+    arguments, `memo[(j, *args)][t.serial]`, exposed as `walk.memo`.  It
+    reads the row at each entry -- the top call and each sum child -- and
+    stores an entry's answer only when the walk returns, so an error such as
+    `ShiftError` is never stored and raises again on the same call; the
+    descent loop stays frame-free.  Where each walk is built, it memoizes
+    when its inputs repeat often enough to pay: the substitutability tests
+    and the poly and xi shifts, which the Key Lemma runs and the
+    critical-set heads ask again on the same terms.  A substitution carries
+    a fresh target term, so its inputs rarely repeat and a memo would only
+    hold memory; a parameter walk carries a set or dict accumulator, which
+    cannot key a row; mixed's shift runs only in its critical-set heads, too
+    rarely for a memo to gain; an embedding maps each term once.
     """
 
+    memo: dict[tuple, dict[int, object]] | None = {} if memoize else None
+
     def walk(t: Term, j, *args):
+        if memo is not None:
+            row = memo.get(key := (j, *args))
+            if row is None:
+                row = memo[key] = {}
+            out = row.get(serial := t.serial)
+            if out is not None:  # False is a stored answer
+                return out
         passed = []  # each single-child head passed, or (head, then)
         while True:
             out = head(t, j, *args)
@@ -690,19 +721,21 @@ def make_level_walk(head, test=False):
             if not test:
                 passed.append(t)
             t = child
-        if not passed:
-            return out
-        # On the way up, outermost last: a `then` takes the answer below it,
-        # and a map rebuilds a head only where its child changed.
-        for p in reversed(passed):
-            if type(p) is tuple:
-                p, then = p
-                out = then(out)
-            else:
-                out = p if out is t else _rebuild(p, out)
-            t = p
+        if passed:
+            # On the way up, outermost last: a `then` takes the answer below
+            # it, and a map rebuilds a head only where its child changed.
+            for p in reversed(passed):
+                if type(p) is tuple:
+                    p, then = p
+                    out = then(out)
+                else:
+                    out = p if out is t else _rebuild(p, out)
+                t = p
+        if memo is not None:
+            row[serial] = out
         return out
 
+    walk.memo = memo
     return walk
 
 
@@ -722,7 +755,7 @@ def _substitutable_head(t: Term, j: int, name: str):
 
 # `substitutable(t, j, name)`: every occurrence of the variable sits at the
 # level a substitution from j reaches it with (poly, xi and mixed alike).
-substitutable = make_level_walk(_substitutable_head, test=True)
+substitutable = make_level_walk(_substitutable_head, test=True, memoize=True)
 
 
 def vars_below_top(t: Term) -> bool:
@@ -975,7 +1008,7 @@ def make_walk(head):
                 parts = []
                 for c in t.children:
                     parts.append(walk(arg, c))
-                out = row[t.serial] = frozenset().union(*parts)
+                out = row[t.serial] = _shared(frozenset().union(*parts))
                 break
             if tt is OmegaPow:
                 pending.append((row, t.serial, None))
@@ -983,7 +1016,7 @@ def make_walk(head):
             else:
                 out = head(arg, t)
                 if type(out) is not tuple:
-                    row[t.serial] = out
+                    out = row[t.serial] = _shared(out)
                     break
                 pending.append((row, t.serial, out[2] if len(out) == 3 else None))
                 if out[0] is not arg:
@@ -995,7 +1028,7 @@ def make_walk(head):
                 break
         for row, serial, then in reversed(pending):
             if then is not None:
-                out = then(out)
+                out = _shared(then(out))
             row[serial] = out
         return out
 

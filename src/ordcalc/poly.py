@@ -128,7 +128,7 @@ def _shift_head(t: Term, j: int, d: int):
     return None
 
 
-_shift = make_level_walk(_shift_head)
+_shift = make_level_walk(_shift_head, memoize=True)
 
 
 def kset(j: int, t: Term) -> frozenset[Term]:
@@ -380,6 +380,11 @@ def key_lemma_3(delta: Term, alpha: Term, beta: Term, gamma: Term, name: str) ->
 
 # -- Reference implementations ---------------------------------------------
 
+# The reference shifts through an unmemoized twin of `_shift`, so it reads no
+# memo of the order it checks.
+_ref_shift = make_level_walk(_shift_head)
+
+
 def _ref_fc_set(j: int, t: Term) -> frozenset:
     match t:
         case Sum(children):
@@ -402,7 +407,7 @@ def kset_reference(j: int, t: Term) -> frozenset[Term]:
             values = _ref_fc_at(0, t)
             top = max(values) if values else NEG_INF
             if top < j:
-                return frozenset({shift(t, 0, 1 - j)})
+                return frozenset({_ref_shift(t, 0, 1 - j)})
             return j - 1, body
         case VarLev(name, j1):
             return frozenset({var_lev(name, j1 - (j - 1))}) if j1 < j else frozenset()

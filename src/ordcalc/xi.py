@@ -125,7 +125,7 @@ def _shift_head(t: Term, j: int, d: int):
     return None
 
 
-_shift = make_level_walk(_shift_head)
+_shift = make_level_walk(_shift_head, memoize=True)
 
 
 # -- formal cardinality -----------------------------------------------------
@@ -187,15 +187,21 @@ def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
     return _subst(t, j, name, beta)
 
 
-def _subst_head(t: Term, j: int, name: str, beta: Term):
-    if name not in t.var_names:
-        return t
-    if type(t) is VarLev:
-        return _shift(beta, 0, j)
-    return None
+def _subst_head(shift):
+    """The substitution head clause; it re-levels the value through `shift`,
+    the memoized shift here and its unmemoized twin in the reference."""
+
+    def head(t: Term, j: int, name: str, beta: Term):
+        if name not in t.var_names:
+            return t
+        if type(t) is VarLev:
+            return shift(beta, 0, j)
+        return None
+
+    return head
 
 
-_subst = make_level_walk(_subst_head)
+_subst = make_level_walk(_subst_head(_shift))
 
 
 # -- parameters and canonical abstraction ------------------------------------
@@ -290,7 +296,7 @@ def _kset_head(strict: bool):
             case Theta(body):
                 fc_bar = _fc_bar0(t)
                 if fc_bar < j or (fc_bar == j and not strict):
-                    return frozenset({_bound_collapse_item(t, j)})
+                    return frozenset({_bound_collapse_item(t, j, _shift)})
                 return j - 1, body
             case VarLev(name, j1):
                 if j1 < j:
@@ -309,13 +315,13 @@ _kset = make_walk(_kset_head(False))
 _kset_strict = make_walk(_kset_head(True))
 
 
-def _bound_collapse_item(t: Term, j: int) -> KItem:
-    """Re-level a bound collapse to the root, abstract out its parameters,
-    and re-level the function body one step out."""
+def _bound_collapse_item(t: Term, j: int, shift) -> KItem:
+    """Re-level a bound collapse to the root through `shift`, abstract out
+    its parameters, and re-level the function body one step out."""
     try:
-        lifted = _shift(t, 0, -j)
+        lifted = shift(t, 0, -j)
         body, var = abstract_one(lifted)
-        body = _shift(body, 0, 1)
+        body = shift(body, 0, 1)
     except ShiftError as exc:  # pragma: no cover
         raise InvariantError(f"bound collapse failed to re-level: {exc}")
     return KItem(body, var)
@@ -464,7 +470,7 @@ def _fsubstitutable_head(t: Term, j: int, name: str):
     return None
 
 
-_fsubstitutable = make_level_walk(_fsubstitutable_head, test=True)
+_fsubstitutable = make_level_walk(_fsubstitutable_head, test=True, memoize=True)
 
 
 def fsubstitute(t: Term, name: str, j: int, body: Term, w: str) -> Term:
@@ -647,6 +653,16 @@ def key_lemma_4(
 
 # -- Reference implementations -------------------------------------------------
 
+# The reference shifts and instantiates through unmemoized twins of the
+# level walks, so it reads no memo of the order it checks.
+_ref_shift = make_level_walk(_shift_head)
+_ref_subst = make_level_walk(_subst_head(_ref_shift))
+
+
+def _ref_instantiate(item: KItem, value: Term) -> Term:
+    return item.term if item.var is None else _ref_subst(item.term, 0, item.var, value)
+
+
 def _ref_fc_set(j: int, t: Term) -> frozenset:
     match t:
         case Sum(children):
@@ -685,7 +701,7 @@ def kset_reference(j: int, t: Term) -> frozenset[KItem]:
             values = _ref_fc_at(0, t)
             top = max(values) if values else NEG_INF
             if top <= j:
-                return frozenset({_bound_collapse_item(t, j)})
+                return frozenset({_bound_collapse_item(t, j, _ref_shift)})
             return j - 1, body
         case VarLev(name, j1):
             if j1 < j:
@@ -733,7 +749,7 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             if split is not None:
                 return split
             return any(
-                _ref_leq(a, instantiate(g, w))
+                _ref_leq(a, _ref_instantiate(g, w))
                 for w in _ref_legit_candidates((beta,), (b,))
                 for g in kset_reference(0, beta)
             )
@@ -742,7 +758,7 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             if split is not None:
                 return split
             return all(
-                _ref_lt(instantiate(g, w), b)
+                _ref_lt(_ref_instantiate(g, w), b)
                 for w in _ref_legit_candidates((alpha,), (a,))
                 for g in kset_reference(0, alpha)
             )
@@ -753,13 +769,13 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             ws = _ref_legit_candidates((alpha, beta), (a, b))
             if _ref_lt(alpha, beta):
                 return all(
-                    _ref_lt(instantiate(g, w), b)
+                    _ref_lt(_ref_instantiate(g, w), b)
                     for w in ws
                     for g in kset_reference(0, alpha)
                 )
             if _ref_lt(beta, alpha):
                 return any(
-                    _ref_leq(a, instantiate(g, w))
+                    _ref_leq(a, _ref_instantiate(g, w))
                     for w in ws
                     for g in kset_reference(0, beta)
                 )
@@ -770,7 +786,7 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             return False
         case (VarLev(_, _) | FVar(_, _, _), Theta(beta)):
             return any(
-                _ref_leq(a, instantiate(g, w))
+                _ref_leq(a, _ref_instantiate(g, w))
                 for w in _ref_legit_candidates((beta,), (b,))
                 for g in kset_reference(0, beta)
             )

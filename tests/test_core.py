@@ -717,6 +717,150 @@ def test_level_walk_follows_a_head_descent():
     assert core.make_level_walk(deep_head, test=True)(theta(nest), 1) is False
 
 
+# -- the level-walk memos ---------------------------------------------------------
+
+
+def _memo_pool(system, extra):
+    """A seeded sample of the system's `ORDER_BUDGETS` universe, plus `extra`."""
+    terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
+    return random.Random(f"memo:{system}").sample(terms, 300) + list(extra)
+
+
+# Each memoized level walk: (module walk, head, test, pool, argument tuples after t).
+# The pools add the Key Lemma runs' open pools (mixed has no Key Lemma suite).
+_MEMO_WALKS = {
+    "core.substitutable": lambda: (
+        core.substitutable,
+        core._substitutable_head,
+        True,
+        _memo_pool("poly", harness._kl_pools_poly()[1])
+        + _memo_pool("xi", harness._kl_pools_xi()[2])
+        + _memo_pool("mixed", opened("mixed")),
+        [(j, "x") for j in (0, -1, -2)],
+    ),
+    "xi._fsubstitutable": lambda: (
+        X._fsubstitutable,
+        X._fsubstitutable_head,
+        True,
+        _memo_pool("xi", harness._kl_pools_xi()[3]),
+        [(j, "X") for j in (0, -1)],
+    ),
+    "poly._shift": lambda: (
+        P._shift,
+        P._shift_head,
+        False,
+        _memo_pool("poly", harness._kl_pools_poly()[1]),
+        [(j, d) for j in (0, -1) for d in (-1, 1, 2)],
+    ),
+    "xi._shift": lambda: (
+        X._shift,
+        X._shift_head,
+        False,
+        _memo_pool("xi", harness._kl_pools_xi()[2] + harness._kl_pools_xi()[3]),
+        [(j, d) for j in (0, -1) for d in (-1, 1, 2)],
+    ),
+}
+
+
+def _answer(walk, t, args):
+    try:
+        return walk(t, *args)
+    except core.ShiftError:
+        return core.ShiftError
+
+
+@pytest.mark.parametrize("case", _MEMO_WALKS)
+def test_memoized_level_walk_matches_a_plain_kernel(case):
+    """A memoized walk, cold and then warm, returns the very object that the
+    same head returns through an unmemoized kernel, or raises as it does.
+    The module memo is emptied first, so the cold pass computes each answer
+    and the warm pass reads it, and restored afterwards."""
+    walk, head, test, pool, arg_tuples = _MEMO_WALKS[case]()
+    plain = core.make_level_walk(head, test)
+    assert plain.memo is None
+    saved = dict(walk.memo)
+    walk.memo.clear()
+    try:
+        for warm in (False, True):
+            for t in pool:
+                for args in arg_tuples:
+                    want = _answer(plain, t, args)
+                    if warm:  # stored by the cold pass, unless it raised
+                        assert (t.serial in walk.memo[args]) is (want is not core.ShiftError)
+                    assert _answer(walk, t, args) is want, (t, args)
+    finally:
+        walk.memo.clear()
+        walk.memo.update(saved)
+
+
+def test_the_reference_reads_no_level_walk_memo():
+    """The reference orders and critical-set walks shift and substitute
+    through unmemoized twins: with every level-walk memo emptied, they leave
+    each one empty."""
+    walks = [fn()[0] for fn in _MEMO_WALKS.values()]
+    saved = [dict(w.memo) for w in walks]
+    for w in walks:
+        w.memo.clear()
+    try:
+        for mod, system in ((P, "poly"), (X, "xi")):
+            for t in _memo_pool(system, opened(system)):
+                mod.kset_reference(0, t)
+                mod.kset_reference(-1, t)
+            for a, b in itertools.pairwise(_memo_pool(system, ())):
+                mod.compare_reference(a, b)
+        for t in _memo_pool("mixed", opened("mixed")):
+            mixed.kset_high_reference(mixed.large(0, 1), 1, t)
+            mixed.kset_xi_reference(mixed.large(0, 0), t)
+        for a, b in itertools.pairwise(_memo_pool("mixed", ())):
+            mixed.compare_reference(a, b)
+        assert [len(w.memo) for w in walks] == [0] * len(walks)
+    finally:
+        for w, memo in zip(walks, saved):
+            w.memo.clear()
+            w.memo.update(memo)
+
+
+def test_a_shift_error_raises_again_and_is_not_stored():
+    """A raised `ShiftError` leaves no memo entry, at the raising sum child or
+    above it, so the same call raises again."""
+    cases = [  # (walk, the raising child, a child that shifts, arguments)
+        (P._shift, theta(omega_lev(-1)), omega_lev(-3), (0, 1)),
+        (X._shift, theta(xi(-1, ZERO)), xi(-3, ZERO), (0, 1)),
+    ]
+    for walk, bad, good, args in cases:
+        t = add(bad, good)
+        for _ in range(2):
+            with pytest.raises(core.ShiftError):
+                walk(t, *args)
+            with pytest.raises(core.ShiftError):
+                walk(bad, *args)
+        row = walk.memo.get(args, {})
+        assert t.serial not in row and bad.serial not in row
+        assert walk(good, *args) is not good
+
+
+def test_equal_walk_results_are_one_object():
+    """Every set a set walk stores passes through one shared table, as the
+    terms' variable-name sets do: equal results are one object."""
+    results = []
+    for t in closed("buchholz") + opened("buchholz"):
+        results += [B._fc_set(None, t)] + [B._kset(n, t) for n in (1, 2, 3)]
+    for mod in (P, X):
+        for t in closed(mod.__name__.rpartition(".")[2]):
+            results += [mod._fc_set(None, t)] + [mod._kset(j, t) for j in (0, -1)]
+    for t in closed("xi"):
+        results.append(X._kset_strict(0, t))
+    for t in closed("mixed") + opened("mixed"):
+        results += [mixed._fc_set(None, t), mixed._kset_xi(mixed.large(0, 0), t)]
+        for n in (1, 2):
+            results += [mixed._kset_low(n, t), mixed._kset_high((mixed.large(0, n), n), t)]
+    results += [t.var_names for t in opened("poly") + opened("mixed")]
+    shared: dict = {}
+    for r in results:
+        assert shared.setdefault(r, r) is r, r
+    assert len(shared) < len(results) // 4  # many results repeat a value
+
+
 def test_variable_free_fast_paths_match_a_full_scan():
     """`vars_below_top` and `_mentions_var_lev` answer a term without
     variables, or without function variables, from its cached names."""
