@@ -7,14 +7,15 @@ violations.
 
 A one-shot command imports only the system module it names (`_system`);
 the other systems and the harness stay unloaded, and `json` is loaded only
-for `--output json`.
+for `--output json`.  Flags are read from one table (`_commands`) by
+`parse_args`, so no `argparse` is loaded either.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import sys
+from types import SimpleNamespace
 
 from .core import (
     InvariantError,
@@ -282,144 +283,142 @@ def _cmd_selfcheck(args, out: _Output) -> int:
     return EXIT_VIOLATIONS if failed else EXIT_OK
 
 
-def _add_system(p, choices=("buchholz", "poly", "xi", "mixed")):
-    p.add_argument("--system", required=True, choices=choices)
+_SYS = ("--system", ("buchholz", "poly", "xi", "mixed"), ..., "notation system")
+_SYS3 = ("--system", ("buchholz", "poly", "xi"), ..., "notation system")
+_OUT = ("--output", ("text", "json"), "text", "")
+_LEVEL = ("--level", int, 0, "threshold level (poly/xi)")
+_CARD = ("--card", str, None, "mixed threshold, e.g. '(0,inf)'")
+_GAMMA, _VAR = ("--gamma", str, "0", ""), ("--var", str, None, "argument variable of gamma (xi)")
+# The commands that take no --system, and the one system each is fixed to.
+_FIXED = {"ground": "poly", "star": "poly", "abstract": "xi", "kappa": "xi"}
 
 
-def _add_output(p):
-    p.add_argument("--output", choices=("text", "json"), default="text")
+def _commands() -> dict:
+    """The command table: name -> (handler, help, positionals, options).  A
+    positional ending in `+` takes one or more words.  An option is (flag,
+    kind, default, help): kind is int, str, a tuple of choices, or bool for
+    a switch, and a default of `...` makes the option required.  Built per
+    call, so dispatch reaches the module's current handlers."""
+    return {
+        "parse": (_cmd_parse, "parse and canonicalize a term", ("term",), (_SYS, _OUT)),
+        "cmp": (_cmd_cmp, "compare two terms", ("left", "right"), (_SYS, _OUT)),
+        "sort": (_cmd_sort, "sort terms ascending", ("terms+",), (_SYS, _OUT)),
+        "k": (_cmd_k, "critical subterms", ("term",), (
+            _SYS, _OUT, _LEVEL, ("--index", int, 1, "cardinal subscript (buchholz/mixed)"),
+            ("--family", ("low", "high", "xi"), "low", "mixed family"), _CARD)),
+        "fc": (_cmd_fc, "formal cardinalities", ("term",), (_SYS, _OUT, _LEVEL, _CARD)),
+        "ground": (_cmd_ground, "ground, class index, membership (poly)", ("term",), (_OUT,)),
+        "star": (_cmd_star, "star normalization (poly)", ("term",), (_OUT,)),
+        "shift": (_cmd_shift, "re-level free occurrences", ("term",), (
+            ("--system", ("poly", "xi", "mixed"), ..., "notation system"), _OUT, _LEVEL,
+            _CARD, ("--by", int, ..., "levels to shift by"))),
+        "subst": (_cmd_subst, "substitute a variable", ("term",), (
+            _SYS, _OUT, ("--var", str, ..., ""), ("--level", int, 0, ""),
+            ("--index", int, 1, "variable subscript (buchholz)"), ("--value", str, ..., ""))),
+        "abstract": (_cmd_abstract, "canonical abstraction (xi)", ("term",), (_OUT,)),
+        "kappa": (_cmd_kappa, "fine cardinality (xi)", ("term",), (_OUT,)),
+        "d": (_cmd_d, "dominance value", (), (
+            _SYS3, _OUT, ("--m", int, ..., ""), ("--n", int, 1, "chain anchor (buchholz)"),
+            _GAMMA, ("--beta", str, "0", ""), _VAR)),
+        "ll": (_cmd_ll, "dominance relation", ("left", "right"), (
+            _SYS3, _OUT, ("--n", int, 0, "relation level (buchholz)"), _GAMMA, _VAR)),
+        "enumerate": (_cmd_enumerate, "enumerate all terms within a budget", (), (
+            _SYS, _OUT, ("--max-size", int, ..., ""), ("--min-level", int, -2, ""),
+            ("--max-subscript", int, 2, ""), ("--open", bool, False, "include variables"),
+            ("--count-only", bool, False, "print the count only"))),
+        "selfcheck": (_cmd_selfcheck, "run the verification suite (JSONL reports)", (), (
+            ("--seed", int, 0, ""), ("--samples", int, 10_000, ""),
+            ("--triples", int, 100_000, ""), ("--oracle-pairs", int, 100_000, ""),
+            ("--quick", bool, False, "small budgets for a fast pass"))),
+    }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="ordcalc",
-        description="Calculator for four ordinal notation systems with collapsing functions.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+class _UsageError(Exception):
+    """A malformed command line: exit 1 with a one-line message."""
 
-    p = sub.add_parser("parse", help="parse and canonicalize a term")
-    _add_system(p)
-    _add_output(p)
-    p.add_argument("term")
-    p.set_defaults(fn=_cmd_parse)
 
-    p = sub.add_parser("cmp", help="compare two terms")
-    _add_system(p)
-    _add_output(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=_cmd_cmp)
+def _help(table: dict, name: str | None = None) -> str:
+    """The `--help` text of the command table, or of one command."""
+    if name is None:
+        rows = "".join(f"\n  {cmd:<10} {entry[1]}" for cmd, entry in table.items())
+        return "usage: ordcalc COMMAND ...  (ordcalc COMMAND --help lists its options)" + rows
+    _, text, positionals, options = table[name]
+    words = "".join(" " + p.upper().replace("+", " ...") for p in positionals)
+    lines = [f"usage: ordcalc {name} [options]{words}", text]
+    for flag, kind, default, note in options:
+        if kind is not bool:
+            flag += " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else f" {kind.__name__}"
+        if default is not None and kind is not bool:
+            flag += " (required)" if default is ... else f" (default {default})"
+        lines.append(f"  {flag:<46} {note}".rstrip())
+    return "\n".join(lines)
 
-    p = sub.add_parser("sort", help="sort terms ascending")
-    _add_system(p)
-    _add_output(p)
-    p.add_argument("terms", nargs="+")
-    p.set_defaults(fn=_cmd_sort)
 
-    p = sub.add_parser("k", help="critical subterms")
-    _add_system(p)
-    _add_output(p)
-    p.add_argument("term")
-    p.add_argument("--level", type=int, default=0, help="threshold level (poly/xi)")
-    p.add_argument("--index", type=int, default=1, help="cardinal subscript (buchholz/mixed)")
-    p.add_argument("--family", choices=("low", "high", "xi"), default="low", help="mixed family")
-    p.add_argument("--card", help="mixed threshold, e.g. '(0,1)'")
-    p.set_defaults(fn=_cmd_k)
-
-    p = sub.add_parser("fc", help="formal cardinalities")
-    _add_system(p)
-    _add_output(p)
-    p.add_argument("term")
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--card", help="mixed threshold, e.g. '(0,inf)'")
-    p.set_defaults(fn=_cmd_fc)
-
-    p = sub.add_parser("ground", help="ground, class index, and class membership (poly)")
-    _add_output(p)
-    p.add_argument("term")
-    p.set_defaults(fn=_cmd_ground, system="poly")
-
-    p = sub.add_parser("star", help="star normalization (poly)")
-    _add_output(p)
-    p.add_argument("term")
-    p.set_defaults(fn=_cmd_star, system="poly")
-
-    p = sub.add_parser("shift", help="re-level free occurrences")
-    _add_system(p, ("poly", "xi", "mixed"))
-    _add_output(p)
-    p.add_argument("term")
-    p.add_argument("--level", type=int, default=0, help="threshold level (poly/xi)")
-    p.add_argument("--card", help="mixed threshold, e.g. '(0,inf)'")
-    p.add_argument("--by", type=int, required=True)
-    p.set_defaults(fn=_cmd_shift)
-
-    p = sub.add_parser("subst", help="substitute a variable")
-    _add_system(p)
-    _add_output(p)
-    p.add_argument("term")
-    p.add_argument("--var", required=True)
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--index", type=int, default=1, help="variable subscript (buchholz)")
-    p.add_argument("--value", required=True)
-    p.set_defaults(fn=_cmd_subst)
-
-    p = sub.add_parser("abstract", help="canonical abstraction (xi)")
-    _add_output(p)
-    p.add_argument("term")
-    p.set_defaults(fn=_cmd_abstract, system="xi")
-
-    p = sub.add_parser("kappa", help="fine cardinality (xi)")
-    _add_output(p)
-    p.add_argument("term")
-    p.set_defaults(fn=_cmd_kappa, system="xi")
-
-    p = sub.add_parser("d", help="dominance value")
-    _add_system(p, ("buchholz", "poly", "xi"))
-    _add_output(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=1, help="chain anchor (buchholz)")
-    p.add_argument("--gamma", default="0")
-    p.add_argument("--beta", default="0")
-    p.add_argument("--var", help="argument variable of gamma (xi)")
-    p.set_defaults(fn=_cmd_d)
-
-    p = sub.add_parser("ll", help="dominance relation")
-    _add_system(p, ("buchholz", "poly", "xi"))
-    _add_output(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--n", type=int, default=0, help="relation level (buchholz)")
-    p.add_argument("--gamma", default="0")
-    p.add_argument("--var", help="argument variable of gamma (xi)")
-    p.set_defaults(fn=_cmd_ll)
-
-    p = sub.add_parser("enumerate", help="enumerate all terms within a budget")
-    _add_system(p)
-    _add_output(p)
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--min-level", type=int, default=-2)
-    p.add_argument("--max-subscript", type=int, default=2)
-    p.add_argument("--open", action="store_true", help="include variables")
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("selfcheck", help="run the verification suite (JSONL reports)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--triples", type=int, default=100_000)
-    p.add_argument("--oracle-pairs", type=int, default=100_000)
-    p.add_argument("--quick", action="store_true", help="small budgets for a fast pass")
-    p.set_defaults(fn=_cmd_selfcheck)
-
-    return ap
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """Read `argv` against the command table.  Returns the handler's
+    arguments, with the handler as `fn`, or None once a `--help` text is
+    printed; raises _UsageError on a malformed command line.  An option is
+    spelled out in full, as `--opt value` or `--opt=value`."""
+    table = _commands()
+    name = argv[0] if argv else None
+    if "--help" in argv or "-h" in argv:
+        print(_help(table, name if name in table else None))
+        return None
+    if name not in table:
+        what = f"unknown command {name!r}" if argv else "no command given"
+        raise _UsageError(f"{what} (ordcalc --help lists the commands)")
+    rest = argv[:0:-1]  # the words after the command, reversed, read by pop()
+    fn, _, positionals, options = table[name]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values, words = {}, []
+    while rest:
+        word = rest.pop()
+        flag, eq, value = word.partition("=")
+        kind = kinds.get(flag)
+        if not word.startswith("--"):
+            words.append(word)
+        elif kind is None:
+            raise _UsageError(f"{name}: unknown option {flag} (see ordcalc {name} --help)")
+        elif kind is bool:
+            if eq:
+                raise _UsageError(f"{name}: {flag} takes no value")
+            values[flag] = True
+        else:
+            if not eq and (not rest or rest[-1].startswith("--")):
+                raise _UsageError(f"{name}: {flag} needs a value")
+            value = value if eq else rest.pop()
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError(f"{name}: {flag} needs an integer, got {value!r}") from None
+            elif kind is not str and value not in kind:
+                choices = ", ".join(kind)
+                raise _UsageError(f"{name}: {flag} must be one of {choices}, got {value!r}")
+            values[flag] = value
+    args = SimpleNamespace(fn=fn, system=_FIXED.get(name))
+    for p in positionals:
+        taken, words = (words, []) if p.endswith("+") else (words[:1], words[1:])
+        if not taken:
+            raise _UsageError(f"{name}: missing {p.rstrip('+').upper()}")
+        setattr(args, p.rstrip("+"), taken if p.endswith("+") else taken[0])
+    if words:
+        raise _UsageError(f"{name}: unexpected argument {words[0]!r}")
+    for flag, _, default, _ in options:
+        if values.get(flag, default) is ...:
+            raise _UsageError(f"{name}: missing option {flag}")
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:
+        return EXIT_OK
     out = _Output(getattr(args, "output", "text"))
     try:
         return args.fn(args, out)

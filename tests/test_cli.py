@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -8,7 +9,9 @@ import pytest
 
 import ordcalc
 from ordcalc import cli
-from ordcalc.cli import EXIT_INVARIANT, EXIT_PRECONDITION, main
+from ordcalc.cli import EXIT_INVARIANT, EXIT_PRECONDITION, EXIT_USAGE, main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -201,13 +204,14 @@ def _child_modules(code):
 def test_one_shot_command_loads_only_its_system(system):
     # A one-shot command pays for importing its own system only: not the
     # other three, not the harness, not `dataclasses` with its `inspect`,
-    # and, in text mode, not `json`.
+    # not `argparse` with its `gettext` and `locale`, and, in text mode,
+    # not `json`.
     loaded = _child_modules(
         f"import ordcalc.cli; ordcalc.cli.main(['cmp', '--system', '{system}', '0', '0'])"
     )
     ours = {m for m in loaded if m == "ordcalc" or m.startswith("ordcalc.")}
     assert ours == {"ordcalc", "ordcalc.cli", "ordcalc.core", "ordcalc.syntax", f"ordcalc.{system}"}
-    heavy = {"dataclasses", "inspect", "json"}
+    heavy = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
     assert loaded & heavy <= _child_modules("pass") & heavy
 
 
@@ -219,3 +223,74 @@ def test_unexpected_error_exits_with_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "cmp", "--system", "poly", "0", "0")
     assert (code, out) == (EXIT_INVARIANT, "")
     assert err.splitlines() == ["internal error: KeyError: 'boom'"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("frobnicate", "0"),
+        ("cmp", "--system", "poly", "--bogus", "1", "0", "0"),
+        ("cmp", "--sys", "poly", "0", "0"),
+        ("cmp", "0", "0"),
+        ("cmp", "--system", "poly", "0"),
+        ("cmp", "--system", "poly", "0", "0", "0"),
+        ("k", "--system", "poly", "--level", "one", "0"),
+        ("cmp", "--system", "peano", "0", "0"),
+        ("cmp", "0", "0", "--system"),
+        ("ground", "--system", "poly", "0"),
+    ],
+    ids=[
+        "no-arguments",
+        "unknown-command",
+        "unknown-option",
+        "abbreviated-option",
+        "missing-required-option",
+        "missing-positional",
+        "extra-positional",
+        "non-integer-level",
+        "system-outside-choices",
+        "option-without-value",
+        "system-given-to-ground",
+    ],
+)
+def test_usage_error_exits_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def test_help_names_every_command(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()[1:]] == list(cli._commands())
+
+
+@pytest.mark.parametrize("command", list(cli._commands()))
+def test_command_help_names_every_option(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    flags = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    assert flags == [option[0] for option in cli._commands()[command][3]]
+
+
+def _readme_commands():
+    """Every `ordcalc ...` line of README's command-line block, as argv."""
+    with open(README) as f:
+        section = f.read().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("ordcalc ")
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in _readme_commands() if argv[0] != "selfcheck"],  # see test_selfcheck_quick
+    ids=lambda argv: argv[0],
+)
+def test_readme_example_runs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
