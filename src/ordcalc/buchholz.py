@@ -96,7 +96,7 @@ def _fc_head(_, t: Term):
     raise InvariantError(f"not a stratified term: {t!r}")
 
 
-_fc_set = make_walk(_fc_head)  # threshold-free, as in every system: arg is None
+_fc_set = make_walk(_fc_head, "buchholz._fc_set")  # threshold-free, as everywhere: arg None
 
 
 def kset(n: int, t: Term) -> frozenset[Term]:
@@ -116,7 +116,7 @@ def _kset_head(n: int, t: Term):
     raise InvariantError(f"not a stratified term: {t!r}")
 
 
-_kset = make_walk(_kset_head)
+_kset = make_walk(_kset_head, "buchholz._kset")
 
 
 def _check_pair(a: Term, b: Term):
@@ -155,7 +155,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return False  # distinct variables are incomparable, as is Omega_n to x_m
 
 
-compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
+compare, _lt, _leq = make_order(_head_lt, _check_pair, "buchholz.compare")
 
 
 def substitute(t: Term, name: str, n: int, gamma: Term) -> Term:
@@ -267,8 +267,7 @@ def key_lemma_3(
 # Plain direct recursion with per-serial reference tables only, kept apart
 # from the memoized paths above; the harness cross-checks the two.
 
-@reference_walk
-def kset_reference(n: int, t: Term) -> frozenset[Term]:
+def _ref_kset_head(n: int, t: Term) -> frozenset[Term]:
     match t:
         case OmegaIdx(m):
             return frozenset({t}) if m < n else frozenset()
@@ -304,4 +303,5 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
+kset_reference = reference_walk(_ref_kset_head, "buchholz.kset_reference")
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -21,10 +21,10 @@ hot paths -- size, closedness, `var_names` and the like -- are slots filled
 at construction.  Equal frozensets share one object, through one table:
 the variable-name sets and every set the set walks store.
 
-Terms are immutable, and the intern table is lock-protected.  The memos
-held by the ordering and walk kernels and the per-serial tables are
-process globals; each holds facts of the one reading of its system's
-clauses, since no module has a toggle.
+Terms are immutable, and the intern table is lock-protected.  Every memo
+and per-serial table is a process global, registered in `CACHES` under the
+name of the module attribute that holds it; `cache_sizes()` counts their
+entries and `clear_caches()` empties them; terms and their name sets stay.
 
 The ordering kernel (`make_order`) is shared by all four systems: it owns
 the comparison memo, the cycle guard and the sum and omega-power clauses,
@@ -41,8 +41,8 @@ memo and the sum and omega-power clauses, each system supplies only its
 other heads' clauses, and only the critical-subterm walks take a threshold.
 Its plain-recursion twin, `reference_walk`, runs the reference critical-set
 walks on the same head contract: it decides sums and omega powers itself,
-tables every level in `REFERENCE_TABLES`, and follows a head's descent by
-calling itself, one stack frame per level.
+tables every level in its own registered table, and follows a head's
+descent by calling itself, one stack frame per level.
 
 The level-walk kernel (`make_level_walk`) makes the cut once more for the
 maps and tests that carry an ambient level: substitution and its test,
@@ -257,16 +257,36 @@ class FVar(Term):
     __match_args__ = ("name", "level", "arg")
 
 
+CACHES: dict[str, dict] = {}  # every memo and per-serial table, by name
 # The intern table maps a shallow key -- (tag, scalar fields, child serials)
 # -- to the one term with that shape.  Interned children make it unique.
-_INTERN: dict[tuple, Term] = {}
+_INTERN = CACHES["core._INTERN"] = {}
 _INTERN_LOCK = threading.Lock()
 _SERIAL = itertools.count()
 
 # One shared object per distinct frozenset: the variable-name sets of terms
 # and every set a set walk stores.
 _NO_NAMES: frozenset[str] = frozenset()
-_SHARED_SETS: dict[frozenset, frozenset] = {_NO_NAMES: _NO_NAMES}
+_SHARED_SETS = CACHES["core._SHARED_SETS"] = {_NO_NAMES: _NO_NAMES}
+
+
+def cache_sizes() -> dict[str, int]:
+    """Entries in each registered cache; a table of rows counts its rows' entries."""
+    return {
+        name: sum(len(row) if type(row) is dict else 1 for row in table.values())
+        for name, table in CACHES.items()
+    }
+
+
+def clear_caches():
+    """Empty every registered cache in place, but for the terms: the intern
+    table stays, and so do the shared sets of the terms' variable names.
+    No other thread may build or compare terms meanwhile."""
+    with _INTERN_LOCK:
+        for table in CACHES.values():
+            if table is not _INTERN:
+                table.clear()
+        _SHARED_SETS.update((t.var_names, t.var_names) for t in _INTERN.values())
 
 
 def _shared(s: frozenset) -> frozenset:
@@ -628,7 +648,7 @@ def _rebuild(t: Term, child: Term) -> Term:
     return fvar(t.name, t.level, child)
 
 
-def make_level_walk(head, test=False, memoize=False):
+def make_level_walk(head, test=False, memoize=None):
     """Build one level-carrying walk from its head clause: a term map -- a
     substitution, a shift, a parameter walk -- or, with `test`, a predicate.
 
@@ -655,22 +675,17 @@ def make_level_walk(head, test=False, memoize=False):
     Only a sum's children cost a stack frame each, so a collapse or argument
     nest is walked to any depth.
 
-    With `memoize`, the walk keeps one memo row per ambient level and
-    arguments, `memo[(j, *args)][t.serial]`, exposed as `walk.memo`.  It
-    reads the row at each entry -- the top call and each sum child -- and
-    stores an entry's answer only when the walk returns, so an error such as
-    `ShiftError` is never stored and raises again on the same call; the
-    descent loop stays frame-free.  Where each walk is built, it memoizes
-    when its inputs repeat often enough to pay: the substitutability tests
-    and the poly and xi shifts, which the Key Lemma runs and the
-    critical-set heads ask again on the same terms.  A substitution carries
-    a fresh target term, so its inputs rarely repeat and a memo would only
-    hold memory; a parameter walk carries a set or dict accumulator, which
-    cannot key a row; mixed's shift runs only in its critical-set heads, too
-    rarely for a memo to gain; an embedding maps each term once.
+    With `memoize`, a name, the walk keeps one memo row per ambient level
+    and arguments, `memo[(j, *args)][t.serial]`, registered under that
+    name.  It reads the row at each entry -- the top call and each sum
+    child -- and stores an entry's answer only when the walk returns, so an
+    error such as `ShiftError` is never stored and raises again on the same
+    call; the descent loop stays frame-free.
     """
 
-    memo: dict[tuple, dict[int, object]] | None = {} if memoize else None
+    memo: dict[tuple, dict[int, object]] | None = None
+    if memoize:
+        memo = CACHES[memoize] = {}
 
     def walk(t: Term, j, *args):
         if memo is not None:
@@ -735,7 +750,6 @@ def make_level_walk(head, test=False, memoize=False):
             row[serial] = out
         return out
 
-    walk.memo = memo
     return walk
 
 
@@ -755,7 +769,7 @@ def _substitutable_head(t: Term, j: int, name: str):
 
 # `substitutable(t, j, name)`: every occurrence of the variable sits at the
 # level a substitution from j reaches it with (poly, xi and mixed alike).
-substitutable = make_level_walk(_substitutable_head, test=True, memoize=True)
+substitutable = make_level_walk(_substitutable_head, test=True, memoize="core.substitutable")
 
 
 def vars_below_top(t: Term) -> bool:
@@ -772,8 +786,7 @@ def vars_below_top(t: Term) -> bool:
 
 # -- canonical abstraction --------------------------------------------------------
 
-# Per-serial parameters of xi and mixed terms.  No toggle changes them.
-_PARAMS: dict[int, tuple[Term, ...]] = {}
+_PARAMS = CACHES["core._PARAMS"] = {}  # per serial: the parameters of xi and mixed terms
 
 
 def _collect_head(t: Term, j: int, out: set):
@@ -847,17 +860,16 @@ def _sum_rests(xs, ys):
     return rest_a, rest_b
 
 
-def make_order(head, check):
+def make_order(head, check, name):
     """Build one system's memoized strict order from its head rule.
 
     The sum and omega-power clauses are the same in every system and are
     decided here; `head(a, b)` decides a < b only for two strongly critical
     terms and returns a bool.  `check(a, b)` validates the operands of a
-    `compare` call and raises on a bad pair.  Returns `(compare, lt, leq,
-    memo)`: one row per left operand, keyed by the serial ints the terms
-    hold, so a lookup builds and hashes no tuple.  Whoever switches the
-    reading `head` depends on must clear `memo`, which drops every row.  A
-    comparison that needs its own answer raises InvariantError instead of
+    `compare` call and raises on a bad pair.  Returns `(compare, lt, leq)`.
+    The memo, registered as `name`, keeps one row per left operand, keyed by
+    the serial ints the terms hold, so a lookup builds and hashes no tuple.
+    A comparison that needs its own answer raises InvariantError instead of
     recursing without end.
 
     An entry `memo[a.serial][b.serial]` holds the bool `lt(a, b)` wrote, or
@@ -877,7 +889,7 @@ def make_order(head, check):
     `any`/`all` on purpose, so the oracle check compares two codings of the
     clauses.
     """
-    memo: dict[int, dict[int, object]] = {}
+    memo = CACHES[name] = {}
     # Closure locals: `compare` and `lt` read these far faster than Enum members.
     LESS, GREATER = Outcome.LESS, Outcome.GREATER
     EQUAL, INCOMPARABLE = Outcome.EQUAL, Outcome.INCOMPARABLE
@@ -968,21 +980,21 @@ def make_order(head, check):
             raise InvariantError(f"comparison cycle on {a!r} vs {b!r}")
         return cached is LESS  # an Outcome that `compare` stored
 
-    return compare, lt, leq, memo
+    return compare, lt, leq
 
 
 # -- the set-walk kernel ----------------------------------------------------------
 
 
-def make_walk(head):
+def make_walk(head, name):
     """Build one memoized set walk -- a formal-cardinality or critical-subterm
     walk -- from its head clauses.
 
-    `walk(arg, t)` owns the memo, one row per `arg` (a `kset*` walk's
-    threshold; None in the threshold-free `fc` walks), `memo[arg][t.serial]`
-    (no tuple key; a descent that moves `arg` switches rows), and the clauses
-    every system shares: a sum's set is the union of its children's sets
-    and an omega power's set is its exponent's, both at the same `arg`.
+    `walk(arg, t)` owns the memo `name` registers, one row per `arg` (a
+    `kset*` walk's threshold; None in the threshold-free `fc` walks),
+    `memo[arg][t.serial]` (no tuple key; a descent that moves `arg` switches
+    rows), and the clauses every system shares: a sum's set is the union of
+    its children's sets and an omega power's its exponent's, at the same `arg`.
     `head(arg, t)` decides every other term and returns either the set or a
     descent: `(arg1, child)`, whose set is `walk(arg1, child)`, or
     `(arg1, child, then)`, whose set is `then(walk(arg1, child))`.  This is
@@ -994,7 +1006,7 @@ def make_walk(head):
     known.  Only a sum's children cost a stack frame each, so a collapse or
     omega-power nest is walked to any depth.
     """
-    memo: defaultdict[object, dict[int, frozenset]] = defaultdict(dict)
+    memo = CACHES[name] = defaultdict(dict)
 
     def walk(arg, t: Term) -> frozenset:
         row = memo[arg]
@@ -1092,25 +1104,20 @@ def make_reference(head):
     return compare, lt, leq
 
 
-REFERENCE_TABLES: dict[str, dict] = {}  # by walk; only the tests clear them
-
-
-def reference_walk(head):
+def reference_walk(head, name):
     """Build one tabled reference set walk from its head clauses.
 
     The plain-recursion twin of `make_walk`, sharing no code with it,
     `make_order` or the fact tables.  `walk(arg, t)` keeps its own table,
-    `table[arg][t.serial]`, registered in `REFERENCE_TABLES` under the
-    head's `module.name`: the oracle's cache, filled by this walk only.  It
-    decides a sum (the union of its children's sets) and an omega power
-    (its exponent's set) itself and asks `head(arg, t)` for every other
-    term, under `make_walk`'s head contract: the set, or a descent
-    `(arg1, child)` or `(arg1, child, then)` that the walk follows by
-    calling itself once the head has returned, so each level costs one
-    stack frame.
+    `table[arg][t.serial]`, registered as `name`: the oracle's cache,
+    filled by this walk only.  It decides a sum (the union of its
+    children's sets) and an omega power (its exponent's set) itself and
+    asks `head(arg, t)` for every other term, under `make_walk`'s head
+    contract: the set, or a descent `(arg1, child)` or `(arg1, child, then)`
+    that the walk follows by calling itself once the head has returned, so
+    each level costs one stack frame.
     """
-    table: defaultdict[object, dict[int, frozenset]] = defaultdict(dict)
-    REFERENCE_TABLES[f"{head.__module__.rpartition('.')[2]}.{head.__name__}"] = table
+    table = CACHES[name] = defaultdict(dict)
 
     def walk(arg, t: Term) -> frozenset:
         row = table[arg]

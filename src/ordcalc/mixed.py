@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 from .core import (
+    CACHES,
     KItem,
     InvariantError,
     Outcome,
@@ -194,7 +195,7 @@ def parse_card(text: str) -> MCard:
 # A collapse's own critical set, per serial: plain terms for thO and thOO,
 # KItems for thXi.  A thXi entry's instantiation depends on the other
 # side's parameters, so it is made per call and never stored.
-_FAMILY: dict[int, frozenset] = {}
+_FAMILY = CACHES["mixed._FAMILY"] = {}
 
 
 def _check_system(t: Term):
@@ -320,7 +321,7 @@ def _fc_lift(items: frozenset, d: int) -> frozenset:
     )
 
 
-_fc_set = make_walk(_fc_head)  # threshold-free: arg is None
+_fc_set = make_walk(_fc_head, "mixed._fc_set")  # threshold-free: arg is None
 
 
 # -- substitution -------------------------------------------------------------
@@ -383,7 +384,7 @@ def _kset_low_head(n: int, t: Term):
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-_kset_low = make_walk(_kset_low_head)
+_kset_low = make_walk(_kset_low_head, "mixed._kset_low")
 
 
 def kset_high(c: MCard, n: int, t: Term) -> frozenset[Term]:
@@ -426,7 +427,7 @@ def _kset_high_head(cn: tuple[MCard, int], t: Term):
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-_kset_high = make_walk(_kset_high_head)  # arg (c, n)
+_kset_high = make_walk(_kset_high_head, "mixed._kset_high")  # arg (c, n)
 
 
 def kset_xi(c: MCard, t: Term) -> frozenset[KItem]:
@@ -473,7 +474,7 @@ def _kset_xi_head(c: MCard, t: Term):
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-_kset_xi = make_walk(_kset_xi_head)
+_kset_xi = make_walk(_kset_xi_head, "mixed._kset_xi")
 
 
 def _bound_collapse_item(t: Term, c: MCard) -> KItem:
@@ -601,7 +602,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return j < j1 or (j == j1 and a.index < b.index)
 
 
-compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
+compare, _lt, _leq = make_order(_head_lt, _check_pair, "mixed.compare")
 
 
 # -- reference implementations ---------------------------------------------------
@@ -641,8 +642,7 @@ def _ref_fc_bar(t: Term) -> MCard:
     return max(values) if values else CARD_NEG_INF
 
 
-@reference_walk
-def kset_low_reference(n: int, t: Term) -> frozenset[Term]:
+def _ref_kset_low_head(n: int, t: Term) -> frozenset[Term]:
     match t:
         case OmegaIdx(m):
             return frozenset({t}) if m < n else frozenset()
@@ -659,8 +659,7 @@ def kset_high_reference(c: MCard, n: int, t: Term) -> frozenset[Term]:
     return _ref_kset_high((c, n), t)
 
 
-@reference_walk
-def _ref_kset_high(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
+def _ref_kset_high_head(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
     c, n = cn
     match t:
         case OmegaIdx(_):
@@ -696,8 +695,7 @@ def _ref_kset_high(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
-@reference_walk
-def kset_xi_reference(c: MCard, t: Term) -> frozenset[KItem]:
+def _ref_kset_xi_head(c: MCard, t: Term) -> frozenset[KItem]:
     match t:
         case OmegaIdx(_):
             return frozenset({KItem(t)})
@@ -793,5 +791,8 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_walk(_ref_fc_set)  # read at FULL only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_set, "mixed._ref_fc_at")  # read at FULL; recursion untabled
+kset_low_reference = reference_walk(_ref_kset_low_head, "mixed.kset_low_reference")
+_ref_kset_high = reference_walk(_ref_kset_high_head, "mixed._ref_kset_high")
+kset_xi_reference = reference_walk(_ref_kset_xi_head, "mixed.kset_xi_reference")
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import (
+    CACHES,
     NEG_INF,
     SYS_POLY,
     InvariantError,
@@ -66,7 +67,7 @@ __all__ = [
     "key_lemma_3",
 ]
 
-_M: dict[tuple[int, float], bool] = {}
+_M = CACHES["poly._M"] = {}  # (serial, n) -> `m_member(t, n)`
 
 
 def _check_system(t: Term):
@@ -99,7 +100,7 @@ def _fc_head(_, t: Term):
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
-_fc_set = make_walk(_fc_head)  # threshold-free: arg is None
+_fc_set = make_walk(_fc_head, "poly._fc_set")  # threshold-free: arg is None
 
 
 def shift(t: Term, j: int, d: int) -> Term:
@@ -128,7 +129,7 @@ def _shift_head(t: Term, j: int, d: int):
     return None
 
 
-_shift = make_level_walk(_shift_head, memoize=True)
+_shift = make_level_walk(_shift_head, memoize="poly._shift")
 
 
 def kset(j: int, t: Term) -> frozenset[Term]:
@@ -155,7 +156,7 @@ def _kset_head(j: int, t: Term):
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
-_kset = make_walk(_kset_head)
+_kset = make_walk(_kset_head, "poly._kset")
 
 
 def _check_pair(a: Term, b: Term):
@@ -196,7 +197,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return False  # distinct variables are incomparable, as is Omega^(J) to x^(K)
 
 
-compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
+compare, _lt, _leq = make_order(_head_lt, _check_pair, "poly.compare")
 
 
 def ground(t: Term):
@@ -398,8 +399,7 @@ def _ref_fc_set(j: int, t: Term) -> frozenset:
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
-@reference_walk
-def kset_reference(j: int, t: Term) -> frozenset[Term]:
+def _ref_kset_head(j: int, t: Term) -> frozenset[Term]:
     match t:
         case OmegaLev(j1):
             return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
@@ -437,5 +437,6 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_walk(_ref_fc_set)  # read at 0 only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_set, "poly._ref_fc_at")  # read at 0 only; recursion untabled
+kset_reference = reference_walk(_ref_kset_head, "poly.kset_reference")
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import (
+    CACHES,
     KItem,
     NEG_INF,
     SYS_XI,
@@ -125,7 +126,7 @@ def _shift_head(t: Term, j: int, d: int):
     return None
 
 
-_shift = make_level_walk(_shift_head, memoize=True)
+_shift = make_level_walk(_shift_head, memoize="xi._shift")
 
 
 # -- formal cardinality -----------------------------------------------------
@@ -158,8 +159,8 @@ def _fc_head(_, t: Term):
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
-_fc_set = make_walk(_fc_head)  # threshold-free: arg is None
-_TOP: dict[int, float] = {}  # per serial: the profile's top class, read by collapse clauses
+_fc_set = make_walk(_fc_head, "xi._fc_set")  # threshold-free: arg is None
+_TOP = CACHES["xi._TOP"] = {}  # per serial: the profile's top class, read by collapse clauses
 
 
 def _fc_bar0(t: Term):
@@ -311,8 +312,8 @@ def _kset_head(strict: bool):
     return head
 
 
-_kset = make_walk(_kset_head(False))
-_kset_strict = make_walk(_kset_head(True))
+_kset = make_walk(_kset_head(False), "xi._kset")
+_kset_strict = make_walk(_kset_head(True), "xi._kset_strict")
 
 
 def _bound_collapse_item(t: Term, j: int, shift) -> KItem:
@@ -437,7 +438,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return False  # distinct variables are incomparable, and x^(J) to V^(K)(y)
 
 
-compare, _lt, _leq, LT_MEMO = make_order(_head_lt, _check_pair)
+compare, _lt, _leq = make_order(_head_lt, _check_pair, "xi.compare")
 
 
 # -- function-variable substitution ------------------------------------------
@@ -470,7 +471,7 @@ def _fsubstitutable_head(t: Term, j: int, name: str):
     return None
 
 
-_fsubstitutable = make_level_walk(_fsubstitutable_head, test=True, memoize=True)
+_fsubstitutable = make_level_walk(_fsubstitutable_head, test=True, memoize="xi._fsubstitutable")
 
 
 def fsubstitute(t: Term, name: str, j: int, body: Term, w: str) -> Term:
@@ -690,8 +691,7 @@ def _ref_fc_set(j: int, t: Term) -> frozenset:
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
-@reference_walk
-def kset_reference(j: int, t: Term) -> frozenset[KItem]:
+def _ref_kset_head(j: int, t: Term) -> frozenset[KItem]:
     match t:
         case Xi(j1, arg):
             if j1 < j:
@@ -799,5 +799,6 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_walk(_ref_fc_set)  # read at 0 only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_set, "xi._ref_fc_at")  # read at 0 only; recursion untabled
+kset_reference = reference_walk(_ref_kset_head, "xi.kset_reference")
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -1,4 +1,5 @@
-"""Shared enumerated term pools for the tests (deterministic, small)."""
+"""Shared enumerated term pools for the tests (deterministic, small), and
+the registry names of the reference walks' tables."""
 
 from functools import lru_cache
 
@@ -28,3 +29,16 @@ def opened(system: str, max_size: int = 5, min_level: int = -2, max_subscript: i
             closed_only=False,
         )
     )
+
+
+REFERENCE_CACHES = [
+    "buchholz.kset_reference",
+    "mixed._ref_fc_at",
+    "mixed._ref_kset_high",
+    "mixed.kset_low_reference",
+    "mixed.kset_xi_reference",
+    "poly._ref_fc_at",
+    "poly.kset_reference",
+    "xi._ref_fc_at",
+    "xi.kset_reference",
+]

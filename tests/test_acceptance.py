@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ordcalc import harness as H
+from ordcalc import core, harness as H
 
 SEED = 20260810
 
@@ -30,6 +30,14 @@ def pool(system):
     if system not in _pools:
         _pools[system] = H.enumerate_terms(H.ORDER_BUDGETS[system])
     return _pools[system]
+
+
+@pytest.fixture(autouse=True)
+def _cleared_caches():
+    """Empty every memo and table after each criterion, so the process holds
+    one criterion's caches at a time."""
+    yield
+    core.clear_caches()
 
 
 def report_line(n, label, ok, extra=""):

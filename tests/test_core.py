@@ -1,5 +1,7 @@
+import ast
 import importlib
 import itertools
+import pathlib
 import random
 import sys
 
@@ -32,7 +34,7 @@ from ordcalc.core import (
     var_names,
     xi,
 )
-from pools import closed, opened
+from pools import REFERENCE_CACHES, closed, opened
 
 
 def test_empty_sum_is_zero():
@@ -222,6 +224,13 @@ def test_cached_term_facts_over_acceptance_pools():
 # -- the ordering kernel ------------------------------------------------------
 
 
+def _unregistered(build, *args):
+    """A kernel built under a test name, and its memo taken back out of the
+    registry, which keeps the package's own caches only: (kernel, memo)."""
+    kernel = build(*args, "test")
+    return kernel, core.CACHES.pop("test")
+
+
 @pytest.mark.parametrize("system", harness.SYSTEMS)
 def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
     mod = importlib.import_module(f"ordcalc.{system}")
@@ -239,7 +248,7 @@ def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
     def through_compare(x, y):
         return compare(x, y) is core.Outcome.LESS
 
-    compare, lt, leq, memo = core.make_order(head, mod._check_pair)
+    (compare, lt, leq), memo = _unregistered(core.make_order, head, mod._check_pair)
 
     def assert_no_marker():
         answers = [v for row in memo.values() for v in row.values()]
@@ -284,7 +293,7 @@ def test_warm_compare_reads_only_the_memo(system):
         heads.append((x, y))
         return x.key < y.key
 
-    compare, lt, _, memo = core.make_order(head, mod._check_pair)
+    (compare, lt, _), memo = _unregistered(core.make_order, head, mod._check_pair)
     ref_compare, ref_lt, _ = core.make_reference(lambda x, y: x.key < y.key)
     # Every pair `lt` is called on, its recursion included.
     called = set()
@@ -324,7 +333,7 @@ def test_only_a_stored_answer_skips_check():
         (ZERO, foreign, "not a stratified-system term"),
     ]:
         B._lt(x, y)
-        assert B.LT_MEMO[x.serial][y.serial].__class__ is bool
+        assert core.CACHES["buchholz.compare"][x.serial][y.serial].__class__ is bool
         with pytest.raises(core.PreconditionError, match=message):
             B.compare(x, y)
     # Only `compare`'s own answer, stored after `check` passed, does.
@@ -338,7 +347,7 @@ def test_only_a_stored_answer_skips_check():
         calls["check"] += 1
         B._check_pair(x, y)
 
-    compare, _, _, memo = core.make_order(head, check)
+    (compare, _, _), memo = _unregistered(core.make_order, head, check)
     pool = closed("buchholz", max_size=4, max_subscript=1)
     pairs = [(x, y) for x in pool for y in pool if x is not y]
     cold = [compare(x, y) for x, y in pairs]
@@ -348,7 +357,8 @@ def test_only_a_stored_answer_skips_check():
     assert [compare(x, y) for x, y in pairs] == cold
     assert calls == {"head": 0, "check": 0}
     # `lt` reads any entry that is not a bool as `entry is LESS`: heads give bools.
-    kinds = {v.__class__ for m in (memo, B.LT_MEMO) for row in m.values() for v in row.values()}
+    memos = (memo, core.CACHES["buchholz.compare"])
+    kinds = {v.__class__ for m in memos for row in m.values() for v in row.values()}
     assert kinds <= {bool, core.Outcome}
 
 
@@ -491,7 +501,7 @@ def test_warm_set_walk_reads_only_the_memo(case):
         calls.append((arg, t))
         return head(arg, t)
 
-    walk = core.make_walk(counting_head)
+    walk, _ = _unregistered(core.make_walk, counting_head)
     cold = [walk(arg, t) for arg in args for t in pool]
     assert calls
     assert cold == [system_walk(arg, t) for arg in args for t in pool]
@@ -543,7 +553,7 @@ def test_kset_on_a_collapse_nest_makes_linear_head_calls(case, monkeypatch):
                 calls.append(t)
                 return head(arg, t)
 
-            return core.make_walk(counting_head)
+            return _unregistered(core.make_walk, counting_head)[0]
 
         # fresh memos for each nest
         monkeypatch.setattr(mod, walk_name, counted(kset_head))
@@ -774,67 +784,57 @@ def test_memoized_level_walk_matches_a_plain_kernel(case):
     """A memoized walk, cold and then warm, returns the very object that the
     same head returns through an unmemoized kernel, or raises as it does.
     The module memo is emptied first, so the cold pass computes each answer
-    and the warm pass reads it, and restored afterwards."""
+    and the warm pass reads it."""
     walk, head, test, pool, arg_tuples = _MEMO_WALKS[case]()
+    registered = dict(core.CACHES)
     plain = core.make_level_walk(head, test)
-    assert plain.memo is None
-    saved = dict(walk.memo)
-    walk.memo.clear()
-    try:
-        for warm in (False, True):
-            for t in pool:
-                for args in arg_tuples:
-                    want = _answer(plain, t, args)
-                    if warm:  # stored by the cold pass, unless it raised
-                        assert (t.serial in walk.memo[args]) is (want is not core.ShiftError)
-                    assert _answer(walk, t, args) is want, (t, args)
-    finally:
-        walk.memo.clear()
-        walk.memo.update(saved)
+    assert core.CACHES == registered  # an unmemoized walk registers nothing
+    memo = core.CACHES[case]
+    memo.clear()
+    for warm in (False, True):
+        for t in pool:
+            for args in arg_tuples:
+                want = _answer(plain, t, args)
+                if warm:  # stored by the cold pass, unless it raised
+                    assert (t.serial in memo[args]) is (want is not core.ShiftError)
+                assert _answer(walk, t, args) is want, (t, args)
 
 
 def test_the_reference_reads_no_level_walk_memo():
     """The reference orders and critical-set walks shift and substitute
-    through unmemoized twins: with every level-walk memo emptied, they leave
-    each one empty."""
-    walks = [fn()[0] for fn in _MEMO_WALKS.values()]
-    saved = [dict(w.memo) for w in walks]
-    for w in walks:
-        w.memo.clear()
-    try:
-        for mod, system in ((P, "poly"), (X, "xi")):
-            for t in _memo_pool(system, opened(system)):
-                mod.kset_reference(0, t)
-                mod.kset_reference(-1, t)
-            for a, b in itertools.pairwise(_memo_pool(system, ())):
-                mod.compare_reference(a, b)
-        for t in _memo_pool("mixed", opened("mixed")):
-            mixed.kset_high_reference(mixed.large(0, 1), 1, t)
-            mixed.kset_xi_reference(mixed.large(0, 0), t)
-        for a, b in itertools.pairwise(_memo_pool("mixed", ())):
-            mixed.compare_reference(a, b)
-        assert [len(w.memo) for w in walks] == [0] * len(walks)
-    finally:
-        for w, memo in zip(walks, saved):
-            w.memo.clear()
-            w.memo.update(memo)
+    through unmemoized twins: with every cache emptied, they leave each
+    level-walk memo empty."""
+    core.clear_caches()
+    for mod, system in ((P, "poly"), (X, "xi")):
+        for t in _memo_pool(system, opened(system)):
+            mod.kset_reference(0, t)
+            mod.kset_reference(-1, t)
+        for a, b in itertools.pairwise(_memo_pool(system, ())):
+            mod.compare_reference(a, b)
+    for t in _memo_pool("mixed", opened("mixed")):
+        mixed.kset_high_reference(mixed.large(0, 1), 1, t)
+        mixed.kset_xi_reference(mixed.large(0, 0), t)
+    for a, b in itertools.pairwise(_memo_pool("mixed", ())):
+        mixed.compare_reference(a, b)
+    sizes = core.cache_sizes()
+    assert [sizes[name] for name in _MEMO_WALKS] == [0] * len(_MEMO_WALKS)
 
 
 def test_a_shift_error_raises_again_and_is_not_stored():
     """A raised `ShiftError` leaves no memo entry, at the raising sum child or
     above it, so the same call raises again."""
-    cases = [  # (walk, the raising child, a child that shifts, arguments)
-        (P._shift, theta(omega_lev(-1)), omega_lev(-3), (0, 1)),
-        (X._shift, theta(xi(-1, ZERO)), xi(-3, ZERO), (0, 1)),
+    cases = [  # (walk, its name, the raising child, a child that shifts, arguments)
+        (P._shift, "poly._shift", theta(omega_lev(-1)), omega_lev(-3), (0, 1)),
+        (X._shift, "xi._shift", theta(xi(-1, ZERO)), xi(-3, ZERO), (0, 1)),
     ]
-    for walk, bad, good, args in cases:
+    for walk, name, bad, good, args in cases:
         t = add(bad, good)
         for _ in range(2):
             with pytest.raises(core.ShiftError):
                 walk(t, *args)
             with pytest.raises(core.ShiftError):
                 walk(bad, *args)
-        row = walk.memo.get(args, {})
+        row = core.CACHES[name].get(args, {})
         assert t.serial not in row and bad.serial not in row
         assert walk(good, *args) is not good
 
@@ -918,22 +918,26 @@ def _params_by_walk(t):
     return tuple(sorted(found, key=lambda p: p.key))
 
 
+_FACT_TABLES = ("core._PARAMS", "xi._TOP", "mixed._FAMILY")
+
+
 def _check_fact_tables(pools):
     """Every table entry of a term in the pools, or of one of its subterms,
     equals a fresh computation."""
     by_serial = {s.serial: s for pool in pools for t in pool for s in subterms(t)}
+    params_table, top_table, family_table = (core.CACHES[name] for name in _FACT_TABLES)
     checked = 0
     for serial, t in by_serial.items():
-        if serial in core._PARAMS:
-            params = core._PARAMS[serial]
+        if serial in params_table:
+            params = params_table[serial]
             assert params == _params_by_walk(t), t
             ref = X._ref_params(t) if t.in_system("xi") else mixed._ref_params(t)
             assert set(params) == set(ref), t
             checked += 1
-        if serial in X._TOP:
-            assert X._TOP[serial] == max(X._ref_fc_set(0, t), default=core.NEG_INF), t
+        if serial in top_table:
+            assert top_table[serial] == max(X._ref_fc_set(0, t), default=core.NEG_INF), t
             checked += 1
-        family = mixed._FAMILY.get(serial)
+        family = family_table.get(serial)
         if family is None:
             continue
         checked += 1
@@ -977,23 +981,16 @@ def test_fact_tables_agree_with_a_fresh_walk():
         for _ in range(3000):
             a, b = rng.choice(terms), rng.choice(terms)
             assert mod.compare(a, b) is mod.compare_reference(a, b), (a, b)
-    assert core._PARAMS and X._TOP and mixed._FAMILY
+    sizes = core.cache_sizes()
+    assert all(sizes[name] for name in _FACT_TABLES)
     _check_fact_tables(pools)
-
-
-def _clear_reference_tables():
-    for table in core.REFERENCE_TABLES.values():
-        table.clear()
 
 
 def test_reference_reads_no_fact_table():
     # The oracle must stay independent of the tables it checks: with every
-    # table empty, reference comparisons and walks fill none of them.  The
+    # cache empty, reference comparisons and walks fill no fact table.  The
     # reference tables are emptied too, so every reference walk runs.
-    _clear_reference_tables()
-    tables = (core._PARAMS, X._TOP, mixed._FAMILY)
-    for table in tables:
-        table.clear()
+    core.clear_caches()
     for system, mod in (("xi", X), ("mixed", mixed)):
         terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
         rng = random.Random(4)
@@ -1004,7 +1001,8 @@ def test_reference_reads_no_fact_table():
                 X.kset_reference(0, t)
             else:
                 mixed.kset_xi_reference(mixed.FULL, t)
-    assert not any(tables)
+    sizes = core.cache_sizes()
+    assert not any(sizes[name] for name in _FACT_TABLES)
 
 
 def _memoized_walks(system, t):
@@ -1048,22 +1046,10 @@ _MEMOIZED_WALK_HEADS = {  # module walk name -> its head, per system
 def test_memoized_paths_read_no_reference_table(monkeypatch):
     # The mirror of the test above: with every reference table empty, the
     # memoized comparisons and walks fill none of them.  Each walk is rebuilt
-    # over counting heads and the fact tables start empty, so the memoized
+    # over counting heads and every cache starts empty, so the memoized
     # heads run rather than answer from what earlier tests left.
-    assert sorted(core.REFERENCE_TABLES) == [
-        "buchholz.kset_reference",
-        "mixed._ref_fc_set",
-        "mixed._ref_kset_high",
-        "mixed.kset_low_reference",
-        "mixed.kset_xi_reference",
-        "poly._ref_fc_set",
-        "poly.kset_reference",
-        "xi._ref_fc_set",
-        "xi.kset_reference",
-    ]
-    _clear_reference_tables()
-    for mod, name in ((core, "_PARAMS"), (X, "_TOP"), (mixed, "_FAMILY"), (P, "_M")):
-        monkeypatch.setattr(mod, name, {})
+    assert sorted(n for n in core.CACHES if "_ref" in n) == REFERENCE_CACHES
+    core.clear_caches()
     calls = {}
 
     def counted(key, head):
@@ -1072,13 +1058,12 @@ def test_memoized_paths_read_no_reference_table(monkeypatch):
             return head(arg, t)
 
         calls[key] = 0
-        return core.make_walk(counting_head)
+        return _unregistered(core.make_walk, counting_head)[0]
 
     for system in harness.SYSTEMS:
         mod = importlib.import_module(f"ordcalc.{system}")
         for name, head in _MEMOIZED_WALK_HEADS[system].items():
             monkeypatch.setattr(mod, name, counted(f"{system}.{name}", head))
-        mod.LT_MEMO.clear()
         terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
         rng = random.Random(4)
         for _ in range(500):
@@ -1086,7 +1071,8 @@ def test_memoized_paths_read_no_reference_table(monkeypatch):
         for t in rng.sample(terms, 200):
             _memoized_walks(system, t)
     assert all(calls.values()), calls
-    assert not any(core.REFERENCE_TABLES.values())
+    sizes = core.cache_sizes()
+    assert not any(sizes[name] for name in REFERENCE_CACHES)
 
 
 # Each case runs a reference critical-set walk and its memoized twin on a
@@ -1118,7 +1104,7 @@ def test_reference_walk_descends_an_800_level_nest(system):
     is walked from empty tables at the default recursion limit."""
     assert sys.getrecursionlimit() == 1000
     (reference, memoized), (arg, t) = _DEEP_REFERENCE_WALKS[system](800)
-    _clear_reference_tables()
+    core.clear_caches()
     assert reference(arg, t) == memoized(arg, t)
 
 
@@ -1133,6 +1119,56 @@ def test_reference_tables_cleared_give_the_same_outcomes(system):
         return [mod.compare_reference(a, b) for a, b in pairs]
 
     first = outcomes()
-    _clear_reference_tables()
+    core.clear_caches()
     assert outcomes() == first  # from empty tables
     assert outcomes() == first  # from the tables that run filled
+
+
+# -- the cache registry -------------------------------------------------------------
+
+
+def _builds_a_cache(call):
+    kernel = getattr(call.func, "id", None)
+    if kernel == "make_level_walk":
+        return any(kw.arg == "memoize" for kw in call.keywords)
+    return kernel in ("make_order", "make_walk", "reference_walk")
+
+
+def _cache_sites():
+    """`module.attribute` of every cache src/ordcalc builds: each name bound
+    at module level to a kernel build or an empty dict.  Any other build is
+    listed by its line, which no registry name matches."""
+    sites = set()
+    for path in pathlib.Path(core.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
+            lines = [c.lineno for c in calls if _builds_a_cache(c)]
+            empty = isinstance(getattr(node, "value", None), ast.Dict) and not node.value.keys
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (lines or empty):
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                sites.add(f"{path.stem}.{getattr(target, 'elts', [target])[0].id}")
+                lines = lines[1:]
+            sites.update(f"{path.stem}:{line}" for line in lines)
+    return sites - {"core.CACHES"}
+
+
+def test_every_cache_is_registered():
+    """The registry holds every memo and table the source builds, plus the
+    shared-set and intern tables, each the live dict its holder reads."""
+    assert set(core.CACHES) == _cache_sites() | {"core._SHARED_SETS", "core._INTERN"}
+    for name, table in core.CACHES.items():
+        module, _, attr = name.partition(".")
+        holder = getattr(importlib.import_module(f"ordcalc.{module}"), attr)
+        cells = [cell.cell_contents for cell in getattr(holder, "__closure__", None) or ()]
+        assert holder is table or any(cell is table for cell in cells), name
+
+
+def test_cache_sizes_count_the_entries_of_every_row():
+    compare = core.make_order(B._head_lt, B._check_pair, "test")[0]
+    try:
+        a, b, c = omega_idx(1), omega_idx(2), omega_idx(3)
+        for x, y in ((a, b), (a, c), (b, c)):
+            compare(x, y)
+        assert len(core.CACHES["test"]) == 2 and core.cache_sizes()["test"] == 3
+    finally:
+        del core.CACHES["test"]

@@ -11,6 +11,7 @@ from ordcalc import core, harness as H
 from ordcalc import parse, render
 from ordcalc import poly as P
 from ordcalc.core import ThetaLow
+from pools import REFERENCE_CACHES
 
 
 def test_tiny_buchholz_enumeration_exact():
@@ -164,7 +165,7 @@ def test_embedding_sees_a_rank_fault_the_oracle_misses(monkeypatch):
 
     terms = H.enumerate_terms(H.EnumBudget("buchholz", max_size=4, max_subscript=2))
     iota = H.EMBEDDINGS["iota"][2]
-    H.mixed.LT_MEMO.clear()
+    core.clear_caches()
     monkeypatch.setattr(H.mixed, "_rank", faulty_rank)
     try:
         embedding = H.check_embedding("iota", terms, pairs=5_000, seed=1)
@@ -178,7 +179,7 @@ def test_embedding_sees_a_rank_fault_the_oracle_misses(monkeypatch):
             a, b = terms[rng.randrange(len(terms))], terms[rng.randrange(len(terms))]
             recount += H.buchholz.compare(a, b) is not H.mixed.compare(iota(a, 0), iota(b, 0))
     finally:
-        H.mixed.LT_MEMO.clear()
+        core.clear_caches()
     assert not embedding.ok
     assert {v["kind"] for v in embedding.violations} == {"compare_disagreement"}
     # the report keeps MAX_VIOLATIONS of them and counts them all
@@ -192,9 +193,9 @@ def _drop_family_entry(monkeypatch):
     # thOO_1(O_1)'s own critical set is {O_1}; the fault empties it.
     t = parse("mixed", "thOO_1(O_1)")
     H.mixed._instantiated_kset(t, ())
-    family = H.mixed._FAMILY[t.serial]
-    dropped = family - {min(family, key=lambda g: g.key)}
-    monkeypatch.setitem(H.mixed._FAMILY, t.serial, dropped)
+    table = core.CACHES["mixed._FAMILY"]
+    dropped = table[t.serial] - {min(table[t.serial], key=lambda g: g.key)}
+    monkeypatch.setitem(table, t.serial, dropped)
 
 
 def _drop_poly_kset_entry(monkeypatch):
@@ -223,14 +224,11 @@ def test_warm_reference_tables_still_see_a_memoized_fault(monkeypatch, system, f
     # The reference tables are filled by the reference walks alone, so a fault
     # put into a memoized path after they are warm still shows as violations.
     terms = H.enumerate_terms(_QUICK_BUDGETS[system])
-    memo = getattr(H, system).LT_MEMO
+    memo = core.CACHES[f"{system}.compare"]
 
     def table_sizes():
-        return {
-            name: sum(map(len, table.values()))
-            for name, table in core.REFERENCE_TABLES.items()
-            if name.startswith(f"{system}.")
-        }
+        sizes = core.cache_sizes()
+        return {name: sizes[name] for name in REFERENCE_CACHES if name.startswith(f"{system}.")}
 
     assert H.check_oracle_equivalence(system, terms, pairs=5_000, seed=1).ok
     assert H.check_kset_oracle(system, terms, seed=1).ok
@@ -267,6 +265,23 @@ def test_selfcheck_quick():
     with open(_GOLDEN_SELFCHECK, encoding="utf-8") as f:
         golden = f.read()
     assert "".join(r.to_json(timing=False) + "\n" for r in reports) == golden
+
+
+def test_selfcheck_quick_reruns_the_same_from_cleared_caches():
+    H.selfcheck(seed=1, quick=True)
+    assert all(core.cache_sizes().values())
+    core.clear_caches()
+    sizes = core.cache_sizes()
+    # Kept: the terms, which are equal only when identical, and their name sets.
+    terms = core.CACHES["core._INTERN"].values()
+    assert sizes.pop("core._INTERN") == len(terms) > 0
+    assert core.CACHES["core._SHARED_SETS"] == {t.var_names: t.var_names for t in terms}
+    assert frozenset() in core.CACHES["core._SHARED_SETS"]
+    sizes.pop("core._SHARED_SETS")
+    assert set(sizes.values()) == {0}
+    reports = H.selfcheck(seed=1, quick=True)
+    with open(_GOLDEN_SELFCHECK, encoding="utf-8") as f:
+        assert "".join(r.to_json(timing=False) + "\n" for r in reports) == f.read()
 
 
 _KL_FIRST_CALL = """

@@ -230,9 +230,9 @@ def test_strict_critical_items_carry_no_variable():
 
 
 _XI_MEMO_SIZE = """
-from ordcalc import harness, xi
+from ordcalc import core, harness
 harness.check_key_lemmas("xi", samples=50, seed=1)
-print(sum(len(row) for row in xi.LT_MEMO.values()))
+print(core.cache_sizes()["xi.compare"])
 """
 
 
