@@ -53,20 +53,10 @@ from .core import (
 )
 from .syntax import render
 
-SYSTEMS = ("buchholz", "poly", "xi", "mixed")
-
-_COMPARE = {
-    "buchholz": buchholz.compare,
-    "poly": poly.compare,
-    "xi": xi.compare,
-    "mixed": mixed.compare,
-}
-_COMPARE_REFERENCE = {
-    "buchholz": buchholz.compare_reference,
-    "poly": poly.compare_reference,
-    "xi": xi.compare_reference,
-    "mixed": mixed.compare_reference,
-}
+_MODULES = {"buchholz": buchholz, "poly": poly, "xi": xi, "mixed": mixed}
+SYSTEMS = tuple(_MODULES)
+_COMPARE = {name: mod.compare for name, mod in _MODULES.items()}
+_COMPARE_REFERENCE = {name: mod.compare_reference for name, mod in _MODULES.items()}
 
 
 @dataclass(frozen=True)
@@ -81,9 +71,10 @@ class EnumBudget:
     closed_only: bool = True
     var_names: tuple[str, ...] = ("x",)
     include_fvars: bool = False
-    hard_cap: int = 500_000
 
 
+# An enumeration that builds more terms than this stops with a PreconditionError.
+HARD_CAP = 500_000
 # A report keeps the first MAX_VIOLATIONS violations (fixtures keep all).
 MAX_VIOLATIONS = 25
 # Above PAIR_CAP pairs a pairwise check samples PAIR_CAP of them; the order
@@ -157,10 +148,8 @@ class _Enumerator:
 
     def _bump(self, n: int = 1):
         self.count += n
-        if self.count > self.b.hard_cap:
-            raise PreconditionError(
-                f"enumeration exceeded the hard cap of {self.b.hard_cap} terms"
-            )
+        if self.count > HARD_CAP:
+            raise PreconditionError(f"enumeration exceeded the hard cap of {HARD_CAP} terms")
 
     def levels(self):
         return range(self.b.min_level, 1)
@@ -394,34 +383,33 @@ def check_oracle_equivalence(
     return report
 
 
+# Per system, the rows (walk, reference, leading arguments, label) the
+# critical-set oracle compares; built per call, reading each walk off its module.
+_KSET_ROWS = {
+    "buchholz": lambda: [
+        (buchholz.kset, buchholz.kset_reference, (n,), f"n={n}") for n in (1, 2, 3)
+    ],
+    "poly": lambda: [(poly.kset, poly.kset_reference, (j,), f"j={j}") for j in (0, -1)],
+    "xi": lambda: [(xi.kset, xi.kset_reference, (j,), f"j={j}") for j in (0, -1)],
+    "mixed": lambda: [
+        (mixed.kset_low, mixed.kset_low_reference, (1,), "low n=1"),
+        (mixed.kset_high, mixed.kset_high_reference, (mixed.large(0, 1), 1), "high c=(0,1)"),
+        (mixed.kset_low, mixed.kset_low_reference, (2,), "low n=2"),
+        (mixed.kset_high, mixed.kset_high_reference, (mixed.large(0, 2), 2), "high c=(0,2)"),
+        (mixed.kset_xi, mixed.kset_xi_reference, (mixed.large(0, 0),), "xi c=(0,0)"),
+    ],
+}
+
+
 def check_kset_oracle(system: str, terms, seed: int = 0) -> CheckReport:
     """Memoized critical-subterm computation versus the reference path."""
+    rows = _KSET_ROWS[system]()
     with _checking("kset_oracle", system, seed) as report:
         for t in terms:
-            if system == "buchholz":
-                for n in (1, 2, 3):
-                    report.checked += 1
-                    if buchholz.kset(n, t) != buchholz.kset_reference(n, t):
-                        report.note("kset_disagreement", term=render(t), at=f"n={n}")
-            elif system in ("poly", "xi"):
-                mod = poly if system == "poly" else xi
-                for j in (0, -1):
-                    report.checked += 1
-                    if mod.kset(j, t) != mod.kset_reference(j, t):
-                        report.note("kset_disagreement", term=render(t), at=f"j={j}")
-            else:
-                for n in (1, 2):
-                    report.checked += 1
-                    if mixed.kset_low(n, t) != mixed.kset_low_reference(n, t):
-                        report.note("kset_disagreement", term=render(t), at=f"low n={n}")
-                    report.checked += 1
-                    c = mixed.large(0, n)
-                    if mixed.kset_high(c, n, t) != mixed.kset_high_reference(c, n, t):
-                        report.note("kset_disagreement", term=render(t), at=f"high c=(0,{n})")
+            for walk, reference, args, label in rows:
                 report.checked += 1
-                c = mixed.large(0, 0)
-                if mixed.kset_xi(c, t) != mixed.kset_xi_reference(c, t):
-                    report.note("kset_disagreement", term=render(t), at="xi c=(0,0)")
+                if walk(*args, t) != reference(*args, t):
+                    report.note("kset_disagreement", term=render(t), at=label)
     return report
 
 
@@ -825,7 +813,7 @@ def _kl_pools_buchholz():
     return closed, gamma_pool, mention, valid_open, gamma3
 
 
-def _kl_buchholz(samples: int, seed: int) -> CheckReport:
+def _kl_buchholz():
     closed, gamma_pool, mention, valid_open, gamma3 = _kl_pools_buchholz()
 
     def gen1(rng):
@@ -852,12 +840,9 @@ def _kl_buchholz(samples: int, seed: int) -> CheckReport:
             return None
         return n, delta, rng.choice(closed), rng.choice(closed), gamma, "x"
 
-    with _checking("key_lemma", "buchholz", seed) as report:
-        rng = random.Random(_derive_seed(seed, "kl:buchholz"))
-        _run_item(report, "item1", rng, gen1, buchholz.key_lemma_1, samples)
-        _run_item(report, "item2", rng, gen2, buchholz.key_lemma_2, samples)
-        _run_item(report, "item3", rng, gen3, buchholz.key_lemma_3, samples)
-    return report
+    return [
+        (gen1, buchholz.key_lemma_1), (gen2, buchholz.key_lemma_2), (gen3, buchholz.key_lemma_3)
+    ]
 
 
 @functools.cache
@@ -870,7 +855,7 @@ def _kl_pools_poly():
     return closed, opened, small, subst0
 
 
-def _kl_poly(samples: int, seed: int) -> CheckReport:
+def _kl_poly():
     closed, both, small, subst0 = _kl_pools_poly()
 
     def gen1(rng):
@@ -895,12 +880,7 @@ def _kl_poly(samples: int, seed: int) -> CheckReport:
         gamma = rng.choice(subst0 if rng.random() < 0.5 else closed)
         return rng.choice(small), rng.choice(closed), rng.choice(closed), gamma, "x"
 
-    with _checking("key_lemma", "poly", seed) as report:
-        rng = random.Random(_derive_seed(seed, "kl:poly"))
-        _run_item(report, "item1", rng, gen1, poly.key_lemma_1, samples)
-        _run_item(report, "item2", rng, gen2, poly.key_lemma_2, samples)
-        _run_item(report, "item3", rng, gen3, poly.key_lemma_3, samples)
-    return report
+    return [(gen1, poly.key_lemma_1), (gen2, poly.key_lemma_2), (gen3, poly.key_lemma_3)]
 
 
 @functools.cache
@@ -942,7 +922,7 @@ def _kl_pools_xi():
     return closed, small, gamma1, fpool, bodies, gamma4, deep
 
 
-def _kl_xi(samples: int, seed: int) -> CheckReport:
+def _kl_xi():
     closed, small, gamma1, fpool, bodies, gamma4, deep = _kl_pools_xi()
 
     def gen1(rng):
@@ -969,24 +949,29 @@ def _kl_xi(samples: int, seed: int) -> CheckReport:
             "X",
         )
 
-    with _checking("key_lemma", "xi", seed) as report:
-        rng = random.Random(_derive_seed(seed, "kl:xi"))
-        _run_item(report, "item1", rng, gen1, xi.key_lemma_1, samples)
-        _run_item(report, "item2", rng, gen2, xi.key_lemma_2, samples)
-        _run_item(report, "item3", rng, gen3, xi.key_lemma_3, samples)
-        _run_item(report, "item4", rng, gen4, xi.key_lemma_4, samples)
-    return report
+    return [
+        (gen1, xi.key_lemma_1),
+        (gen2, xi.key_lemma_2),
+        (gen3, xi.key_lemma_3),
+        (gen4, xi.key_lemma_4),
+    ]
+
+
+# system -> the builder of its suite's (generator, item) rows, in sampling order
+_KL_SUITES = {"buchholz": _kl_buchholz, "poly": _kl_poly, "xi": _kl_xi}
 
 
 def check_key_lemmas(system: str, samples: int = 10_000, seed: int = 0) -> CheckReport:
-    """Sampled verification of the per-system Key Lemma items."""
-    if system == "buchholz":
-        return _kl_buchholz(samples, seed)
-    if system == "poly":
-        return _kl_poly(samples, seed)
-    if system == "xi":
-        return _kl_xi(samples, seed)
-    raise PreconditionError(f"no key lemma suite for system {system!r}")
+    """Sampled verification of the per-system Key Lemma items: one seeded
+    stream feeds the suite's rows in order, reported as item1..itemN."""
+    if system not in _KL_SUITES:
+        raise PreconditionError(f"no key lemma suite for system {system!r}")
+    rows = _KL_SUITES[system]()
+    rng = random.Random(_derive_seed(seed, f"kl:{system}"))
+    with _checking("key_lemma", system, seed) as report:
+        for i, (gen, item) in enumerate(rows, 1):
+            _run_item(report, f"item{i}", rng, gen, item, samples)
+    return report
 
 
 # -- cross-system embeddings ------------------------------------------------------
@@ -1073,7 +1058,10 @@ def selfcheck(
 ) -> list[CheckReport]:
     """The one-command acceptance run: fixtures, order axioms, Key Lemmas,
     round trips, oracle equivalence and the embeddings, with documented
-    default budgets."""
+    default budgets.  A negative budget is refused before any check runs."""
+    for name, value in (("samples", samples), ("triples", triples), ("oracle_pairs", oracle_pairs)):
+        if value < 0:
+            raise PreconditionError(f"{name} must be >= 0, got {value}")
     budgets = ORDER_BUDGETS
     if quick:
         budgets = {
@@ -1103,7 +1091,7 @@ def selfcheck(
     reports.append(check_k_class_drop(pools["poly"], seed=seed))
     reports.append(check_abstraction_roundtrip(pools["xi"], seed=seed))
     reports.append(check_collapse_not_self_value(pools["xi"], seed=seed))
-    for system in ("buchholz", "poly", "xi"):
+    for system in _KL_SUITES:
         reports.append(check_key_lemmas(system, samples=samples, seed=seed))
     for name, (source, _, _) in EMBEDDINGS.items():
         reports.append(

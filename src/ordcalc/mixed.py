@@ -752,6 +752,16 @@ def _ref_instantiated_kset(s: Term, other: Term | None = None) -> frozenset[Term
     return frozenset(instantiate(g, v) for g in items for v in values or (ZERO,))
 
 
+def _ref_collapsed(s: Term) -> MCard:
+    """The cardinal the collapse `s` collapses, at level 0; coded apart from `_rank`."""
+    match s:
+        case ThetaLow(n, _):
+            return fin(n)
+        case ThetaHigh(n, _):
+            return large(0, n)
+    return large(0, 0)  # thXi
+
+
 def _ref_head_lt(a: Term, b: Term) -> bool:
     match a, b:
         case (OmegaIdx(m), OmegaIdx(n)):
@@ -786,8 +796,8 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
             return True
         if any(_ref_leq(b, c0) for c0 in csl):
             return False
-        ra, rb = _rank(a), _rank(b)
-        return ra < rb or (ra == rb and _ref_lt(a.body, b.body))
+        ca, cb = _ref_collapsed(a), _ref_collapsed(b)
+        return ca < cb or (ca == cb and _ref_lt(a.body, b.body))
     return False
 
 

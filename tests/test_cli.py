@@ -159,6 +159,37 @@ def test_selfcheck_names_the_checks_that_checked_nothing(capsys):
     assert err.splitlines()[-1].endswith(f"; checked nothing: {named}")
 
 
+@pytest.mark.parametrize(
+    "budgets, named",
+    [
+        (("--samples", "-3"), "samples must be >= 0, got -3"),
+        (("--triples", "-1"), "triples must be >= 0, got -1"),
+        (("--oracle-pairs", "-2"), "oracle_pairs must be >= 0, got -2"),
+        (("--samples", "-3", "--triples", "-1", "--oracle-pairs", "-2"), "samples must be >= 0, got -3"),
+    ],
+    ids=["samples", "triples", "oracle_pairs", "all_three"],
+)
+def test_selfcheck_refuses_a_negative_budget(capsys, monkeypatch, budgets, named):
+    from ordcalc import harness
+
+    def no_check(*args, **kwargs):  # the first check selfcheck runs
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(harness, "check_fixtures", no_check)
+    code, out, err = run(capsys, "selfcheck", "--quick", *budgets)
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.splitlines() == [f"precondition violation: {named}"]
+
+
+def test_selfcheck_allows_zero_budgets(capsys):
+    code, out, _ = run(
+        capsys, "selfcheck", "--quick", "--samples", "0", "--triples", "0", "--oracle-pairs", "0"
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["checked"] for r in records if r["check"] == "key_lemma"] == [0, 0, 0]
+
+
 def run_child(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = os.path.dirname(os.path.dirname(ordcalc.__file__))

@@ -10,7 +10,7 @@ import ordcalc
 from ordcalc import core, harness as H
 from ordcalc import parse, render
 from ordcalc import poly as P
-from ordcalc.core import ThetaLow
+from ordcalc.core import ThetaLow, ThetaXi
 from pools import REFERENCE_CACHES
 
 
@@ -47,9 +47,10 @@ def test_enumeration_unique_canonical_and_sorted():
         assert parse("xi", render(t)) is t
 
 
-def test_enumeration_hard_cap():
-    with pytest.raises(Exception):
-        H.enumerate_terms(H.EnumBudget("mixed", max_size=6, hard_cap=1000))
+def test_enumeration_hard_cap(monkeypatch):
+    monkeypatch.setattr(H, "HARD_CAP", 1000)
+    with pytest.raises(core.PreconditionError, match="hard cap of 1000 terms"):
+        H.enumerate_terms(H.EnumBudget("mixed", max_size=6))
 
 
 def test_open_enumeration_includes_variables():
@@ -96,6 +97,24 @@ def test_key_lemma_reports_track_acceptance():
 def test_key_lemma_unknown_system():
     with pytest.raises(Exception):
         H.check_key_lemmas("mixed", samples=10, seed=0)
+
+
+@pytest.mark.parametrize("system", list(H._KL_SUITES))
+def test_key_lemma_suite_rows_are_the_module_items(system):
+    mod = H._MODULES[system]
+    names = [name for name in mod.__all__ if name.startswith("key_lemma_")]
+    assert names == [f"key_lemma_{i}" for i in range(1, len(names) + 1)]
+    assert [item for _, item in H._KL_SUITES[system]()] == [getattr(mod, n) for n in names]
+
+
+def test_key_lemma_items_are_read_off_the_module(monkeypatch):
+    # A wrapper put on the module, as the benchmark's tracer puts one, is
+    # what the run calls: poly's item-2 generator never rejects a draw.
+    calls = []
+    item = P.key_lemma_2
+    monkeypatch.setattr(P, "key_lemma_2", lambda *args: calls.append(args) or item(*args))
+    report = H.check_key_lemmas("poly", 5, seed=3)
+    assert len(calls) == report.details["item2"]["attempts"] > 0
 
 
 def test_oracle_checks_small():
@@ -154,30 +173,38 @@ def test_embeddings_map_heads():
     assert pi(t, 0) is parse("xi", "th(Xi^(-1)(0) # w^(Xi^(0)(0)))")
 
 
-def test_embedding_sees_a_rank_fault_the_oracle_misses(monkeypatch):
-    # A wrong clause that both codings of mixed share: thO_n ranked by -n.
-    # The oracle compares two codings that read the same `_rank`, so it
-    # passes on the images of the pool; iota measures mixed against buchholz.
+_QUICK_BUDGETS = {  # the quick selfcheck pools
+    "mixed": H.EnumBudget("mixed", max_size=4, min_level=-2, max_subscript=1),
+    "poly": H.EnumBudget("poly", max_size=4, min_level=-2),
+}
+
+
+def _faulty_rank(monkeypatch, kind, wrong):
+    """The memoized order ranks collapses of type `kind` by `wrong(t)`; the
+    reference ranks collapses by the cardinal they collapse, not by `_rank`."""
     rank = H.mixed._rank
+    monkeypatch.setattr(H.mixed, "_rank", lambda t: wrong(t) if type(t) is kind else rank(t))
 
-    def faulty_rank(t):
-        return (0, -t.index) if type(t) is ThetaLow else rank(t)
 
+def test_embedding_and_oracle_see_a_thetalow_rank_fault(monkeypatch):
+    # thO_n ranked by -n.  iota measures mixed against buchholz; the oracle
+    # measures the memoized order against the reference's own ranking.
     terms = H.enumerate_terms(H.EnumBudget("buchholz", max_size=4, max_subscript=2))
     iota = H.EMBEDDINGS["iota"][2]
     core.clear_caches()
-    monkeypatch.setattr(H.mixed, "_rank", faulty_rank)
     try:
-        embedding = H.check_embedding("iota", terms, pairs=5_000, seed=1)
-        oracle = H.check_oracle_equivalence(
-            "mixed", [iota(t, 0) for t in terms], pairs=5_000, seed=1
-        )
-        # the same sampled pairs, recounted
-        rng = random.Random(H._derive_seed(1, "embedding:iota"))
-        recount = 0
-        for _ in range(5_000):
-            a, b = terms[rng.randrange(len(terms))], terms[rng.randrange(len(terms))]
-            recount += H.buchholz.compare(a, b) is not H.mixed.compare(iota(a, 0), iota(b, 0))
+        with monkeypatch.context() as patch:
+            _faulty_rank(patch, ThetaLow, lambda t: (0, -t.index))
+            embedding = H.check_embedding("iota", terms, pairs=5_000, seed=1)
+            oracle = H.check_oracle_equivalence(
+                "mixed", [iota(t, 0) for t in terms], pairs=5_000, seed=1
+            )
+            # the same sampled pairs, recounted
+            rng = random.Random(H._derive_seed(1, "embedding:iota"))
+            recount = 0
+            for _ in range(5_000):
+                a, b = terms[rng.randrange(len(terms))], terms[rng.randrange(len(terms))]
+                recount += H.buchholz.compare(a, b) is not H.mixed.compare(iota(a, 0), iota(b, 0))
     finally:
         core.clear_caches()
     assert not embedding.ok
@@ -185,8 +212,23 @@ def test_embedding_sees_a_rank_fault_the_oracle_misses(monkeypatch):
     # the report keeps MAX_VIOLATIONS of them and counts them all
     assert len(embedding.violations) == H.MAX_VIOLATIONS
     assert embedding.details["violations_total"] == recount > H.MAX_VIOLATIONS
-    assert oracle.ok and oracle.checked == 5_000
-    assert "violations_total" not in oracle.details
+    assert oracle.checked == 5_000
+    assert {v["kind"] for v in oracle.violations} == {"comparator_disagreement"}
+    assert oracle.details["violations_total"] == 1_028
+
+
+def test_oracle_sees_a_thetaxi_rank_fault_on_the_quick_pool(monkeypatch):
+    # thXi ranked above every thOO_n; the reference ranks it at (0,0), below them.
+    terms = H.enumerate_terms(_QUICK_BUDGETS["mixed"])
+    core.clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            _faulty_rank(patch, ThetaXi, lambda t: (3, 0))
+            oracle = H.check_oracle_equivalence("mixed", terms, pairs=5_000, seed=1)
+    finally:
+        core.clear_caches()
+    assert {v["kind"] for v in oracle.violations} == {"comparator_disagreement"}
+    assert oracle.details["violations_total"] == 268
 
 
 def _drop_family_entry(monkeypatch):
@@ -207,12 +249,6 @@ def _drop_poly_kset_entry(monkeypatch):
         return frozenset(sorted(out, key=lambda g: g.key)[1:]) if j == 0 else out
 
     monkeypatch.setattr(P, "_kset", faulty)
-
-
-_QUICK_BUDGETS = {  # the quick selfcheck pools
-    "mixed": H.EnumBudget("mixed", max_size=4, min_level=-2, max_subscript=1),
-    "poly": H.EnumBudget("poly", max_size=4, min_level=-2),
-}
 
 
 @pytest.mark.parametrize(
@@ -258,6 +294,8 @@ def test_selfcheck_quick():
     reports = H.selfcheck(seed=1, quick=True)
     names = {r.check for r in reports}
     assert {"fixtures", "order_axioms", "parse_render_roundtrip", "key_lemma"} <= names
+    # one Key Lemma record per suite in the table
+    assert [r.system for r in reports if r.check == "key_lemma"] == list(H._KL_SUITES)
     bad = [r for r in reports if not r.ok]
     assert bad == []
     assert all(r.elapsed_ms > 0 for r in reports)
