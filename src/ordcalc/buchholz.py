@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 from .core import (
     NEG_INF,
-    SYS_BUCHHOLZ,
     InvariantError,
     Outcome,
     OmegaIdx,
@@ -31,6 +30,7 @@ from .core import (
     omega_idx,
     omega_pow,
     reference_walk,
+    system_checks,
     theta_idx,
     ZERO,
 )
@@ -52,9 +52,7 @@ __all__ = [
     "key_lemma_3",
 ]
 
-def _check_system(t: Term):
-    if not t.mask & SYS_BUCHHOLZ:
-        raise PreconditionError(f"term {t!r} is not a stratified-system term")
+_check_system, _check_pair = system_checks("buchholz")
 
 
 class Classification(NamedTuple):
@@ -117,13 +115,6 @@ def _kset_head(n: int, t: Term):
 
 
 _kset = make_walk(_kset_head, "buchholz._kset")
-
-
-def _check_pair(a: Term, b: Term):
-    if not (a.mask & b.mask & SYS_BUCHHOLZ and a.valid and b.valid):
-        _check_system(a)
-        _check_system(b)
-        raise PreconditionError("comparison requires valid terms")
 
 
 def _head_lt(a: Term, b: Term) -> bool:

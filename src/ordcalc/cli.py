@@ -23,6 +23,7 @@ from .core import (
     NEG_INF,
     Outcome,
     PreconditionError,
+    SYSTEM_NAMES,
     Term,
     TermError,
 )
@@ -116,7 +117,8 @@ def _cmd_k(args, out: _Output) -> int:
     elif args.system in ("poly", "xi"):
         items = mod.kset(args.level, t)
     else:
-        card = mod.parse_card(args.card) if args.card else mod.large(0, args.index)
+        index = 0 if args.family == "xi" else args.index  # xi has none: below (0,0)
+        card = mod.parse_card(args.card) if args.card else mod.large(0, index)
         if args.family == "low":
             items = mod.kset_low(args.index, t)
         elif args.family == "high":
@@ -283,7 +285,7 @@ def _cmd_selfcheck(args, out: _Output) -> int:
     return EXIT_VIOLATIONS if failed else EXIT_OK
 
 
-_SYS = ("--system", ("buchholz", "poly", "xi", "mixed"), ..., "notation system")
+_SYS = ("--system", tuple(SYSTEM_NAMES), ..., "notation system")
 _SYS3 = ("--system", ("buchholz", "poly", "xi"), ..., "notation system")
 _OUT = ("--output", ("text", "json"), "text", "")
 _LEVEL = ("--level", int, 0, "threshold level (poly/xi)")

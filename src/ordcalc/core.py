@@ -59,6 +59,12 @@ Both walk kernels share one head contract: a head returns its answer or a
 descent, `(level, child)` or `(level, child, then)`, which the kernel
 follows in a loop without reading the level, so mixed's cardinality
 thresholds ride the same kernel as the integer levels.
+
+The system surface is written here once too.  `system_checks` gives each
+system its operand checks, worded from one table, and `make_substitution`
+gives poly, xi and mixed their ordinal-variable substitution: the checked
+`substitutable` and `substitute` and the walk under them, one head clause
+that re-levels the value through the system's own `lift`.
 """
 
 from __future__ import annotations
@@ -782,6 +788,66 @@ def vars_below_top(t: Term) -> bool:
         if not substitutable(t, 0, name):
             return False
     return not any(type(s) is VarLev and s.level == 0 for s in subterms(t))
+
+
+# -- the system surface -----------------------------------------------------------
+
+_WORDING = dict(buchholz="stratified", poly="polymorphic", xi="function-sorted", mixed="mixed")
+
+
+def system_checks(system: str):
+    """One system's operand checks `(check, check_pair)`: `check(t)` refuses
+    a term of another system; `check_pair(a, b)`, `compare`'s, refuses either
+    operand of another system, then an invalid one (only th_n makes one)."""
+    bit = SYSTEM_NAMES[system]
+    what = f"a {_WORDING[system]}-system term"
+
+    def check(t: Term):
+        if not t.mask & bit:
+            raise PreconditionError(f"term {t!r} is not {what}")
+
+    def check_pair(a: Term, b: Term):
+        if not (a.mask & b.mask & bit and a.valid and b.valid):
+            check(a)
+            check(b)
+            raise PreconditionError("comparison requires valid terms")
+
+    return check, check_pair
+
+
+def make_substitution(check, lift):
+    """A level system's ordinal-variable substitution, `(substitutable,
+    substitute, subst)`: the two checked entry points, and the unchecked
+    walk `subst(t, j, name, beta)`.  `check` is the system's operand check
+    and `lift(beta, j)` re-levels the value to an occurrence's level j."""
+
+    def head(t: Term, j: int, name: str, beta: Term):
+        if name not in t.var_names:
+            return t
+        if type(t) is VarLev:
+            return lift(beta, j)
+        return None
+
+    subst = make_level_walk(head)
+
+    def checked_substitutable(name: str, j: int, t: Term) -> bool:
+        """A variable is substitutable at j when every occurrence sits at the
+        ambient level the substitution will reach it with."""
+        check(t)
+        check_level(j, "substitution")
+        return substitutable(t, j, name)
+
+    def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
+        """Replace the variable by beta, re-levelled to each occurrence's
+        ambient level.  Requires the variable to be j-substitutable in t."""
+        check(t)
+        check(beta)
+        check_level(j, "substitution")
+        if not substitutable(t, j, name):
+            raise PreconditionError(f"variable {name!r} is not {j}-substitutable")
+        return subst(t, j, name, beta)
+
+    return checked_substitutable, substitute, subst
 
 
 # -- canonical abstraction --------------------------------------------------------

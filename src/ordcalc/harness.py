@@ -273,6 +273,17 @@ def enumerate_terms(budget: EnumBudget) -> tuple[Term, ...]:
 
 # -- order axioms -----------------------------------------------------------------
 
+def _pairs(n: int, rng, report):
+    """`(count, pairs)`: every index pair i < j of n terms, or above PAIR_CAP
+    that many sampled ones, one `rng.sample` each; `pairs_mode` says which."""
+    total = n * (n - 1) // 2
+    if total <= PAIR_CAP:
+        report.details["pairs_mode"] = "all"
+        return total, itertools.combinations(range(n), 2)
+    report.details["pairs_mode"] = "sampled"
+    return PAIR_CAP, (tuple(sorted(rng.sample(range(n), 2))) for _ in range(PAIR_CAP))
+
+
 def check_order_axioms(
     system: str,
     terms,
@@ -291,17 +302,7 @@ def check_order_axioms(
             if cmp(t, t) is not Outcome.EQUAL:
                 report.note("irreflexivity", term=render(t))
 
-        total_pairs = n * (n - 1) // 2
-        if total_pairs <= PAIR_CAP:
-            pairs = itertools.combinations(range(n), 2)
-            report.details["pairs_mode"] = "all"
-            report.details["pairs"] = total_pairs
-        else:
-            pairs = (
-                tuple(sorted(rng.sample(range(n), 2))) for _ in range(PAIR_CAP)
-            )
-            report.details["pairs_mode"] = "sampled"
-            report.details["pairs"] = PAIR_CAP
+        report.details["pairs"], pairs = _pairs(n, rng, report)
         for i, j in pairs:
             a, b = terms[i], terms[j]
             ab, ba = cmp(a, b), cmp(b, a)
@@ -679,14 +680,7 @@ def check_fc_monotone(terms, seed: int = 0) -> CheckReport:
     n = len(terms)
     rng = random.Random(_derive_seed(seed, "fc_monotone"))
     with _checking("fc_monotone", "buchholz", seed) as report:
-        total_pairs = n * (n - 1) // 2
-        if total_pairs <= PAIR_CAP:
-            pairs = itertools.combinations(range(n), 2)
-            report.details["pairs_mode"] = "all"
-        else:
-            pairs = (tuple(rng.sample(range(n), 2)) for _ in range(PAIR_CAP))
-            report.details["pairs_mode"] = "sampled"
-        for i, j in pairs:
+        for i, j in _pairs(n, rng, report)[1]:
             a, b = terms[i], terms[j]
             fa, fb = buchholz.fc(a)[1], buchholz.fc(b)[1]
             if fa == fb:

@@ -27,7 +27,6 @@ from .core import (
     OmegaIdx,
     OmegaPow,
     PreconditionError,
-    SYS_MIXED,
     ShiftError,
     Sum,
     Term,
@@ -37,16 +36,16 @@ from .core import (
     VarLev,
     Xi,
     abstract_one,
-    check_level,
     collect_params,
     make_level_walk,
     make_order,
     make_reference,
+    make_substitution,
     make_walk,
     omega_high,
     params,
     reference_walk,
-    substitutable as _substitutable,
+    system_checks,
     var_lev,
     xi as mk_xi,
     ZERO,
@@ -77,6 +76,9 @@ __all__ = [
     "critical_sets",
     "compare",
     "compare_reference",
+    "kset_low_reference",
+    "kset_high_reference",
+    "kset_xi_reference",
 ]
 
 INF = math.inf
@@ -198,9 +200,7 @@ def parse_card(text: str) -> MCard:
 _FAMILY = CACHES["mixed._FAMILY"] = {}
 
 
-def _check_system(t: Term):
-    if not t.mask & SYS_MIXED:
-        raise PreconditionError(f"term {t!r} is not a mixed-system term")
+_check_system, _check_pair = system_checks("mixed")
 
 
 def _check_large(c: MCard):
@@ -326,32 +326,11 @@ _fc_set = make_walk(_fc_head, "mixed._fc_set")  # threshold-free: arg is None
 
 # -- substitution -------------------------------------------------------------
 
-def substitutable(name: str, j: int, t: Term) -> bool:
-    _check_system(t)
-    check_level(j, "substitution")
-    return _substitutable(t, j, name)
-
-
-def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
-    _check_system(t)
-    _check_system(beta)
-    check_level(j, "substitution")
-    if not _substitutable(t, j, name):
-        raise PreconditionError(f"variable {name!r} is not {j}-substitutable")
-    return _subst(t, j, name, beta)
-
-
-def _subst_head(t: Term, j: int, name: str, beta: Term):
-    # The walk stops at a plain collapse thO and keeps every subterm without
-    # the variable whole, an upper cardinal OO_n^(J) among them.
-    if name not in t.var_names:
-        return t
-    if type(t) is VarLev and t.name == name:
-        return _shift(beta, FULL, j, False)
-    return None
-
-
-_subst = make_level_walk(_subst_head)
+# The walk stops at a plain collapse thO and keeps every subterm without the
+# variable whole, an upper cardinal OO_n^(J) among them.
+substitutable, substitute, _subst = make_substitution(
+    _check_system, lambda beta, j: _shift(beta, FULL, j, False)
+)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -541,12 +520,6 @@ def _instantiated_kset(s: Term, values: tuple[Term, ...]) -> frozenset[Term]:
         values = values or (ZERO,)
         return frozenset(instantiate(g, v) for g in family for v in values)
     return family
-
-
-def _check_pair(a: Term, b: Term):
-    if not a.mask & b.mask & SYS_MIXED:
-        _check_system(a)
-        _check_system(b)
 
 
 def _head_lt(a: Term, b: Term) -> bool:

@@ -16,7 +16,6 @@ from typing import NamedTuple
 from .core import (
     CACHES,
     NEG_INF,
-    SYS_POLY,
     InvariantError,
     Outcome,
     OmegaLev,
@@ -33,11 +32,12 @@ from .core import (
     make_level_walk,
     make_order,
     make_reference,
+    make_substitution,
     make_walk,
     omega_lev,
     omega_pow,
     reference_walk,
-    substitutable as _substitutable,
+    system_checks,
     theta,
     var_lev,
     vars_below_top,
@@ -70,9 +70,7 @@ __all__ = [
 _M = CACHES["poly._M"] = {}  # (serial, n) -> `m_member(t, n)`
 
 
-def _check_system(t: Term):
-    if not t.mask & SYS_POLY:
-        raise PreconditionError(f"term {t!r} is not a polymorphic-system term")
+_check_system, _check_pair = system_checks("poly")
 
 
 def fc(j: int, t: Term):
@@ -157,12 +155,6 @@ def _kset_head(j: int, t: Term):
 
 
 _kset = make_walk(_kset_head, "poly._kset")
-
-
-def _check_pair(a: Term, b: Term):
-    if not a.mask & b.mask & SYS_POLY:
-        _check_system(a)
-        _check_system(b)
 
 
 def _head_lt(a: Term, b: Term) -> bool:
@@ -270,34 +262,9 @@ def _m_member(t: Term, n) -> bool:
     return True
 
 
-def substitutable(name: str, j: int, t: Term) -> bool:
-    """A variable is substitutable at j when every occurrence sits at the
-    ambient level the substitution will reach it with."""
-    _check_system(t)
-    check_level(j, "substitution")
-    return _substitutable(t, j, name)
-
-
-def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
-    """Replace the variable by beta, re-levelled to each occurrence's ambient
-    level.  Requires the variable to be j-substitutable in t."""
-    _check_system(t)
-    _check_system(beta)
-    check_level(j, "substitution")
-    if not _substitutable(t, j, name):
-        raise PreconditionError(f"variable {name!r} is not {j}-substitutable")
-    return _subst(t, j, name, beta)
-
-
-def _subst_head(t: Term, j: int, name: str, beta: Term):
-    if name not in t.var_names:
-        return t
-    if type(t) is VarLev:
-        return _shift(beta, 0, j)
-    return None
-
-
-_subst = make_level_walk(_subst_head)
+substitutable, substitute, _subst = make_substitution(
+    _check_system, lambda beta, j: _shift(beta, 0, j)
+)
 
 
 def dfun(m: int, gamma: Term, beta: Term) -> Term:

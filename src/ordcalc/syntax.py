@@ -39,7 +39,7 @@ from .core import (
     Xi,
 )
 
-SYSTEMS = ("buchholz", "poly", "xi", "mixed")
+SYSTEMS = tuple(core.SYSTEM_NAMES)
 
 
 class SourceSpan(NamedTuple):

@@ -21,7 +21,6 @@ from .core import (
     CACHES,
     KItem,
     NEG_INF,
-    SYS_XI,
     FVar,
     InvariantError,
     Outcome,
@@ -43,6 +42,7 @@ from .core import (
     make_level_walk,
     make_order,
     make_reference,
+    make_substitution,
     make_walk,
     omega_pow,
     params,
@@ -50,6 +50,7 @@ from .core import (
     replace_params,
     substitutable as _substitutable,
     subterms,
+    system_checks,
     theta,
     var_lev,
     vars_below_top,
@@ -85,9 +86,7 @@ __all__ = [
 ]
 
 
-def _check_system(t: Term):
-    if not t.mask & SYS_XI:
-        raise PreconditionError(f"term {t!r} is not a function-sorted-system term")
+_check_system, _check_pair = system_checks("xi")
 
 
 # -- shifting ---------------------------------------------------------------
@@ -173,36 +172,9 @@ def _fc_bar0(t: Term):
 
 # -- ordinal-variable substitution ------------------------------------------
 
-def substitutable(name: str, j: int, t: Term) -> bool:
-    _check_system(t)
-    check_level(j, "substitution")
-    return _substitutable(t, j, name)
-
-
-def substitute(t: Term, name: str, j: int, beta: Term) -> Term:
-    _check_system(t)
-    _check_system(beta)
-    check_level(j, "substitution")
-    if not _substitutable(t, j, name):
-        raise PreconditionError(f"variable {name!r} is not {j}-substitutable")
-    return _subst(t, j, name, beta)
-
-
-def _subst_head(shift):
-    """The substitution head clause; it re-levels the value through `shift`,
-    the memoized shift here and its unmemoized twin in the reference."""
-
-    def head(t: Term, j: int, name: str, beta: Term):
-        if name not in t.var_names:
-            return t
-        if type(t) is VarLev:
-            return shift(beta, 0, j)
-        return None
-
-    return head
-
-
-_subst = make_level_walk(_subst_head(_shift))
+substitutable, substitute, _subst = make_substitution(
+    _check_system, lambda beta, j: _shift(beta, 0, j)
+)
 
 
 # -- parameters and canonical abstraction ------------------------------------
@@ -336,12 +308,6 @@ def instantiate(item: KItem, value: Term) -> Term:
 
 
 # -- ordering -----------------------------------------------------------------
-
-def _check_pair(a: Term, b: Term):
-    if not a.mask & b.mask & SYS_XI:
-        _check_system(a)
-        _check_system(b)
-
 
 def _legit_candidates(bodies: tuple[Term, ...], collapses: tuple[Term, ...]):
     """Instantiation arguments for the collapses' collected functions: the
@@ -657,7 +623,7 @@ def key_lemma_4(
 # The reference shifts and instantiates through unmemoized twins of the
 # level walks, so it reads no memo of the order it checks.
 _ref_shift = make_level_walk(_shift_head)
-_ref_subst = make_level_walk(_subst_head(_ref_shift))
+_ref_subst = make_substitution(_check_system, lambda beta, j: _ref_shift(beta, 0, j))[2]
 
 
 def _ref_instantiate(item: KItem, value: Term) -> Term:

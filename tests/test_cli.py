@@ -55,6 +55,15 @@ def test_k_example(capsys):
     assert (code, out) == (0, "{th(O^(0))}")
 
 
+def test_k_mixed_xi_family_reads_below_its_cardinal(capsys):
+    # The xi family has no index: without --card it reads below (0,0), the
+    # class of Xi^(0), as the thXi clause does, and --index does not move it.
+    k = ("k", "--system", "mixed", "--family", "xi")
+    assert run(capsys, *k, "Xi^(0)(0)") == (0, "{}", "")
+    assert run(capsys, *k, "--index", "3", "OO_2^(0)") == (0, "{}", "")
+    assert run(capsys, *k, "--card", "(0,3)", "OO_2^(0)") == (0, "{OO_2^(0)}", "")
+
+
 def test_json_mode_matches_text(capsys):
     _, text, _ = run(capsys, "cmp", "--system", "xi", "Xi^(0)(0)", "Xi^(0)(w^(0))")
     _, raw, _ = run(

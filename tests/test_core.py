@@ -362,6 +362,34 @@ def test_only_a_stored_answer_skips_check():
     assert kinds <= {bool, core.Outcome}
 
 
+@pytest.mark.parametrize(
+    "system, foreign, wording",
+    [
+        ("buchholz", omega_lev(0), "stratified"),
+        ("poly", omega_idx(1), "polymorphic"),
+        ("xi", omega_idx(1), "function-sorted"),
+        ("mixed", omega_lev(0), "mixed"),
+    ],
+)
+def test_a_foreign_term_is_refused_in_the_system_wording(system, foreign, wording):
+    # The operand checks come from `core.system_checks`, one table of wordings.
+    mod = importlib.import_module(f"ordcalc.{system}")
+    calls = [lambda: mod.compare(foreign, ZERO), lambda: mod.compare(ZERO, foreign)]
+    if system != "buchholz":
+        calls += [
+            lambda: mod.substitutable("x", 0, foreign),
+            lambda: mod.substitute(foreign, "x", 0, ZERO),
+            lambda: mod.substitute(ZERO, "x", 0, foreign),
+        ]
+    for call in calls:
+        with pytest.raises(core.PreconditionError, match=f"is not a {wording}-system term"):
+            call()
+    if system == "buchholz":
+        bad = theta_idx(1, var_idx("x", 1))
+        with pytest.raises(core.PreconditionError, match="comparison requires valid terms"):
+            mod.compare(ZERO, bad)
+
+
 def test_reference_kernel_reports_an_antisymmetry_failure():
     compare, lt, leq = core.make_reference(lambda a, b: True)
     a, b = omega_idx(1), omega_idx(2)
