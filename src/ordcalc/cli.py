@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 parse or flag error, 2 precondition violation
 (including a term nested too deeply for the interpreter stack), 3 internal
 invariant failure or any other unexpected error, 4 selfcheck found
-violations.
+violations, 5 stdout closed before the output was written (as by `| head`;
+nothing is printed to stderr).
 
 A one-shot command imports only the system module it names (`_system`);
 the other systems and the harness stay unloaded, and `json` is loaded only
@@ -14,6 +15,7 @@ for `--output json`.  Flags are read from one table (`_commands`) by
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 from types import SimpleNamespace
 
@@ -34,6 +36,7 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_INVARIANT = 3
 EXIT_VIOLATIONS = 4
+EXIT_CLOSED_STDOUT = 5
 
 
 def _system(name: str):
@@ -416,14 +419,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
 def main(argv=None) -> int:
     try:
         args = parse_args(list(sys.argv[1:] if argv is None else argv))
+        code = EXIT_OK if args is None else args.fn(args, _Output(getattr(args, "output", "text")))
+        sys.stdout.flush()  # a closed stdout raises here, inside this handler
+        return code
+    except BrokenPipeError:
+        # Python's documented idiom for a closed stdout: point it at devnull,
+        # so that the flush at shutdown does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args is None:
-        return EXIT_OK
-    out = _Output(getattr(args, "output", "text"))
-    try:
-        return args.fn(args, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,27 +27,22 @@ from .core import (
     PreconditionError,
     ShiftError,
     Term,
+    TermError,
     Theta,
     ThetaIdx,
     VarIdx,
     VarLev,
-    fvar,
     is_sc,
     make_level_walk,
-    omega_high,
     omega_idx,
-    omega_lev,
     omega_pow,
     subterms,
     sum_of,
     summands,
     theta,
-    theta_high,
     theta_idx,
     theta_low,
-    theta_xi,
     var_idx,
-    var_lev,
     xi as mk_xi,
     ZERO,
 )
@@ -141,7 +136,14 @@ class _Enumerator:
             raise PreconditionError("max_size must be >= 1")
         if budget.min_level > 0:
             raise PreconditionError("min_level must be <= 0")
-        self.b = budget
+        self.heads = [(h.make, h.fields) for h in syntax.HEADS if budget.system in h.systems]
+        names = () if budget.closed_only else budget.var_names
+        self.domains = {
+            "n": range(1, budget.max_subscript + 1),
+            "j": range(budget.min_level, 1),
+            "x": names,
+            "F": tuple(v.upper() for v in names) if budget.include_fvars else (),
+        }
         self._h: dict[int, list[Term]] = {}
         self._t: dict[int, list[Term]] = {}
         self.count = 0
@@ -151,75 +153,26 @@ class _Enumerator:
         if self.count > HARD_CAP:
             raise PreconditionError(f"enumeration exceeded the hard cap of {HARD_CAP} terms")
 
-    def levels(self):
-        return range(self.b.min_level, 1)
-
-    def subscripts(self):
-        return range(1, self.b.max_subscript + 1)
-
     def h_terms(self, s: int) -> list[Term]:
+        """The head terms of size s: each of the system's rows over its field
+        domains, its size 1, plus 1 for a level, plus its child's size."""
         if s in self._h:
             return self._h[s]
         out: list[Term] = []
-        b = self.b
-        if s >= 2:
-            for e in self.terms(s - 1):
-                out.append(omega_pow(e))
-        if b.system == "buchholz":
-            if s == 1:
-                out.extend(omega_idx(n) for n in self.subscripts())
-                if not b.closed_only:
-                    out.extend(
-                        var_idx(v, n) for v in b.var_names for n in self.subscripts()
-                    )
-            if s >= 2:
-                for body in self.terms(s - 1):
-                    for n in self.subscripts():
-                        if body.vmax < n:
-                            out.append(theta_idx(n, body))
-        elif b.system == "poly":
-            if s == 2:
-                out.extend(omega_lev(j) for j in self.levels())
-                if not b.closed_only:
-                    out.extend(var_lev(v, j) for v in b.var_names for j in self.levels())
-            if s >= 2:
-                out.extend(theta(body) for body in self.terms(s - 1))
-        elif b.system == "xi":
-            if s == 2 and not b.closed_only:
-                out.extend(var_lev(v, j) for v in b.var_names for j in self.levels())
-            if s >= 2:
-                for body in self.terms(s - 1):
-                    if not body.has_fvar:
-                        out.append(theta(body))
-            if s >= 3:
-                for arg in self.terms(s - 2):
-                    out.extend(mk_xi(j, arg) for j in self.levels())
-                    if not b.closed_only and b.include_fvars:
-                        out.extend(
-                            fvar(v.upper(), j, arg)
-                            for v in b.var_names
-                            for j in self.levels()
-                        )
-        elif b.system == "mixed":
-            if s == 1:
-                out.extend(omega_idx(n) for n in self.subscripts())
-            if s == 2:
-                out.extend(
-                    omega_high(j, n)
-                    for j in self.levels()
-                    for n in self.subscripts()
-                )
-                if not b.closed_only:
-                    out.extend(var_lev(v, j) for v in b.var_names for j in self.levels())
-            if s >= 2:
-                for body in self.terms(s - 1):
-                    for n in self.subscripts():
-                        out.append(theta_low(n, body))
-                        out.append(theta_high(n, body))
-                    out.append(theta_xi(body))
-            if s >= 3:
-                for arg in self.terms(s - 2):
-                    out.extend(mk_xi(j, arg) for j in self.levels())
+        for make, fields in self.heads:
+            own = 1 + ("j" in fields)
+            domains = self.domains
+            if "t" in fields:
+                if s <= own:
+                    continue
+                domains = {**domains, "t": self.terms(s - own)}
+            elif s != own:
+                continue
+            for args in itertools.product(*map(domains.get, fields)):
+                try:
+                    out.append(make(*args))
+                except TermError:  # a collapse refusing its body (scope rule, function variable)
+                    pass
         self._bump(len(out))
         out.sort(key=lambda t: t.key)
         self._h[s] = out

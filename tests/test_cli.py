@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -6,10 +8,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ordcalc
 from ordcalc import cli
-from ordcalc.cli import EXIT_INVARIANT, EXIT_PRECONDITION, EXIT_USAGE, main
+from ordcalc.cli import (
+    EXIT_CLOSED_STDOUT,
+    EXIT_INVARIANT,
+    EXIT_PRECONDITION,
+    EXIT_USAGE,
+    main,
+)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -227,6 +236,48 @@ def test_too_deep_input_exits_with_precondition_code(argv):
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert err.splitlines() == ["precondition violation: term nested too deeply"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",), ("enumerate", "--system", "mixed", "--max-size", "5")],
+    ids=["help", "enumerate"],
+)
+def test_a_closed_stdout_exits_with_its_own_code(argv):
+    read, write = os.pipe()
+    os.close(read)  # every write to `write` now fails with EPIPE
+    src = os.path.dirname(os.path.dirname(ordcalc.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordcalc.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_CLOSED_STDOUT
+    assert proc.stderr == ""
+
+
+# Strings drawn from the grammar's own tokens: every head prefix, the
+# punctuation, digits, a sign, letters and spaces.
+_FUZZ_TOKENS = (
+    "w^(", "O_", "O^(", "OO_", "Xi^(", "th_", "th(", "thO_", "thOO_", "thXi(", "v.", "V.",
+    "#", "(", ")", "^(", "_", "-", " ", "0", "1", "2", "10", "x", "F", "q",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    system=st.sampled_from(("buchholz", "poly", "xi", "mixed")),
+    words=st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14),
+)
+def test_parse_fuzz_ends_in_a_documented_exit(system, words):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["parse", "--system", system, "".join(words)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 def _child_modules(code):
