@@ -6,10 +6,14 @@ invariant failure or any other unexpected error, 4 selfcheck found
 violations, 5 stdout closed before the output was written (as by `| head`;
 nothing is printed to stderr).
 
+One driver runs every command.  `parse_args` reads the flags from one table
+(`_commands`), so no `argparse` is loaded, and then parses every term
+argument in the command's system.  A handler gets those terms and returns
+`(payload, text)`; `main` prints the payload for `--output json` and the
+text otherwise (`selfcheck` prints its own JSONL and returns its exit code).
 A one-shot command imports only the system module it names (`_system`);
 the other systems and the harness stay unloaded, and `json` is loaded only
-for `--output json`.  Flags are read from one table (`_commands`) by
-`parse_args`, so no `argparse` is loaded either.
+for `--output json`.
 """
 
 from __future__ import annotations
@@ -52,49 +56,21 @@ def _card_str(value) -> str:
     return str(value)
 
 
-class _Output:
-    def __init__(self, mode: str):
-        self.mode = mode
-
-    def emit(self, payload: dict, text: str):
-        if self.mode == "json":
-            import json  # only here: a text-mode command never loads it
-
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(text)
+def _cmd_parse(args):
+    t = args.term
+    text = render(t)
+    return {"term": text, "size": t.size, "closed": t.closed}, text
 
 
-def _kset_output(items) -> tuple[list, str]:
-    """JSON payload and text for a critical-subterm set, sorted by key.  The
-    set holds plain terms, or KItems (xi and mixed's xi family)."""
-    entries = sorted(
-        ((i.term, i.var) if isinstance(i, KItem) else (i, None) for i in items),
-        key=lambda e: e[0].key,
-    )
-    payload = [{"term": render(t), "var": var} for t, var in entries]
-    text = ", ".join(render(t) if var is None else f"{render(t)} [{var}]" for t, var in entries)
-    return payload, "{" + text + "}"
-
-
-def _cmd_parse(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    out.emit({"term": render(t), "size": t.size, "closed": t.closed}, render(t))
-    return EXIT_OK
-
-
-def _cmd_cmp(args, out: _Output) -> int:
-    a = parse(args.system, args.left)
-    b = parse(args.system, args.right)
+def _cmd_cmp(args):
+    a, b = args.left, args.right
     o = _system(args.system).compare(a, b)
-    out.emit({"left": render(a), "right": render(b), "outcome": o.value}, o.value)
-    return EXIT_OK
+    return {"left": render(a), "right": render(b), "outcome": o.value}, o.value
 
 
-def _cmd_sort(args, out: _Output) -> int:
+def _cmd_sort(args):
     from functools import cmp_to_key
 
-    terms = [parse(args.system, s) for s in args.terms]
     cmp = _system(args.system).compare
 
     def as_cmp(x, y):
@@ -107,14 +83,12 @@ def _cmd_sort(args, out: _Output) -> int:
             return 0
         raise PreconditionError(f"incomparable pair: {render(x)} vs {render(y)}")
 
-    ordered = sorted(terms, key=cmp_to_key(as_cmp))
-    out.emit({"sorted": [render(t) for t in ordered]}, "\n".join(render(t) for t in ordered))
-    return EXIT_OK
+    ordered = [render(t) for t in sorted(args.terms, key=cmp_to_key(as_cmp))]
+    return {"sorted": ordered}, "\n".join(ordered)
 
 
-def _cmd_k(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    mod = _system(args.system)
+def _cmd_k(args):
+    t, mod = args.term, _system(args.system)
     if args.system == "buchholz":
         items = mod.kset(args.index, t)
     elif args.system in ("poly", "xi"):
@@ -128,14 +102,17 @@ def _cmd_k(args, out: _Output) -> int:
             items = mod.kset_high(card, args.index, t)
         else:
             items = mod.kset_xi(card, t)
-    payload, text = _kset_output(items)
-    out.emit({"kset": payload}, text)
-    return EXIT_OK
+    # Plain terms, or KItems (xi and mixed's xi family), sorted by key.
+    entries = sorted(
+        ((i.term, i.var) if isinstance(i, KItem) else (i, None) for i in items),
+        key=lambda e: e[0].key,
+    )
+    text = ", ".join(render(t) if var is None else f"{render(t)} [{var}]" for t, var in entries)
+    return {"kset": [{"term": render(t), "var": var} for t, var in entries]}, "{" + text + "}"
 
 
-def _cmd_fc(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    mod = _system(args.system)
+def _cmd_fc(args):
+    t, mod = args.term, _system(args.system)
     if args.system == "buchholz":
         values, top = mod.fc(t)
     elif args.system in ("poly", "xi"):
@@ -144,106 +121,69 @@ def _cmd_fc(args, out: _Output) -> int:
         card = mod.parse_card(args.card) if args.card else mod.FULL
         values, top = mod.fc(card, t)
     values_s = sorted(_card_str(v) for v in values)
-    out.emit(
-        {"values": values_s, "max": _card_str(top)},
-        "{" + ", ".join(values_s) + "} max " + _card_str(top),
-    )
-    return EXIT_OK
+    text = "{" + ", ".join(values_s) + "} max " + _card_str(top)
+    return {"values": values_s, "max": _card_str(top)}, text
 
 
-def _cmd_ground(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    r = _system(args.system).normalize(t)
-    out.emit(
-        {
-            "ground": _card_str(r.ground),
-            "class_index": _card_str(r.class_index),
-            "member": r.m_member,
-        },
-        f"ground {_card_str(r.ground)} class {_card_str(r.class_index)} "
-        f"member {r.m_member}",
-    )
-    return EXIT_OK
+def _cmd_ground(args):
+    r = _system(args.system).normalize(args.term)
+    ground, index = _card_str(r.ground), _card_str(r.class_index)
+    payload = {"ground": ground, "class_index": index, "member": r.m_member}
+    return payload, f"ground {ground} class {index} member {r.m_member}"
 
 
-def _cmd_star(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    star = render(_system(args.system).star(t))
-    out.emit({"star": star}, star)
-    return EXIT_OK
+def _cmd_star(args):
+    star = render(_system(args.system).star(args.term))
+    return {"star": star}, star
 
 
-def _cmd_shift(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
+def _cmd_shift(args):
     mod = _system(args.system)
     if args.system in ("poly", "xi"):
-        res = mod.shift(t, args.level, args.by)
+        at = args.level
     else:
-        card = mod.parse_card(args.card) if args.card else mod.FULL
-        res = mod.shift(t, card, args.by)
-    out.emit({"term": render(res)}, render(res))
-    return EXIT_OK
+        at = mod.parse_card(args.card) if args.card else mod.FULL
+    res = render(mod.shift(args.term, at, args.by))
+    return {"term": res}, res
 
 
-def _cmd_subst(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    value = parse(args.system, args.value)
+def _cmd_subst(args):
     at = args.index if args.system == "buchholz" else args.level
-    res = _system(args.system).substitute(t, args.var, at, value)
-    out.emit({"term": render(res)}, render(res))
-    return EXIT_OK
+    res = render(_system(args.system).substitute(args.term, args.var, at, args.value))
+    return {"term": res}, res
 
 
-def _cmd_abstract(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    a = _system(args.system).abstract(t)
+def _cmd_abstract(args):
+    a = _system(args.system).abstract(args.term)
     payload = {
         "body": render(a.body),
         "variables": list(a.variables),
         "parameters": [render(p) for p in a.parameters],
     }
     pairs = ", ".join(f"{v} = {render(p)}" for v, p in zip(a.variables, a.parameters))
-    out.emit(payload, f"{render(a.body)}" + (f"  with {pairs}" if pairs else ""))
-    return EXIT_OK
+    return payload, render(a.body) + (f"  with {pairs}" if pairs else "")
 
 
-def _cmd_kappa(args, out: _Output) -> int:
-    t = parse(args.system, args.term)
-    kappa = _card_str(_system(args.system).kappa(t))
-    out.emit({"kappa": kappa}, kappa)
-    return EXIT_OK
+def _cmd_kappa(args):
+    kappa = _card_str(_system(args.system).kappa(args.term))
+    return {"kappa": kappa}, kappa
 
 
-def _cmd_d(args, out: _Output) -> int:
-    gamma = parse(args.system, args.gamma)
-    beta = parse(args.system, args.beta)
-    mod = _system(args.system)
-    if args.system == "buchholz":
-        res = mod.dfun(args.m, args.n, gamma, beta)
-    elif args.system == "poly":
-        res = mod.dfun(args.m, gamma, beta)
-    else:
-        res = mod.dfun(args.m, gamma, beta, args.var)
-    out.emit({"term": render(res)}, render(res))
-    return EXIT_OK
+def _cmd_d(args):
+    lead = (args.m, args.n) if args.system == "buchholz" else (args.m,)
+    tail = (args.var,) if args.system == "xi" else ()
+    res = render(_system(args.system).dfun(*lead, args.gamma, args.beta, *tail))
+    return {"term": res}, res
 
 
-def _cmd_ll(args, out: _Output) -> int:
-    gamma = parse(args.system, args.gamma)
-    a = parse(args.system, args.left)
-    b = parse(args.system, args.right)
-    mod = _system(args.system)
-    if args.system == "buchholz":
-        res = mod.llrel(args.n, gamma, a, b)
-    elif args.system == "poly":
-        res = mod.llrel(gamma, a, b)
-    else:
-        res = mod.llrel(gamma, a, b, args.var)
-    out.emit({"holds": res}, "yes" if res else "no")
-    return EXIT_OK
+def _cmd_ll(args):
+    lead = (args.n,) if args.system == "buchholz" else ()
+    tail = (args.var,) if args.system == "xi" else ()
+    res = _system(args.system).llrel(*lead, args.gamma, args.left, args.right, *tail)
+    return {"holds": res}, "yes" if res else "no"
 
 
-def _cmd_enumerate(args, out: _Output) -> int:
+def _cmd_enumerate(args):
     from . import harness  # only enumerate and selfcheck need it
 
     budget = harness.EnumBudget(
@@ -255,16 +195,12 @@ def _cmd_enumerate(args, out: _Output) -> int:
     )
     terms = harness.enumerate_terms(budget)
     if args.count_only:
-        out.emit({"count": len(terms)}, str(len(terms)))
-    else:
-        out.emit(
-            {"count": len(terms), "terms": [render(t) for t in terms]},
-            "\n".join(render(t) for t in terms),
-        )
-    return EXIT_OK
+        return {"count": len(terms)}, str(len(terms))
+    rendered = [render(t) for t in terms]
+    return {"count": len(terms), "terms": rendered}, "\n".join(rendered)
 
 
-def _cmd_selfcheck(args, out: _Output) -> int:
+def _cmd_selfcheck(args) -> int:
     from . import harness
 
     reports = harness.selfcheck(
@@ -293,17 +229,18 @@ _SYS3 = ("--system", ("buchholz", "poly", "xi"), ..., "notation system")
 _OUT = ("--output", ("text", "json"), "text", "")
 _LEVEL = ("--level", int, 0, "threshold level (poly/xi)")
 _CARD = ("--card", str, None, "mixed threshold, e.g. '(0,inf)'")
-_GAMMA, _VAR = ("--gamma", str, "0", ""), ("--var", str, None, "argument variable of gamma (xi)")
+_GAMMA, _VAR = ("--gamma", Term, "0", ""), ("--var", str, None, "argument variable of gamma (xi)")
 # The commands that take no --system, and the one system each is fixed to.
 _FIXED = {"ground": "poly", "star": "poly", "abstract": "xi", "kappa": "xi"}
 
 
 def _commands() -> dict:
     """The command table: name -> (handler, help, positionals, options).  A
-    positional ending in `+` takes one or more words.  An option is (flag,
-    kind, default, help): kind is int, str, a tuple of choices, or bool for
-    a switch, and a default of `...` makes the option required.  Built per
-    call, so dispatch reaches the module's current handlers."""
+    positional is a term; one ending in `+` takes one or more words.  An
+    option is (flag, kind, default, help): kind is int, str, Term, a tuple
+    of choices, or bool for a switch, and a default of `...` makes the
+    option required.  Built per call, so dispatch reaches the module's
+    current handlers."""
     return {
         "parse": (_cmd_parse, "parse and canonicalize a term", ("term",), (_SYS, _OUT)),
         "cmp": (_cmd_cmp, "compare two terms", ("left", "right"), (_SYS, _OUT)),
@@ -319,12 +256,12 @@ def _commands() -> dict:
             _CARD, ("--by", int, ..., "levels to shift by"))),
         "subst": (_cmd_subst, "substitute a variable", ("term",), (
             _SYS, _OUT, ("--var", str, ..., ""), ("--level", int, 0, ""),
-            ("--index", int, 1, "variable subscript (buchholz)"), ("--value", str, ..., ""))),
+            ("--index", int, 1, "variable subscript (buchholz)"), ("--value", Term, ..., ""))),
         "abstract": (_cmd_abstract, "canonical abstraction (xi)", ("term",), (_OUT,)),
         "kappa": (_cmd_kappa, "fine cardinality (xi)", ("term",), (_OUT,)),
         "d": (_cmd_d, "dominance value", (), (
             _SYS3, _OUT, ("--m", int, ..., ""), ("--n", int, 1, "chain anchor (buchholz)"),
-            _GAMMA, ("--beta", str, "0", ""), _VAR)),
+            _GAMMA, ("--beta", Term, "0", ""), _VAR)),
         "ll": (_cmd_ll, "dominance relation", ("left", "right"), (
             _SYS3, _OUT, ("--n", int, 0, "relation level (buchholz)"), _GAMMA, _VAR)),
         "enumerate": (_cmd_enumerate, "enumerate all terms within a budget", (), (
@@ -361,9 +298,10 @@ def _help(table: dict, name: str | None = None) -> str:
 
 def parse_args(argv: list[str]) -> SimpleNamespace | None:
     """Read `argv` against the command table.  Returns the handler's
-    arguments, with the handler as `fn`, or None once a `--help` text is
-    printed; raises _UsageError on a malformed command line.  An option is
-    spelled out in full, as `--opt value` or `--opt=value`."""
+    arguments, with the handler as `fn` and every term parsed, or None once
+    a `--help` text is printed; raises _UsageError on a malformed command
+    line, and ParseError on a malformed term.  An option is spelled out in
+    full, as `--opt value` or `--opt=value`."""
     table = _commands()
     name = argv[0] if argv else None
     if "--help" in argv or "-h" in argv:
@@ -397,7 +335,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
                     value = int(value)
                 except ValueError:
                     raise _UsageError(f"{name}: {flag} needs an integer, got {value!r}") from None
-            elif kind is not str and value not in kind:
+            elif isinstance(kind, tuple) and value not in kind:
                 choices = ", ".join(kind)
                 raise _UsageError(f"{name}: {flag} must be one of {choices}, got {value!r}")
             values[flag] = value
@@ -413,15 +351,32 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
         if values.get(flag, default) is ...:
             raise _UsageError(f"{name}: missing option {flag}")
         setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+    # Once the flags are checked, every term argument is parsed in the
+    # command's system: the positionals first, then the Term options.
+    terms = [p.rstrip("+") for p in positionals]
+    for key in terms + [flag[2:] for flag, kind, _, _ in options if kind is Term]:
+        word = getattr(args, key)
+        if type(word) is list:
+            setattr(args, key, [parse(args.system, w) for w in word])
+        else:
+            setattr(args, key, parse(args.system, word))
     return args
 
 
 def main(argv=None) -> int:
     try:
         args = parse_args(list(sys.argv[1:] if argv is None else argv))
-        code = EXIT_OK if args is None else args.fn(args, _Output(getattr(args, "output", "text")))
+        result = EXIT_OK if args is None else args.fn(args)
+        if type(result) is tuple:  # (payload, text); selfcheck prints its own
+            payload, text = result
+            if args.output == "json":
+                import json  # only here: a text-mode command never loads it
+
+                text = json.dumps(payload, sort_keys=True)
+            print(text)
+            result = EXIT_OK
         sys.stdout.flush()  # a closed stdout raises here, inside this handler
-        return code
+        return result
     except BrokenPipeError:
         # Python's documented idiom for a closed stdout: point it at devnull,
         # so that the flush at shutdown does not raise a second time.

@@ -382,140 +382,111 @@ def check_roundtrip(system: str, terms, seed: int = 0) -> CheckReport:
 # -- pinned fixtures -------------------------------------------------------------
 #
 # Each fixture is an independently derived expected value: ladder facts,
-# cardinality readings, critical-subterm sets, and cardinal arithmetic.
-
-def _expect_equal(got, want):
-    return got == want, f"got {got!r}, want {want!r}"
-
-
-def _expect_outcome(got: Outcome, want: Outcome):
-    return got is want, f"got {got.value}, want {want.value}"
-
+# cardinality readings, critical-subterm sets, and cardinal arithmetic.  A
+# row is (name, thunk, want); an Outcome is matched by `is`, all else by `==`.
 
 def _fixture_table():
     pb = lambda s: syntax.parse("buchholz", s)
     pp = lambda s: syntax.parse("poly", s)
     px = lambda s: syntax.parse("xi", s)
     pm = lambda s: syntax.parse("mixed", s)
-    L, G = Outcome.LESS, Outcome.GREATER
-
-    def ladder(cmp, a, b):
-        return lambda: _expect_outcome(cmp(a, b), L)
-
-    fixtures = [
+    L = Outcome.LESS
+    call = functools.partial  # parses its terms as the table is built, a lambda as it runs
+    return [
         # stratified ladder and cardinality
-        ("buchholz/omega_ladder", ladder(buchholz.compare, pb("O_2"), pb("O_3"))),
-        (
-            "buchholz/fc_top_class",
-            lambda: _expect_equal(buchholz.fc(pb("O_3 # O_2 # w^(O_1)"))[1], 3),
-        ),
+        ("buchholz/omega_ladder", call(buchholz.compare, pb("O_2"), pb("O_3")), L),
+        ("buchholz/fc_top_class", lambda: buchholz.fc(pb("O_3 # O_2 # w^(O_1)"))[1], 3),
         (
             "buchholz/variable_scope_invalid",
-            lambda: _expect_equal(
-                buchholz.classify(theta_idx(1, var_idx("x", 1))).is_valid, False
-            ),
+            lambda: buchholz.classify(theta_idx(1, var_idx("x", 1))).is_valid,
+            False,
         ),
         (
             "buchholz/parser_rejects_scope_violation",
-            lambda: _expect_equal(_raises(syntax.ParseError, lambda: pb("th_1(v.x_1)")), True),
+            lambda: _raises(syntax.ParseError, lambda: pb("th_1(v.x_1)")),
+            True,
         ),
         (
             "buchholz/substitution_needs_small_target",
-            lambda: _expect_equal(
-                _raises(
-                    PreconditionError,
-                    lambda: buchholz.substitute(
-                        theta_idx(2, var_idx("x", 1)), "x", 1, omega_idx(1)
-                    )
-                ),
-                True,
+            lambda: _raises(
+                PreconditionError,
+                lambda: buchholz.substitute(theta_idx(2, var_idx("x", 1)), "x", 1, omega_idx(1)),
             ),
+            True,
         ),
         (
             "buchholz/dominance_at_level_zero_is_lt",
-            lambda: _expect_equal(buchholz.llrel(0, ZERO, ZERO, omega_pow(ZERO)), True),
+            lambda: buchholz.llrel(0, ZERO, ZERO, omega_pow(ZERO)),
+            True,
         ),
         # polymorphic cardinality and critical subterms
-        (
-            "poly/fc_relative_max",
-            lambda: _expect_equal(poly.fc(0, pp("O^(-1) # O^(-2) # O^(-2)"))[1], -1),
-        ),
-        (
-            "poly/fc_collapse_keeps_free_level",
-            lambda: _expect_equal(poly.fc(0, pp("th(O^(0) # O^(-1))"))[1], 0),
-        ),
+        ("poly/fc_relative_max", lambda: poly.fc(0, pp("O^(-1) # O^(-2) # O^(-2)"))[1], -1),
+        ("poly/fc_collapse_keeps_free_level", lambda: poly.fc(0, pp("th(O^(0) # O^(-1))"))[1], 0),
         (
             "poly/shift_collision",
-            lambda: _expect_equal(
-                _raises(ShiftError, lambda: poly.shift(pp("th(O^(-1))"), 0, 1)), True
-            ),
+            lambda: _raises(ShiftError, lambda: poly.shift(pp("th(O^(-1))"), 0, 1)),
+            True,
         ),
-        (
-            "poly/kset_bound_pair_empty",
-            lambda: _expect_equal(poly.kset(0, pp("th(O^(0) # O^(-1))")), frozenset()),
-        ),
+        ("poly/kset_bound_pair_empty", lambda: poly.kset(0, pp("th(O^(0) # O^(-1))")), frozenset()),
         (
             "poly/kset_self_critical",
-            lambda: _expect_equal(
-                poly.kset(0, pp("th(O^(0))")), frozenset({pp("th(O^(0))")})
-            ),
+            lambda: {render(t) for t in poly.kset(0, pp("th(O^(0))"))},
+            {"th(O^(0))"},
         ),
-        ("poly/level_ladder", ladder(poly.compare, pp("O^(-2)"), pp("O^(-1)"))),
+        ("poly/level_ladder", call(poly.compare, pp("O^(-2)"), pp("O^(-1)")), L),
         # function-sorted system
         (
             "xi/kset_collects_function",
-            lambda: _expect_equal(
-                {(render(i.term), i.var is not None) for i in xi.kset(0, px("th(Xi^(-1)(0))"))},
-                {("th(v.k^(0))", True)},
-            ),
+            lambda: {(render(i.term), i.var is not None) for i in xi.kset(0, px("th(Xi^(-1)(0))"))},
+            {("th(v.k^(0))", True)},
         ),
-        ("xi/head_argument_order", ladder(xi.compare, px("Xi^(0)(0)"), px("Xi^(0)(w^(0))"))),
-        ("xi/head_level_order", ladder(xi.compare, px("Xi^(-1)(w^(0))"), px("Xi^(0)(0)"))),
+        ("xi/head_argument_order", call(xi.compare, px("Xi^(0)(0)"), px("Xi^(0)(w^(0))")), L),
+        ("xi/head_level_order", call(xi.compare, px("Xi^(-1)(w^(0))"), px("Xi^(0)(0)")), L),
         # mixed cardinal arithmetic and ladder
         (
             "mixed/card_subtract_level",
-            lambda: _expect_equal(
-                mixed.card_minus_level(mixed.large(-1, 2), -1), mixed.large(0, mixed.INF)
-            ),
+            lambda: mixed.card_minus_level(mixed.large(-1, 2), -1),
+            mixed.large(0, mixed.INF),
         ),
         (
             "mixed/card_min_with_nat",
-            lambda: _expect_equal(
-                mixed.card_min_nat(mixed.large(0, 3), 1), mixed.large(0, 1)
-            ),
+            lambda: mixed.card_min_nat(mixed.large(0, 3), 1),
+            mixed.large(0, 1),
         ),
         (
             "mixed/card_ladder",
-            lambda: _expect_outcome(
-                mixed.card_compare(mixed.large(-1, mixed.INF), mixed.large(0, 0)), L
-            ),
+            lambda: mixed.card_compare(mixed.large(-1, mixed.INF), mixed.large(0, 0)),
+            L,
         ),
         (
             "mixed/shift_fixes_plain_cardinals",
-            lambda: _expect_equal(mixed.shift(pm("O_3"), mixed.FULL, 1), pm("O_3")),
+            lambda: mixed.shift(pm("O_3"), mixed.FULL, 1),
+            pm("O_3"),
         ),
         (
             "mixed/fc_plain_cardinal",
-            lambda: _expect_equal(
-                mixed.fc(mixed.FULL, pm("O_3"))[0], frozenset({mixed.fin(3)})
-            ),
+            lambda: mixed.fc(mixed.FULL, pm("O_3"))[0],
+            frozenset({mixed.fin(3)}),
         ),
         (
             "mixed/kset_ignores_function_head",
-            lambda: _expect_equal(mixed.kset_low(1, pm("Xi^(0)(0)")), frozenset()),
+            lambda: mixed.kset_low(1, pm("Xi^(0)(0)")),
+            frozenset(),
         ),
-        ("mixed/plain_below_upper", ladder(mixed.compare, pm("O_5"), pm("OO_1^(0)"))),
-        ("mixed/upper_below_function", ladder(mixed.compare, pm("OO_2^(-1)"), pm("Xi^(0)(0)"))),
-        ("mixed/function_below_upper_same_level", ladder(mixed.compare, pm("Xi^(0)(0)"), pm("OO_1^(0)"))),
+        ("mixed/plain_below_upper", call(mixed.compare, pm("O_5"), pm("OO_1^(0)")), L),
+        ("mixed/upper_below_function", call(mixed.compare, pm("OO_2^(-1)"), pm("Xi^(0)(0)")), L),
+        (
+            "mixed/function_below_upper_same_level",
+            call(mixed.compare, pm("Xi^(0)(0)"), pm("OO_1^(0)")),
+            L,
+        ),
         # critical-subterm set in the CLI wire format
         (
             "poly/cli_kset",
-            lambda: _expect_equal(
-                syntax.render_set(poly.kset(0, pp("th(O^(0))"))), "{th(O^(0))}"
-            ),
+            lambda: syntax.render_set(poly.kset(0, pp("th(O^(0))"))),
+            "{th(O^(0))}",
         ),
     ]
-    return fixtures
 
 
 def _raises(exc_type, thunk) -> bool:
@@ -528,15 +499,19 @@ def _raises(exc_type, thunk) -> bool:
 
 def check_fixtures(seed: int = 0) -> CheckReport:
     """Run every pinned fixture; each must match exactly."""
+    show = lambda v: v.value if isinstance(v, Outcome) else repr(v)
     with _checking("fixtures", "all", seed) as report:
-        for name, thunk in _fixture_table():
+        for name, thunk, want in _fixture_table():
             report.checked += 1
             try:
-                ok, detail = thunk()
+                got = thunk()
             except Exception as exc:  # a crashing fixture is a failure
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            if not ok:
-                report.violations.append({"kind": "fixture", "name": name, "detail": detail})
+                detail = f"raised {type(exc).__name__}: {exc}"
+            else:
+                if (got is want) if isinstance(want, Outcome) else (got == want):
+                    continue
+                detail = f"got {show(got)}, want {show(want)}"
+            report.violations.append({"kind": "fixture", "name": name, "detail": detail})
     report.details["fixtures"] = report.checked
     return report
 

@@ -208,6 +208,218 @@ def test_selfcheck_allows_zero_budgets(capsys):
     assert [r["checked"] for r in records if r["check"] == "key_lemma"] == [0, 0, 0]
 
 
+# Every command in one of its systems, pinned byte for byte.  A command that
+# succeeds exits 0 with nothing on stderr: (argv, text stdout, JSON stdout).
+_PINNED_OUTPUT = {
+    "parse": (
+        ("parse", "--system", "poly", "O^(-2) # th(O^(0)) # O^(-1)"),
+        "O^(-2) # O^(-1) # th(O^(0))",
+        '{"closed": true, "size": 8, "term": "O^(-2) # O^(-1) # th(O^(0))"}',
+    ),
+    "cmp": (
+        ("cmp", "--system", "xi", "Xi^(0)(0)", "Xi^(0)(w^(0))"),
+        "LT",
+        '{"left": "Xi^(0)(0)", "outcome": "LT", "right": "Xi^(0)(w^(0))"}',
+    ),
+    "sort": (
+        ("sort", "--system", "mixed", "OO_1^(0)", "O_5", "Xi^(0)(0)", "thO_1(0)"),
+        "thO_1(0)\nO_5\nXi^(0)(0)\nOO_1^(0)",
+        '{"sorted": ["thO_1(0)", "O_5", "Xi^(0)(0)", "OO_1^(0)"]}',
+    ),
+    "k-buchholz": (
+        ("k", "--system", "buchholz", "--index", "2", "th_2(O_2) # th_1(O_1)"),
+        "{th_1(O_1), th_2(O_2)}",
+        '{"kset": [{"term": "th_1(O_1)", "var": null}, {"term": "th_2(O_2)", "var": null}]}',
+    ),
+    "k-xi": (
+        ("k", "--system", "xi", "--level", "0", "th(Xi^(-1)(0))"),
+        "{th(v.k^(0)) [k]}",
+        '{"kset": [{"term": "th(v.k^(0))", "var": "k"}]}',
+    ),
+    "k-mixed-high": (
+        (
+            "k", "--system", "mixed", "--family", "high", "--card", "(0,3)",
+            "OO_2^(0) # thOO_1(OO_1^(0))",
+        ),
+        "{OO_2^(0), thOO_1(OO_1^(0))}",
+        '{"kset": [{"term": "OO_2^(0)", "var": null}, {"term": "thOO_1(OO_1^(0))", "var": null}]}',
+    ),
+    "fc-buchholz": (
+        ("fc", "--system", "buchholz", "O_3 # O_2 # w^(O_1)"),
+        "{1, 2, 3} max 3",
+        '{"max": "3", "values": ["1", "2", "3"]}',
+    ),
+    "fc-mixed": (
+        ("fc", "--system", "mixed", "--card", "(0,inf)", "OO_2^(-1)"),
+        "{(-1,2)} max (-1,2)",
+        '{"max": "(-1,2)", "values": ["(-1,2)"]}',
+    ),
+    "ground": (
+        ("ground", "O^(-1) # O^(-2)"),
+        "ground -2 class 1 member True",
+        '{"class_index": "1", "ground": "-2", "member": true}',
+    ),
+    "star": (("star", "O^(-1) # O^(-2)"), "O^(-1) # O^(0)", '{"star": "O^(-1) # O^(0)"}'),
+    "shift-poly": (
+        ("shift", "--system", "poly", "--by", "1", "O^(-2) # w^(O^(-1))"),
+        "w^(O^(0)) # O^(-1)",
+        '{"term": "w^(O^(0)) # O^(-1)"}',
+    ),
+    "shift-mixed": (
+        ("shift", "--system", "mixed", "--by", "1", "OO_2^(-2) # O_3"),
+        "O_3 # OO_2^(-1)",
+        '{"term": "O_3 # OO_2^(-1)"}',
+    ),
+    "subst-xi": (
+        ("subst", "--system", "xi", "th(v.a^(-1))", "--var", "a", "--value", "Xi^(0)(0)"),
+        "th(Xi^(-1)(0))",
+        '{"term": "th(Xi^(-1)(0))"}',
+    ),
+    "subst-buchholz": (
+        (
+            "subst", "--system", "buchholz", "th_2(v.x_1)", "--var", "x", "--index", "1",
+            "--value", "w^(0)",
+        ),
+        "th_2(w^(0))",
+        '{"term": "th_2(w^(0))"}',
+    ),
+    "abstract": (
+        ("abstract", "Xi^(0)(0) # w^(Xi^(0)(0))"),
+        "w^(v.p1^(0)) # v.p1^(0)  with p1 = Xi^(0)(0)",
+        '{"body": "w^(v.p1^(0)) # v.p1^(0)", "parameters": ["Xi^(0)(0)"], "variables": ["p1"]}',
+    ),
+    "kappa": (("kappa", "Xi^(0)(w^(0)) # Xi^(0)(0)"), "w^(0)", '{"kappa": "w^(0)"}'),
+    "d-buchholz": (
+        ("d", "--system", "buchholz", "--m", "1", "--n", "2"),
+        "th_1(w^(O_1 # th_2(w^(O_2))))",
+        '{"term": "th_1(w^(O_1 # th_2(w^(O_2))))"}',
+    ),
+    "d-xi": (
+        (
+            "d", "--system", "xi", "--m", "1", "--gamma", "Xi^(-1)(v.y^(0))", "--beta", "w^(0)",
+            "--var", "y",
+        ),
+        "th(w^(Xi^(0)(w^(0)) # th(w^(w^(0) # Xi^(0)(w^(0))) # Xi^(-1)(v.y^(0)))))",
+        '{"term": "th(w^(Xi^(0)(w^(0)) # th(w^(w^(0) # Xi^(0)(w^(0))) # Xi^(-1)(v.y^(0)))))"}',
+    ),
+    "ll-poly": (
+        ("ll", "--system", "poly", "th(O^(0))", "th(O^(0)) # w^(0)"),
+        "yes",
+        '{"holds": true}',
+    ),
+    "ll-xi": (
+        ("ll", "--system", "xi", "--gamma", "Xi^(-1)(v.y^(0))", "--var", "y", "0", "w^(0)"),
+        "yes",
+        '{"holds": true}',
+    ),
+    "enumerate": (
+        ("enumerate", "--system", "buchholz", "--max-size", "2", "--max-subscript", "1"),
+        "0\nw^(0)\nw^(O_1)\nO_1\nth_1(0)\nth_1(O_1)",
+        '{"count": 6, "terms": ["0", "w^(0)", "w^(O_1)", "O_1", "th_1(0)", "th_1(O_1)"]}',
+    ),
+    "enumerate-count": (
+        ("enumerate", "--system", "poly", "--max-size", "3", "--count-only"),
+        "16",
+        '{"count": 16}',
+    ),
+}
+# A command that fails prints nothing on stdout and one stderr line, the same
+# in both modes: (argv, exit code, stderr).
+_PINNED_ERROR = {
+    "selfcheck-negative-budget": (
+        ("selfcheck", "--quick", "--samples", "-1"),
+        2,
+        "precondition violation: samples must be >= 0, got -1",
+    ),
+    "shift-collision": (
+        ("shift", "--system", "poly", "--by", "1", "th(O^(-1))"),
+        2,
+        "precondition violation: shifting level -1 by +1 collides at threshold -1",
+    ),
+    # one malformed term in each term position: positionals, --value, --gamma, --beta
+    "bad-parse-term": (
+        ("parse", "--system", "buchholz", "th_1(v.x_1)"),
+        1,
+        "parse error: collapse with subscript 1 cannot contain a variable with subscript >= 1"
+        " (at 0..11)",
+    ),
+    "bad-cmp-right": (
+        ("cmp", "--system", "poly", "O^(0)", "O_1"),
+        1,
+        "parse error: head 'O_' is not part of system 'poly' (at 0..2)",
+    ),
+    "bad-sort-term": (
+        ("sort", "--system", "xi", "0", "Xi^(0)(", "w^(0)"),
+        1,
+        "parse error: expected a term head (at 7..7)",
+    ),
+    "bad-subst-term": (
+        ("subst", "--system", "poly", "th(v.x^(-1)", "--var", "x", "--value", "0"),
+        1,
+        "parse error: expected ')' (at 11..11)",
+    ),
+    "bad-subst-value": (
+        ("subst", "--system", "poly", "th(v.x^(-1))", "--var", "x", "--value", "O_1"),
+        1,
+        "parse error: head 'O_' is not part of system 'poly' (at 0..2)",
+    ),
+    "bad-subst-both": (
+        ("subst", "--system", "poly", "th(", "--var", "x", "--value", "O_1"),
+        1,
+        "parse error: expected a term head (at 3..3)",
+    ),
+    "bad-d-gamma": (
+        ("d", "--system", "poly", "--m", "1", "--gamma", "Xi^(0)(0)"),
+        1,
+        "parse error: head 'Xi' is not part of system 'poly' (at 0..4)",
+    ),
+    "bad-d-beta": (
+        ("d", "--system", "poly", "--m", "1", "--beta", "th_1(0)"),
+        1,
+        "parse error: head 'th_' is not part of system 'poly' (at 0..3)",
+    ),
+    "bad-d-both": (
+        ("d", "--system", "poly", "--m", "1", "--beta", "th_1(0)", "--gamma", "Xi^(0)(0)"),
+        1,
+        "parse error: head 'Xi' is not part of system 'poly' (at 0..4)",
+    ),
+    "bad-ll-left": (
+        ("ll", "--system", "buchholz", "w^(", "0"),
+        1,
+        "parse error: expected a term head (at 3..3)",
+    ),
+    "bad-ll-gamma": (
+        ("ll", "--system", "buchholz", "--gamma", "O^(0)", "0", "0"),
+        1,
+        "parse error: head 'O^' is not part of system 'buchholz' (at 0..3)",
+    ),
+    # ll parses its operands before --gamma, so the operand's error is the one reported.
+    "bad-ll-left-and-gamma": (
+        ("ll", "--system", "buchholz", "--gamma", "O^(0)", "w^(", "0"),
+        1,
+        "parse error: expected a term head (at 3..3)",
+    ),
+}
+_JSON = ("--output", "json")
+
+
+def _pinned_cases():
+    """Each pinned command in text and in JSON mode (selfcheck has no --output)."""
+    for name, (argv, text, payload) in _PINNED_OUTPUT.items():
+        yield pytest.param(argv, 0, text + "\n", "", id=f"{name}-text")
+        yield pytest.param(argv + _JSON, 0, payload + "\n", "", id=f"{name}-json")
+    for name, (argv, code, err) in _PINNED_ERROR.items():
+        yield pytest.param(argv, code, "", err + "\n", id=f"{name}-text")
+        if argv[0] != "selfcheck":
+            yield pytest.param(argv + _JSON, code, "", err + "\n", id=f"{name}-json")
+
+
+@pytest.mark.parametrize("argv, code, out, err", _pinned_cases())
+def test_pinned_output(capsys, argv, code, out, err):
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def run_child(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = os.path.dirname(os.path.dirname(ordcalc.__file__))
@@ -291,23 +503,35 @@ def _child_modules(code):
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("system", ["buchholz", "poly", "xi", "mixed"])
-def test_one_shot_command_loads_only_its_system(system):
+_SYSTEMS = ("buchholz", "poly", "xi", "mixed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(("cmp", "--system", s, "0", "0"), id=s) for s in _SYSTEMS]
+    + [pytest.param(c[0], id=name) for name, c in _PINNED_OUTPUT.items() if name != "cmp"]
+    + [pytest.param(("selfcheck", "--quick", "--samples", "-1"), id="selfcheck")],
+)
+def test_one_shot_command_loads_only_its_system(argv):
     # A one-shot command pays for importing its own system only: not the
     # other three, not the harness, not `dataclasses` with its `inspect`,
     # not `argparse` with its `gettext` and `locale`, and, in text mode,
-    # not `json`.
-    loaded = _child_modules(
-        f"import ordcalc.cli; ordcalc.cli.main(['cmp', '--system', '{system}', '0', '0'])"
-    )
+    # not `json`.  `parse` needs no system; enumerate and selfcheck load the
+    # harness, which imports every system, `json` and `dataclasses` itself.
+    loaded = _child_modules(f"import ordcalc.cli; ordcalc.cli.main({list(argv)!r})")
     ours = {m for m in loaded if m == "ordcalc" or m.startswith("ordcalc.")}
-    assert ours == {"ordcalc", "ordcalc.cli", "ordcalc.core", "ordcalc.syntax", f"ordcalc.{system}"}
+    base = {"ordcalc", "ordcalc.cli", "ordcalc.core", "ordcalc.syntax"}
+    if argv[0] in ("enumerate", "selfcheck"):
+        assert ours == base | {"ordcalc.harness"} | {f"ordcalc.{s}" for s in _SYSTEMS}
+        return
+    system = cli._FIXED.get(argv[0]) or argv[argv.index("--system") + 1]
+    assert ours == (base if argv[0] == "parse" else base | {f"ordcalc.{system}"})
     heavy = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
     assert loaded & heavy <= _child_modules("pass") & heavy
 
 
 def test_unexpected_error_exits_with_one_line(capsys, monkeypatch):
-    def boom(args, out):
+    def boom(args):
         raise KeyError("boom")
 
     monkeypatch.setattr(cli, "_cmd_cmp", boom)

@@ -159,10 +159,11 @@ def test_report_keeps_the_first_violations_only():
 
 
 def test_fixture_report_keeps_every_failure(monkeypatch):
-    table = [(f"f{i}", lambda: (False, "no")) for i in range(H.MAX_VIOLATIONS + 5)]
+    table = [(f"f{i}", lambda: False, True) for i in range(H.MAX_VIOLATIONS + 5)]
     monkeypatch.setattr(H, "_fixture_table", lambda: table)
     report = H.check_fixtures()
-    assert [v["name"] for v in report.violations] == [name for name, _ in table]
+    assert [v["name"] for v in report.violations] == [name for name, _, _ in table]
+    assert {v["detail"] for v in report.violations} == {"got False, want True"}
 
 
 def test_embeddings_map_heads():
