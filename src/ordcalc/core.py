@@ -31,18 +31,18 @@ the comparison memo, the cycle guard and the sum and omega-power clauses,
 and each system supplies only the rule for two strongly critical heads.
 Its unmemoized twin, `make_reference`, builds each system's reference
 order, the oracle the memoized order is checked against: the same clauses
-written a second time in plain recursion, sharing no code with
-`make_order`, with no memo and no cycle guard.  Each system supplies its own
-reference head rule and its critical-set heads for `reference_walk`.
+written a second time in plain recursion, sharing no code with `make_order`,
+with no memo and no cycle guard.  Each system supplies its own reference
+head rule and the heads of its reference set walks to `reference_walk`.
 
 The set-walk kernel (`make_walk`) makes the same cut for the
 formal-cardinality and critical-subterm walks: one kernel owns every walk's
 memo and the sum and omega-power clauses, each system supplies only its
 other heads' clauses, and only the critical-subterm walks take a threshold.
 Its plain-recursion twin, `reference_walk`, runs the reference critical-set
-walks on the same head contract: it decides sums and omega powers itself,
-tables every level in its own registered table, and follows a head's
-descent by calling itself, one stack frame per level.
+and profile walks on the same head contract: it decides sums and omega
+powers itself, tables every level in its own registered table, and follows
+a head's descent by calling itself, one stack frame per level.
 
 The level-walk kernel (`make_level_walk`) makes the cut once more for the
 maps and tests that carry an ambient level: substitution and its test,

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import random
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from . import buchholz, mixed, poly, syntax, xi
 from .core import (
@@ -54,8 +53,7 @@ _COMPARE = {name: mod.compare for name, mod in _MODULES.items()}
 _COMPARE_REFERENCE = {name: mod.compare_reference for name, mod in _MODULES.items()}
 
 
-@dataclass(frozen=True)
-class EnumBudget:
+class EnumBudget(NamedTuple):
     """Bounds that keep a term universe finite: node-count cap, level floor,
     subscript ceiling, and whether variables are admitted."""
 
@@ -80,15 +78,13 @@ SORT_SAMPLE = 20_000
 SUM_SAMPLES = 20_000
 
 
-@dataclass
 class CheckReport:
-    check: str
-    system: str
-    checked: int
-    violations: list = field(default_factory=list)
-    seed: int = 0
-    elapsed_ms: float = 0.0
-    details: dict = field(default_factory=dict)
+    def __init__(self, check: str, system: str, seed: int):
+        self.check, self.system, self.seed = check, system, seed
+        self.checked = 0
+        self.violations: list = []
+        self.elapsed_ms = 0.0
+        self.details: dict = {}
 
     @property
     def ok(self) -> bool:
@@ -110,6 +106,7 @@ class CheckReport:
             "elapsed_ms": round(self.elapsed_ms, 3) if timing else None,
             "details": self.details,
         }
+        import json  # only here: text-mode enumeration never loads it
         return json.dumps(record, sort_keys=True)
 
 
@@ -120,7 +117,7 @@ def _derive_seed(seed: int, label: str) -> int:
 @contextmanager
 def _checking(check: str, system: str, seed: int):
     """A fresh report whose elapsed_ms is the time spent in the block."""
-    report = CheckReport(check=check, system=system, checked=0, seed=seed)
+    report = CheckReport(check, system, seed)
     start = time.perf_counter()
     yield report
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -660,18 +657,6 @@ def check_collapse_not_self_value(terms, seed: int = 0) -> CheckReport:
 
 # -- Key Lemma sampling -------------------------------------------------------------
 
-_KL_POOL_BUDGETS = {
-    "buchholz": dict(max_size=5, max_subscript=2),
-    "poly": dict(max_size=5, min_level=-2),
-    "xi": dict(max_size=5, min_level=-2),
-}
-
-
-@functools.cache
-def _pool(budget: EnumBudget) -> tuple[Term, ...]:
-    return enumerate_terms(budget)
-
-
 def _run_item(report, label, rng, gen, check, samples):
     accepted = attempts = 0
     while accepted < samples and attempts < samples * 60:
@@ -718,9 +703,9 @@ def _mentions_var_lev(t: Term, name: str) -> bool:
 
 @functools.cache
 def _kl_pools_buchholz():
-    closed = _pool(EnumBudget("buchholz", **_KL_POOL_BUDGETS["buchholz"]))
-    opened = _pool(
-        EnumBudget("buchholz", closed_only=False, **_KL_POOL_BUDGETS["buchholz"])
+    closed = enumerate_terms(EnumBudget("buchholz", max_size=5, max_subscript=2))
+    opened = enumerate_terms(
+        EnumBudget("buchholz", max_size=5, max_subscript=2, closed_only=False)
     )
     gamma_pool = {
         n: [t for t in closed if buchholz.fc(t)[1] < n] for n in (0, 1, 2)
@@ -728,23 +713,20 @@ def _kl_pools_buchholz():
     mention = {
         n: [t for t in opened if _mentions_var_idx(t, "x", n)] for n in (1, 2)
     }
-    valid_open = [t for t in opened if t.valid]
     gamma3 = {
-        n: [t for t in valid_open if t.vmax <= n] for n in (1, 2)
+        n: [t for t in opened if t.vmax <= n] for n in (1, 2)
     }
-    return closed, gamma_pool, mention, valid_open, gamma3
+    return closed, gamma_pool, mention, opened, gamma3
 
 
 def _kl_buchholz():
-    closed, gamma_pool, mention, valid_open, gamma3 = _kl_pools_buchholz()
+    closed, gamma_pool, mention, opened, gamma3 = _kl_pools_buchholz()
 
     def gen1(rng):
         n = rng.choice((1, 2))
-        alpha = rng.choice(mention[n] if rng.random() < 0.7 else valid_open)
-        beta = rng.choice(valid_open if rng.random() < 0.5 else mention[n])
+        alpha = rng.choice(mention[n] if rng.random() < 0.7 else opened)
+        beta = rng.choice(opened if rng.random() < 0.5 else mention[n])
         if not (_mentions_var_idx(alpha, "x", n) or _mentions_var_idx(beta, "x", n)):
-            return None
-        if not (alpha.valid and beta.valid):
             return None
         if buchholz.compare(alpha, beta) is not Outcome.LESS:
             return None
@@ -769,8 +751,8 @@ def _kl_buchholz():
 
 @functools.cache
 def _kl_pools_poly():
-    closed = _pool(EnumBudget("poly", **_KL_POOL_BUDGETS["poly"]))
-    opened = _pool(EnumBudget("poly", closed_only=False, **_KL_POOL_BUDGETS["poly"]))
+    closed = enumerate_terms(EnumBudget("poly", max_size=5, min_level=-2))
+    opened = enumerate_terms(EnumBudget("poly", max_size=5, min_level=-2, closed_only=False))
     small = [t for t in closed if poly.fc_max(t) < 0]
     mention = [t for t in opened if _mentions_var_lev(t, "x")]
     subst0 = [t for t in mention if poly.substitutable("x", 0, t)]
@@ -807,12 +789,12 @@ def _kl_poly():
 
 @functools.cache
 def _kl_pools_xi():
-    closed = _pool(EnumBudget("xi", **_KL_POOL_BUDGETS["xi"]))
-    open_x = _pool(EnumBudget("xi", closed_only=False, **_KL_POOL_BUDGETS["xi"]))
-    open_w = _pool(
+    closed = enumerate_terms(EnumBudget("xi", max_size=5, min_level=-2))
+    open_x = enumerate_terms(EnumBudget("xi", max_size=5, min_level=-2, closed_only=False))
+    open_w = enumerate_terms(
         EnumBudget("xi", max_size=4, min_level=-2, closed_only=False, var_names=("w",))
     )
-    open_f = _pool(
+    open_f = enumerate_terms(
         EnumBudget(
             "xi",
             max_size=6,
@@ -969,6 +951,13 @@ ORDER_BUDGETS = {
     "xi": EnumBudget("xi", max_size=8, min_level=-3),
     "mixed": EnumBudget("mixed", max_size=5, min_level=-3, max_subscript=2),
 }
+# The quick selfcheck's universes, of tens to hundreds of terms.
+QUICK_BUDGETS = {
+    "buchholz": EnumBudget("buchholz", max_size=4, max_subscript=2),
+    "poly": EnumBudget("poly", max_size=4, min_level=-2),
+    "xi": EnumBudget("xi", max_size=4, min_level=-2),
+    "mixed": EnumBudget("mixed", max_size=4, min_level=-2, max_subscript=1),
+}
 
 
 def selfcheck(
@@ -984,14 +973,8 @@ def selfcheck(
     for name, value in (("samples", samples), ("triples", triples), ("oracle_pairs", oracle_pairs)):
         if value < 0:
             raise PreconditionError(f"{name} must be >= 0, got {value}")
-    budgets = ORDER_BUDGETS
+    budgets = QUICK_BUDGETS if quick else ORDER_BUDGETS
     if quick:
-        budgets = {
-            "buchholz": EnumBudget("buchholz", max_size=4, max_subscript=2),
-            "poly": EnumBudget("poly", max_size=4, min_level=-2),
-            "xi": EnumBudget("xi", max_size=4, min_level=-2),
-            "mixed": EnumBudget("mixed", max_size=4, min_level=-2, max_subscript=1),
-        }
         samples = min(samples, 500)
         triples = min(triples, 5_000)
         oracle_pairs = min(oracle_pairs, 5_000)

@@ -580,12 +580,8 @@ compare, _lt, _leq = make_order(_head_lt, _check_pair, "mixed.compare")
 
 # -- reference implementations ---------------------------------------------------
 
-def _ref_fc_set(c: MCard, t: Term) -> frozenset:
+def _ref_fc_head(c: MCard, t: Term):
     match t:
-        case Sum(children):
-            return frozenset().union(*(_ref_fc_set(c, x) for x in children))
-        case OmegaPow(e):
-            return _ref_fc_set(c, e)
         case OmegaIdx(n):
             return frozenset({fin(n)})
         case OmegaHigh(j1, n):
@@ -593,16 +589,16 @@ def _ref_fc_set(c: MCard, t: Term) -> frozenset:
                 return frozenset({large(level_minus_card(j1, c), n)})
             return frozenset()
         case Xi(j1, arg):
-            out = _ref_fc_set(card_minus_level(c, j1), arg)
             if large(j1, 0) < c:
-                out = out | frozenset({large(level_minus_card(j1, c), 0)})
-            return out
+                own = frozenset({large(level_minus_card(j1, c), 0)})
+                return card_minus_level(c, j1), arg, lambda below: below | own
+            return card_minus_level(c, j1), arg
         case ThetaLow(_, body):
-            return _ref_fc_set(c, body)
+            return c, body
         case ThetaHigh(n, body):
-            return _ref_fc_set(card_min_nat(c, n), body)
+            return card_min_nat(c, n), body
         case ThetaXi(body):
-            return _ref_fc_set(card_minus_level(c, 1), body)
+            return card_minus_level(c, 1), body
         case VarLev(_, j1):
             if large(j1, 0) < c:
                 return frozenset({large(level_minus_card(j1, c), 0)})
@@ -774,7 +770,7 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_walk(_ref_fc_set, "mixed._ref_fc_at")  # read at FULL; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_head, "mixed._ref_fc_at")
 kset_low_reference = reference_walk(_ref_kset_low_head, "mixed.kset_low_reference")
 _ref_kset_high = reference_walk(_ref_kset_high_head, "mixed._ref_kset_high")
 kset_xi_reference = reference_walk(_ref_kset_xi_head, "mixed.kset_xi_reference")

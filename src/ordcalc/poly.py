@@ -19,10 +19,8 @@ from .core import (
     InvariantError,
     Outcome,
     OmegaLev,
-    OmegaPow,
     PreconditionError,
     ShiftError,
-    Sum,
     Term,
     Theta,
     VarLev,
@@ -353,16 +351,12 @@ def key_lemma_3(delta: Term, alpha: Term, beta: Term, gamma: Term, name: str) ->
 _ref_shift = make_level_walk(_shift_head)
 
 
-def _ref_fc_set(j: int, t: Term) -> frozenset:
+def _ref_fc_head(j: int, t: Term):
     match t:
-        case Sum(children):
-            return frozenset().union(*(_ref_fc_set(j, c) for c in children))
-        case OmegaPow(e):
-            return _ref_fc_set(j, e)
         case OmegaLev(j1) | VarLev(_, j1):
             return frozenset({j1 - j}) if j1 <= j else frozenset()
         case Theta(body):
-            return _ref_fc_set(j - 1, body)
+            return j - 1, body
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
@@ -404,6 +398,6 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_walk(_ref_fc_set, "poly._ref_fc_at")  # read at 0 only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_head, "poly._ref_fc_at")
 kset_reference = reference_walk(_ref_kset_head, "poly.kset_reference")
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -24,10 +24,8 @@ from .core import (
     FVar,
     InvariantError,
     Outcome,
-    OmegaPow,
     PreconditionError,
     ShiftError,
-    Sum,
     Term,
     Theta,
     VarLev,
@@ -630,30 +628,19 @@ def _ref_instantiate(item: KItem, value: Term) -> Term:
     return item.term if item.var is None else _ref_subst(item.term, 0, item.var, value)
 
 
-def _ref_fc_set(j: int, t: Term) -> frozenset:
+def _ref_fc_head(j: int, t: Term):
     match t:
-        case Sum(children):
-            return frozenset().union(*(_ref_fc_set(j, c) for c in children))
-        case OmegaPow(e):
-            return _ref_fc_set(j, e)
-        case Xi(j1, arg):
-            if j1 <= j:
-                rel = j1 - j
-                return frozenset({rel}) | frozenset(
-                    x + rel for x in _ref_fc_set(0, arg)
-                )
-            return _ref_fc_set(j - j1, arg)
+        case Xi(j1, arg) | FVar(_, j1, arg):
+            if j1 > j:
+                return j - j1, arg
+            rel = j1 - j
+            # a function variable sits one class below its cardinal
+            own = frozenset({rel - 1 if type(t) is FVar else rel})
+            return 0, arg, lambda below: own | frozenset(x + rel for x in below)
         case Theta(body):
-            return _ref_fc_set(j - 1, body)
+            return j - 1, body
         case VarLev(_, j1):
             return frozenset({j1 - j - 1}) if j1 <= j else frozenset()
-        case FVar(_, j1, arg):
-            if j1 <= j:
-                rel = j1 - j
-                return frozenset({rel - 1}) | frozenset(
-                    x + rel for x in _ref_fc_set(0, arg)
-                )
-            return _ref_fc_set(j - j1, arg)
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
@@ -765,6 +752,6 @@ def _ref_head_lt(a: Term, b: Term) -> bool:
     return False
 
 
-_ref_fc_at = reference_walk(_ref_fc_set, "xi._ref_fc_at")  # read at 0 only; recursion untabled
+_ref_fc_at = reference_walk(_ref_fc_head, "xi._ref_fc_at")
 kset_reference = reference_walk(_ref_kset_head, "xi.kset_reference")
 compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)

@@ -599,7 +599,7 @@ _CARD_GRID = [mixed.large(j, m) for j in (1, 0, -1, -2) for m in (0, 1, 2, mixed
 @pytest.mark.parametrize("system", ["poly", "xi", "mixed"])
 def test_fc_agrees_with_the_reference_walk(system):
     """Each threshold's reading of the memoized profile, and `fc_max`, equal
-    the reference walk, which recurses once per threshold."""
+    the reference walk, which tables one row per threshold it reaches."""
     mod = importlib.import_module(f"ordcalc.{system}")
     if system == "mixed":
         thresholds, top = _CARD_GRID, mixed.FULL
@@ -611,7 +611,7 @@ def test_fc_agrees_with_the_reference_walk(system):
     for pool in pools:
         for t in pool:
             for j in thresholds:
-                assert mod.fc(j, t)[0] == mod._ref_fc_set(j, t), (t, j)
+                assert mod.fc(j, t)[0] == mod._ref_fc_at(j, t), (t, j)
             assert mod.fc_max(t) == mod.fc(top, t)[1], t
 
 
@@ -963,7 +963,7 @@ def _check_fact_tables(pools):
             assert set(params) == set(ref), t
             checked += 1
         if serial in top_table:
-            assert top_table[serial] == max(X._ref_fc_set(0, t), default=core.NEG_INF), t
+            assert top_table[serial] == max(X._ref_fc_at(0, t), default=core.NEG_INF), t
             checked += 1
         family = family_table.get(serial)
         if family is None:
@@ -1134,6 +1134,21 @@ def test_reference_walk_descends_an_800_level_nest(system):
     (reference, memoized), (arg, t) = _DEEP_REFERENCE_WALKS[system](800)
     core.clear_caches()
     assert reference(arg, t) == memoized(arg, t)
+
+
+def test_no_system_function_calls_itself():
+    """Every walk of a system runs on a `core` kernel: no function in
+    buchholz, poly, xi or mixed calls its own name."""
+    found = []
+    for system in harness.SYSTEMS:
+        path = pathlib.Path(core.__file__).with_name(f"{system}.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
+                for call in ast.walk(node)
+            ):
+                found.append(f"{system}.{node.name}")
+    assert found == []
 
 
 @pytest.mark.parametrize("system", harness.SYSTEMS)

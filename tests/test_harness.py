@@ -62,6 +62,15 @@ def test_open_enumeration_includes_variables():
     assert any(not t.closed for t in opened)
 
 
+@pytest.mark.parametrize("max_subscript", [1, 2, 3])
+def test_open_enumeration_yields_only_valid_terms(max_subscript):
+    # The th_n row refuses a body that breaks the variable-scope rule, which
+    # terms of size 2 can break, so no enumerated pool needs a `valid` filter.
+    assert not core.theta_idx(1, core.var_idx("x", 1)).valid
+    budget = H.EnumBudget("buchholz", max_size=6, max_subscript=max_subscript, closed_only=False)
+    assert all(t.valid for t in H.enumerate_terms(budget))
+
+
 def test_order_axioms_small_budget_clean():
     terms = H.enumerate_terms(H.EnumBudget("poly", max_size=5, min_level=-2))
     report = H.check_order_axioms("poly", terms, sample_triples=2000, seed=3)
@@ -174,12 +183,6 @@ def test_embeddings_map_heads():
     assert pi(t, 0) is parse("xi", "th(Xi^(-1)(0) # w^(Xi^(0)(0)))")
 
 
-_QUICK_BUDGETS = {  # the quick selfcheck pools
-    "mixed": H.EnumBudget("mixed", max_size=4, min_level=-2, max_subscript=1),
-    "poly": H.EnumBudget("poly", max_size=4, min_level=-2),
-}
-
-
 def _faulty_rank(monkeypatch, kind, wrong):
     """The memoized order ranks collapses of type `kind` by `wrong(t)`; the
     reference ranks collapses by the cardinal they collapse, not by `_rank`."""
@@ -220,7 +223,7 @@ def test_embedding_and_oracle_see_a_thetalow_rank_fault(monkeypatch):
 
 def test_oracle_sees_a_thetaxi_rank_fault_on_the_quick_pool(monkeypatch):
     # thXi ranked above every thOO_n; the reference ranks it at (0,0), below them.
-    terms = H.enumerate_terms(_QUICK_BUDGETS["mixed"])
+    terms = H.enumerate_terms(H.QUICK_BUDGETS["mixed"])
     core.clear_caches()
     try:
         with monkeypatch.context() as patch:
@@ -260,7 +263,7 @@ def _drop_poly_kset_entry(monkeypatch):
 def test_warm_reference_tables_still_see_a_memoized_fault(monkeypatch, system, fault):
     # The reference tables are filled by the reference walks alone, so a fault
     # put into a memoized path after they are warm still shows as violations.
-    terms = H.enumerate_terms(_QUICK_BUDGETS[system])
+    terms = H.enumerate_terms(H.QUICK_BUDGETS[system])
     memo = core.CACHES[f"{system}.compare"]
 
     def table_sizes():
