@@ -11,6 +11,8 @@ One driver runs every command.  `parse_args` reads the flags from one table
 argument in the command's system.  A handler gets those terms and returns
 `(payload, text)`; `main` prints the payload for `--output json` and the
 text otherwise (`selfcheck` prints its own JSONL and returns its exit code).
+A payload that renders terms the text does not print is returned as a
+function, which `main` calls only for `--output json`.
 A one-shot command imports only the system module it names (`_system`);
 the other systems and the harness stay unloaded, and `json` is loaded only
 for `--output json`.
@@ -25,7 +27,6 @@ from types import SimpleNamespace
 
 from .core import (
     InvariantError,
-    KItem,
     NEG_INF,
     Outcome,
     PreconditionError,
@@ -33,7 +34,7 @@ from .core import (
     Term,
     TermError,
 )
-from .syntax import ParseError, parse, render
+from .syntax import ParseError, parse, render, render_set, set_entries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,7 +66,7 @@ def _cmd_parse(args):
 def _cmd_cmp(args):
     a, b = args.left, args.right
     o = _system(args.system).compare(a, b)
-    return {"left": render(a), "right": render(b), "outcome": o.value}, o.value
+    return (lambda: {"left": render(a), "right": render(b), "outcome": o.value}), o.value
 
 
 def _cmd_sort(args):
@@ -102,13 +103,9 @@ def _cmd_k(args):
             items = mod.kset_high(card, args.index, t)
         else:
             items = mod.kset_xi(card, t)
-    # Plain terms, or KItems (xi and mixed's xi family), sorted by key.
-    entries = sorted(
-        ((i.term, i.var) if isinstance(i, KItem) else (i, None) for i in items),
-        key=lambda e: e[0].key,
-    )
-    text = ", ".join(render(t) if var is None else f"{render(t)} [{var}]" for t, var in entries)
-    return {"kset": [{"term": render(t), "var": var} for t, var in entries]}, "{" + text + "}"
+    # Plain terms, or KItems (xi and mixed's xi family).
+    payload = lambda: {"kset": [{"term": render(t), "var": v} for t, v in set_entries(items)]}
+    return payload, render_set(items)
 
 
 def _cmd_fc(args):
@@ -155,13 +152,14 @@ def _cmd_subst(args):
 
 def _cmd_abstract(args):
     a = _system(args.system).abstract(args.term)
-    payload = {
-        "body": render(a.body),
+    body = render(a.body)
+    payload = lambda: {
+        "body": body,
         "variables": list(a.variables),
         "parameters": [render(p) for p in a.parameters],
     }
     pairs = ", ".join(f"{v} = {render(p)}" for v, p in zip(a.variables, a.parameters))
-    return payload, render(a.body) + (f"  with {pairs}" if pairs else "")
+    return payload, body + (f"  with {pairs}" if pairs else "")
 
 
 def _cmd_kappa(args):
@@ -372,7 +370,7 @@ def main(argv=None) -> int:
             if args.output == "json":
                 import json  # only here: a text-mode command never loads it
 
-                text = json.dumps(payload, sort_keys=True)
+                text = json.dumps(payload() if callable(payload) else payload, sort_keys=True)
             print(text)
             result = EXIT_OK
         sys.stdout.flush()  # a closed stdout raises here, inside this handler

@@ -278,21 +278,6 @@ def dfun(m: int, gamma: Term, beta: Term) -> Term:
     return out
 
 
-def _least_dominance_bound(chain: list, gamma: Term, beta: Term, target) -> Term:
-    """D_m(beta) for the least m whose cardinality reaches target.  chain
-    holds D_0, D_1, ... as built so far and is extended on demand."""
-    for m in range(63):
-        if m == len(chain):
-            chain.append(
-                theta(omega_pow(add(omega_lev(0), chain[-1])))
-                if chain
-                else dfun(0, gamma, beta)
-            )
-        if fc_max(chain[m]) <= target:
-            return chain[m]
-    raise InvariantError("dominance iteration failed to reach the target class")
-
-
 def llrel(gamma: Term, alpha: Term, beta: Term) -> bool:
     """alpha << beta relative to gamma: alpha < beta and every critical
     subterm of alpha is below the first dominance value at its class."""
@@ -300,13 +285,14 @@ def llrel(gamma: Term, alpha: Term, beta: Term) -> bool:
         raise PreconditionError("llrel subscript must have negative cardinality")
     if compare(alpha, beta) is not Outcome.LESS:
         return False
-    chain: list[Term] = []
-    bounds = {}  # target class -> least bound reaching it
     for eta in _kset(0, alpha):
-        target = fc_max(eta)
-        bound = bounds.get(target)
-        if bound is None:
-            bound = bounds[target] = _least_dominance_bound(chain, gamma, beta, target)
+        target, bound = fc_max(eta), dfun(0, gamma, beta)
+        for _ in range(63):  # D_0, D_1, ...: the first whose class reaches eta's
+            if fc_max(bound) <= target:
+                break
+            bound = theta(omega_pow(add(omega_lev(0), bound)))
+        else:
+            raise InvariantError("dominance iteration failed to reach the target class")
         if not _lt(eta, bound):
             return False
     return True

@@ -252,7 +252,14 @@ def render(t: Term) -> str:
     return text.format(t, render(child(t))) if child else text.format(t)
 
 
-def render_set(terms) -> str:
-    """Deterministic `{a, b, ...}` rendering, sorted by structural key."""
-    items = sorted(terms, key=lambda t: t.key)
-    return "{" + ", ".join(render(t) for t in items) + "}"
+def set_entries(items) -> list:
+    """A critical set's `(term, var)` entries, sorted by structural key: a
+    plain term has no variable, a `core.KItem` may carry one."""
+    pairs = ((i.term, i.var) if isinstance(i, core.KItem) else (i, None) for i in items)
+    return sorted(pairs, key=lambda e: e[0].key)
+
+
+def render_set(items) -> str:
+    """Deterministic `{a, b [x], ...}` rendering in `set_entries` order."""
+    text = ", ".join(render(t) + (f" [{v}]" if v else "") for t, v in set_entries(items))
+    return "{" + text + "}"

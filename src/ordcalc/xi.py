@@ -480,41 +480,14 @@ def dfun(m: int, gamma: Term, beta: Term, var: str | None = None) -> Term:
     return out
 
 
-class _Tower:
-    """The dominance tower up to its stable (cardinal-free) level.  A
-    critical subterm is dominated if it falls below any level: levels of
-    strictly larger class dominate outright, and the level matching the
-    subterm's class carries the real comparison.  (The tower's classes are
-    not monotone, so no single level can be singled out in advance.)
-
-    Levels are built on demand and kept, so the items of one `llrel` call
-    share them."""
-
-    def __init__(self, gamma: Term, beta: Term, var: str | None):
-        self._seed = (gamma, beta, var)
-        self._levels: list[Term] = []
-
-    def __iter__(self):
-        levels = self._levels
-        for i in range(64):
-            if i == len(levels):
-                if levels and _fc_bar0(levels[-1]) == NEG_INF:
-                    return
-                levels.append(
-                    theta(omega_pow(add(mk_xi(0, ONE), levels[-1])))
-                    if levels
-                    else dfun(0, *self._seed)
-                )
-            yield levels[i]
-        if _fc_bar0(levels[-1]) != NEG_INF:
-            raise InvariantError("dominance tower failed to stabilize")
-
-
 def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
     """alpha << beta relative to gamma.  Every item of the strict critical
     set is a plain term: a bound collapse is collected only when its class is
     below the threshold j, and lifting it by -j leaves every level-0
-    cardinality negative, so its abstraction finds no parameter."""
+    cardinality negative, so its abstraction finds no parameter.  An item
+    is dominated if it falls below any of D_0, D_1, ... up to the first
+    cardinal-free one (their classes are not monotone, so no single D_m can
+    be singled out in advance)."""
     if not fc_max(gamma) < 0:
         raise PreconditionError("llrel subscript must have negative cardinality")
     if compare(alpha, beta) is not Outcome.LESS:
@@ -527,10 +500,16 @@ def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
         raise PreconditionError(
             "dominance bounds are undefined for function-variable operands"
         )
-    tower = _Tower(gamma, beta, var)
     for item in items:
-        if not any(_lt(item.term, bound) for bound in tower):
-            return False
+        bound = dfun(0, gamma, beta, var)
+        for _ in range(64):
+            if _lt(item.term, bound):
+                break
+            if _fc_bar0(bound) == NEG_INF:
+                return False
+            bound = theta(omega_pow(add(mk_xi(0, ONE), bound)))
+        else:
+            raise InvariantError("dominance tower failed to stabilize")
     return True
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ordcalc
-from ordcalc import cli
+from ordcalc import cli, parse, syntax, xi
 from ordcalc.cli import (
     EXIT_CLOSED_STDOUT,
     EXIT_INVARIANT,
@@ -62,6 +62,27 @@ def test_abstract_text_and_json(capsys, term, text, payload):
 def test_k_example(capsys):
     code, out, _ = run(capsys, "k", "--system", "poly", "--level", "0", "th(O^(0))")
     assert (code, out) == (0, "{th(O^(0))}")
+
+
+def test_text_mode_renders_only_what_it_prints(capsys, monkeypatch):
+    # A text-mode command builds no JSON payload: `cmp` prints one word and
+    # renders nothing, and `k` renders its set once, as `render_set` does.
+    calls = []
+    render = syntax.render
+
+    def counted(t):
+        calls.append(t)
+        return render(t)
+
+    monkeypatch.setattr(syntax, "render", counted)
+    monkeypatch.setattr(cli, "render", counted)
+    assert run(capsys, "cmp", "--system", "buchholz", "w^(w^(O_1))", "w^(O_2)") == (0, "LT", "")
+    assert calls == []
+    term = "th(Xi^(-1)(0) # th(Xi^(0)(0)))"
+    assert run(capsys, "k", "--system", "xi", term) == (0, "{th(th(Xi^(0)(0)) # v.k^(0)) [k]}", "")
+    printed, calls[:] = len(calls), []
+    syntax.render_set(xi.kset(0, parse("xi", term)))
+    assert printed == len(calls) > 0
 
 
 def test_k_mixed_xi_family_reads_below_its_cardinal(capsys):

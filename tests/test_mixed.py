@@ -151,8 +151,10 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_clause_readings_still_apply():
-    # The literal clause readings live on as text mutations of the source;
-    # each edit must still find its one place.  No mutant is run here.
+    # The literal clause readings live on as text mutations of the source.
+    # A variant's edits are applied in turn, in memory: each must find its
+    # one place, and every edited source must still compile.  No mutant is
+    # run here.
     with open(os.path.join(_REPO, "docs", "clause_variants.json"), encoding="utf-8") as f:
         variants = json.load(f)["variants"]
     assert [v["id"] for v in variants] == [
@@ -162,11 +164,17 @@ def test_clause_readings_still_apply():
     ]
     for v in variants:
         assert v["mutation"]
+        edited = {}
         for edit in v["mutation"]:
-            with open(os.path.join(_REPO, edit["file"]), encoding="utf-8") as f:
-                source = f.read()
-            assert source.count(edit["old"]) == 1, (v["id"], edit["old"])
+            path = edit["file"]
+            if path not in edited:
+                with open(os.path.join(_REPO, path), encoding="utf-8") as f:
+                    edited[path] = f.read()
+            assert edited[path].count(edit["old"]) == 1, (v["id"], edit["old"])
             assert edit["new"] != edit["old"]
+            edited[path] = edited[path].replace(edit["old"], edit["new"])
+        for path, source in edited.items():
+            compile(source, path, "exec")
 
 
 def test_k_low_elements_stay_below_their_cardinal():

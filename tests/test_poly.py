@@ -168,7 +168,7 @@ def test_llrel_matches_per_item_rebuild():
     rng = random.Random(41)
     pool = closed("poly")
     small = [t for t in pool if P.fc_max(t) < 0]
-    holds = 0
+    holds = several = 0  # several: llrel bounds two or more critical entries
     for _ in range(1500):
         gamma, alpha, beta = rng.choice(small), rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.5:  # the dominance-wrapped pairs of Key Lemma (2)
@@ -177,4 +177,6 @@ def test_llrel_matches_per_item_rebuild():
         got = P.llrel(gamma, alpha, beta)
         assert got == _llrel_rebuilt_per_item(gamma, alpha, beta)
         holds += got
+        several += P.compare(alpha, beta) is Outcome.LESS and len(P._kset(0, alpha)) > 1
     assert 100 < holds < 1400
+    assert several > 0

@@ -123,6 +123,9 @@ def test_roundtrip_open(system, data):
 def test_render_set_deterministic():
     terms = {parse("poly", "O^(0)"), parse("poly", "w^(0)")}
     assert render_set(terms) == "{w^(0), O^(0)}"
+    # a function entry carries its variable, as `ordcalc k` prints it
+    entries = {core.KItem(parse("xi", "w^(v.k^(0))"), "k"), core.KItem(parse("xi", "Xi^(0)(0)"))}
+    assert render_set(entries) == "{w^(v.k^(0)) [k], Xi^(0)(0)}"
 
 
 def test_head_table_agrees_with_core():

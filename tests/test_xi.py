@@ -201,7 +201,7 @@ def test_llrel_matches_per_item_rebuild():
     rng = random.Random(43)
     pool = closed("xi")
     small = [t for t in pool if X.fc_max(t) < 0]
-    holds = 0
+    holds = several = 0  # several: llrel bounds two or more critical entries
     for _ in range(1500):
         gamma, alpha, beta = rng.choice(small), rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.5:  # the dominance-wrapped pairs of Key Lemma (3)
@@ -210,7 +210,9 @@ def test_llrel_matches_per_item_rebuild():
         got = X.llrel(gamma, alpha, beta)
         assert got == _llrel_rebuilt_per_item(gamma, alpha, beta)
         holds += got
+        several += X.compare(alpha, beta) is Outcome.LESS and len(X._kset_strict(0, alpha)) > 1
     assert 100 < holds < 1400
+    assert several > 0
 
 
 def test_strict_critical_items_carry_no_variable():
