@@ -242,7 +242,13 @@ def key_lemma_3(
 ) -> bool:
     if alpha.vmax >= n or beta.vmax >= n or gamma.vmax > n:
         raise PreconditionError("key lemma (3) variable-scope hypothesis fails")
-    if not (llrel(n, delta, alpha, beta) and llrel(n, delta, gamma, beta)):
+    # Both order hypotheses first: an instance they reject builds no D_m.
+    if not (
+        compare(alpha, beta) is Outcome.LESS
+        and compare(gamma, beta) is Outcome.LESS
+        and llrel(n, delta, alpha, beta)
+        and llrel(n, delta, gamma, beta)
+    ):
         raise PreconditionError("key lemma (3) needs alpha, gamma << beta")
     collapse = dfun(n, n, delta, alpha)
     gamma1 = substitute(gamma, name, n, collapse)

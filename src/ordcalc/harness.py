@@ -713,20 +713,23 @@ def _kl_pools_buchholz():
     mention = {
         n: [t for t in opened if _mentions_var_idx(t, "x", n)] for n in (1, 2)
     }
+    # gen1 draws only from `opened`, so set membership answers the same
+    # question as the walk; the lists stay for `rng.choice`.
+    mentions = {n: frozenset(ts) for n, ts in mention.items()}
     gamma3 = {
         n: [t for t in opened if t.vmax <= n] for n in (1, 2)
     }
-    return closed, gamma_pool, mention, opened, gamma3
+    return closed, gamma_pool, mention, mentions, opened, gamma3
 
 
 def _kl_buchholz():
-    closed, gamma_pool, mention, opened, gamma3 = _kl_pools_buchholz()
+    closed, gamma_pool, mention, mentions, opened, gamma3 = _kl_pools_buchholz()
 
     def gen1(rng):
         n = rng.choice((1, 2))
         alpha = rng.choice(mention[n] if rng.random() < 0.7 else opened)
         beta = rng.choice(opened if rng.random() < 0.5 else mention[n])
-        if not (_mentions_var_idx(alpha, "x", n) or _mentions_var_idx(beta, "x", n)):
+        if not (alpha in mentions[n] or beta in mentions[n]):
             return None
         if buchholz.compare(alpha, beta) is not Outcome.LESS:
             return None
@@ -754,22 +757,23 @@ def _kl_pools_poly():
     closed = enumerate_terms(EnumBudget("poly", max_size=5, min_level=-2))
     opened = enumerate_terms(EnumBudget("poly", max_size=5, min_level=-2, closed_only=False))
     small = [t for t in closed if poly.fc_max(t) < 0]
-    mention = [t for t in opened if _mentions_var_lev(t, "x")]
-    subst0 = [t for t in mention if poly.substitutable("x", 0, t)]
-    return closed, opened, small, subst0
+    # gen1 draws only from `opened`, so set membership answers the same
+    # questions as the walks; the list stays for `rng.choice`.
+    mentions = frozenset(t for t in opened if _mentions_var_lev(t, "x"))
+    substitutable0 = frozenset(t for t in opened if poly.substitutable("x", 0, t))
+    subst0 = [t for t in opened if t in mentions and t in substitutable0]
+    return closed, opened, small, subst0, mentions, substitutable0
 
 
 def _kl_poly():
-    closed, both, small, subst0 = _kl_pools_poly()
+    closed, both, small, subst0, mentions, substitutable0 = _kl_pools_poly()
 
     def gen1(rng):
         alpha = rng.choice(subst0 if rng.random() < 0.7 else both)
         beta = rng.choice(both if rng.random() < 0.5 else subst0)
-        if not (_mentions_var_lev(alpha, "x") or _mentions_var_lev(beta, "x")):
+        if not (alpha in mentions or beta in mentions):
             return None
-        if not (
-            poly.substitutable("x", 0, alpha) and poly.substitutable("x", 0, beta)
-        ):
+        if not (alpha in substitutable0 and beta in substitutable0):
             return None
         if poly.compare(alpha, beta) is not Outcome.LESS:
             return None

@@ -323,7 +323,13 @@ def key_lemma_2(delta: Term, alpha: Term, beta: Term) -> bool:
 def key_lemma_3(delta: Term, alpha: Term, beta: Term, gamma: Term, name: str) -> bool:
     if not substitutable(name, 0, gamma):
         raise PreconditionError("key lemma (3) needs a 0-substitutable variable")
-    if not (llrel(delta, alpha, beta) and llrel(delta, gamma, beta)):
+    # Both order hypotheses first: an instance they reject builds no D_m.
+    if not (
+        compare(alpha, beta) is Outcome.LESS
+        and compare(gamma, beta) is Outcome.LESS
+        and llrel(delta, alpha, beta)
+        and llrel(delta, gamma, beta)
+    ):
         raise PreconditionError("key lemma (3) needs alpha, gamma << beta")
     collapse = _shift(dfun(0, delta, alpha), 0, -1)
     lhs = dfun(0, collapse, _subst(gamma, 0, name, collapse))

@@ -532,6 +532,10 @@ def key_lemma_1(alpha: Term, beta: Term, gamma: Term, name: str) -> bool:
 def key_lemma_2(
     delta: Term, alpha: Term, beta: Term, gamma: Term, vname: str, w: str
 ) -> bool:
+    # alpha < beta, the first test of alpha << beta below, rejects most
+    # instances, so it comes before the walks.
+    if compare(alpha, beta) is not Outcome.LESS:
+        raise PreconditionError("key lemma (2) needs alpha << beta")
     if not (fsubstitutable(vname, 0, alpha) and fsubstitutable(vname, 0, beta)):
         raise PreconditionError("key lemma (2) needs a 0-substitutable function variable")
     if not (fc_max(gamma) < 0 and substitutable(w, 0, gamma)):
@@ -580,13 +584,19 @@ def key_lemma_4(
         raise PreconditionError("key lemma (4) needs a 0-substitutable function variable")
     if _occurs_fvar(vname, beta):
         raise PreconditionError("key lemma (4) forbids the function variable in beta")
-    gamma_content = _fsubst(gamma, 0, vname, ZERO, "w")
-    for t in (delta, alpha, beta, gamma_content):
+    # The class and order hypotheses on the given operands come first: an
+    # instance they reject builds neither gamma's content nor a D_m.
+    for t in (delta, alpha, beta):
         if not _fc_bar0(t) < -1:
-            # As in item (3); note a gamma actually carrying the function
-            # variable can never sit below such a beta, so the verifiable
-            # instances substitute into function-variable-free gamma.
+            # As in item (3).
             raise PreconditionError("key lemma (4) needs operands below class -1")
+    if not (compare(alpha, beta) is Outcome.LESS and compare(gamma, beta) is Outcome.LESS):
+        raise PreconditionError("key lemma (4) needs alpha, gamma << beta")
+    # A gamma actually carrying the function variable can never sit below
+    # such a beta, so the verifiable instances substitute into
+    # function-variable-free gamma.
+    if not _fc_bar0(_fsubst(gamma, 0, vname, ZERO, "w")) < -1:
+        raise PreconditionError("key lemma (4) needs operands below class -1")
     if not (llrel(delta, alpha, beta) and llrel(delta, gamma, beta)):
         raise PreconditionError("key lemma (4) needs alpha, gamma << beta")
     collapse = _shift(dfun(0, delta, alpha), 0, -1)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import ordcalc
 from ordcalc import core, harness as H
 from ordcalc import parse, render
 from ordcalc import poly as P
-from ordcalc.core import ThetaLow, ThetaXi
+from ordcalc.core import PreconditionError, ThetaLow, ThetaXi
 from pools import REFERENCE_CACHES
 
 
@@ -104,8 +105,61 @@ def test_key_lemma_reports_track_acceptance():
 
 
 def test_key_lemma_unknown_system():
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError, match=r"^no key lemma suite for system 'mixed'$"):
         H.check_key_lemmas("mixed", samples=10, seed=0)
+
+
+def test_key_lemma_pool_sets_match_the_walks():
+    # The generators test a drawn term, always one of `opened`, by set
+    # membership in place of the walk; both must decide every draw alike.
+    _, _, _, mentions, opened, _ = H._kl_pools_buchholz()
+    for n in (1, 2):
+        for t in opened:
+            assert (t in mentions[n]) == H._mentions_var_idx(t, "x", n), (n, render(t))
+    _, opened, _, _, mentions, substitutable0 = H._kl_pools_poly()
+    for t in opened:
+        assert (t in mentions) == H._mentions_var_lev(t, "x"), render(t)
+        assert (t in substitutable0) == P.substitutable("x", 0, t), render(t)
+
+
+# Each instance fails an order or class hypothesis that needs no new term;
+# the item must reject it before it calls any of the watched functions.
+# `args(p)` builds the instance, with `p` parsing a term of the system.
+@pytest.mark.parametrize(
+    "system, item, args, watched, message",
+    [
+        ("buchholz", "key_lemma_3", lambda p: (1, p("0"), p("0"), p("w^(0)"), p("w^(0)"), "x"),
+         ("llrel", "dfun"), "key lemma (3) needs alpha, gamma << beta"),
+        ("poly", "key_lemma_3", lambda p: (p("0"), p("0"), p("O^(0)"), p("O^(0)"), "x"),
+         ("llrel", "dfun"), "key lemma (3) needs alpha, gamma << beta"),
+        ("xi", "key_lemma_4",
+         lambda p: (p("0"), p("Xi^(-2)(0)"), p("Xi^(-2)(0) # w^(0)"), p("Xi^(-2)(0) # w^(0)"), "X"),
+         ("llrel", "dfun", "_fsubst"), "key lemma (4) needs alpha, gamma << beta"),
+        ("xi", "key_lemma_4",
+         lambda p: (p("0"), p("Xi^(-1)(0)"), p("Xi^(-2)(0) # w^(0)"), p("0"), "X"),
+         ("llrel", "dfun", "_fsubst"), "key lemma (4) needs operands below class -1"),
+        ("xi", "key_lemma_2",
+         lambda p: (p("0"), p("V.X^(0)(0)"), p("V.X^(0)(0)"), p("th(v.w^(-1))"), "X", "w"),
+         ("llrel", "fsubstitutable"), "key lemma (2) needs alpha << beta"),
+    ],
+    ids=[
+        "buchholz-3-gamma-is-beta",
+        "poly-3-gamma-is-beta",
+        "xi-4-gamma-is-beta",
+        "xi-4-alpha-class",
+        "xi-2-alpha-is-beta",
+    ],
+)
+def test_key_lemma_rejects_before_building(monkeypatch, system, item, args, watched, message):
+    mod = H._MODULES[system]
+    instance = args(lambda text: parse(system, text))
+    calls = []
+    for name in watched:
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        getattr(mod, item)(*instance)
+    assert calls == []
 
 
 @pytest.mark.parametrize("system", list(H._KL_SUITES))
