@@ -146,7 +146,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return False  # distinct variables are incomparable, as is Omega_n to x_m
 
 
-compare, _lt, _leq = make_order(_head_lt, _check_pair, "buchholz.compare")
+compare, _lt = make_order(_head_lt, _check_pair, "buchholz.compare")
 
 
 def substitute(t: Term, name: str, n: int, gamma: Term) -> Term:
@@ -167,7 +167,7 @@ def substitute(t: Term, name: str, n: int, gamma: Term) -> Term:
 
 
 def _subst_head(t: Term, n: int, name: str, gamma: Term):
-    if t.closed:
+    if not t.var_names:
         return t
     if type(t) is VarIdx and t.name == name and t.index == n:
         return gamma

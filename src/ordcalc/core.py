@@ -17,9 +17,9 @@ stays the deterministic order token for canonical sum order,
 enumeration order and printing.  Equality is identity, and `hash(t)` is
 `t.serial`: process-local and dependent on construction order, so a hash
 must never be persisted or used for ordering (use `key`).  Facts needed on
-hot paths -- size, closedness, `var_names` and the like -- are slots filled
-at construction.  Equal frozensets share one object, through one table:
-the variable-name sets and every set the set walks store.
+hot paths -- size, `var_names` (empty on a closed term) and the like --
+are slots filled at construction.  Equal frozensets share one object,
+through one table: the variable-name sets and every set the set walks store.
 
 Terms are immutable, and the intern table is lock-protected.  Every memo
 and per-serial table is a process global, registered in `CACHES` under the
@@ -146,7 +146,6 @@ class Term:
         "serial",
         "mask",
         "size",
-        "closed",
         "has_fvar",
         "vmax",
         "valid",
@@ -157,7 +156,6 @@ class Term:
     serial: int
     mask: int
     size: int  # node count; a level superscript is one more node; 0 has size 1
-    closed: bool
     has_fvar: bool
     vmax: int  # largest subscript of an indexed variable anywhere, -1 if none
     valid: bool  # indexed-collapse variable-scope rule holds hereditarily
@@ -165,6 +163,10 @@ class Term:
 
     def __hash__(self):
         return self.serial
+
+    @property
+    def closed(self) -> bool:
+        return not self.var_names
 
     def __repr__(self):
         from .syntax import render
@@ -299,9 +301,7 @@ def _shared(s: frozenset) -> frozenset:
     return _SHARED_SETS.setdefault(s, s)
 
 
-def _intern(
-    cls, shallow, key, values, *, mask, size, closed, has_fvar, vmax, valid, names
-):
+def _intern(cls, shallow, key, values, *, mask, size, has_fvar, vmax, valid, names):
     """Build and register a term the caller's lookup on `shallow` missed;
     `values` fills its fields in `__match_args__` order."""
     t = object.__new__(cls)
@@ -310,7 +310,6 @@ def _intern(
     t.key = key
     t.mask = mask
     t.size = size
-    t.closed = closed
     t.has_fvar = has_fvar
     t.vmax = vmax
     t.valid = valid
@@ -328,8 +327,8 @@ def _intern_over(cls, shallow, key, child, systems, nodes, valid=None):
     """`_intern` for a term over one child, whose shallow key is its tag,
     its scalar fields and then the child's serial.  The term belongs to
     those of `systems` the child belongs to, adds `nodes` nodes to the
-    child's, and inherits its closedness, function variables, `vmax`,
-    validity (unless `valid` overrides it) and names."""
+    child's, and inherits its function variables, `vmax`, validity
+    (unless `valid` overrides it) and names."""
     return _intern(
         cls,
         shallow,
@@ -338,7 +337,6 @@ def _intern_over(cls, shallow, key, child, systems, nodes, valid=None):
         # `_join_masks` runs only to raise its error on an empty mask.
         mask=child.mask & systems or _join_masks((child,), systems),
         size=nodes + child.size,
-        closed=child.closed,
         has_fvar=child.has_fvar,
         vmax=child.vmax,
         valid=child.valid if valid is None else valid,
@@ -388,11 +386,10 @@ def sum_of(components) -> Term:
     flat.sort(key=_key_of)
     children = tuple(flat)
     keys = [TAG_SUM, len(children)]
-    size, closed, has_fvar, vmax, valid, names = 1, True, False, -1, True, _NO_NAMES
+    size, has_fvar, vmax, valid, names = 1, False, -1, True, _NO_NAMES
     for t in children:
         keys.append(t.key)
         size += t.size
-        closed &= t.closed
         has_fvar |= t.has_fvar
         vmax = t.vmax if t.vmax > vmax else vmax
         valid &= t.valid
@@ -405,7 +402,6 @@ def sum_of(components) -> Term:
         (children,),
         mask=_join_masks(children),
         size=size,
-        closed=closed,
         has_fvar=has_fvar,
         vmax=vmax,
         valid=valid,
@@ -440,7 +436,6 @@ def _leaf(cls, key, *, mask, size, var=None, vmax=-1):
         key[1:],
         mask=mask,
         size=size,
-        closed=var is None,
         has_fvar=False,
         vmax=vmax,
         valid=True,
@@ -555,7 +550,6 @@ def fvar(name: str, j: int, arg: Term) -> Term:
         (name, j, arg),
         mask=_join_masks((arg,), SYS_XI),
         size=2 + arg.size,
-        closed=False,
         has_fvar=True,
         vmax=arg.vmax,
         valid=arg.valid,
@@ -932,7 +926,7 @@ def make_order(head, check, name):
     The sum and omega-power clauses are the same in every system and are
     decided here; `head(a, b)` decides a < b only for two strongly critical
     terms and returns a bool.  `check(a, b)` validates the operands of a
-    `compare` call and raises on a bad pair.  Returns `(compare, lt, leq)`.
+    `compare` call and raises on a bad pair.  Returns `(compare, lt)`.
     The memo, registered as `name`, keeps one row per left operand, keyed by
     the serial ints the terms hold, so a lookup builds and hashes no tuple.
     A comparison that needs its own answer raises InvariantError instead of
@@ -982,9 +976,6 @@ def make_order(head, check, name):
             cached = GREATER if back is True or back is LESS else INCOMPARABLE
         memo[a.serial][b.serial] = cached
         return cached
-
-    def leq(a: Term, b: Term) -> bool:
-        return a is b or lt(a, b)
 
     def lt(a: Term, b: Term) -> bool:
         if a is b:
@@ -1046,7 +1037,7 @@ def make_order(head, check, name):
             raise InvariantError(f"comparison cycle on {a!r} vs {b!r}")
         return cached is LESS  # an Outcome that `compare` stored
 
-    return compare, lt, leq
+    return compare, lt
 
 
 # -- the set-walk kernel ----------------------------------------------------------

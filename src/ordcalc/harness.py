@@ -825,13 +825,12 @@ def _kl_pools_xi():
         and _mentions_var_lev(t, "w")
         and xi.substitutable("w", 0, t)
     ]
-    gamma4 = [t for t in fpool if xi.fsubstitutable("X", 0, t)]
     deep = [t for t in closed if xi.fc_max(t) < -1]
-    return closed, small, gamma1, fpool, bodies, gamma4, deep
+    return closed, small, gamma1, fpool, bodies, deep
 
 
 def _kl_xi():
-    closed, small, gamma1, fpool, bodies, gamma4, deep = _kl_pools_xi()
+    closed, small, gamma1, fpool, bodies, deep = _kl_pools_xi()
 
     def gen1(rng):
         alpha, beta = rng.choice(closed), rng.choice(closed)
@@ -848,7 +847,7 @@ def _kl_xi():
         return rng.choice(small), rng.choice(closed), rng.choice(closed)
 
     def gen4(rng):
-        gamma = rng.choice(deep if rng.random() < 0.9 else gamma4)
+        gamma = rng.choice(deep if rng.random() < 0.9 else fpool)
         return (
             rng.choice(deep),
             rng.choice(deep),

@@ -474,7 +474,6 @@ def instantiate(item: KItem, value: Term) -> Term:
 # -- ordering -------------------------------------------------------------------
 
 _COLLAPSES = (ThetaLow, ThetaHigh, ThetaXi)
-_COLLAPSE_TYPES = frozenset(_COLLAPSES)
 
 
 def _rank(t: Term) -> tuple:
@@ -529,8 +528,8 @@ def _head_lt(a: Term, b: Term) -> bool:
     reached only for two cardinal-like heads (O_n, OO^(J)_n, Xi^(J)(x), x^(J)).
     """
     ta, tb = type(a), type(b)
-    if ta in _COLLAPSE_TYPES:
-        if tb in _COLLAPSE_TYPES:
+    if ta in _COLLAPSES:
+        if tb in _COLLAPSES:
             csl = _instantiated_kset(a, params(b.body))
             dsl = _instantiated_kset(b, params(a.body))
             for d0 in dsl:
@@ -549,7 +548,7 @@ def _head_lt(a: Term, b: Term) -> bool:
             if not _lt(g, b):
                 return False
         return True
-    if tb in _COLLAPSE_TYPES:
+    if tb in _COLLAPSES:
         for g in _instantiated_kset(b, ()):
             if a is g or _lt(a, g):
                 return True
@@ -575,7 +574,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return j < j1 or (j == j1 and a.index < b.index)
 
 
-compare, _lt, _leq = make_order(_head_lt, _check_pair, "mixed.compare")
+compare, _lt = make_order(_head_lt, _check_pair, "mixed.compare")
 
 
 # -- reference implementations ---------------------------------------------------

@@ -187,7 +187,7 @@ def _head_lt(a: Term, b: Term) -> bool:
     return False  # distinct variables are incomparable, as is Omega^(J) to x^(K)
 
 
-compare, _lt, _leq = make_order(_head_lt, _check_pair, "poly.compare")
+compare, _lt = make_order(_head_lt, _check_pair, "poly.compare")
 
 
 def ground(t: Term):
@@ -353,6 +353,10 @@ def _ref_fc_head(j: int, t: Term):
 
 
 def _ref_kset_head(j: int, t: Term) -> frozenset[Term]:
+    """Reads a collapse's class at level 0 from `_ref_fc_at(0, t)`: the
+    oracle must not read the memoized `fc`, and a walk at threshold j keeps
+    no class above j.  So each level of an n-deep collapse nest walks the
+    rest at thresholds new to the table, which keeps about n*n/2 rows."""
     match t:
         case OmegaLev(j1):
             return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()

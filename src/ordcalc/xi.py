@@ -395,14 +395,15 @@ def _head_lt(a: Term, b: Term) -> bool:
             return j < j1 or (j == j1 and _lt(a.arg, b.arg))
         if ta is VarLev:
             return j <= j1
-        return j < j1 or (j == j1 and _leq(a.arg, b.arg))  # a function variable
+        x, y = a.arg, b.arg  # a function variable
+        return j < j1 or (j == j1 and (x is y or _lt(x, y)))
     if ta is FVar and tb is FVar:
         j, j1 = a.level, b.level
         return a.name == b.name and (j < j1 or (j == j1 and _lt(a.arg, b.arg)))
     return False  # distinct variables are incomparable, and x^(J) to V^(K)(y)
 
 
-compare, _lt, _leq = make_order(_head_lt, _check_pair, "xi.compare")
+compare, _lt = make_order(_head_lt, _check_pair, "xi.compare")
 
 
 # -- function-variable substitution ------------------------------------------
@@ -634,6 +635,9 @@ def _ref_fc_head(j: int, t: Term):
 
 
 def _ref_kset_head(j: int, t: Term) -> frozenset[KItem]:
+    """Reads a collapse's class at level 0 as poly's head does, from
+    `_ref_fc_at(0, t)` and not the memoized `fc`, and so keeps about n*n/2
+    table rows on an n-deep collapse nest."""
     match t:
         case Xi(j1, arg):
             if j1 < j:

@@ -265,10 +265,25 @@ _PINNED_OUTPUT = {
         "{OO_2^(0), thOO_1(OO_1^(0))}",
         '{"kset": [{"term": "OO_2^(0)", "var": null}, {"term": "thOO_1(OO_1^(0))", "var": null}]}',
     ),
+    "k-mixed-low": (
+        ("k", "--system", "mixed", "thO_2(O_1 # thO_1(0))"),
+        "{thO_1(0)}",
+        '{"kset": [{"term": "thO_1(0)", "var": null}]}',
+    ),
     "fc-buchholz": (
         ("fc", "--system", "buchholz", "O_3 # O_2 # w^(O_1)"),
         "{1, 2, 3} max 3",
         '{"max": "3", "values": ["1", "2", "3"]}',
+    ),
+    "fc-poly": (
+        ("fc", "--system", "poly", "--level", "-1", "th(O^(0) # O^(-1)) # O^(-1)"),
+        "{0} max 0",
+        '{"max": "0", "values": ["0"]}',
+    ),
+    "fc-xi": (
+        ("fc", "--system", "xi", "--level", "-1", "Xi^(-1)(0) # th(Xi^(0)(0))"),
+        "{0} max 0",
+        '{"max": "0", "values": ["0"]}',
     ),
     "fc-mixed": (
         ("fc", "--system", "mixed", "--card", "(0,inf)", "OO_2^(-1)"),

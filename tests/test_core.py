@@ -1,7 +1,5 @@
-import ast
 import importlib
 import itertools
-import pathlib
 import random
 import sys
 
@@ -248,7 +246,7 @@ def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
     def through_compare(x, y):
         return compare(x, y) is core.Outcome.LESS
 
-    (compare, lt, leq), memo = _unregistered(core.make_order, head, mod._check_pair)
+    (compare, lt), memo = _unregistered(core.make_order, head, mod._check_pair)
 
     def assert_no_marker():
         answers = [v for row in memo.values() for v in row.values()]
@@ -280,7 +278,7 @@ def test_order_kernel_reports_a_cycle_and_clears_its_markers(system):
     outer.clear()
     want = core.Outcome.LESS if a.serial < b.serial else core.Outcome.GREATER
     assert compare(a, b) is want
-    assert leq(a, a) and not lt(a, a)
+    assert not lt(a, a)
 
 
 @pytest.mark.parametrize("system", harness.SYSTEMS)
@@ -293,7 +291,7 @@ def test_warm_compare_reads_only_the_memo(system):
         heads.append((x, y))
         return x.key < y.key
 
-    (compare, lt, _), memo = _unregistered(core.make_order, head, mod._check_pair)
+    (compare, lt), memo = _unregistered(core.make_order, head, mod._check_pair)
     ref_compare, ref_lt, _ = core.make_reference(lambda x, y: x.key < y.key)
     # Every pair `lt` is called on, its recursion included.
     called = set()
@@ -347,7 +345,7 @@ def test_only_a_stored_answer_skips_check():
         calls["check"] += 1
         B._check_pair(x, y)
 
-    (compare, _, _), memo = _unregistered(core.make_order, head, check)
+    (compare, _), memo = _unregistered(core.make_order, head, check)
     pool = closed("buchholz", max_size=4, max_subscript=1)
     pairs = [(x, y) for x in pool for y in pool if x is not y]
     cold = [compare(x, y) for x, y in pairs]
@@ -1136,21 +1134,6 @@ def test_reference_walk_descends_an_800_level_nest(system):
     assert reference(arg, t) == memoized(arg, t)
 
 
-def test_no_system_function_calls_itself():
-    """Every walk of a system runs on a `core` kernel: no function in
-    buchholz, poly, xi or mixed calls its own name."""
-    found = []
-    for system in harness.SYSTEMS:
-        path = pathlib.Path(core.__file__).with_name(f"{system}.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and any(
-                isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
-                for call in ast.walk(node)
-            ):
-                found.append(f"{system}.{node.name}")
-    assert found == []
-
-
 @pytest.mark.parametrize("system", harness.SYSTEMS)
 def test_reference_tables_cleared_give_the_same_outcomes(system):
     mod = importlib.import_module(f"ordcalc.{system}")
@@ -1168,42 +1151,6 @@ def test_reference_tables_cleared_give_the_same_outcomes(system):
 
 
 # -- the cache registry -------------------------------------------------------------
-
-
-def _builds_a_cache(call):
-    kernel = getattr(call.func, "id", None)
-    if kernel == "make_level_walk":
-        return any(kw.arg == "memoize" for kw in call.keywords)
-    return kernel in ("make_order", "make_walk", "reference_walk")
-
-
-def _cache_sites():
-    """`module.attribute` of every cache src/ordcalc builds: each name bound
-    at module level to a kernel build or an empty dict.  Any other build is
-    listed by its line, which no registry name matches."""
-    sites = set()
-    for path in pathlib.Path(core.__file__).parent.glob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
-            lines = [c.lineno for c in calls if _builds_a_cache(c)]
-            empty = isinstance(getattr(node, "value", None), ast.Dict) and not node.value.keys
-            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (lines or empty):
-                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
-                sites.add(f"{path.stem}.{getattr(target, 'elts', [target])[0].id}")
-                lines = lines[1:]
-            sites.update(f"{path.stem}:{line}" for line in lines)
-    return sites - {"core.CACHES"}
-
-
-def test_every_cache_is_registered():
-    """The registry holds every memo and table the source builds, plus the
-    shared-set and intern tables, each the live dict its holder reads."""
-    assert set(core.CACHES) == _cache_sites() | {"core._SHARED_SETS", "core._INTERN"}
-    for name, table in core.CACHES.items():
-        module, _, attr = name.partition(".")
-        holder = getattr(importlib.import_module(f"ordcalc.{module}"), attr)
-        cells = [cell.cell_contents for cell in getattr(holder, "__closure__", None) or ()]
-        assert holder is table or any(cell is table for cell in cells), name
 
 
 def test_cache_sizes_count_the_entries_of_every_row():

@@ -11,7 +11,7 @@ import ordcalc
 from ordcalc import core, harness as H
 from ordcalc import parse, render
 from ordcalc import poly as P
-from ordcalc.core import PreconditionError, ThetaLow, ThetaXi
+from ordcalc.core import FVar, PreconditionError, ThetaLow, ThetaXi
 from pools import REFERENCE_CACHES
 
 
@@ -184,6 +184,19 @@ def test_oracle_checks_small():
     terms = H.enumerate_terms(H.EnumBudget("mixed", max_size=4, min_level=-1, max_subscript=1))
     assert H.check_oracle_equivalence("mixed", terms, pairs=2000, seed=4).ok
     assert H.check_kset_oracle("mixed", terms, seed=4).ok
+
+
+def test_xi_kset_oracle_on_function_variables():
+    # Every acceptance pool is closed.  The subterms of the function-variable
+    # Key Lemma pool reach the reference walk's function-variable clause, but
+    # only at level 0; three parsed terms add the lower levels at which the
+    # clause collects the variable instead of descending.
+    extra = ("V.X^(-1)(0)", "V.X^(0)(V.X^(-1)(w^(0)))", "V.Y^(-2)(0) # V.X^(-1)(0)")
+    pool = H._kl_pools_xi()[3] + [parse("xi", s) for s in extra]
+    terms = dict.fromkeys(s for t in pool for s in core.subterms(t))
+    assert {t.level for t in terms if isinstance(t, FVar)} == {0, -1, -2}
+    report = H.check_kset_oracle("xi", list(terms), seed=1)
+    assert report.ok and report.checked == 2 * len(terms)
 
 
 def test_roundtrip_check():

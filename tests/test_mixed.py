@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -135,6 +136,28 @@ def test_critical_sets():
     assert C == {pm("Xi^(-1)(0)")} and D == frozenset()
     with pytest.raises(PreconditionError):
         M.critical_sets(pm("O_1"), pm("thO_1(0)"))
+
+
+def test_critical_sets_instantiate_function_entries():
+    # No pool holds a thXi collapse whose critical set has a function entry:
+    # none of the order pool's 1,386, and 3 of the 9,956 at size 6, these
+    # nests.  On them and on ROADMAP item 1's closed pair, `critical_sets`
+    # takes each side's set at the other side's parameters as the reference does.
+    closed_pair = (
+        pm("thXi(thXi(Xi^(-1)(thO_1(0))))"),
+        pm("thXi(thXi(thXi(thXi(Xi^(-1)(Xi^(-2)(0))))))"),
+    )
+    nests = [pm(f"thXi(thXi(thXi(Xi^(-2)({x}))))") for x in ("0", "O_1", "O_2")]
+    for a, b in (closed_pair, *itertools.product(nests, repeat=2)):
+        want = (M._ref_instantiated_kset(a, b), M._ref_instantiated_kset(b, a))
+        assert M.critical_sets(a, b) == want
+    # Each nest's set is one function entry, k^(0) under a thXi, taken at
+    # the other body's parameter Xi^(0)(x) and re-levelled to Xi^(-1)(x).
+    assert {g.var for t in nests for g in M._kset_xi(M.large(0, 0), t.body)} == {"k"}
+    assert M.critical_sets(nests[0], nests[1]) == (
+        {pm("thXi(Xi^(-1)(O_1))")},
+        {pm("thXi(Xi^(-1)(0))")},
+    )
 
 
 def test_variant_toggles():

@@ -11,10 +11,6 @@ from ordcalc.core import (
     PreconditionError,
     ShiftError,
     ZERO,
-    add,
-    omega_lev,
-    omega_pow,
-    theta,
 )
 from pools import closed
 
@@ -148,16 +144,16 @@ def test_reference_comparator_agrees(data):
 
 
 def _llrel_rebuilt_per_item(gamma, alpha, beta):
-    """llrel as first written: every critical subterm rebuilds the chain."""
+    """llrel read off its definition: each critical subterm is compared with
+    the least D_m whose class reaches its own, each D_m built as
+    `dfun(m, gamma, beta)` and m scanned up to llrel's cap."""
 
     def least_bound(eta):
-        target = P.fc_max(eta)
-        bound = P.dfun(0, gamma, beta)
-        for _ in range(1, 64):
-            if P.fc_max(bound) <= target:
+        for m in range(64):
+            bound = P.dfun(m, gamma, beta)
+            if P.fc_max(bound) <= P.fc_max(eta):
                 return bound
-            bound = theta(omega_pow(add(omega_lev(0), bound)))
-        raise AssertionError("unreachable")
+        raise AssertionError("no D_m within the cap reaches the class")
 
     if P.compare(alpha, beta) is not Outcome.LESS:
         return False

@@ -1,3 +1,4 @@
+import collections
 import os
 import random
 import subprocess
@@ -12,16 +13,11 @@ from ordcalc import xi as X
 from ordcalc.core import (
     KItem,
     NEG_INF,
-    ONE,
     Outcome,
     PreconditionError,
     ShiftError,
     Theta,
     ZERO,
-    add,
-    omega_pow,
-    theta,
-    xi as mk_xi,
 )
 from pools import closed
 
@@ -177,24 +173,24 @@ def test_reference_comparator_agrees(data):
     assert X.compare(a, b) is X.compare_reference(a, b)
 
 
-def _llrel_rebuilt_per_item(gamma, alpha, beta):
-    """llrel as first written: every critical subterm rebuilds the tower."""
-
-    def tower():
-        bound = X.dfun(0, gamma, beta)
-        for _ in range(64):
-            yield bound
-            if X._fc_bar0(bound) == NEG_INF:
-                return
-            bound = theta(omega_pow(add(mk_xi(0, ONE), bound)))
-        raise AssertionError("unreachable")
-
+def _llrel_rebuilt_per_item(gamma, alpha, beta, settled):
+    """llrel read off its definition: a strict critical entry is dominated
+    when it falls below some D_m, each built as `dfun(m, gamma, beta)`, with
+    m scanned up to the first cardinal-free D_m.  `settled[m]` counts the
+    entries whose least dominating bound is D_m."""
     if X.compare(alpha, beta) is not Outcome.LESS:
         return False
-    return all(
-        any(X._lt(item.term, bound) for bound in tower())
-        for item in X._kset_strict(0, alpha)
-    )
+    for item in X._kset_strict(0, alpha):
+        for m in range(64):
+            bound = X.dfun(m, gamma, beta)
+            if X._lt(item.term, bound):
+                settled[m] += 1
+                break
+            if X._fc_bar0(bound) == NEG_INF:
+                return False
+        else:
+            raise AssertionError("no cardinal-free D_m within the cap")
+    return True
 
 
 def test_llrel_matches_per_item_rebuild():
@@ -202,17 +198,20 @@ def test_llrel_matches_per_item_rebuild():
     pool = closed("xi")
     small = [t for t in pool if X.fc_max(t) < 0]
     holds = several = 0  # several: llrel bounds two or more critical entries
+    settled = collections.Counter()
     for _ in range(1500):
         gamma, alpha, beta = rng.choice(small), rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.5:  # the dominance-wrapped pairs of Key Lemma (3)
             alpha, beta = X.dfun(0, gamma, alpha), X.dfun(0, gamma, beta)
             gamma = ZERO
         got = X.llrel(gamma, alpha, beta)
-        assert got == _llrel_rebuilt_per_item(gamma, alpha, beta)
+        assert got == _llrel_rebuilt_per_item(gamma, alpha, beta, settled)
         holds += got
         several += X.compare(alpha, beta) is Outcome.LESS and len(X._kset_strict(0, alpha)) > 1
     assert 100 < holds < 1400
     assert several > 0
+    # Some entries pass D_0 and settle at a later D_m, so llrel's step is run.
+    assert sum(n for m, n in settled.items() if m >= 1) > 0
 
 
 def test_strict_critical_items_carry_no_variable():
