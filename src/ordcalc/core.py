@@ -11,15 +11,16 @@ terms are syntactically identical iff they are the same interned object.
 Interning is hash-consing on a shallow key: each constructor looks its term
 up by (tag, scalar fields, child serials), which costs O(arity) because the
 children are already interned; a sum's child serials are sorted as ints,
-so any order or grouping of its summands finds it.  Only on a miss does it
-build the deep `key` tuple (a sum sorts its children by it then), which
-stays the deterministic order token for canonical sum order,
-enumeration order and printing.  Equality is identity, and `hash(t)` is
-`t.serial`: process-local and dependent on construction order, so a hash
-must never be persisted or used for ordering (use `key`).  Facts needed on
-hot paths -- size, `var_names` (empty on a closed term) and the like --
-are slots filled at construction.  Equal frozensets share one object,
-through one table: the variable-name sets and every set the set walks store.
+so any order or grouping of its summands finds it.  Only on a miss is the
+deep `key` tuple built (a one-child term's in `_intern_over`, from its
+shallow key; a sum then sorts its children by it), which stays the
+deterministic order token for sum order, enumeration and printing.
+Equality is identity, and `hash(t)` is `t.serial`: process-local and
+dependent on construction order, so a hash must never be persisted or used
+for ordering (use `key`).  Facts needed on hot paths -- size, `var_names`
+(empty on a closed term) and the like -- are slots filled at construction.
+Equal frozensets share one object, through one table: the variable-name
+sets and every set the set walks store.
 
 Terms are immutable, and the intern table is lock-protected.  Every memo
 and per-serial table is a process global, registered in `CACHES` under the
@@ -323,16 +324,20 @@ def _intern(cls, shallow, key, values, *, mask, size, has_fvar, vmax, valid, nam
     return t
 
 
-def _intern_over(cls, shallow, key, child, systems, nodes, valid=None):
-    """`_intern` for a term over one child, whose shallow key is its tag,
-    its scalar fields and then the child's serial.  The term belongs to
-    those of `systems` the child belongs to, adds `nodes` nodes to the
-    child's, and inherits its function variables, `vmax`, validity
-    (unless `valid` overrides it) and names."""
+def _intern_over(cls, shallow, child, systems, nodes, valid=None):
+    """The one-child term whose shallow key is `shallow`: its tag, its scalar
+    fields and then `child`'s serial.  On a miss the deep key swaps the
+    serial for the child's key; the term belongs to those of `systems` the
+    child belongs to, adds `nodes` nodes to the child's, and inherits its
+    function variables, `vmax`, validity (unless `valid` overrides it) and
+    names."""
+    cached = _INTERN.get(shallow)
+    if cached is not None:
+        return cached
     return _intern(
         cls,
         shallow,
-        key,
+        (*shallow[:-1], child.key),
         (*shallow[1:-1], child),
         # `_join_masks` runs only to raise its error on an empty mask.
         mask=child.mask & systems or _join_masks((child,), systems),
@@ -413,11 +418,7 @@ ZERO = sum_of(())
 
 
 def omega_pow(exponent: Term) -> Term:
-    shallow = (TAG_OMEGA_POW, exponent.serial)
-    cached = _INTERN.get(shallow)
-    if cached is not None:
-        return cached
-    return _intern_over(OmegaPow, shallow, (TAG_OMEGA_POW, exponent.key), exponent, SYS_ALL, 1)
+    return _intern_over(OmegaPow, (TAG_OMEGA_POW, exponent.serial), exponent, SYS_ALL, 1)
 
 
 ONE = omega_pow(ZERO)
@@ -443,15 +444,19 @@ def _leaf(cls, key, *, mask, size, var=None, vmax=-1):
     )
 
 
-def omega_idx(n: int) -> Term:
-    if n < 1:
-        raise TermError(f"cardinal subscript must be >= 1, got {n}")
-    return _leaf(OmegaIdx, (TAG_OMEGA_IDX, n), mask=SYS_BUCHHOLZ | SYS_MIXED, size=1)
-
-
 def _check_level(j: int):
     if j > 0:
         raise TermError(f"level must be <= 0, got {j}")
+
+
+def _check_subscript(n: int, what: str):
+    if n < 1:
+        raise TermError(f"{what} subscript must be >= 1, got {n}")
+
+
+def omega_idx(n: int) -> Term:
+    _check_subscript(n, "cardinal")
+    return _leaf(OmegaIdx, (TAG_OMEGA_IDX, n), mask=SYS_BUCHHOLZ | SYS_MIXED, size=1)
 
 
 def omega_lev(j: int) -> Term:
@@ -461,70 +466,45 @@ def omega_lev(j: int) -> Term:
 
 def omega_high(j: int, n: int) -> Term:
     _check_level(j)
-    if n < 1:
-        raise TermError(f"cardinal subscript must be >= 1, got {n}")
+    _check_subscript(n, "cardinal")
     return _leaf(OmegaHigh, (TAG_OMEGA_HIGH, j, n), mask=SYS_MIXED, size=2)
 
 
 def xi(j: int, arg: Term) -> Term:
     _check_level(j)
-    shallow = (TAG_XI, j, arg.serial)
-    cached = _INTERN.get(shallow)
-    if cached is not None:
-        return cached
-    return _intern_over(Xi, shallow, (TAG_XI, j, arg.key), arg, SYS_XI | SYS_MIXED, 2)
+    return _intern_over(Xi, (TAG_XI, j, arg.serial), arg, SYS_XI | SYS_MIXED, 2)
 
 
 def theta_idx(n: int, body: Term) -> Term:
-    if n < 1:
-        raise TermError(f"collapse subscript must be >= 1, got {n}")
-    shallow = (TAG_THETA_IDX, n, body.serial)
-    cached = _INTERN.get(shallow)
-    if cached is not None:
-        return cached
-    key = (TAG_THETA_IDX, n, body.key)
+    _check_subscript(n, "collapse")
     # The variable-scope rule (no variable subscript >= n inside) is recorded
     # in `valid` rather than enforced, so invalid terms can be classified.
     valid = body.valid and body.vmax < n
-    return _intern_over(ThetaIdx, shallow, key, body, SYS_BUCHHOLZ, 1, valid)
+    return _intern_over(ThetaIdx, (TAG_THETA_IDX, n, body.serial), body, SYS_BUCHHOLZ, 1, valid)
 
 
 def theta(body: Term) -> Term:
     if body.has_fvar:
         raise TermError("function variables may not occur inside a collapse body")
-    shallow = (TAG_THETA, body.serial)
-    cached = _INTERN.get(shallow)
-    if cached is not None:
-        return cached
-    return _intern_over(Theta, shallow, (TAG_THETA, body.key), body, SYS_POLY | SYS_XI, 1)
-
-
-def _theta_mixed(cls, tag, n, body, with_index):
-    if with_index and n < 1:
-        raise TermError(f"collapse subscript must be >= 1, got {n}")
-    shallow = (tag, n, body.serial) if with_index else (tag, body.serial)
-    cached = _INTERN.get(shallow)
-    if cached is not None:
-        return cached
-    key = (tag, n, body.key) if with_index else (tag, body.key)
-    return _intern_over(cls, shallow, key, body, SYS_MIXED, 1)
+    return _intern_over(Theta, (TAG_THETA, body.serial), body, SYS_POLY | SYS_XI, 1)
 
 
 def theta_low(n: int, body: Term) -> Term:
-    return _theta_mixed(ThetaLow, TAG_THETA_LOW, n, body, True)
+    _check_subscript(n, "collapse")
+    return _intern_over(ThetaLow, (TAG_THETA_LOW, n, body.serial), body, SYS_MIXED, 1)
 
 
 def theta_high(n: int, body: Term) -> Term:
-    return _theta_mixed(ThetaHigh, TAG_THETA_HIGH, n, body, True)
+    _check_subscript(n, "collapse")
+    return _intern_over(ThetaHigh, (TAG_THETA_HIGH, n, body.serial), body, SYS_MIXED, 1)
 
 
 def theta_xi(body: Term) -> Term:
-    return _theta_mixed(ThetaXi, TAG_THETA_XI, 0, body, False)
+    return _intern_over(ThetaXi, (TAG_THETA_XI, body.serial), body, SYS_MIXED, 1)
 
 
 def var_idx(name: str, n: int) -> Term:
-    if n < 1:
-        raise TermError(f"variable subscript must be >= 1, got {n}")
+    _check_subscript(n, "variable")
     return _leaf(
         VarIdx, (TAG_VAR_IDX, name, n), mask=SYS_BUCHHOLZ, size=1, var=name, vmax=n
     )

@@ -145,8 +145,8 @@ class _Enumerator:
         self._t: dict[int, list[Term]] = {}
         self.count = 0
 
-    def _bump(self, n: int = 1):
-        self.count += n
+    def _bump(self):
+        self.count += 1
         if self.count > HARD_CAP:
             raise PreconditionError(f"enumeration exceeded the hard cap of {HARD_CAP} terms")
 
@@ -169,8 +169,8 @@ class _Enumerator:
                 try:
                     out.append(make(*args))
                 except TermError:  # a collapse refusing its body (scope rule, function variable)
-                    pass
-        self._bump(len(out))
+                    continue
+                self._bump()
         out.sort(key=lambda t: t.key)
         self._h[s] = out
         return out
@@ -182,7 +182,6 @@ class _Enumerator:
         if s == 1:
             out.append(ZERO)
         out.extend(self._sums(s))
-        self._bump()
         out.sort(key=lambda t: t.key)
         self._t[s] = out
         return out
@@ -199,6 +198,7 @@ class _Enumerator:
 
         def rec(start: int, remaining: int, picked: list[Term]):
             if len(picked) >= 2 and remaining == 0:
+                self._bump()
                 yield sum_of(picked)
             for i in range(start, len(pool)):
                 t = pool[i]

@@ -640,11 +640,23 @@ def _readme_commands():
     ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [argv for argv in _readme_commands() if argv[0] != "selfcheck"],  # see test_selfcheck_quick
-    ids=lambda argv: argv[0],
-)
-def test_readme_example_runs(capsys, argv):
+def _readme_runs():
+    """Each README command in text mode, and again with `--output json` where
+    the command takes `--output`; selfcheck is `test_selfcheck_quick`'s."""
+    for argv in _readme_commands():
+        if argv[0] == "selfcheck":
+            continue
+        yield pytest.param(argv, "text", id=argv[0])
+        if "--output" in (option[0] for option in cli._commands()[argv[0]][3]):
+            yield pytest.param(argv, "json", id=f"{argv[0]}-json")
+
+
+@pytest.mark.parametrize("argv, output", _readme_runs())
+def test_readme_example_runs(capsys, argv, output):
+    if output == "json":
+        argv = [*argv, "--output", "json"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "") and out
+    if output == "json":
+        [line] = out.splitlines()
+        json.loads(line)

@@ -193,6 +193,50 @@ def _names_by_walk(t):
     return out
 
 
+_TAGS = {
+    core.Sum: core.TAG_SUM,
+    core.OmegaPow: core.TAG_OMEGA_POW,
+    core.OmegaIdx: core.TAG_OMEGA_IDX,
+    core.OmegaLev: core.TAG_OMEGA_LEV,
+    core.OmegaHigh: core.TAG_OMEGA_HIGH,
+    core.Xi: core.TAG_XI,
+    core.ThetaIdx: core.TAG_THETA_IDX,
+    core.Theta: core.TAG_THETA,
+    core.ThetaLow: core.TAG_THETA_LOW,
+    core.ThetaHigh: core.TAG_THETA_HIGH,
+    core.ThetaXi: core.TAG_THETA_XI,
+    core.VarIdx: core.TAG_VAR_IDX,
+    core.VarLev: core.TAG_VAR_LEV,
+    core.FVar: core.TAG_FVAR,
+}
+
+
+def _facts_by_recursion(t):
+    """(key, size, vmax, has_fvar, valid) of t, recomputed from its fields by
+    plain recursion: a key is the tag, then each field with a child replaced
+    by the child's key (a sum's is its tag, its count, its children's keys);
+    a node counts 1 and a level 1 more; th_n's body may hold no variable
+    subscript >= n."""
+    if isinstance(t, core.Sum):
+        subs = [_facts_by_recursion(c) for c in t.children]
+        key = (core.TAG_SUM, len(subs), *(s[0] for s in subs))
+    else:
+        subs, key = [], [_TAGS[type(t)]]
+        for value in _fields(t):
+            if isinstance(value, core.Term):
+                subs.append(_facts_by_recursion(value))
+                value = subs[-1][0]
+            key.append(value)
+        key = tuple(key)
+    size = 1 + ("level" in type(t).__match_args__) + sum(s[1] for s in subs)
+    vmax = max([t.index if isinstance(t, core.VarIdx) else -1, *(s[2] for s in subs)])
+    has_fvar = isinstance(t, core.FVar) or any(s[3] for s in subs)
+    valid = all(s[4] for s in subs)
+    if isinstance(t, core.ThetaIdx):
+        valid = valid and subs[0][2] < t.index
+    return key, size, vmax, has_fvar, valid
+
+
 _XI_FVARS = harness.EnumBudget(
     "xi", max_size=6, min_level=-1, closed_only=False, include_fvars=True
 )
@@ -211,6 +255,7 @@ def test_cached_term_facts_over_acceptance_pools():
     for pool in _acceptance_pools():
         for t in pool:
             assert t.var_names == _names_by_walk(t), t
+            assert (t.key, t.size, t.vmax, t.has_fvar, t.valid) == _facts_by_recursion(t), t
             assert shared.setdefault(t.var_names, t.var_names) is t.var_names
             assert _REBUILD[type(t)](*_fields(t)) is t
             assert hash(t) == t.serial

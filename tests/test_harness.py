@@ -54,6 +54,24 @@ def test_enumeration_hard_cap(monkeypatch):
         H.enumerate_terms(H.EnumBudget("mixed", max_size=6))
 
 
+def test_enumeration_hard_cap_counts_every_sum(monkeypatch):
+    # 12,220 terms, 3,341 of them sums: a cap that counted each size's sums
+    # as one term would count only 8,885 and let them all through.
+    monkeypatch.setattr(H, "HARD_CAP", 10_000)
+    with pytest.raises(core.PreconditionError, match="hard cap of 10000 terms"):
+        H.enumerate_terms(H.EnumBudget("buchholz", max_size=6, max_subscript=3))
+
+
+def test_enumeration_hard_cap_stops_before_building_past_it(monkeypatch):
+    # Size 2 alone has 5,001 levelled cardinals: the cap must stop the row
+    # while it builds, not once the whole size is in memory.
+    monkeypatch.setattr(H, "HARD_CAP", 1000)
+    before = len(core.CACHES["core._INTERN"])
+    with pytest.raises(core.PreconditionError, match="hard cap of 1000 terms"):
+        H.enumerate_terms(H.EnumBudget("poly", max_size=2, min_level=-5000))
+    assert len(core.CACHES["core._INTERN"]) - before <= H.HARD_CAP + 1
+
+
 def test_open_enumeration_includes_variables():
     closed = H.enumerate_terms(H.EnumBudget("buchholz", max_size=2, max_subscript=1))
     opened = H.enumerate_terms(
