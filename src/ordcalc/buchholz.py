@@ -25,11 +25,10 @@ from .core import (
     is_sc,
     make_level_walk,
     make_order,
-    make_reference,
     make_walk,
     omega_idx,
     omega_pow,
-    reference_walk,
+    reference_attr,
     system_checks,
     theta_idx,
     ZERO,
@@ -42,8 +41,6 @@ __all__ = [
     "fc_max",
     "kset",
     "compare",
-    "compare_reference",
-    "kset_reference",
     "substitute",
     "dfun",
     "llrel",
@@ -259,46 +256,6 @@ def key_lemma_3(
     return llrel(n - 1, delta, lhs, rhs)
 
 
-# -- Reference implementations ---------------------------------------------
-#
-# Plain direct recursion with per-serial reference tables only, kept apart
-# from the memoized paths above; the harness cross-checks the two.
-
-def _ref_kset_head(n: int, t: Term) -> frozenset[Term]:
-    match t:
-        case OmegaIdx(m):
-            return frozenset({t}) if m < n else frozenset()
-        case ThetaIdx(m, body):
-            if n < m:
-                return n, body
-            return frozenset({t})
-        case VarIdx(_, m):
-            return frozenset({t}) if m < n else frozenset()
-    raise InvariantError(f"not a stratified term: {t!r}")
-
-
-def _ref_head_lt(a: Term, b: Term) -> bool:
-    match a, b:
-        case (OmegaIdx(m), OmegaIdx(n)):
-            return m < n
-        case (OmegaIdx(_) | VarIdx(_, _), ThetaIdx(n, beta)):
-            return any(_ref_leq(a, g) for g in kset_reference(n, beta))
-        case (ThetaIdx(m, alpha), OmegaIdx(_)):
-            return all(_ref_lt(g, b) for g in kset_reference(m, alpha))
-        case (ThetaIdx(_, _), VarIdx(_, _)):
-            return False
-        case (ThetaIdx(m, alpha), ThetaIdx(n, beta)):
-            if any(_ref_leq(a, g) for g in kset_reference(n, beta)):
-                return True
-            return all(
-                _ref_lt(g, b) for g in kset_reference(m, alpha)
-            ) and (m < n or (m == n and _ref_lt(alpha, beta)))
-        case (VarIdx(_, n), OmegaIdx(m)):
-            return n <= m
-        case (VarIdx(_, _), VarIdx(_, _)):
-            return False
-    return False
-
-
-kset_reference = reference_walk(_ref_kset_head, "buchholz.kset_reference")
-compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)
+# The oracle lives in `reference`; its old `*_reference` names resolve there.
+def __getattr__(name):
+    return reference_attr("buchholz", name)

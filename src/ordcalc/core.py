@@ -30,20 +30,13 @@ entries and `clear_caches()` empties them; terms and their name sets stay.
 The ordering kernel (`make_order`) is shared by all four systems: it owns
 the comparison memo, the cycle guard and the sum and omega-power clauses,
 and each system supplies only the rule for two strongly critical heads.
-Its unmemoized twin, `make_reference`, builds each system's reference
-order, the oracle the memoized order is checked against: the same clauses
-written a second time in plain recursion, sharing no code with `make_order`,
-with no memo and no cycle guard.  Each system supplies its own reference
-head rule and the heads of its reference set walks to `reference_walk`.
+The oracle it is checked against, each system's reference order, lives
+apart in `reference`, which only the harness loads.
 
 The set-walk kernel (`make_walk`) makes the same cut for the
 formal-cardinality and critical-subterm walks: one kernel owns every walk's
 memo and the sum and omega-power clauses, each system supplies only its
 other heads' clauses, and only the critical-subterm walks take a threshold.
-Its plain-recursion twin, `reference_walk`, runs the reference critical-set
-and profile walks on the same head contract: it decides sums and omega
-powers itself, tables every level in its own registered table, and follows
-a head's descent by calling itself, one stack frame per level.
 
 The level-walk kernel (`make_level_walk`) makes the cut once more for the
 maps and tests that carry an ambient level: substitution and its test,
@@ -54,11 +47,9 @@ The walks whose inputs repeat often -- the substitutability tests and the
 poly and xi shifts -- keep a memo, one row per level and arguments; the
 substitutions, whose targets are fresh terms, the parameter walks, which
 carry an accumulator, and mixed's shift, which runs too rarely to gain,
-do not.  The reference critical-set walks shift through unmemoized twins, so
-the oracle reads no memo of the side it checks.
-Both walk kernels share one head contract: a head returns its answer or a
-descent, `(level, child)` or `(level, child, then)`, which the kernel
-follows in a loop without reading the level, so mixed's cardinality
+do not.  Both walk kernels share one head contract: a head returns its
+answer or a descent, `(level, child)` or `(level, child, then)`, which the
+kernel follows in a loop without reading the level, so mixed's cardinality
 thresholds ride the same kernel as the integer levels.
 
 The system surface is written here once too.  `system_checks` gives each
@@ -66,13 +57,15 @@ system its operand checks, worded from one table, and `make_substitution`
 gives poly, xi and mixed their ordinal-variable substitution: the checked
 `substitutable` and `substitute` and the walk under them, one head clause
 that re-levels the value through the system's own `lift`.
+`reference_attr` lets a system module still answer the oracle's old
+`*_reference` names from `reference`.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import Counter, defaultdict
+from collections import defaultdict
 from enum import Enum
 from typing import NamedTuple
 
@@ -789,6 +782,16 @@ def system_checks(system: str):
     return check, check_pair
 
 
+def reference_attr(system: str, name: str):
+    """A system module's `__getattr__`: `<stem>_reference` is the oracle's
+    `reference.<system>_<stem>`, kept for readers that look it up on the
+    system module; any other missing name raises without loading the oracle."""
+    if not name.endswith("_reference"):
+        raise AttributeError(f"module 'ordcalc.{system}' has no attribute {name!r}")
+    from . import reference
+    return getattr(reference, f"{system}_{name.removesuffix('_reference')}")
+
+
 def make_substitution(check, lift):
     """A level system's ordinal-variable substitution, `(substitutable,
     substitute, subst)`: the two checked entry points, and the unchecked
@@ -925,9 +928,9 @@ def make_order(head, check, name):
     `any`/`all` over a generator, and `leq` inlined as `x is y or lt(x, y)`.
     Each clause runs the same sub-comparisons, in the same order and with
     the same short cuts, as the reference's coding of it.  The reference
-    (`make_reference` and every `_ref_head_lt`) keeps tuple `match` and
-    `any`/`all` on purpose, so the oracle check compares two codings of the
-    clauses.
+    (`reference.make_reference` and every head rule there) keeps tuple
+    `match` and `any`/`all` on purpose, so the oracle check compares two
+    codings of the clauses.
     """
     memo = CACHES[name] = {}
     # Closure locals: `compare` and `lt` read these far faster than Enum members.
@@ -1083,97 +1086,3 @@ def make_walk(head, name):
 
     return walk
 
-
-def multiset_rest(xs, ys):
-    """Components of xs left after cancelling common elements with ys; the
-    reference's multiset difference, apart from the kernel's `_sum_rests`."""
-    rest = Counter(xs) - Counter(ys)
-    return list(rest.elements())
-
-
-def make_reference(head):
-    """Build one system's unmemoized reference order from its head rule.
-
-    The plain-recursion twin of `make_order`, kept a separate
-    implementation so that the oracle check compares two codings of the
-    sum and omega-power clauses: no memo, no cycle guard, and `head(a, b)`
-    decides a < b only for two strongly critical terms, reading the tabled
-    reference critical sets.  Returns `(compare, lt, leq)`; `compare`
-    raises InvariantError when both a < b and b < a hold.
-    """
-
-    def compare(a: Term, b: Term) -> Outcome:
-        if a is b:
-            return Outcome.EQUAL
-        lt_ab = lt(a, b)
-        lt_ba = lt(b, a)
-        if lt_ab and lt_ba:
-            raise InvariantError(f"ordering is not antisymmetric on {a!r}, {b!r}")
-        if lt_ab:
-            return Outcome.LESS
-        if lt_ba:
-            return Outcome.GREATER
-        return Outcome.INCOMPARABLE
-
-    def leq(a, b):
-        return a == b or lt(a, b)
-
-    def lt(a: Term, b: Term) -> bool:
-        if a == b:
-            return False
-        match a, b:
-            case (Sum(xs), Sum(ys)):
-                rest_a = multiset_rest(xs, ys)
-                rest_b = multiset_rest(ys, xs)
-                return any(all(lt(x, y0) for x in rest_a) for y0 in rest_b)
-            case (_, Sum(ys)):
-                return any(leq(a, y) for y in ys)
-            case (Sum(xs), _):
-                return all(lt(x, b) for x in xs)
-            case (OmegaPow(x), OmegaPow(y)):
-                return lt(x, y)
-            case (OmegaPow(x), _):
-                return leq(x, b)
-            case (_, OmegaPow(y)):
-                return lt(a, y)
-        return head(a, b)
-
-    return compare, lt, leq
-
-
-def reference_walk(head, name):
-    """Build one tabled reference set walk from its head clauses.
-
-    The plain-recursion twin of `make_walk`, sharing no code with it,
-    `make_order` or the fact tables.  `walk(arg, t)` keeps its own table,
-    `table[arg][t.serial]`, registered as `name`: the oracle's cache,
-    filled by this walk only.  It decides a sum (the union of its
-    children's sets) and an omega power (its exponent's set) itself and
-    asks `head(arg, t)` for every other term, under `make_walk`'s head
-    contract: the set, or a descent `(arg1, child)` or `(arg1, child, then)`
-    that the walk follows by calling itself once the head has returned, so
-    each level costs one stack frame.
-    """
-    table = CACHES[name] = defaultdict(dict)
-
-    def walk(arg, t: Term) -> frozenset:
-        row = table[arg]
-        out = row.get(t.serial)
-        if out is None:
-            tt = type(t)
-            if tt is Sum:
-                parts = []
-                for c in t.children:
-                    parts.append(walk(arg, c))
-                out = frozenset().union(*parts)
-            elif tt is OmegaPow:
-                out = walk(arg, t.exponent)
-            else:
-                out = head(arg, t)
-                if type(out) is tuple:
-                    below = walk(out[0], out[1])
-                    out = out[2](below) if len(out) == 3 else below
-            row[t.serial] = out
-        return out
-
-    return walk

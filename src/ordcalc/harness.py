@@ -31,6 +31,7 @@ from .core import (
     ThetaIdx,
     VarIdx,
     VarLev,
+    clear_caches,
     is_sc,
     make_level_walk,
     omega_idx,
@@ -50,7 +51,6 @@ from .syntax import render
 _MODULES = {"buchholz": buchholz, "poly": poly, "xi": xi, "mixed": mixed}
 SYSTEMS = tuple(_MODULES)
 _COMPARE = {name: mod.compare for name, mod in _MODULES.items()}
-_COMPARE_REFERENCE = {name: mod.compare_reference for name, mod in _MODULES.items()}
 
 
 class EnumBudget(NamedTuple):
@@ -311,8 +311,10 @@ def check_oracle_equivalence(
     system: str, terms, pairs: int = 100_000, seed: int = 0
 ) -> CheckReport:
     """Memoized comparator versus the plain direct-recursion reference."""
+    from . import reference  # only an oracle check loads the oracle
+
     cmp = _COMPARE[system]
-    ref = _COMPARE_REFERENCE[system]
+    ref = getattr(reference, f"{system}_compare")
     terms = list(terms)
     n = len(terms)
     rng = random.Random(_derive_seed(seed, f"oracle:{system}"))
@@ -335,31 +337,34 @@ def check_oracle_equivalence(
 
 
 # Per system, the rows (walk, reference, leading arguments, label) the
-# critical-set oracle compares; built per call, reading each walk off its module.
+# critical-set oracle compares; built per call from the oracle module `ref`,
+# reading each walk off its module.
 _KSET_ROWS = {
-    "buchholz": lambda: [
-        (buchholz.kset, buchholz.kset_reference, (n,), f"n={n}") for n in (1, 2, 3)
+    "buchholz": lambda ref: [
+        (buchholz.kset, ref.buchholz_kset, (n,), f"n={n}") for n in (1, 2, 3)
     ],
-    "poly": lambda: [(poly.kset, poly.kset_reference, (j,), f"j={j}") for j in (0, -1)],
-    "xi": lambda: [(xi.kset, xi.kset_reference, (j,), f"j={j}") for j in (0, -1)],
-    "mixed": lambda: [
-        (mixed.kset_low, mixed.kset_low_reference, (1,), "low n=1"),
-        (mixed.kset_high, mixed.kset_high_reference, (mixed.large(0, 1), 1), "high c=(0,1)"),
-        (mixed.kset_low, mixed.kset_low_reference, (2,), "low n=2"),
-        (mixed.kset_high, mixed.kset_high_reference, (mixed.large(0, 2), 2), "high c=(0,2)"),
-        (mixed.kset_xi, mixed.kset_xi_reference, (mixed.large(0, 0),), "xi c=(0,0)"),
+    "poly": lambda ref: [(poly.kset, ref.poly_kset, (j,), f"j={j}") for j in (0, -1)],
+    "xi": lambda ref: [(xi.kset, ref.xi_kset, (j,), f"j={j}") for j in (0, -1)],
+    "mixed": lambda ref: [
+        (mixed.kset_low, ref.mixed_kset_low, (1,), "low n=1"),
+        (mixed.kset_high, ref.mixed_kset_high, (mixed.large(0, 1), 1), "high c=(0,1)"),
+        (mixed.kset_low, ref.mixed_kset_low, (2,), "low n=2"),
+        (mixed.kset_high, ref.mixed_kset_high, (mixed.large(0, 2), 2), "high c=(0,2)"),
+        (mixed.kset_xi, ref.mixed_kset_xi, (mixed.large(0, 0),), "xi c=(0,0)"),
     ],
 }
 
 
 def check_kset_oracle(system: str, terms, seed: int = 0) -> CheckReport:
     """Memoized critical-subterm computation versus the reference path."""
-    rows = _KSET_ROWS[system]()
+    from . import reference  # only an oracle check loads the oracle
+
+    rows = _KSET_ROWS[system](reference)
     with _checking("kset_oracle", system, seed) as report:
         for t in terms:
-            for walk, reference, args, label in rows:
+            for walk, oracle, args, label in rows:
                 report.checked += 1
-                if walk(*args, t) != reference(*args, t):
+                if walk(*args, t) != oracle(*args, t):
                     report.note("kset_disagreement", term=render(t), at=label)
     return report
 
@@ -972,7 +977,9 @@ def selfcheck(
 ) -> list[CheckReport]:
     """The one-command acceptance run: fixtures, order axioms, Key Lemmas,
     round trips, oracle equivalence and the embeddings, with documented
-    default budgets.  A negative budget is refused before any check runs."""
+    default budgets.  A negative budget is refused before any check runs.
+    Every registered cache is emptied after each check, so the tables hold
+    one check's entries at a time."""
     for name, value in (("samples", samples), ("triples", triples), ("oracle_pairs", oracle_pairs)):
         if value < 0:
             raise PreconditionError(f"{name} must be >= 0, got {value}")
@@ -982,27 +989,27 @@ def selfcheck(
         triples = min(triples, 5_000)
         oracle_pairs = min(oracle_pairs, 5_000)
 
-    reports = [check_fixtures(seed=seed)]
-    pools = {name: enumerate_terms(b) for name, b in budgets.items()}
-    for name in SYSTEMS:
-        reports.append(
-            check_order_axioms(name, pools[name], sample_triples=triples, seed=seed)
-        )
-        reports.append(check_roundtrip(name, pools[name], seed=seed))
-        reports.append(
-            check_oracle_equivalence(name, pools[name], pairs=oracle_pairs, seed=seed)
-        )
-        reports.append(check_kset_oracle(name, pools[name], seed=seed))
-    reports.append(check_fc_monotone(pools["buchholz"], seed=seed))
-    reports.append(check_m_membership(pools["poly"], seed=seed))
-    reports.append(check_m_closure(pools["poly"], seed=seed))
-    reports.append(check_k_class_drop(pools["poly"], seed=seed))
-    reports.append(check_abstraction_roundtrip(pools["xi"], seed=seed))
-    reports.append(check_collapse_not_self_value(pools["xi"], seed=seed))
-    for system in _KL_SUITES:
-        reports.append(check_key_lemmas(system, samples=samples, seed=seed))
-    for name, (source, _, _) in EMBEDDINGS.items():
-        reports.append(
-            check_embedding(name, pools[source], pairs=oracle_pairs, seed=seed)
-        )
+    def checks():
+        yield check_fixtures(seed=seed)
+        pools = {name: enumerate_terms(b) for name, b in budgets.items()}
+        for name in SYSTEMS:
+            yield check_order_axioms(name, pools[name], sample_triples=triples, seed=seed)
+            yield check_roundtrip(name, pools[name], seed=seed)
+            yield check_oracle_equivalence(name, pools[name], pairs=oracle_pairs, seed=seed)
+            yield check_kset_oracle(name, pools[name], seed=seed)
+        yield check_fc_monotone(pools["buchholz"], seed=seed)
+        yield check_m_membership(pools["poly"], seed=seed)
+        yield check_m_closure(pools["poly"], seed=seed)
+        yield check_k_class_drop(pools["poly"], seed=seed)
+        yield check_abstraction_roundtrip(pools["xi"], seed=seed)
+        yield check_collapse_not_self_value(pools["xi"], seed=seed)
+        for system in _KL_SUITES:
+            yield check_key_lemmas(system, samples=samples, seed=seed)
+        for name, (source, _, _) in EMBEDDINGS.items():
+            yield check_embedding(name, pools[source], pairs=oracle_pairs, seed=seed)
+
+    reports = []
+    for report in checks():
+        reports.append(report)
+        clear_caches()
     return reports

@@ -36,15 +36,13 @@ from .core import (
     VarLev,
     Xi,
     abstract_one,
-    collect_params,
     make_level_walk,
     make_order,
-    make_reference,
     make_substitution,
     make_walk,
     omega_high,
     params,
-    reference_walk,
+    reference_attr,
     system_checks,
     var_lev,
     xi as mk_xi,
@@ -75,10 +73,6 @@ __all__ = [
     "instantiate",
     "critical_sets",
     "compare",
-    "compare_reference",
-    "kset_low_reference",
-    "kset_high_reference",
-    "kset_xi_reference",
 ]
 
 INF = math.inf
@@ -577,200 +571,6 @@ def _head_lt(a: Term, b: Term) -> bool:
 compare, _lt = make_order(_head_lt, _check_pair, "mixed.compare")
 
 
-# -- reference implementations ---------------------------------------------------
-
-def _ref_fc_head(c: MCard, t: Term):
-    match t:
-        case OmegaIdx(n):
-            return frozenset({fin(n)})
-        case OmegaHigh(j1, n):
-            if large(j1, n) < c:
-                return frozenset({large(level_minus_card(j1, c), n)})
-            return frozenset()
-        case Xi(j1, arg):
-            if large(j1, 0) < c:
-                own = frozenset({large(level_minus_card(j1, c), 0)})
-                return card_minus_level(c, j1), arg, lambda below: below | own
-            return card_minus_level(c, j1), arg
-        case ThetaLow(_, body):
-            return c, body
-        case ThetaHigh(n, body):
-            return card_min_nat(c, n), body
-        case ThetaXi(body):
-            return card_minus_level(c, 1), body
-        case VarLev(_, j1):
-            if large(j1, 0) < c:
-                return frozenset({large(level_minus_card(j1, c), 0)})
-            return frozenset()
-    raise InvariantError(f"not a mixed-system term: {t!r}")
-
-
-def _ref_fc_bar(t: Term) -> MCard:
-    values = _ref_fc_at(FULL, t)
-    return max(values) if values else CARD_NEG_INF
-
-
-def _ref_kset_low_head(n: int, t: Term) -> frozenset[Term]:
-    match t:
-        case OmegaIdx(m):
-            return frozenset({t}) if m < n else frozenset()
-        case OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _):
-            return frozenset()
-        case ThetaLow(m, body):
-            return frozenset({t}) if m <= n else (n, body)
-        case ThetaHigh(_, body) | ThetaXi(body):
-            return n, body
-    raise InvariantError(f"not a mixed-system term: {t!r}")
-
-
-def kset_high_reference(c: MCard, n: int, t: Term) -> frozenset[Term]:
-    return _ref_kset_high((c, n), t)
-
-
-def _ref_kset_high_head(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
-    c, n = cn
-    match t:
-        case OmegaIdx(_):
-            return frozenset({t})
-        case OmegaHigh(j1, m):
-            if large(j1, m) < c:
-                return frozenset({omega_high(level_minus_card(j1, c), m)})
-            return frozenset()
-        case Xi(j1, arg):
-            if large(j1, 0) < c:
-                return frozenset({mk_xi(level_minus_card(j1, c), arg)})
-            return (card_minus_level(c, j1), n), arg
-        case ThetaLow(_, _):
-            return frozenset({t})
-        case ThetaHigh(_, body):
-            if _ref_fc_bar(t) < card_min_nat(c, n):
-                try:
-                    return frozenset({_shift(t, FULL, -c.j, True)})
-                except ShiftError:
-                    pass
-            return (card_min_nat(c, n), n), body
-        case ThetaXi(body):
-            if _ref_fc_bar(t) < card_min_nat(c, n):
-                try:
-                    return frozenset({_shift(t, FULL, -c.j, True)})
-                except ShiftError:
-                    pass
-            return (card_minus_level(c, 1), n), body
-        case VarLev(name, j1):
-            if large(j1, 0) < card_min_nat(c, n):
-                return frozenset({var_lev(name, level_minus_card(j1, c))})
-            return frozenset()
-    raise InvariantError(f"not a mixed-system term: {t!r}")
-
-
-def _ref_kset_xi_head(c: MCard, t: Term) -> frozenset[KItem]:
-    match t:
-        case OmegaIdx(_):
-            return frozenset({KItem(t)})
-        case OmegaHigh(j1, m):
-            if large(j1, m) < c:
-                return frozenset({KItem(omega_high(level_minus_card(j1, c), m))})
-            return frozenset()
-        case Xi(j1, _):
-            if large(j1, 0) < c:
-                try:
-                    return frozenset({KItem(_shift(t, FULL, -c.j, True))})
-                except ShiftError:
-                    pass
-            return card_minus_level(c, j1), t.arg
-        case ThetaLow(_, _):
-            return frozenset({KItem(t)})
-        case ThetaHigh(n, body):
-            if _ref_fc_bar(t) < card_minus_level(c, 1):
-                try:
-                    return frozenset({KItem(_shift(t, FULL, 1 - c.j, True))})
-                except ShiftError:
-                    pass
-            return card_min_nat(c, n), body
-        case ThetaXi(body):
-            if _ref_fc_bar(t) < c:
-                try:
-                    return frozenset({_bound_collapse_item(t, c)})
-                except ShiftError:
-                    pass
-            return card_minus_level(c, 1), body
-        case VarLev(name, j1):
-            if large(j1, 0) < c:
-                return frozenset({KItem(var_lev(name, level_minus_card(j1, c)))})
-            return frozenset()
-    raise InvariantError(f"not a mixed-system term: {t!r}")
-
-
-def _ref_params(t: Term) -> tuple[Term, ...]:
-    found: set = set()
-    collect_params(t, 0, found)
-    return tuple(sorted(found, key=lambda p: p.key))
-
-
-def _ref_instantiated_kset(s: Term, other: Term | None = None) -> frozenset[Term]:
-    """The collapse's own reference critical set, as plain terms: a thXi
-    set is instantiated at the parameters of `other`'s body, or at 0."""
-    match s:
-        case ThetaLow(n, body):
-            return kset_low_reference(n, body)
-        case ThetaHigh(n, body):
-            return kset_high_reference(large(0, n), n, body)
-    values = () if other is None else _ref_params(other.body)
-    items = kset_xi_reference(large(0, 0), s.body)
-    return frozenset(instantiate(g, v) for g in items for v in values or (ZERO,))
-
-
-def _ref_collapsed(s: Term) -> MCard:
-    """The cardinal the collapse `s` collapses, at level 0; coded apart from `_rank`."""
-    match s:
-        case ThetaLow(n, _):
-            return fin(n)
-        case ThetaHigh(n, _):
-            return large(0, n)
-    return large(0, 0)  # thXi
-
-
-def _ref_head_lt(a: Term, b: Term) -> bool:
-    match a, b:
-        case (OmegaIdx(m), OmegaIdx(n)):
-            return m < n
-        case (OmegaIdx(_), OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _)):
-            return True
-        case (OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _), OmegaIdx(_)):
-            return False
-        case (OmegaHigh(j, m), OmegaHigh(j1, n)):
-            return j < j1 or (j == j1 and m < n)
-        case (Xi(j, _), OmegaHigh(j1, _)):
-            return j <= j1
-        case (OmegaHigh(j, _), Xi(j1, _)):
-            return j < j1
-        case (Xi(j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _ref_lt(x, y))
-        case (VarLev(_, j), Xi(j1, _) | OmegaHigh(j1, _)):
-            return j <= j1
-        case (Xi(_, _) | OmegaHigh(_, _), VarLev(_, _)):
-            return False
-        case (VarLev(_, _), VarLev(_, _)):
-            return False
-    a_card = isinstance(a, (OmegaIdx, OmegaHigh, Xi, VarLev))
-    if a_card and isinstance(b, _COLLAPSES):
-        return any(_ref_leq(a, g) for g in _ref_instantiated_kset(b))
-    if isinstance(a, _COLLAPSES) and isinstance(b, (OmegaIdx, OmegaHigh, Xi)):
-        return all(_ref_lt(g, b) for g in _ref_instantiated_kset(a))
-    if isinstance(a, _COLLAPSES) and isinstance(b, _COLLAPSES):
-        csl = _ref_instantiated_kset(a, b)
-        dsl = _ref_instantiated_kset(b, a)
-        if any(_ref_leq(a, d0) for d0 in dsl):
-            return True
-        if any(_ref_leq(b, c0) for c0 in csl):
-            return False
-        ca, cb = _ref_collapsed(a), _ref_collapsed(b)
-        return ca < cb or (ca == cb and _ref_lt(a.body, b.body))
-    return False
-
-
-_ref_fc_at = reference_walk(_ref_fc_head, "mixed._ref_fc_at")
-kset_low_reference = reference_walk(_ref_kset_low_head, "mixed.kset_low_reference")
-_ref_kset_high = reference_walk(_ref_kset_high_head, "mixed._ref_kset_high")
-kset_xi_reference = reference_walk(_ref_kset_xi_head, "mixed.kset_xi_reference")
-compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)
+# The oracle lives in `reference`; its old `*_reference` names resolve there.
+def __getattr__(name):
+    return reference_attr("mixed", name)

@@ -29,12 +29,11 @@ from .core import (
     is_sc,
     make_level_walk,
     make_order,
-    make_reference,
     make_substitution,
     make_walk,
     omega_lev,
     omega_pow,
-    reference_walk,
+    reference_attr,
     system_checks,
     theta,
     var_lev,
@@ -48,8 +47,6 @@ __all__ = [
     "shift",
     "kset",
     "compare",
-    "compare_reference",
-    "kset_reference",
     "NormalizationResult",
     "normalize",
     "ground",
@@ -336,64 +333,6 @@ def key_lemma_3(delta: Term, alpha: Term, beta: Term, gamma: Term, name: str) ->
     return llrel(ZERO, lhs, dfun(0, delta, beta))
 
 
-# -- Reference implementations ---------------------------------------------
-
-# The reference shifts through an unmemoized twin of `_shift`, so it reads no
-# memo of the order it checks.
-_ref_shift = make_level_walk(_shift_head)
-
-
-def _ref_fc_head(j: int, t: Term):
-    match t:
-        case OmegaLev(j1) | VarLev(_, j1):
-            return frozenset({j1 - j}) if j1 <= j else frozenset()
-        case Theta(body):
-            return j - 1, body
-    raise InvariantError(f"not a polymorphic term: {t!r}")
-
-
-def _ref_kset_head(j: int, t: Term) -> frozenset[Term]:
-    """Reads a collapse's class at level 0 from `_ref_fc_at(0, t)`: the
-    oracle must not read the memoized `fc`, and a walk at threshold j keeps
-    no class above j.  So each level of an n-deep collapse nest walks the
-    rest at thresholds new to the table, which keeps about n*n/2 rows."""
-    match t:
-        case OmegaLev(j1):
-            return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
-        case Theta(body):
-            values = _ref_fc_at(0, t)
-            top = max(values) if values else NEG_INF
-            if top < j:
-                return frozenset({_ref_shift(t, 0, 1 - j)})
-            return j - 1, body
-        case VarLev(name, j1):
-            return frozenset({var_lev(name, j1 - (j - 1))}) if j1 < j else frozenset()
-    raise InvariantError(f"not a polymorphic term: {t!r}")
-
-
-def _ref_head_lt(a: Term, b: Term) -> bool:
-    match a, b:
-        case (OmegaLev(j), OmegaLev(j1)):
-            return j < j1
-        case (OmegaLev(_) | VarLev(_, _), Theta(beta)):
-            return any(_ref_leq(a, g) for g in kset_reference(0, beta))
-        case (Theta(alpha), OmegaLev(_)):
-            return all(_ref_lt(g, b) for g in kset_reference(0, alpha))
-        case (Theta(_), VarLev(_, _)):
-            return False
-        case (Theta(alpha), Theta(beta)):
-            if _ref_lt(alpha, beta):
-                return all(_ref_lt(g, b) for g in kset_reference(0, alpha))
-            if _ref_lt(beta, alpha):
-                return any(_ref_leq(a, g) for g in kset_reference(0, beta))
-            return False
-        case (VarLev(_, j), OmegaLev(j1)):
-            return j <= j1
-        case (VarLev(_, _), VarLev(_, _)):
-            return False
-    return False
-
-
-_ref_fc_at = reference_walk(_ref_fc_head, "poly._ref_fc_at")
-kset_reference = reference_walk(_ref_kset_head, "poly.kset_reference")
-compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)
+# The oracle lives in `reference`; its old `*_reference` names resolve there.
+def __getattr__(name):
+    return reference_attr("poly", name)

@@ -33,18 +33,16 @@ from .core import (
     abstract_one,
     add,
     check_level,
-    collect_params,
     fresh_name,
     fvar,
     is_sc,
     make_level_walk,
     make_order,
-    make_reference,
     make_substitution,
     make_walk,
     omega_pow,
     params,
-    reference_walk,
+    reference_attr,
     replace_params,
     substitutable as _substitutable,
     subterms,
@@ -69,10 +67,8 @@ __all__ = [
     "parameters",
     "kappa",
     "kset",
-    "kset_reference",
     "instantiate",
     "compare",
-    "compare_reference",
     "fsubstitutable",
     "fsubstitute",
     "dfun",
@@ -606,145 +602,6 @@ def key_lemma_4(
     return llrel(ZERO, lhs, dfun(0, delta, beta))
 
 
-# -- Reference implementations -------------------------------------------------
-
-# The reference shifts and instantiates through unmemoized twins of the
-# level walks, so it reads no memo of the order it checks.
-_ref_shift = make_level_walk(_shift_head)
-_ref_subst = make_substitution(_check_system, lambda beta, j: _ref_shift(beta, 0, j))[2]
-
-
-def _ref_instantiate(item: KItem, value: Term) -> Term:
-    return item.term if item.var is None else _ref_subst(item.term, 0, item.var, value)
-
-
-def _ref_fc_head(j: int, t: Term):
-    match t:
-        case Xi(j1, arg) | FVar(_, j1, arg):
-            if j1 > j:
-                return j - j1, arg
-            rel = j1 - j
-            # a function variable sits one class below its cardinal
-            own = frozenset({rel - 1 if type(t) is FVar else rel})
-            return 0, arg, lambda below: own | frozenset(x + rel for x in below)
-        case Theta(body):
-            return j - 1, body
-        case VarLev(_, j1):
-            return frozenset({j1 - j - 1}) if j1 <= j else frozenset()
-    raise InvariantError(f"not a function-sorted term: {t!r}")
-
-
-def _ref_kset_head(j: int, t: Term) -> frozenset[KItem]:
-    """Reads a collapse's class at level 0 as poly's head does, from
-    `_ref_fc_at(0, t)` and not the memoized `fc`, and so keeps about n*n/2
-    table rows on an n-deep collapse nest."""
-    match t:
-        case Xi(j1, arg):
-            if j1 < j:
-                return frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
-            return j - j1, arg
-        case Theta(body):
-            values = _ref_fc_at(0, t)
-            top = max(values) if values else NEG_INF
-            if top <= j:
-                return frozenset({_bound_collapse_item(t, j, _ref_shift)})
-            return j - 1, body
-        case VarLev(name, j1):
-            if j1 < j:
-                return frozenset({KItem(var_lev(name, j1 - (j - 1)))})
-            return frozenset()
-        case FVar(name, j1, arg):
-            if j1 < j:
-                return frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
-            return j - j1, arg
-    raise InvariantError(f"not a function-sorted term: {t!r}")
-
-
-def _ref_params(body: Term) -> set:
-    found: set = set()
-    collect_params(body, 0, found)
-    return found
-
-
-def _ref_legit_candidates(bodies, collapses):
-    cap = min(max(_ref_fc_at(0, c), default=NEG_INF) for c in collapses)
-    found: set = {ZERO}
-    for body in bodies:
-        found |= _ref_params(body)
-    return [
-        w
-        for w in sorted(found, key=lambda p: p.key)
-        if w is ZERO or max(_ref_fc_at(0, w), default=NEG_INF) <= cap
-    ]
-
-
-def _ref_class_split(a: Term, b: Term):
-    fa = max(_ref_fc_at(0, a), default=NEG_INF)
-    fb = max(_ref_fc_at(0, b), default=NEG_INF)
-    if fa == fb:
-        return None
-    return fa < fb
-
-
-def _ref_head_lt(a: Term, b: Term) -> bool:
-    match a, b:
-        case (Xi(j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _ref_lt(x, y))
-        case (Xi(_, _), Theta(beta)):
-            split = _ref_class_split(a, b)
-            if split is not None:
-                return split
-            return any(
-                _ref_leq(a, _ref_instantiate(g, w))
-                for w in _ref_legit_candidates((beta,), (b,))
-                for g in kset_reference(0, beta)
-            )
-        case (Theta(alpha), Xi(_, _)):
-            split = _ref_class_split(a, b)
-            if split is not None:
-                return split
-            return all(
-                _ref_lt(_ref_instantiate(g, w), b)
-                for w in _ref_legit_candidates((alpha,), (a,))
-                for g in kset_reference(0, alpha)
-            )
-        case (Theta(alpha), Theta(beta)):
-            split = _ref_class_split(a, b)
-            if split is not None:
-                return split
-            ws = _ref_legit_candidates((alpha, beta), (a, b))
-            if _ref_lt(alpha, beta):
-                return all(
-                    _ref_lt(_ref_instantiate(g, w), b)
-                    for w in ws
-                    for g in kset_reference(0, alpha)
-                )
-            if _ref_lt(beta, alpha):
-                return any(
-                    _ref_leq(a, _ref_instantiate(g, w))
-                    for w in ws
-                    for g in kset_reference(0, beta)
-                )
-            return False
-        case (VarLev(_, j), Xi(j1, _)):
-            return j <= j1
-        case (VarLev(_, _), VarLev(_, _)):
-            return False
-        case (VarLev(_, _) | FVar(_, _, _), Theta(beta)):
-            return any(
-                _ref_leq(a, _ref_instantiate(g, w))
-                for w in _ref_legit_candidates((beta,), (b,))
-                for g in kset_reference(0, beta)
-            )
-        case (Theta(_), VarLev(_, _) | FVar(_, _, _)):
-            return False
-        case (FVar(_, j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _ref_leq(x, y))
-        case (FVar(f, j, x), FVar(g, j1, y)):
-            return f == g and (j < j1 or (j == j1 and _ref_lt(x, y)))
-    return False
-
-
-_ref_fc_at = reference_walk(_ref_fc_head, "xi._ref_fc_at")
-kset_reference = reference_walk(_ref_kset_head, "xi.kset_reference")
-compare_reference, _ref_lt, _ref_leq = make_reference(_ref_head_lt)
+# The oracle lives in `reference`; its old `*_reference` names resolve there.
+def __getattr__(name):
+    return reference_attr("xi", name)

@@ -32,13 +32,13 @@ def opened(system: str, max_size: int = 5, min_level: int = -2, max_subscript: i
 
 
 REFERENCE_CACHES = [
-    "buchholz.kset_reference",
-    "mixed._ref_fc_at",
-    "mixed._ref_kset_high",
-    "mixed.kset_low_reference",
-    "mixed.kset_xi_reference",
-    "poly._ref_fc_at",
-    "poly.kset_reference",
-    "xi._ref_fc_at",
-    "xi.kset_reference",
+    "reference._mixed_fc_at",
+    "reference._mixed_kset_high",
+    "reference._poly_fc_at",
+    "reference._xi_fc_at",
+    "reference.buchholz_kset",
+    "reference.mixed_kset_low",
+    "reference.mixed_kset_xi",
+    "reference.poly_kset",
+    "reference.xi_kset",
 ]

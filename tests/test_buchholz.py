@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcalc import buchholz as B
+from ordcalc import buchholz as B, reference as R
 from ordcalc import parse, render
 from ordcalc.cli import EXIT_PRECONDITION, main
 from ordcalc.core import NEG_INF, Outcome, PreconditionError, ZERO, omega_idx, theta_idx, var_idx
@@ -152,7 +152,7 @@ def test_reference_agrees_small():
     pool = closed("buchholz", max_size=4)
     for a in pool[::7]:
         for b in pool[::11]:
-            assert B.compare(a, b) is B.compare_reference(a, b)
+            assert B.compare(a, b) is R.buchholz_compare(a, b)
     for t in pool[::5]:
         for n in (1, 2):
-            assert B.kset(n, t) == B.kset_reference(n, t)
+            assert B.kset(n, t) == R.buchholz_kset(n, t)

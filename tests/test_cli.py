@@ -540,26 +540,33 @@ def _child_modules(code):
 
 
 _SYSTEMS = ("buchholz", "poly", "xi", "mixed")
+_RUNS_ORACLE = ("selfcheck", "--quick")  # a selfcheck that runs its checks
 
 
 @pytest.mark.parametrize(
     "argv",
     [pytest.param(("cmp", "--system", s, "0", "0"), id=s) for s in _SYSTEMS]
     + [pytest.param(c[0], id=name) for name, c in _PINNED_OUTPUT.items() if name != "cmp"]
-    + [pytest.param(("selfcheck", "--quick", "--samples", "-1"), id="selfcheck")],
+    + [
+        pytest.param(_RUNS_ORACLE, id="selfcheck"),
+        pytest.param(("selfcheck", "--quick", "--samples", "-1"), id="selfcheck-refused"),
+    ],
 )
 def test_one_shot_command_loads_only_its_system(argv):
     # A one-shot command pays for importing its own system only: not the
-    # other three, not the harness, not `dataclasses` with its `inspect`,
-    # not `argparse` with its `gettext` and `locale`, and, in text mode,
-    # not `json`.  `parse` needs no system; enumerate and selfcheck load the
-    # harness, which imports every system.  Text-mode enumerate loads no
-    # heavy module either; selfcheck, whose records are JSON, is exempt.
+    # other three, not the harness, not the oracle, not `dataclasses` with
+    # its `inspect`, not `argparse` with its `gettext` and `locale`, and, in
+    # text mode, not `json`.  `parse` needs no system; enumerate and
+    # selfcheck load the harness, which imports every system, and only a
+    # selfcheck that runs its checks loads the oracle, `ordcalc.reference`.
+    # Text-mode enumerate loads no heavy module either; selfcheck, whose
+    # records are JSON, is exempt.
     loaded = _child_modules(f"import ordcalc.cli; ordcalc.cli.main({list(argv)!r})")
     ours = {m for m in loaded if m == "ordcalc" or m.startswith("ordcalc.")}
     base = {"ordcalc", "ordcalc.cli", "ordcalc.core", "ordcalc.syntax"}
     if argv[0] in ("enumerate", "selfcheck"):
-        assert ours == base | {"ordcalc.harness"} | {f"ordcalc.{s}" for s in _SYSTEMS}
+        oracle = {"ordcalc.reference"} if argv == _RUNS_ORACLE else set()
+        assert ours == base | {"ordcalc.harness"} | {f"ordcalc.{s}" for s in _SYSTEMS} | oracle
         if argv[0] == "selfcheck":
             return
     else:

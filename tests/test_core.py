@@ -1,12 +1,14 @@
 import importlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ordcalc import buchholz as B, core, harness, mixed, poly as P, xi as X
+from ordcalc import buchholz as B, core, harness, mixed, poly as P, reference as R, xi as X
 from ordcalc.core import (
     ONE,
     TermError,
@@ -337,7 +339,7 @@ def test_warm_compare_reads_only_the_memo(system):
         return x.key < y.key
 
     (compare, lt), memo = _unregistered(core.make_order, head, mod._check_pair)
-    ref_compare, ref_lt, _ = core.make_reference(lambda x, y: x.key < y.key)
+    ref_compare, ref_lt, _ = R.make_reference(lambda x, y: x.key < y.key)
     # Every pair `lt` is called on, its recursion included.
     called = set()
 
@@ -395,7 +397,7 @@ def test_only_a_stored_answer_skips_check():
     pairs = [(x, y) for x in pool for y in pool if x is not y]
     cold = [compare(x, y) for x, y in pairs]
     assert calls["check"] == len(pairs) and calls["head"] > 0
-    assert cold == [B.compare_reference(x, y) for x, y in pairs]
+    assert cold == [R.buchholz_compare(x, y) for x, y in pairs]
     calls.update(head=0, check=0)
     assert [compare(x, y) for x, y in pairs] == cold
     assert calls == {"head": 0, "check": 0}
@@ -434,7 +436,7 @@ def test_a_foreign_term_is_refused_in_the_system_wording(system, foreign, wordin
 
 
 def test_reference_kernel_reports_an_antisymmetry_failure():
-    compare, lt, leq = core.make_reference(lambda a, b: True)
+    compare, lt, leq = R.make_reference(lambda a, b: True)
     a, b = omega_idx(1), omega_idx(2)
     assert is_sc(a) and is_sc(b)
     with pytest.raises(core.InvariantError, match="not antisymmetric"):
@@ -450,8 +452,8 @@ def test_sum_rests_match_the_counter_difference():
         b = sum_of(rng.choices(pool + list(core.summands(a)), k=rng.randrange(2, 5)))
         if isinstance(a, core.Sum) and isinstance(b, core.Sum):
             rest_a, rest_b = core._sum_rests(a.children, b.children)
-            assert list(rest_a) == core.multiset_rest(a.children, b.children)
-            assert list(rest_b) == core.multiset_rest(b.children, a.children)
+            assert list(rest_a) == R.multiset_rest(a.children, b.children)
+            assert list(rest_b) == R.multiset_rest(b.children, a.children)
 
 
 def _tower(depth, leaf):
@@ -644,6 +646,7 @@ def test_fc_agrees_with_the_reference_walk(system):
     """Each threshold's reading of the memoized profile, and `fc_max`, equal
     the reference walk, which tables one row per threshold it reaches."""
     mod = importlib.import_module(f"ordcalc.{system}")
+    ref_fc_at = getattr(R, f"_{system}_fc_at")
     if system == "mixed":
         thresholds, top = _CARD_GRID, mixed.FULL
     else:
@@ -654,7 +657,7 @@ def test_fc_agrees_with_the_reference_walk(system):
     for pool in pools:
         for t in pool:
             for j in thresholds:
-                assert mod.fc(j, t)[0] == mod._ref_fc_at(j, t), (t, j)
+                assert mod.fc(j, t)[0] == ref_fc_at(j, t), (t, j)
             assert mod.fc_max(t) == mod.fc(top, t)[1], t
 
 
@@ -876,17 +879,18 @@ def test_the_reference_reads_no_level_walk_memo():
     through unmemoized twins: with every cache emptied, they leave each
     level-walk memo empty."""
     core.clear_caches()
-    for mod, system in ((P, "poly"), (X, "xi")):
+    for system in ("poly", "xi"):
+        kset, compare = getattr(R, f"{system}_kset"), getattr(R, f"{system}_compare")
         for t in _memo_pool(system, opened(system)):
-            mod.kset_reference(0, t)
-            mod.kset_reference(-1, t)
+            kset(0, t)
+            kset(-1, t)
         for a, b in itertools.pairwise(_memo_pool(system, ())):
-            mod.compare_reference(a, b)
+            compare(a, b)
     for t in _memo_pool("mixed", opened("mixed")):
-        mixed.kset_high_reference(mixed.large(0, 1), 1, t)
-        mixed.kset_xi_reference(mixed.large(0, 0), t)
+        R.mixed_kset_high(mixed.large(0, 1), 1, t)
+        R.mixed_kset_xi(mixed.large(0, 0), t)
     for a, b in itertools.pairwise(_memo_pool("mixed", ())):
-        mixed.compare_reference(a, b)
+        R.mixed_compare(a, b)
     sizes = core.cache_sizes()
     assert [sizes[name] for name in _MEMO_WALKS] == [0] * len(_MEMO_WALKS)
 
@@ -969,6 +973,7 @@ def test_head_rule_matches_reference_head(system):
     """The type-dispatched head rule decides every ordered pair of a sample
     of heads as the reference's `match` coding does."""
     mod = importlib.import_module(f"ordcalc.{system}")
+    ref_head_lt = getattr(R, f"_{system}_head_lt")
     # mixed's reference walks its critical sets unmemoized: a smaller sample
     heads = _head_sample(opened(system), per_head=30 if system == "mixed" else 60)
     if system == "xi":
@@ -977,7 +982,7 @@ def test_head_rule_matches_reference_head(system):
     assert len({type(t) for t in heads}) == head_types
     for a in heads:
         for b in heads:
-            assert mod._head_lt(a, b) is mod._ref_head_lt(a, b), (a, b)
+            assert mod._head_lt(a, b) is ref_head_lt(a, b), (a, b)
 
 
 # -- per-serial head facts of xi and mixed ---------------------------------------
@@ -1002,11 +1007,11 @@ def _check_fact_tables(pools):
         if serial in params_table:
             params = params_table[serial]
             assert params == _params_by_walk(t), t
-            ref = X._ref_params(t) if t.in_system("xi") else mixed._ref_params(t)
+            ref = R._params(t)  # xi's and mixed's reference read one copy
             assert set(params) == set(ref), t
             checked += 1
         if serial in top_table:
-            assert top_table[serial] == max(X._ref_fc_at(0, t), default=core.NEG_INF), t
+            assert top_table[serial] == max(R._xi_fc_at(0, t), default=core.NEG_INF), t
             checked += 1
         family = family_table.get(serial)
         if family is None:
@@ -1015,13 +1020,13 @@ def _check_fact_tables(pools):
         match t:
             case core.ThetaLow(n, body):
                 walk = mixed._kset_low(n, body)
-                ref = mixed.kset_low_reference(n, body)
+                ref = R.mixed_kset_low(n, body)
             case core.ThetaHigh(n, body):
                 walk = mixed._kset_high((mixed.large(0, n), n), body)
-                ref = mixed.kset_high_reference(mixed.large(0, n), n, body)
+                ref = R.mixed_kset_high(mixed.large(0, n), n, body)
             case core.ThetaXi(body):
                 walk = mixed._kset_xi(mixed.large(0, 0), body)
-                ref = mixed.kset_xi_reference(mixed.large(0, 0), body)
+                ref = R.mixed_kset_xi(mixed.large(0, 0), body)
         assert family == walk, t
         assert family == ref, t
     assert checked > 0
@@ -1051,7 +1056,7 @@ def test_fact_tables_agree_with_a_fresh_walk():
         rng = random.Random(2)
         for _ in range(3000):
             a, b = rng.choice(terms), rng.choice(terms)
-            assert mod.compare(a, b) is mod.compare_reference(a, b), (a, b)
+            assert mod.compare(a, b) is getattr(R, f"{system}_compare")(a, b), (a, b)
     sizes = core.cache_sizes()
     assert all(sizes[name] for name in _FACT_TABLES)
     _check_fact_tables(pools)
@@ -1062,16 +1067,16 @@ def test_reference_reads_no_fact_table():
     # cache empty, reference comparisons and walks fill no fact table.  The
     # reference tables are emptied too, so every reference walk runs.
     core.clear_caches()
-    for system, mod in (("xi", X), ("mixed", mixed)):
+    for system, compare in (("xi", R.xi_compare), ("mixed", R.mixed_compare)):
         terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
         rng = random.Random(4)
         for _ in range(500):
-            mod.compare_reference(rng.choice(terms), rng.choice(terms))
+            compare(rng.choice(terms), rng.choice(terms))
         for t in rng.sample(terms, 200):
             if system == "xi":
-                X.kset_reference(0, t)
+                R.xi_kset(0, t)
             else:
-                mixed.kset_xi_reference(mixed.FULL, t)
+                R.mixed_kset_xi(mixed.FULL, t)
     sizes = core.cache_sizes()
     assert not any(sizes[name] for name in _FACT_TABLES)
 
@@ -1119,7 +1124,7 @@ def test_memoized_paths_read_no_reference_table(monkeypatch):
     # memoized comparisons and walks fill none of them.  Each walk is rebuilt
     # over counting heads and every cache starts empty, so the memoized
     # heads run rather than answer from what earlier tests left.
-    assert sorted(n for n in core.CACHES if "_ref" in n) == REFERENCE_CACHES
+    assert sorted(n for n in core.CACHES if n.startswith("reference.")) == REFERENCE_CACHES
     core.clear_caches()
     calls = {}
 
@@ -1150,19 +1155,19 @@ def test_memoized_paths_read_no_reference_table(monkeypatch):
 # collapse nest of the given depth that both descend to the leaf.
 _DEEP_REFERENCE_WALKS = {
     "buchholz": lambda d: (
-        (B.kset_reference, B.kset),
+        (R.buchholz_kset, B.kset),
         (1, _nest(lambda b: theta_idx(2, b), omega_idx(1), d)),
     ),
     "poly": lambda d: (
-        (P.kset_reference, P.kset),
+        (R.poly_kset, P.kset),
         (-1, _nest(theta, add(omega_lev(-d), omega_lev(-d - 2)), d)),
     ),
     "xi": lambda d: (
-        (X.kset_reference, X.kset),
+        (R.xi_kset, X.kset),
         (-1, _nest(theta, add(xi(-d, ZERO), xi(-d - 2, ZERO)), d)),
     ),
     "mixed": lambda d: (
-        (mixed.kset_low_reference, mixed.kset_low),
+        (R.mixed_kset_low, mixed.kset_low),
         (1, _nest(lambda b: theta_high(1, b), omega_idx(2), d)),
     ),
 }
@@ -1170,7 +1175,7 @@ _DEEP_REFERENCE_WALKS = {
 
 @pytest.mark.parametrize("system", harness.SYSTEMS)
 def test_reference_walk_descends_an_800_level_nest(system):
-    """`core.reference_walk` follows a head's descent after the head has
+    """`reference.reference_walk` follows a head's descent after the head has
     returned, so a nesting level costs one stack frame: an 800-level nest
     is walked from empty tables at the default recursion limit."""
     assert sys.getrecursionlimit() == 1000
@@ -1181,18 +1186,58 @@ def test_reference_walk_descends_an_800_level_nest(system):
 
 @pytest.mark.parametrize("system", harness.SYSTEMS)
 def test_reference_tables_cleared_give_the_same_outcomes(system):
-    mod = importlib.import_module(f"ordcalc.{system}")
+    compare = getattr(R, f"{system}_compare")
     terms = harness.enumerate_terms(harness.ORDER_BUDGETS[system])
 
     def outcomes():
         rng = random.Random(6)
         pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(3000)]
-        return [mod.compare_reference(a, b) for a, b in pairs]
+        return [compare(a, b) for a, b in pairs]
 
     first = outcomes()
     core.clear_caches()
     assert outcomes() == first  # from empty tables
     assert outcomes() == first  # from the tables that run filled
+
+
+# -- the oracle's old names on the system modules -------------------------------------
+
+# The `*_reference` names the benchmark in `perfbench/` reads off each system
+# module, by their stems; each resolves to `reference.<system>_<stem>`.
+_FORWARDED = {
+    "buchholz": ("compare", "kset"),
+    "poly": ("compare", "kset"),
+    "xi": ("compare", "kset"),
+    "mixed": ("compare", "kset_low", "kset_high", "kset_xi"),
+}
+
+
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_a_system_module_forwards_only_its_oracle_names(system):
+    mod = importlib.import_module(f"ordcalc.{system}")
+    for stem in _FORWARDED[system]:
+        assert getattr(mod, f"{stem}_reference") is getattr(R, f"{system}_{stem}")
+    for stem in {"kset", "kset_low", "kset_high", "kset_xi"} - set(_FORWARDED[system]):
+        assert not hasattr(mod, f"{stem}_reference")
+    assert not hasattr(mod, "make_reference") and not hasattr(mod, "poly_compare")
+    assert not any(name.endswith("_reference") for name in mod.__all__)
+
+
+def test_a_missing_name_on_a_system_module_loads_no_oracle():
+    # The benchmark's layer map asks every system for the Key Lemma operations
+    # it may lack, such as buchholz's `shift`.
+    assert not hasattr(B, "kset_low_reference") and not hasattr(B, "shift")
+    code = (
+        "import sys; from ordcalc import buchholz, mixed\n"
+        "assert not hasattr(buchholz, 'shift') and not hasattr(mixed, 'dfun')\n"
+        "print('ordcalc.reference' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 # -- the cache registry -------------------------------------------------------------

@@ -353,7 +353,11 @@ def test_warm_reference_tables_still_see_a_memoized_fault(monkeypatch, system, f
 
     def table_sizes():
         sizes = core.cache_sizes()
-        return {name: sizes[name] for name in REFERENCE_CACHES if name.startswith(f"{system}.")}
+        return {
+            name: sizes[name]
+            for name in REFERENCE_CACHES
+            if name.removeprefix("reference.").lstrip("_").startswith(f"{system}_")
+        }
 
     assert H.check_oracle_equivalence(system, terms, pairs=5_000, seed=1).ok
     assert H.check_kset_oracle(system, terms, seed=1).ok
@@ -394,10 +398,18 @@ def test_selfcheck_quick():
     assert "".join(r.to_json(timing=False) + "\n" for r in reports) == golden
 
 
-def test_selfcheck_quick_reruns_the_same_from_cleared_caches():
+def test_selfcheck_quick_reruns_the_same_from_cleared_caches(monkeypatch):
+    snapshots = []
+
+    def clear_caches():
+        snapshots.append(core.cache_sizes())
+        core.clear_caches()
+
+    monkeypatch.setattr(H, "clear_caches", clear_caches)
     H.selfcheck(seed=1, quick=True)
-    assert all(core.cache_sizes().values())
-    core.clear_caches()
+    # Every table was filled by some check, and each check's tables were
+    # emptied once its report was made.
+    assert {name for sizes in snapshots for name, n in sizes.items() if n} == set(core.CACHES)
     sizes = core.cache_sizes()
     # Kept: the terms, which are equal only when identical, and their name sets.
     terms = core.CACHES["core._INTERN"].values()

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcalc import mixed as M
+from ordcalc import mixed as M, reference as R
 from ordcalc import parse
 from ordcalc.core import KItem, Outcome, PreconditionError, ShiftError, ZERO
 from pools import closed
@@ -149,7 +149,7 @@ def test_critical_sets_instantiate_function_entries():
     )
     nests = [pm(f"thXi(thXi(thXi(Xi^(-2)({x}))))") for x in ("0", "O_1", "O_2")]
     for a, b in (closed_pair, *itertools.product(nests, repeat=2)):
-        want = (M._ref_instantiated_kset(a, b), M._ref_instantiated_kset(b, a))
+        want = (R._mixed_instantiated_kset(a, b), R._mixed_instantiated_kset(b, a))
         assert M.critical_sets(a, b) == want
     # Each nest's set is one function entry, k^(0) under a thXi, taken at
     # the other body's parameter Xi^(0)(x) and re-levelled to Xi^(-1)(x).
@@ -217,4 +217,4 @@ def test_reference_comparator_agrees(data):
     pool = closed("mixed", max_size=4, max_subscript=2)
     a = data.draw(st.sampled_from(pool))
     b = data.draw(st.sampled_from(pool))
-    assert M.compare(a, b) is M.compare_reference(a, b)
+    assert M.compare(a, b) is R.mixed_compare(a, b)

@@ -6,8 +6,9 @@ Each test lists what breaks its rule, so a failure names the file and line.
 import ast
 import importlib
 import pathlib
+import re
 
-from ordcalc import core, harness
+from ordcalc import core, harness, reference  # reference registers the oracle's tables
 
 _SOURCES = {
     path: ast.parse(path.read_text(encoding="utf-8"))
@@ -85,19 +86,100 @@ def test_no_global_statements():
     assert bad == []
 
 
+def _path(module):
+    return pathlib.Path(core.__file__).with_name(f"{module}.py")
+
+
 def test_no_system_function_calls_itself():
-    """Every walk of a system runs on a `core` kernel: no function in
-    buchholz, poly, xi or mixed calls its own name."""
+    """Every walk of a system runs on a kernel: no function in buchholz,
+    poly, xi or mixed calls its own name, nor any in `reference` outside
+    its two plain-recursion kernels."""
+    kernels = {"make_reference", "reference_walk"}
     found = []
-    for system in harness.SYSTEMS:
-        path = pathlib.Path(core.__file__).with_name(f"{system}.py")
-        for node in ast.walk(_SOURCES[path]):
-            if isinstance(node, ast.FunctionDef) and any(
-                isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
-                for call in ast.walk(node)
-            ):
-                found.append(f"{system}.{node.name}")
+    for module in (*harness.SYSTEMS, "reference"):
+        for top in _SOURCES[_path(module)].body:
+            if getattr(top, "name", None) in kernels and module == "reference":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
+                    for call in ast.walk(node)
+                ):
+                    found.append(f"{module}.{node.name}")
     assert found == []
+
+
+# What `reference` may take from the memoized path.  Everything else it
+# codes itself, so that a fault on one side shows as a disagreement.
+_TERM_SURFACE = {
+    # term classes and the critical-set entry
+    "Term", "Sum", "OmegaPow", "OmegaIdx", "OmegaLev", "OmegaHigh", "Xi", "ThetaIdx",
+    "Theta", "ThetaLow", "ThetaHigh", "ThetaXi", "VarIdx", "VarLev", "FVar", "KItem",
+    # constructors
+    "omega_lev", "omega_high", "var_lev", "fvar", "xi",
+    # errors
+    "InvariantError", "ShiftError",
+    # constants, and the registry every table is named in
+    "NEG_INF", "ZERO", "Outcome", "CACHES",
+}
+_SHARED = {
+    # the parameter walk xi's and mixed's instantiations run at
+    "collect_params": "core",
+    # the level-walk kernel: poly's and xi's unmemoized shifts, from their heads
+    "make_level_walk": "core",
+    "_shift_head": "poly xi",
+    # xi's unmemoized substitution, built with xi's operand check
+    "make_substitution": "core",
+    "system_checks": "core",
+    # the abstraction of a bound collapse into a function entry
+    "_bound_collapse_item": "xi mixed",
+    # mixed's re-levelling, thXi instantiation and collapse classes
+    "_shift": "mixed",
+    "instantiate": "mixed",
+    "_COLLAPSES": "mixed",
+    # mixed's cardinality arithmetic
+    **dict.fromkeys(
+        ("MCard", "CARD_NEG_INF", "FULL", "fin", "large", "card_minus_level",
+         "card_min_nat", "level_minus_card"),
+        "mixed",
+    ),
+}
+
+
+def test_reference_imports_only_named_shared_code():
+    """The oracle reads the memoized path only through the term surface
+    and the shared code named in `_SHARED`, from the module named there."""
+    bad = []
+    for node in ast.walk(_SOURCES[_path("reference")]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module == "core" and alias.name in _TERM_SURFACE:
+                    continue
+                if node.module not in _SHARED.get(alias.name, "").split():
+                    bad.append(f"reference.py:{node.lineno}: .{node.module or ''} {alias.name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "ordcalc" in ast.unparse(node):
+            bad.append(f"reference.py:{node.lineno}: {ast.unparse(node)}")
+    assert bad == []
+
+
+def test_no_module_reads_a_forwarded_name():
+    """A system module's `*_reference` names are a shim for outside readers:
+    no module of the package reads one, as an attribute, an import or a
+    `getattr` string."""
+    forwarded = re.compile(r"\w+_reference")
+    bad = []
+    for path, tree in _SOURCES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno}: {n}" for n in names if forwarded.fullmatch(n)]
+    assert bad == []
 
 
 def _builds_a_cache(call):
