@@ -1,6 +1,6 @@
 """The stratified system: indexed cardinals Omega_n, collapses theta_n,
-critical subterms K_n, formal cardinality, ordering, variables v_n,
-substitution, the relativized dominance function D and relation <<.
+critical subterms K_n, formal cardinality, ordering, variables v_n and
+substitution.
 
 Formal cardinalities live in {-inf} union {1, 2, ...}; -inf is the class of
 countable (closed-below-Omega_1) terms.
@@ -13,7 +13,6 @@ from typing import NamedTuple
 from .core import (
     NEG_INF,
     InvariantError,
-    Outcome,
     OmegaIdx,
     OmegaPow,
     PreconditionError,
@@ -21,17 +20,11 @@ from .core import (
     Term,
     ThetaIdx,
     VarIdx,
-    add,
-    is_sc,
     make_level_walk,
     make_order,
     make_walk,
-    omega_idx,
-    omega_pow,
     reference_attr,
     system_checks,
-    theta_idx,
-    ZERO,
 )
 
 __all__ = [
@@ -42,11 +35,6 @@ __all__ = [
     "kset",
     "compare",
     "substitute",
-    "dfun",
-    "llrel",
-    "key_lemma_1",
-    "key_lemma_2",
-    "key_lemma_3",
 ]
 
 _check_system, _check_pair = system_checks("buchholz")
@@ -175,87 +163,6 @@ def _subst_head(t: Term, n: int, name: str, gamma: Term):
 _subst = make_level_walk(_subst_head)
 
 
-def dfun(m: int, n: int, gamma: Term, beta: Term) -> Term:
-    """Iterated dominance value: the collapse chain from level n down to m,
-    with gamma added at the top level n."""
-    if not (1 <= m <= n):
-        raise PreconditionError(f"dfun needs 1 <= m <= n, got m={m}, n={n}")
-    if not fc_max(gamma) < n:
-        raise PreconditionError(f"dfun subscript must have cardinality < {n}")
-    out = theta_idx(n, add(omega_pow(add(omega_idx(n), beta)), gamma))
-    for k in range(n - 1, m - 1, -1):
-        out = theta_idx(k, omega_pow(add(omega_idx(k), out)))
-    return out
-
-
-def llrel(n: int, gamma: Term, alpha: Term, beta: Term) -> bool:
-    """alpha << beta at level n relative to gamma: alpha < beta and every
-    critical subterm of alpha at each level m <= n stays below the dominance
-    value at m."""
-    if n < 0:
-        raise PreconditionError(f"llrel level must be >= 0, got {n}")
-    if not fc_max(gamma) < n:
-        raise PreconditionError(f"llrel subscript must have cardinality < {n}")
-    if compare(alpha, beta) is not Outcome.LESS:
-        return False
-    for m in range(1, n + 1):
-        bound = dfun(m, n, gamma, beta)
-        for eta in _kset(m, alpha):
-            if not _lt(eta, bound):
-                return False
-    return True
-
-
-# -- Key Lemma items -------------------------------------------------------
-#
-# Each item takes a hypothesis-satisfying instance and returns whether the
-# conclusion holds.  Hypothesis checks are repeated here so that a bad
-# sampler cannot silently weaken the suite.
-
-def key_lemma_1(alpha: Term, beta: Term, name: str, n: int, gamma: Term) -> bool:
-    if not is_sc(gamma):
-        # A variable stands for a strongly critical value; substituting a sum
-        # or an omega power breaks its fixed-point behaviour.
-        raise PreconditionError("key lemma (1) needs a strongly critical target")
-    if compare(alpha, beta) is not Outcome.LESS:
-        raise PreconditionError("key lemma (1) needs alpha < beta")
-    a1 = substitute(alpha, name, n, gamma)
-    b1 = substitute(beta, name, n, gamma)
-    return compare(a1, b1) is Outcome.LESS
-
-
-def key_lemma_2(n: int, delta: Term, alpha: Term, beta: Term) -> bool:
-    if alpha.vmax >= n or beta.vmax >= n:
-        raise PreconditionError("key lemma (2) forbids variables at level >= n")
-    if not llrel(n, delta, alpha, beta):
-        raise PreconditionError("key lemma (2) needs alpha << beta")
-    lhs = dfun(n, n, delta, alpha)
-    rhs = dfun(n, n, delta, beta)
-    return llrel(n - 1, ZERO, lhs, rhs)
-
-
-def key_lemma_3(
-    n: int, delta: Term, alpha: Term, beta: Term, gamma: Term, name: str
-) -> bool:
-    if alpha.vmax >= n or beta.vmax >= n or gamma.vmax > n:
-        raise PreconditionError("key lemma (3) variable-scope hypothesis fails")
-    # Both order hypotheses first: an instance they reject builds no D_m.
-    if not (
-        compare(alpha, beta) is Outcome.LESS
-        and compare(gamma, beta) is Outcome.LESS
-        and llrel(n, delta, alpha, beta)
-        and llrel(n, delta, gamma, beta)
-    ):
-        raise PreconditionError("key lemma (3) needs alpha, gamma << beta")
-    collapse = dfun(n, n, delta, alpha)
-    gamma1 = substitute(gamma, name, n, collapse)
-    lhs = dfun(n, n, collapse, gamma1)
-    rhs = dfun(n, n, delta, beta)
-    # The relativized conclusion needs delta's cardinality below n - 1 for its
-    # own dominance chain to be defined; samplers enforce that.
-    return llrel(n - 1, delta, lhs, rhs)
-
-
-# The oracle lives in `reference`; its old `*_reference` names resolve there.
+# The oracle and the dominance machinery moved out; their old names resolve there.
 def __getattr__(name):
     return reference_attr("buchholz", name)

@@ -15,7 +15,7 @@ A payload that renders terms the text does not print is returned as a
 function, which `main` calls only for `--output json`.
 A one-shot command imports only the system module it names (`_system`);
 the other systems and the harness stay unloaded, and `json` is loaded only
-for `--output json`.
+for `--output json`.  `d` and `ll` also load `lemmas` and the systems it reads.
 """
 
 from __future__ import annotations
@@ -168,16 +168,20 @@ def _cmd_kappa(args):
 
 
 def _cmd_d(args):
+    from . import lemmas  # only d and ll load the dominance machinery
+
     lead = (args.m, args.n) if args.system == "buchholz" else (args.m,)
     tail = (args.var,) if args.system == "xi" else ()
-    res = render(_system(args.system).dfun(*lead, args.gamma, args.beta, *tail))
+    res = render(getattr(lemmas, f"{args.system}_dfun")(*lead, args.gamma, args.beta, *tail))
     return {"term": res}, res
 
 
 def _cmd_ll(args):
+    from . import lemmas
+
     lead = (args.n,) if args.system == "buchholz" else ()
     tail = (args.var,) if args.system == "xi" else ()
-    res = _system(args.system).llrel(*lead, args.gamma, args.left, args.right, *tail)
+    res = getattr(lemmas, f"{args.system}_llrel")(*lead, args.gamma, args.left, args.right, *tail)
     return {"holds": res}, "yes" if res else "no"
 
 

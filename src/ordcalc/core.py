@@ -57,8 +57,10 @@ system its operand checks, worded from one table, and `make_substitution`
 gives poly, xi and mixed their ordinal-variable substitution: the checked
 `substitutable` and `substitute` and the walk under them, one head clause
 that re-levels the value through the system's own `lift`.
-`reference_attr` lets a system module still answer the oracle's old
-`*_reference` names from `reference`.
+`reference_attr` is the one forwarder: it lets a system module still
+answer the names that moved out of it, the oracle's `*_reference` names
+from `reference` and the dominance and Key Lemma names from `lemmas`, for
+readers outside the package that look them up there.
 """
 
 from __future__ import annotations
@@ -745,18 +747,6 @@ def _substitutable_head(t: Term, j: int, name: str):
 substitutable = make_level_walk(_substitutable_head, test=True, memoize="core.substitutable")
 
 
-def vars_below_top(t: Term) -> bool:
-    """Every variable of t is 0-substitutable and no occurrence sits at the
-    top level, where a dominance wrapper would capture it and block its
-    witnesses."""
-    if not t.var_names:
-        return True
-    for name in t.var_names:
-        if not substitutable(t, 0, name):
-            return False
-    return not any(type(s) is VarLev and s.level == 0 for s in subterms(t))
-
-
 # -- the system surface -----------------------------------------------------------
 
 _WORDING = dict(buchholz="stratified", poly="polymorphic", xi="function-sorted", mixed="mixed")
@@ -782,14 +772,25 @@ def system_checks(system: str):
     return check, check_pair
 
 
+# The dominance and Key Lemma names each system module forwards to `lemmas`.
+_LEMMA_NAMES = {
+    system: ("dfun", "llrel", *(f"key_lemma_{i}" for i in range(1, items + 1)))
+    for system, items in (("buchholz", 3), ("poly", 3), ("xi", 4))
+}
+
+
 def reference_attr(system: str, name: str):
-    """A system module's `__getattr__`: `<stem>_reference` is the oracle's
-    `reference.<system>_<stem>`, kept for readers that look it up on the
-    system module; any other missing name raises without loading the oracle."""
-    if not name.endswith("_reference"):
+    """A system module's `__getattr__` for the names moved out of it:
+    `<stem>_reference` is `reference.<system>_<stem>` and a `_LEMMA_NAMES`
+    name is `lemmas.<system>_<name>`; any other raises, loading neither."""
+    if name.endswith("_reference"):
+        from . import reference as home
+        name = name.removesuffix("_reference")
+    elif name in _LEMMA_NAMES.get(system, ()):
+        from . import lemmas as home
+    else:
         raise AttributeError(f"module 'ordcalc.{system}' has no attribute {name!r}")
-    from . import reference
-    return getattr(reference, f"{system}_{name.removesuffix('_reference')}")
+    return getattr(home, f"{system}_{name}")
 
 
 def make_substitution(check, lift):

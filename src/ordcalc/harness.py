@@ -388,6 +388,8 @@ def check_roundtrip(system: str, terms, seed: int = 0) -> CheckReport:
 # row is (name, thunk, want); an Outcome is matched by `is`, all else by `==`.
 
 def _fixture_table():
+    from . import lemmas  # only a check that reads it loads the lemma code
+
     pb = lambda s: syntax.parse("buchholz", s)
     pp = lambda s: syntax.parse("poly", s)
     px = lambda s: syntax.parse("xi", s)
@@ -418,7 +420,7 @@ def _fixture_table():
         ),
         (
             "buchholz/dominance_at_level_zero_is_lt",
-            lambda: buchholz.llrel(0, ZERO, ZERO, omega_pow(ZERO)),
+            lambda: lemmas.buchholz_llrel(0, ZERO, ZERO, omega_pow(ZERO)),
             True,
         ),
         # polymorphic cardinality and critical subterms
@@ -727,7 +729,7 @@ def _kl_pools_buchholz():
     return closed, gamma_pool, mention, mentions, opened, gamma3
 
 
-def _kl_buchholz():
+def _kl_buchholz(lemmas):
     closed, gamma_pool, mention, mentions, opened, gamma3 = _kl_pools_buchholz()
 
     def gen1(rng):
@@ -753,7 +755,8 @@ def _kl_buchholz():
         return n, delta, rng.choice(closed), rng.choice(closed), gamma, "x"
 
     return [
-        (gen1, buchholz.key_lemma_1), (gen2, buchholz.key_lemma_2), (gen3, buchholz.key_lemma_3)
+        (gen1, lemmas.buchholz_key_lemma_1), (gen2, lemmas.buchholz_key_lemma_2),
+        (gen3, lemmas.buchholz_key_lemma_3),
     ]
 
 
@@ -770,7 +773,7 @@ def _kl_pools_poly():
     return closed, opened, small, subst0, mentions, substitutable0
 
 
-def _kl_poly():
+def _kl_poly(lemmas):
     closed, both, small, subst0, mentions, substitutable0 = _kl_pools_poly()
 
     def gen1(rng):
@@ -793,7 +796,10 @@ def _kl_poly():
         gamma = rng.choice(subst0 if rng.random() < 0.5 else closed)
         return rng.choice(small), rng.choice(closed), rng.choice(closed), gamma, "x"
 
-    return [(gen1, poly.key_lemma_1), (gen2, poly.key_lemma_2), (gen3, poly.key_lemma_3)]
+    return [
+        (gen1, lemmas.poly_key_lemma_1), (gen2, lemmas.poly_key_lemma_2),
+        (gen3, lemmas.poly_key_lemma_3),
+    ]
 
 
 @functools.cache
@@ -834,7 +840,7 @@ def _kl_pools_xi():
     return closed, small, gamma1, fpool, bodies, deep
 
 
-def _kl_xi():
+def _kl_xi(lemmas):
     closed, small, gamma1, fpool, bodies, deep = _kl_pools_xi()
 
     def gen1(rng):
@@ -862,23 +868,25 @@ def _kl_xi():
         )
 
     return [
-        (gen1, xi.key_lemma_1),
-        (gen2, xi.key_lemma_2),
-        (gen3, xi.key_lemma_3),
-        (gen4, xi.key_lemma_4),
+        (gen1, lemmas.xi_key_lemma_1),
+        (gen2, lemmas.xi_key_lemma_2),
+        (gen3, lemmas.xi_key_lemma_3),
+        (gen4, lemmas.xi_key_lemma_4),
     ]
 
 
-# system -> the builder of its suite's (generator, item) rows, in sampling order
+# system -> the builder of its suite's (generator, item) rows from `lemmas`, in sampling order
 _KL_SUITES = {"buchholz": _kl_buchholz, "poly": _kl_poly, "xi": _kl_xi}
 
 
 def check_key_lemmas(system: str, samples: int = 10_000, seed: int = 0) -> CheckReport:
     """Sampled verification of the per-system Key Lemma items: one seeded
     stream feeds the suite's rows in order, reported as item1..itemN."""
+    from . import lemmas  # only a check that reads it loads the lemma code
+
     if system not in _KL_SUITES:
         raise PreconditionError(f"no key lemma suite for system {system!r}")
-    rows = _KL_SUITES[system]()
+    rows = _KL_SUITES[system](lemmas)
     rng = random.Random(_derive_seed(seed, f"kl:{system}"))
     with _checking("key_lemma", system, seed) as report:
         for i, (gen, item) in enumerate(rows, 1):

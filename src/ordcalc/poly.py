@@ -1,7 +1,7 @@
 """The polymorphic system: one cardinal symbol at de Bruijn-style levels
 J <= 0, one collapse, level shifting, critical subterms, ground/star
-normalization with a structural class-membership predicate, variables,
-substitution, and the dominance machinery.
+normalization with a structural class-membership predicate, variables and
+substitution.
 
 Level bookkeeping: formal cardinality at a level J <= 0 is read off one
 threshold-free profile per term, and the critical-subterm walk carries a
@@ -17,28 +17,21 @@ from .core import (
     CACHES,
     NEG_INF,
     InvariantError,
-    Outcome,
     OmegaLev,
     PreconditionError,
     ShiftError,
     Term,
     Theta,
     VarLev,
-    add,
     check_level,
-    is_sc,
     make_level_walk,
     make_order,
     make_substitution,
     make_walk,
     omega_lev,
-    omega_pow,
     reference_attr,
     system_checks,
-    theta,
     var_lev,
-    vars_below_top,
-    ZERO,
 )
 
 __all__ = [
@@ -55,11 +48,6 @@ __all__ = [
     "class_of",
     "substitutable",
     "substitute",
-    "dfun",
-    "llrel",
-    "key_lemma_1",
-    "key_lemma_2",
-    "key_lemma_3",
 ]
 
 _M = CACHES["poly._M"] = {}  # (serial, n) -> `m_member(t, n)`
@@ -262,77 +250,6 @@ substitutable, substitute, _subst = make_substitution(
 )
 
 
-def dfun(m: int, gamma: Term, beta: Term) -> Term:
-    """Iterated dominance value: m+1 nested collapses around beta, with gamma
-    added inside the innermost one."""
-    if m < 0:
-        raise PreconditionError(f"dfun iteration count must be >= 0, got {m}")
-    if not fc_max(gamma) < 0:
-        raise PreconditionError("dfun subscript must have negative cardinality")
-    out = theta(add(omega_pow(add(omega_lev(0), beta)), gamma))
-    for _ in range(m):
-        out = theta(omega_pow(add(omega_lev(0), out)))
-    return out
-
-
-def llrel(gamma: Term, alpha: Term, beta: Term) -> bool:
-    """alpha << beta relative to gamma: alpha < beta and every critical
-    subterm of alpha is below the first dominance value at its class."""
-    if not fc_max(gamma) < 0:
-        raise PreconditionError("llrel subscript must have negative cardinality")
-    if compare(alpha, beta) is not Outcome.LESS:
-        return False
-    for eta in _kset(0, alpha):
-        target, bound = fc_max(eta), dfun(0, gamma, beta)
-        for _ in range(63):  # D_0, D_1, ...: the first whose class reaches eta's
-            if fc_max(bound) <= target:
-                break
-            bound = theta(omega_pow(add(omega_lev(0), bound)))
-        else:
-            raise InvariantError("dominance iteration failed to reach the target class")
-        if not _lt(eta, bound):
-            return False
-    return True
-
-
-# -- Key Lemma items -------------------------------------------------------
-
-def key_lemma_1(alpha: Term, beta: Term, name: str, gamma: Term) -> bool:
-    if not is_sc(gamma):
-        raise PreconditionError("key lemma (1) needs a strongly critical target")
-    if not (substitutable(name, 0, alpha) and substitutable(name, 0, beta)):
-        raise PreconditionError("key lemma (1) needs a 0-substitutable variable")
-    if not fc_max(gamma) < 0:
-        raise PreconditionError("key lemma (1) needs a small substitution target")
-    if compare(alpha, beta) is not Outcome.LESS:
-        raise PreconditionError("key lemma (1) needs alpha < beta")
-    return compare(_subst(alpha, 0, name, gamma), _subst(beta, 0, name, gamma)) is Outcome.LESS
-
-
-def key_lemma_2(delta: Term, alpha: Term, beta: Term) -> bool:
-    if not (vars_below_top(alpha) and vars_below_top(beta)):
-        raise PreconditionError("key lemma (2) needs variables below the top level")
-    if not llrel(delta, alpha, beta):
-        raise PreconditionError("key lemma (2) needs alpha << beta")
-    return llrel(ZERO, dfun(0, delta, alpha), dfun(0, delta, beta))
-
-
-def key_lemma_3(delta: Term, alpha: Term, beta: Term, gamma: Term, name: str) -> bool:
-    if not substitutable(name, 0, gamma):
-        raise PreconditionError("key lemma (3) needs a 0-substitutable variable")
-    # Both order hypotheses first: an instance they reject builds no D_m.
-    if not (
-        compare(alpha, beta) is Outcome.LESS
-        and compare(gamma, beta) is Outcome.LESS
-        and llrel(delta, alpha, beta)
-        and llrel(delta, gamma, beta)
-    ):
-        raise PreconditionError("key lemma (3) needs alpha, gamma << beta")
-    collapse = _shift(dfun(0, delta, alpha), 0, -1)
-    lhs = dfun(0, collapse, _subst(gamma, 0, name, collapse))
-    return llrel(ZERO, lhs, dfun(0, delta, beta))
-
-
-# The oracle lives in `reference`; its old `*_reference` names resolve there.
+# The oracle and the dominance machinery moved out; their old names resolve there.
 def __getattr__(name):
     return reference_attr("poly", name)

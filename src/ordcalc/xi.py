@@ -23,7 +23,6 @@ from .core import (
     NEG_INF,
     FVar,
     InvariantError,
-    Outcome,
     PreconditionError,
     ShiftError,
     Term,
@@ -31,27 +30,21 @@ from .core import (
     VarLev,
     Xi,
     abstract_one,
-    add,
     check_level,
     fresh_name,
     fvar,
-    is_sc,
     make_level_walk,
     make_order,
     make_substitution,
     make_walk,
-    omega_pow,
     params,
     reference_attr,
     replace_params,
     substitutable as _substitutable,
     subterms,
     system_checks,
-    theta,
     var_lev,
-    vars_below_top,
     xi as mk_xi,
-    ONE,
     ZERO,
 )
 
@@ -71,12 +64,6 @@ __all__ = [
     "compare",
     "fsubstitutable",
     "fsubstitute",
-    "dfun",
-    "llrel",
-    "key_lemma_1",
-    "key_lemma_2",
-    "key_lemma_3",
-    "key_lemma_4",
 ]
 
 
@@ -462,146 +449,6 @@ def _fsubst_head(t: Term, j: int, name: str, body: Term, w: str):
 _fsubst = make_level_walk(_fsubst_head)
 
 
-# -- dominance ----------------------------------------------------------------
-
-def dfun(m: int, gamma: Term, beta: Term, var: str | None = None) -> Term:
-    """Iterated dominance value; gamma may be a function given by `var`."""
-    if m < 0:
-        raise PreconditionError(f"dfun iteration count must be >= 0, got {m}")
-    if not fc_max(gamma) < 0:
-        raise PreconditionError("dfun subscript must have negative cardinality")
-    seed = instantiate(KItem(gamma, var), mk_xi(0, ZERO))
-    out = theta(add(omega_pow(add(mk_xi(0, ONE), beta)), seed))
-    for _ in range(m):
-        out = theta(omega_pow(add(mk_xi(0, ONE), out)))
-    return out
-
-
-def llrel(gamma: Term, alpha: Term, beta: Term, var: str | None = None) -> bool:
-    """alpha << beta relative to gamma.  Every item of the strict critical
-    set is a plain term: a bound collapse is collected only when its class is
-    below the threshold j, and lifting it by -j leaves every level-0
-    cardinality negative, so its abstraction finds no parameter.  An item
-    is dominated if it falls below any of D_0, D_1, ... up to the first
-    cardinal-free one (their classes are not monotone, so no single D_m can
-    be singled out in advance)."""
-    if not fc_max(gamma) < 0:
-        raise PreconditionError("llrel subscript must have negative cardinality")
-    if compare(alpha, beta) is not Outcome.LESS:
-        return False
-    items = _kset_strict(0, alpha)
-    if items and (beta.has_fvar or gamma.has_fvar):
-        # Dominance values wrap their argument in a collapse, which cannot
-        # hold a function variable; with critical subterms to bound, the
-        # relation is undefined for such operands.
-        raise PreconditionError(
-            "dominance bounds are undefined for function-variable operands"
-        )
-    for item in items:
-        bound = dfun(0, gamma, beta, var)
-        for _ in range(64):
-            if _lt(item.term, bound):
-                break
-            if _fc_bar0(bound) == NEG_INF:
-                return False
-            bound = theta(omega_pow(add(mk_xi(0, ONE), bound)))
-        else:
-            raise InvariantError("dominance tower failed to stabilize")
-    return True
-
-
-# -- Key Lemma items -----------------------------------------------------------
-
-def key_lemma_1(alpha: Term, beta: Term, gamma: Term, name: str) -> bool:
-    if not (is_sc(alpha) and is_sc(beta)):
-        raise PreconditionError("key lemma (1) needs strongly critical values")
-    if not substitutable(name, 0, gamma):
-        raise PreconditionError("key lemma (1) needs a 0-substitutable variable")
-    if name not in gamma.var_names:
-        raise PreconditionError("key lemma (1) needs the variable to occur")
-    if compare(alpha, beta) is not Outcome.LESS:
-        raise PreconditionError("key lemma (1) needs alpha < beta")
-    lhs = _subst(gamma, 0, name, alpha)
-    rhs = _subst(gamma, 0, name, beta)
-    return compare(lhs, rhs) is Outcome.LESS
-
-
-def key_lemma_2(
-    delta: Term, alpha: Term, beta: Term, gamma: Term, vname: str, w: str
-) -> bool:
-    # alpha < beta, the first test of alpha << beta below, rejects most
-    # instances, so it comes before the walks.
-    if compare(alpha, beta) is not Outcome.LESS:
-        raise PreconditionError("key lemma (2) needs alpha << beta")
-    if not (fsubstitutable(vname, 0, alpha) and fsubstitutable(vname, 0, beta)):
-        raise PreconditionError("key lemma (2) needs a 0-substitutable function variable")
-    if not (fc_max(gamma) < 0 and substitutable(w, 0, gamma)):
-        raise PreconditionError("key lemma (2) needs a small function body")
-    if not is_sc(gamma) or isinstance(gamma, VarLev):
-        # The applied value must keep a strongly critical head: a bare
-        # variable (the identity function) neither majorizes its argument
-        # nor absorbs omega powers.
-        raise PreconditionError("key lemma (2) needs a head-stable function body")
-    if w not in gamma.var_names or not any(
-        isinstance(s, VarLev) and s.name == w for s in subterms(gamma)
-    ):
-        # A constant body collapses distinct arguments, which can reverse
-        # comparisons that relied on the argument positions.
-        raise PreconditionError("key lemma (2) needs the argument variable to occur")
-    if not llrel(delta, alpha, beta):
-        raise PreconditionError("key lemma (2) needs alpha << beta")
-    lhs = fsubstitute(alpha, vname, 0, gamma, w)
-    rhs = fsubstitute(beta, vname, 0, gamma, w)
-    # Non-strict: a constant function body collapses both sides to one value.
-    return compare(lhs, rhs) in (Outcome.LESS, Outcome.EQUAL)
-
-
-def key_lemma_3(delta: Term, alpha: Term, beta: Term) -> bool:
-    # a function variable would be captured by a dominance wrapper too
-    if alpha.has_fvar or beta.has_fvar or not (
-        vars_below_top(alpha) and vars_below_top(beta)
-    ):
-        raise PreconditionError("key lemma (3) needs variables below the top level")
-    for t in (delta, alpha, beta):
-        if not _fc_bar0(t) < -1:
-            # Class 0 and class -1 operands re-level to critical entries
-            # that no tower over the conclusion's right side can dominate;
-            # concrete counterexamples exist, so the item is stated for
-            # operands below the boundary class.
-            raise PreconditionError("key lemma (3) needs operands below class -1")
-    if not llrel(delta, alpha, beta):
-        raise PreconditionError("key lemma (3) needs alpha << beta")
-    return llrel(ZERO, dfun(0, delta, alpha), dfun(0, delta, beta))
-
-
-def key_lemma_4(
-    delta: Term, alpha: Term, beta: Term, gamma: Term, vname: str
-) -> bool:
-    if not fsubstitutable(vname, 0, gamma):
-        raise PreconditionError("key lemma (4) needs a 0-substitutable function variable")
-    if _occurs_fvar(vname, beta):
-        raise PreconditionError("key lemma (4) forbids the function variable in beta")
-    # The class and order hypotheses on the given operands come first: an
-    # instance they reject builds neither gamma's content nor a D_m.
-    for t in (delta, alpha, beta):
-        if not _fc_bar0(t) < -1:
-            # As in item (3).
-            raise PreconditionError("key lemma (4) needs operands below class -1")
-    if not (compare(alpha, beta) is Outcome.LESS and compare(gamma, beta) is Outcome.LESS):
-        raise PreconditionError("key lemma (4) needs alpha, gamma << beta")
-    # A gamma actually carrying the function variable can never sit below
-    # such a beta, so the verifiable instances substitute into
-    # function-variable-free gamma.
-    if not _fc_bar0(_fsubst(gamma, 0, vname, ZERO, "w")) < -1:
-        raise PreconditionError("key lemma (4) needs operands below class -1")
-    if not (llrel(delta, alpha, beta) and llrel(delta, gamma, beta)):
-        raise PreconditionError("key lemma (4) needs alpha, gamma << beta")
-    collapse = _shift(dfun(0, delta, alpha), 0, -1)
-    gamma1 = fsubstitute(gamma, vname, 0, collapse, "w")
-    lhs = dfun(0, collapse, gamma1)
-    return llrel(ZERO, lhs, dfun(0, delta, beta))
-
-
-# The oracle lives in `reference`; its old `*_reference` names resolve there.
+# The oracle and the dominance machinery moved out; their old names resolve there.
 def __getattr__(name):
     return reference_attr("xi", name)

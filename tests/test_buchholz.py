@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordcalc import buchholz as B, reference as R
+from ordcalc import buchholz as B, lemmas as L, reference as R
 from ordcalc import parse, render
 from ordcalc.cli import EXIT_PRECONDITION, main
 from ordcalc.core import NEG_INF, Outcome, PreconditionError, ZERO, omega_idx, theta_idx, var_idx
@@ -88,27 +88,27 @@ def test_substitute_rejects_subscript_below_one(capsys, n):
 
 
 def test_dfun_unfoldings():
-    assert B.dfun(2, 2, ZERO, ZERO) is pb("th_2(w^(O_2))")
-    assert B.dfun(1, 2, ZERO, ZERO) is pb("th_1(w^(O_1 # th_2(w^(O_2))))")
-    assert B.dfun(2, 2, omega_idx(1), ZERO) is pb("th_2(w^(O_2) # O_1)")
+    assert L.buchholz_dfun(2, 2, ZERO, ZERO) is pb("th_2(w^(O_2))")
+    assert L.buchholz_dfun(1, 2, ZERO, ZERO) is pb("th_1(w^(O_1 # th_2(w^(O_2))))")
+    assert L.buchholz_dfun(2, 2, omega_idx(1), ZERO) is pb("th_2(w^(O_2) # O_1)")
     with pytest.raises(PreconditionError):
-        B.dfun(2, 2, omega_idx(2), ZERO)
+        L.buchholz_dfun(2, 2, omega_idx(2), ZERO)
 
 
 def test_llrel_cases():
-    assert B.llrel(0, ZERO, ZERO, pb("w^(0)"))
-    assert not B.llrel(1, ZERO, pb("O_1"), pb("O_1"))
-    assert not B.llrel(1, ZERO, pb("th_1(0)"), pb("w^(0) # w^(0)"))
-    assert B.llrel(1, ZERO, ZERO, pb("w^(0)"))
+    assert L.buchholz_llrel(0, ZERO, ZERO, pb("w^(0)"))
+    assert not L.buchholz_llrel(1, ZERO, pb("O_1"), pb("O_1"))
+    assert not L.buchholz_llrel(1, ZERO, pb("th_1(0)"), pb("w^(0) # w^(0)"))
+    assert L.buchholz_llrel(1, ZERO, ZERO, pb("w^(0)"))
     with pytest.raises(PreconditionError):
-        B.llrel(1, omega_idx(1), ZERO, pb("w^(0)"))
+        L.buchholz_llrel(1, omega_idx(1), ZERO, pb("w^(0)"))
 
 
 def test_key_lemma_unit_cases():
-    assert B.key_lemma_1(pb("v.x_1"), pb("v.x_1 # w^(0)"), "x", 1, pb("th_1(0)"))
-    assert B.key_lemma_2(1, ZERO, ZERO, pb("w^(0)"))
-    assert B.key_lemma_3(1, ZERO, ZERO, pb("w^(0)"), ZERO, "x")
-    assert B.key_lemma_3(2, ZERO, ZERO, pb("O_2"), pb("v.x_2"), "x")
+    assert L.buchholz_key_lemma_1(pb("v.x_1"), pb("v.x_1 # w^(0)"), "x", 1, pb("th_1(0)"))
+    assert L.buchholz_key_lemma_2(1, ZERO, ZERO, pb("w^(0)"))
+    assert L.buchholz_key_lemma_3(1, ZERO, ZERO, pb("w^(0)"), ZERO, "x")
+    assert L.buchholz_key_lemma_3(2, ZERO, ZERO, pb("O_2"), pb("v.x_2"), "x")
 
 
 def test_k_elements_have_small_cardinality():

@@ -554,21 +554,24 @@ _RUNS_ORACLE = ("selfcheck", "--quick")  # a selfcheck that runs its checks
 )
 def test_one_shot_command_loads_only_its_system(argv):
     # A one-shot command pays for importing its own system only: not the
-    # other three, not the harness, not the oracle, not `dataclasses` with
-    # its `inspect`, not `argparse` with its `gettext` and `locale`, and, in
-    # text mode, not `json`.  `parse` needs no system; enumerate and
-    # selfcheck load the harness, which imports every system, and only a
-    # selfcheck that runs its checks loads the oracle, `ordcalc.reference`.
-    # Text-mode enumerate loads no heavy module either; selfcheck, whose
-    # records are JSON, is exempt.
+    # other three, not the harness, not the oracle, not the lemma code, not
+    # `dataclasses` with its `inspect`, not `argparse` with its `gettext` and
+    # `locale`, and, in text mode, not `json`.  `parse` needs no system; `d`
+    # and `ll` load `ordcalc.lemmas`, which imports the three systems it
+    # reads; enumerate and selfcheck load the harness, which imports every
+    # system, and only a selfcheck that runs its checks loads the oracle,
+    # `ordcalc.reference`, and the lemma code.  Text-mode enumerate loads no
+    # heavy module either; selfcheck, whose records are JSON, is exempt.
     loaded = _child_modules(f"import ordcalc.cli; ordcalc.cli.main({list(argv)!r})")
     ours = {m for m in loaded if m == "ordcalc" or m.startswith("ordcalc.")}
     base = {"ordcalc", "ordcalc.cli", "ordcalc.core", "ordcalc.syntax"}
     if argv[0] in ("enumerate", "selfcheck"):
-        oracle = {"ordcalc.reference"} if argv == _RUNS_ORACLE else set()
-        assert ours == base | {"ordcalc.harness"} | {f"ordcalc.{s}" for s in _SYSTEMS} | oracle
+        checks = {"ordcalc.reference", "ordcalc.lemmas"} if argv == _RUNS_ORACLE else set()
+        assert ours == base | {"ordcalc.harness"} | {f"ordcalc.{s}" for s in _SYSTEMS} | checks
         if argv[0] == "selfcheck":
             return
+    elif argv[0] in ("d", "ll"):
+        assert ours == base | {"ordcalc.lemmas"} | {f"ordcalc.{s}" for s in _SYSTEMS[:3]}
     else:
         system = cli._FIXED.get(argv[0]) or argv[argv.index("--system") + 1]
         assert ours == (base if argv[0] == "parse" else base | {f"ordcalc.{system}"})

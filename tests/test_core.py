@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from ordcalc import buchholz as B, core, harness, mixed, poly as P, reference as R, xi as X
+from ordcalc import buchholz as B, core, harness, lemmas, mixed, poly as P, reference as R, xi as X
 from ordcalc.core import (
     ONE,
     TermError,
@@ -943,7 +943,7 @@ def test_variable_free_fast_paths_match_a_full_scan():
         for t in pool:
             subs = list(subterms(t))
             levs = {s.name for s in subs if type(s) is core.VarLev}
-            assert core.vars_below_top(t) == (
+            assert lemmas.vars_below_top(t) == (
                 all(core.substitutable(t, 0, name) for name in t.var_names)
                 and not any(type(s) is core.VarLev and s.level == 0 for s in subs)
             ), t
@@ -1200,7 +1200,7 @@ def test_reference_tables_cleared_give_the_same_outcomes(system):
     assert outcomes() == first  # from the tables that run filled
 
 
-# -- the oracle's old names on the system modules -------------------------------------
+# -- the moved names on the system modules ---------------------------------------------
 
 # The `*_reference` names the benchmark in `perfbench/` reads off each system
 # module, by their stems; each resolves to `reference.<system>_<stem>`.
@@ -1209,6 +1209,14 @@ _FORWARDED = {
     "poly": ("compare", "kset"),
     "xi": ("compare", "kset"),
     "mixed": ("compare", "kset_low", "kset_high", "kset_xi"),
+}
+# The dominance and Key Lemma names it reads there; each resolves to
+# `lemmas.<system>_<name>`.
+_LEMMA_NAMES = {
+    "buchholz": ("dfun", "llrel", "key_lemma_1", "key_lemma_2", "key_lemma_3"),
+    "poly": ("dfun", "llrel", "key_lemma_1", "key_lemma_2", "key_lemma_3"),
+    "xi": ("dfun", "llrel", "key_lemma_1", "key_lemma_2", "key_lemma_3", "key_lemma_4"),
+    "mixed": (),
 }
 
 
@@ -1223,21 +1231,33 @@ def test_a_system_module_forwards_only_its_oracle_names(system):
     assert not any(name.endswith("_reference") for name in mod.__all__)
 
 
+@pytest.mark.parametrize("system", harness.SYSTEMS)
+def test_a_system_module_forwards_only_its_lemma_names(system):
+    mod = importlib.import_module(f"ordcalc.{system}")
+    for name in _LEMMA_NAMES[system]:
+        assert getattr(mod, name) is getattr(lemmas, f"{system}_{name}")
+        assert name not in mod.__all__ and name not in vars(mod)
+    absent = {"dfun", "llrel", *(f"key_lemma_{i}" for i in range(1, 5))} - set(_LEMMA_NAMES[system])
+    assert not any(hasattr(mod, name) for name in absent)
+    assert not hasattr(mod, "vars_below_top") and not hasattr(mod, "poly_dfun")
+
+
 def test_a_missing_name_on_a_system_module_loads_no_oracle():
     # The benchmark's layer map asks every system for the Key Lemma operations
-    # it may lack, such as buchholz's `shift`.
+    # it may lack, such as buchholz's `shift` and mixed's `dfun`.
     assert not hasattr(B, "kset_low_reference") and not hasattr(B, "shift")
     code = (
-        "import sys; from ordcalc import buchholz, mixed\n"
+        "import sys; from ordcalc import buchholz, mixed, poly\n"
         "assert not hasattr(buchholz, 'shift') and not hasattr(mixed, 'dfun')\n"
-        "print('ordcalc.reference' in sys.modules)"
+        "assert not hasattr(poly, 'key_lemma_4') and not hasattr(mixed, 'key_lemma_1')\n"
+        "print(sorted({'ordcalc.reference', 'ordcalc.lemmas'} & set(sys.modules)))"
     )
     src = os.path.dirname(os.path.dirname(core.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # -- the cache registry -------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ordcalc
-from ordcalc import core, harness as H
+from ordcalc import core, harness as H, lemmas
 from ordcalc import parse, render
 from ordcalc import poly as P
 from ordcalc.core import FVar, PreconditionError, ThetaLow, ThetaXi
@@ -141,24 +141,28 @@ def test_key_lemma_pool_sets_match_the_walks():
 
 
 # Each instance fails an order or class hypothesis that needs no new term;
-# the item must reject it before it calls any of the watched functions.
-# `args(p)` builds the instance, with `p` parsing a term of the system.
+# the item must reject it before it calls any of the watched functions, each
+# named `module.attribute` as the item reads it.  `args(p)` builds the
+# instance, with `p` parsing a term of the system.
 @pytest.mark.parametrize(
     "system, item, args, watched, message",
     [
         ("buchholz", "key_lemma_3", lambda p: (1, p("0"), p("0"), p("w^(0)"), p("w^(0)"), "x"),
-         ("llrel", "dfun"), "key lemma (3) needs alpha, gamma << beta"),
+         ("lemmas.buchholz_llrel", "lemmas.buchholz_dfun"),
+         "key lemma (3) needs alpha, gamma << beta"),
         ("poly", "key_lemma_3", lambda p: (p("0"), p("0"), p("O^(0)"), p("O^(0)"), "x"),
-         ("llrel", "dfun"), "key lemma (3) needs alpha, gamma << beta"),
+         ("lemmas.poly_llrel", "lemmas.poly_dfun"), "key lemma (3) needs alpha, gamma << beta"),
         ("xi", "key_lemma_4",
          lambda p: (p("0"), p("Xi^(-2)(0)"), p("Xi^(-2)(0) # w^(0)"), p("Xi^(-2)(0) # w^(0)"), "X"),
-         ("llrel", "dfun", "_fsubst"), "key lemma (4) needs alpha, gamma << beta"),
+         ("lemmas.xi_llrel", "lemmas.xi_dfun", "xi._fsubst"),
+         "key lemma (4) needs alpha, gamma << beta"),
         ("xi", "key_lemma_4",
          lambda p: (p("0"), p("Xi^(-1)(0)"), p("Xi^(-2)(0) # w^(0)"), p("0"), "X"),
-         ("llrel", "dfun", "_fsubst"), "key lemma (4) needs operands below class -1"),
+         ("lemmas.xi_llrel", "lemmas.xi_dfun", "xi._fsubst"),
+         "key lemma (4) needs operands below class -1"),
         ("xi", "key_lemma_2",
          lambda p: (p("0"), p("V.X^(0)(0)"), p("V.X^(0)(0)"), p("th(v.w^(-1))"), "X", "w"),
-         ("llrel", "fsubstitutable"), "key lemma (2) needs alpha << beta"),
+         ("lemmas.xi_llrel", "xi.fsubstitutable"), "key lemma (2) needs alpha << beta"),
     ],
     ids=[
         "buchholz-3-gamma-is-beta",
@@ -169,31 +173,34 @@ def test_key_lemma_pool_sets_match_the_walks():
     ],
 )
 def test_key_lemma_rejects_before_building(monkeypatch, system, item, args, watched, message):
-    mod = H._MODULES[system]
     instance = args(lambda text: parse(system, text))
     calls = []
     for name in watched:
-        fn = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
+        module, _, attr = name.partition(".")
+        mod = lemmas if module == "lemmas" else H._MODULES[module]
+        fn = getattr(mod, attr)
+        wrapper = lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a)
+        monkeypatch.setattr(mod, attr, wrapper)
     with pytest.raises(PreconditionError, match=re.escape(message)):
-        getattr(mod, item)(*instance)
+        getattr(lemmas, f"{system}_{item}")(*instance)
     assert calls == []
 
 
 @pytest.mark.parametrize("system", list(H._KL_SUITES))
 def test_key_lemma_suite_rows_are_the_module_items(system):
-    mod = H._MODULES[system]
-    names = [name for name in mod.__all__ if name.startswith("key_lemma_")]
-    assert names == [f"key_lemma_{i}" for i in range(1, len(names) + 1)]
-    assert [item for _, item in H._KL_SUITES[system]()] == [getattr(mod, n) for n in names]
+    prefix = f"{system}_key_lemma_"
+    names = [name for name in vars(lemmas) if name.startswith(prefix)]
+    assert names == [f"{prefix}{i}" for i in range(1, len(names) + 1)]
+    rows = H._KL_SUITES[system](lemmas)
+    assert [item for _, item in rows] == [getattr(lemmas, n) for n in names]
 
 
 def test_key_lemma_items_are_read_off_the_module(monkeypatch):
     # A wrapper put on the module, as the benchmark's tracer puts one, is
     # what the run calls: poly's item-2 generator never rejects a draw.
     calls = []
-    item = P.key_lemma_2
-    monkeypatch.setattr(P, "key_lemma_2", lambda *args: calls.append(args) or item(*args))
+    item = lemmas.poly_key_lemma_2
+    monkeypatch.setattr(lemmas, "poly_key_lemma_2", lambda *args: calls.append(args) or item(*args))
     report = H.check_key_lemmas("poly", 5, seed=3)
     assert len(calls) == report.details["item2"]["attempts"] > 0
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordcalc import parse
-from ordcalc import poly as P, reference as R
+from ordcalc import lemmas as L, poly as P, reference as R
 from ordcalc.core import (
     NEG_INF,
     Outcome,
@@ -98,23 +98,23 @@ def test_substitute():
 
 
 def test_dfun():
-    assert P.dfun(0, ZERO, ZERO) is pp("th(w^(O^(0)))")
-    assert P.dfun(1, ZERO, ZERO) is pp("th(w^(O^(0) # th(w^(O^(0)))))")
-    assert P.dfun(0, pp("O^(-1)"), ZERO) is pp("th(w^(O^(0)) # O^(-1))")
+    assert L.poly_dfun(0, ZERO, ZERO) is pp("th(w^(O^(0)))")
+    assert L.poly_dfun(1, ZERO, ZERO) is pp("th(w^(O^(0) # th(w^(O^(0)))))")
+    assert L.poly_dfun(0, pp("O^(-1)"), ZERO) is pp("th(w^(O^(0)) # O^(-1))")
     with pytest.raises(PreconditionError):
-        P.dfun(0, pp("O^(0)"), ZERO)
+        L.poly_dfun(0, pp("O^(0)"), ZERO)
 
 
 def test_llrel():
-    assert P.llrel(ZERO, ZERO, pp("w^(0)"))
-    assert not P.llrel(ZERO, pp("w^(0)"), ZERO)
-    assert P.llrel(ZERO, pp("th(O^(0))"), pp("th(O^(0)) # w^(0)"))
+    assert L.poly_llrel(ZERO, ZERO, pp("w^(0)"))
+    assert not L.poly_llrel(ZERO, pp("w^(0)"), ZERO)
+    assert L.poly_llrel(ZERO, pp("th(O^(0))"), pp("th(O^(0)) # w^(0)"))
 
 
 def test_key_lemma_unit_cases():
-    assert P.key_lemma_1(pp("v.x^(0)"), pp("v.x^(0) # w^(0)"), "x", pp("th(0)"))
-    assert P.key_lemma_2(ZERO, ZERO, pp("w^(0)"))
-    assert P.key_lemma_3(ZERO, ZERO, pp("O^(0)"), pp("v.x^(0)"), "x")
+    assert L.poly_key_lemma_1(pp("v.x^(0)"), pp("v.x^(0) # w^(0)"), "x", pp("th(0)"))
+    assert L.poly_key_lemma_2(ZERO, ZERO, pp("w^(0)"))
+    assert L.poly_key_lemma_3(ZERO, ZERO, pp("O^(0)"), pp("v.x^(0)"), "x")
 
 
 def test_class_predicate_details():
@@ -150,7 +150,7 @@ def _llrel_rebuilt_per_item(gamma, alpha, beta):
 
     def least_bound(eta):
         for m in range(64):
-            bound = P.dfun(m, gamma, beta)
+            bound = L.poly_dfun(m, gamma, beta)
             if P.fc_max(bound) <= P.fc_max(eta):
                 return bound
         raise AssertionError("no D_m within the cap reaches the class")
@@ -168,9 +168,9 @@ def test_llrel_matches_per_item_rebuild():
     for _ in range(1500):
         gamma, alpha, beta = rng.choice(small), rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.5:  # the dominance-wrapped pairs of Key Lemma (2)
-            alpha, beta = P.dfun(0, gamma, alpha), P.dfun(0, gamma, beta)
+            alpha, beta = L.poly_dfun(0, gamma, alpha), L.poly_dfun(0, gamma, beta)
             gamma = ZERO
-        got = P.llrel(gamma, alpha, beta)
+        got = L.poly_llrel(gamma, alpha, beta)
         assert got == _llrel_rebuilt_per_item(gamma, alpha, beta)
         holds += got
         several += P.compare(alpha, beta) is Outcome.LESS and len(P._kset(0, alpha)) > 1

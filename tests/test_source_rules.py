@@ -92,11 +92,11 @@ def _path(module):
 
 def test_no_system_function_calls_itself():
     """Every walk of a system runs on a kernel: no function in buchholz,
-    poly, xi or mixed calls its own name, nor any in `reference` outside
-    its two plain-recursion kernels."""
+    poly, xi, mixed or `lemmas` calls its own name, nor any in `reference`
+    outside its two plain-recursion kernels."""
     kernels = {"make_reference", "reference_walk"}
     found = []
-    for module in (*harness.SYSTEMS, "reference"):
+    for module in (*harness.SYSTEMS, "lemmas", "reference"):
         for top in _SOURCES[_path(module)].body:
             if getattr(top, "name", None) in kernels and module == "reference":
                 continue
@@ -163,22 +163,25 @@ def test_reference_imports_only_named_shared_code():
 
 
 def test_no_module_reads_a_forwarded_name():
-    """A system module's `*_reference` names are a shim for outside readers:
-    no module of the package reads one, as an attribute, an import or a
-    `getattr` string."""
+    """A system module's forwarded names are a shim for outside readers: no
+    module of the package reads a `*_reference` name, as an attribute, an
+    import or a `getattr` string, nor a dominance or Key Lemma name, as an
+    attribute or an import (`lemmas` holds those under a system prefix; the
+    forwarder's name table in `core` spells them as strings)."""
     forwarded = re.compile(r"\w+_reference")
+    moved = re.compile(r"\w+_reference|dfun|llrel|key_lemma_\d+")
     bad = []
     for path, tree in _SOURCES.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                names = [node.attr]
+                names, pattern = [node.attr], moved
             elif isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
+                names, pattern = [alias.name for alias in node.names], moved
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names = [node.value]
+                names, pattern = [node.value], forwarded
             else:
                 continue
-            bad += [f"{path.name}:{node.lineno}: {n}" for n in names if forwarded.fullmatch(n)]
+            bad += [f"{path.name}:{node.lineno}: {n}" for n in names if pattern.fullmatch(n)]
     assert bad == []
 
 

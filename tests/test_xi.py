@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ordcalc
 from ordcalc import harness, parse, render
-from ordcalc import reference as R, xi as X
+from ordcalc import lemmas as L, reference as R, xi as X
 from ordcalc.core import (
     KItem,
     NEG_INF,
@@ -128,26 +128,26 @@ def test_fsubstitute():
 
 
 def test_dfun():
-    assert X.dfun(0, ZERO, ZERO) is px("th(w^(Xi^(0)(w^(0))))")
-    assert X.dfun(0, px("v.w^(0)"), ZERO, "w") is px(
+    assert L.xi_dfun(0, ZERO, ZERO) is px("th(w^(Xi^(0)(w^(0))))")
+    assert L.xi_dfun(0, px("v.w^(0)"), ZERO, "w") is px(
         "th(w^(Xi^(0)(w^(0))) # Xi^(0)(0))"
     )
-    assert X.dfun(1, ZERO, ZERO) is px("th(w^(Xi^(0)(w^(0)) # th(w^(Xi^(0)(w^(0))))))")
+    assert L.xi_dfun(1, ZERO, ZERO) is px("th(w^(Xi^(0)(w^(0)) # th(w^(Xi^(0)(w^(0))))))")
 
 
 def test_llrel():
-    assert X.llrel(ZERO, ZERO, px("w^(0)"))
-    assert not X.llrel(ZERO, px("w^(0)"), ZERO)
-    assert X.llrel(ZERO, px("Xi^(-1)(0)"), px("Xi^(-1)(0) # w^(0)"))
+    assert L.xi_llrel(ZERO, ZERO, px("w^(0)"))
+    assert not L.xi_llrel(ZERO, px("w^(0)"), ZERO)
+    assert L.xi_llrel(ZERO, px("Xi^(-1)(0)"), px("Xi^(-1)(0) # w^(0)"))
 
 
 def test_key_lemma_unit_cases():
-    assert X.key_lemma_1(px("th(0)"), px("th(w^(0))"), px("w^(v.x^(0))"), "x")
-    assert X.key_lemma_2(
+    assert L.xi_key_lemma_1(px("th(0)"), px("th(w^(0))"), px("w^(v.x^(0))"), "x")
+    assert L.xi_key_lemma_2(
         ZERO, px("V.X^(0)(0)"), px("V.X^(0)(w^(0))"), px("th(v.w^(-1))"), "X", "w"
     )
-    assert X.key_lemma_3(ZERO, ZERO, px("w^(0)"))
-    assert X.key_lemma_4(ZERO, px("Xi^(-2)(0)"), px("Xi^(-2)(0) # w^(0)"), ZERO, "X")
+    assert L.xi_key_lemma_3(ZERO, ZERO, px("w^(0)"))
+    assert L.xi_key_lemma_4(ZERO, px("Xi^(-2)(0)"), px("Xi^(-2)(0) # w^(0)"), ZERO, "X")
 
 
 def test_collapsed_term_not_its_own_value():
@@ -182,7 +182,7 @@ def _llrel_rebuilt_per_item(gamma, alpha, beta, settled):
         return False
     for item in X._kset_strict(0, alpha):
         for m in range(64):
-            bound = X.dfun(m, gamma, beta)
+            bound = L.xi_dfun(m, gamma, beta)
             if X._lt(item.term, bound):
                 settled[m] += 1
                 break
@@ -202,9 +202,9 @@ def test_llrel_matches_per_item_rebuild():
     for _ in range(1500):
         gamma, alpha, beta = rng.choice(small), rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.5:  # the dominance-wrapped pairs of Key Lemma (3)
-            alpha, beta = X.dfun(0, gamma, alpha), X.dfun(0, gamma, beta)
+            alpha, beta = L.xi_dfun(0, gamma, alpha), L.xi_dfun(0, gamma, beta)
             gamma = ZERO
-        got = X.llrel(gamma, alpha, beta)
+        got = L.xi_llrel(gamma, alpha, beta)
         assert got == _llrel_rebuilt_per_item(gamma, alpha, beta, settled)
         holds += got
         several += X.compare(alpha, beta) is Outcome.LESS and len(X._kset_strict(0, alpha)) > 1
