@@ -704,8 +704,21 @@ def _mentions_var_lev(t: Term, name: str) -> bool:
     return any(isinstance(s, VarLev) and s.name == name for s in subterms(t))
 
 
+def _ascending(compare, a: Term, b: Term) -> tuple[Term, Term]:
+    """Two operands drawn alike from one pool, the greater one second: each
+    pair a < b comes from its two draws, (a, b) and (b, a), so the accepted
+    pairs keep the distribution that rejecting (b, a) gave them.  A tie or
+    NC is returned as drawn, for the item to reject."""
+    return (b, a) if compare(a, b) is Outcome.GREATER else (a, b)
+
+
 # Each system's sampling pools are derived once per process and shared by
-# every call, which only reads them; their order fixes the RNG stream.
+# every call, which only reads them; their order fixes the RNG stream.  A
+# generator builds a hypothesis only where the accepted instances keep the
+# frequencies rejection gave them: it orders two operands drawn from one
+# pool (`_ascending`), and draws from a pool's split by an item's test only
+# where no random branch picks that pool, whose share of the accepted
+# instances the split would change.  Each item still tests every hypothesis.
 
 
 @functools.cache
@@ -744,7 +757,8 @@ def _kl_buchholz(lemmas):
 
     def gen2(rng):
         n = rng.choice((1, 2))
-        return n, rng.choice(gamma_pool[n]), rng.choice(closed), rng.choice(closed)
+        delta = rng.choice(gamma_pool[n])
+        return n, delta, *_ascending(buchholz.compare, rng.choice(closed), rng.choice(closed))
 
     def gen3(rng):
         n = rng.choice((1, 2))
@@ -752,7 +766,8 @@ def _kl_buchholz(lemmas):
         gamma = rng.choice(gamma3[n] if rng.random() < 0.5 else closed)
         if gamma.vmax > n:
             return None
-        return n, delta, rng.choice(closed), rng.choice(closed), gamma, "x"
+        alpha, beta = _ascending(buchholz.compare, rng.choice(closed), rng.choice(closed))
+        return n, delta, alpha, beta, gamma, "x"
 
     return [
         (gen1, lemmas.buchholz_key_lemma_1), (gen2, lemmas.buchholz_key_lemma_2),
@@ -770,11 +785,12 @@ def _kl_pools_poly():
     mentions = frozenset(t for t in opened if _mentions_var_lev(t, "x"))
     substitutable0 = frozenset(t for t in opened if poly.substitutable("x", 0, t))
     subst0 = [t for t in opened if t in mentions and t in substitutable0]
-    return closed, opened, small, subst0, mentions, substitutable0
+    small_sc = [t for t in small if is_sc(t)]
+    return closed, opened, small, subst0, mentions, substitutable0, small_sc
 
 
 def _kl_poly(lemmas):
-    closed, both, small, subst0, mentions, substitutable0 = _kl_pools_poly()
+    closed, both, small, subst0, mentions, substitutable0, small_sc = _kl_pools_poly()
 
     def gen1(rng):
         alpha = rng.choice(subst0 if rng.random() < 0.7 else both)
@@ -785,16 +801,19 @@ def _kl_poly(lemmas):
             return None
         if poly.compare(alpha, beta) is not Outcome.LESS:
             return None
-        return alpha, beta, "x", rng.choice(small)
+        return alpha, beta, "x", rng.choice(small_sc)
 
     def gen2(rng):
         # Open operands make the conclusion undecidable under the variable
         # convention; their content is covered by item 1 plus closed runs.
-        return rng.choice(small), rng.choice(closed), rng.choice(closed)
+        delta = rng.choice(small)
+        return delta, *_ascending(poly.compare, rng.choice(closed), rng.choice(closed))
 
     def gen3(rng):
         gamma = rng.choice(subst0 if rng.random() < 0.5 else closed)
-        return rng.choice(small), rng.choice(closed), rng.choice(closed), gamma, "x"
+        delta = rng.choice(small)
+        alpha, beta = _ascending(poly.compare, rng.choice(closed), rng.choice(closed))
+        return delta, alpha, beta, gamma, "x"
 
     return [
         (gen1, lemmas.poly_key_lemma_1), (gen2, lemmas.poly_key_lemma_2),
@@ -837,16 +856,15 @@ def _kl_pools_xi():
         and xi.substitutable("w", 0, t)
     ]
     deep = [t for t in closed if xi.fc_max(t) < -1]
-    return closed, small, gamma1, fpool, bodies, deep
+    closed_sc = [t for t in closed if is_sc(t)]
+    return closed, small, gamma1, fpool, bodies, deep, closed_sc
 
 
 def _kl_xi(lemmas):
-    closed, small, gamma1, fpool, bodies, deep = _kl_pools_xi()
+    closed, small, gamma1, fpool, bodies, deep, closed_sc = _kl_pools_xi()
 
     def gen1(rng):
-        alpha, beta = rng.choice(closed), rng.choice(closed)
-        if xi.compare(alpha, beta) is not Outcome.LESS:
-            return None
+        alpha, beta = _ascending(xi.compare, rng.choice(closed_sc), rng.choice(closed_sc))
         return alpha, beta, rng.choice(gamma1), "x"
 
     def gen2(rng):
@@ -855,17 +873,14 @@ def _kl_xi(lemmas):
         return rng.choice(small), alpha, beta, rng.choice(bodies), "X", "w"
 
     def gen3(rng):
-        return rng.choice(small), rng.choice(closed), rng.choice(closed)
+        delta = rng.choice(deep)
+        return delta, *_ascending(xi.compare, rng.choice(deep), rng.choice(deep))
 
     def gen4(rng):
         gamma = rng.choice(deep if rng.random() < 0.9 else fpool)
-        return (
-            rng.choice(deep),
-            rng.choice(deep),
-            rng.choice(deep),
-            gamma,
-            "X",
-        )
+        delta = rng.choice(deep)
+        alpha, beta = _ascending(xi.compare, rng.choice(deep), rng.choice(deep))
+        return delta, alpha, beta, gamma, "X"
 
     return [
         (gen1, lemmas.xi_key_lemma_1),

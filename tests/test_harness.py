@@ -4,14 +4,15 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import ordcalc
 from ordcalc import core, harness as H, lemmas
 from ordcalc import parse, render
-from ordcalc import poly as P
-from ordcalc.core import FVar, PreconditionError, ThetaLow, ThetaXi
+from ordcalc import poly as P, xi as X
+from ordcalc.core import FVar, Outcome, PreconditionError, ThetaLow, ThetaXi
 from pools import REFERENCE_CACHES
 
 
@@ -134,16 +135,30 @@ def test_key_lemma_pool_sets_match_the_walks():
     for n in (1, 2):
         for t in opened:
             assert (t in mentions[n]) == H._mentions_var_idx(t, "x", n), (n, render(t))
-    _, opened, _, _, mentions, substitutable0 = H._kl_pools_poly()
+    _, opened, _, _, mentions, substitutable0, _ = H._kl_pools_poly()
     for t in opened:
         assert (t in mentions) == H._mentions_var_lev(t, "x"), render(t)
         assert (t in substitutable0) == P.substitutable("x", 0, t), render(t)
 
 
-# Each instance fails an order or class hypothesis that needs no new term;
-# the item must reject it before it calls any of the watched functions, each
-# named `module.attribute` as the item reads it.  `args(p)` builds the
-# instance, with `p` parsing a term of the system.
+def test_ascending_draws_keep_each_pair_as_often_as_rejection_does():
+    # Every draw (x, y) of one closed pool, through the order helper: each
+    # pair a < b must come out exactly twice, from (a, b) and (b, a), and
+    # each tie exactly once, as drawn, so each accepted pair is as likely as
+    # when only a draw (a, b) with a < b was accepted.
+    deep = H._kl_pools_xi()[5]
+    assert len(deep) == 55
+    out = Counter(H._ascending(X.compare, x, y) for x in deep for y in deep)
+    below = [(a, b) for a in deep for b in deep if X.compare(a, b) is Outcome.LESS]
+    # A closed pool is totally ordered, with no tie between distinct terms.
+    assert len(below) == len(deep) * (len(deep) - 1) // 2
+    assert out == Counter({**{pair: 2 for pair in below}, **{(x, x): 1 for x in deep}})
+
+
+# Each instance fails an order, class or strong-criticality hypothesis that
+# needs no new term; the item must reject it before it calls any of the
+# watched functions, each named `module.attribute` as the item reads it.
+# `args(p)` builds the instance, with `p` parsing a term of the system.
 @pytest.mark.parametrize(
     "system, item, args, watched, message",
     [
@@ -163,6 +178,16 @@ def test_key_lemma_pool_sets_match_the_walks():
         ("xi", "key_lemma_2",
          lambda p: (p("0"), p("V.X^(0)(0)"), p("V.X^(0)(0)"), p("th(v.w^(-1))"), "X", "w"),
          ("lemmas.xi_llrel", "xi.fsubstitutable"), "key lemma (2) needs alpha << beta"),
+        # The hypotheses the generators now build, each broken alone.
+        ("buchholz", "key_lemma_2", lambda p: (1, p("0"), p("w^(0)"), p("0")),
+         ("lemmas.buchholz_dfun", "buchholz._kset"), "key lemma (2) needs alpha << beta"),
+        ("poly", "key_lemma_2", lambda p: (p("0"), p("O^(0)"), p("0")),
+         ("lemmas.poly_dfun", "poly._kset"), "key lemma (2) needs alpha << beta"),
+        ("xi", "key_lemma_1",
+         lambda p: (p("w^(0) # th(0)"), p("Xi^(0)(0)"), p("th(0) # v.x^(0)"), "x"),
+         ("xi.compare", "xi._subst"), "key lemma (1) needs strongly critical values"),
+        ("xi", "key_lemma_3", lambda p: (p("Xi^(-1)(0)"), p("0"), p("Xi^(-2)(0)")),
+         ("lemmas.xi_llrel", "lemmas.xi_dfun"), "key lemma (3) needs operands below class -1"),
     ],
     ids=[
         "buchholz-3-gamma-is-beta",
@@ -170,6 +195,10 @@ def test_key_lemma_pool_sets_match_the_walks():
         "xi-4-gamma-is-beta",
         "xi-4-alpha-class",
         "xi-2-alpha-is-beta",
+        "buchholz-2-beta-below-alpha",
+        "poly-2-beta-below-alpha",
+        "xi-1-alpha-is-a-sum",
+        "xi-3-delta-class",
     ],
 )
 def test_key_lemma_rejects_before_building(monkeypatch, system, item, args, watched, message):
