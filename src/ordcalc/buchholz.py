@@ -72,10 +72,11 @@ def fc_max(t: Term):
 
 def _fc_head(_, t: Term):
     match t:
-        case OmegaIdx(n) | VarIdx(_, n):
-            return frozenset({n})
-        case ThetaIdx(n, body):
-            return None, body, lambda values: frozenset(m for m in values if m < n)
+        case OmegaIdx() | VarIdx():
+            return frozenset({t.index})
+        case ThetaIdx():
+            n = t.index
+            return None, t.body, lambda values: frozenset(m for m in values if m < n)
     raise InvariantError(f"not a stratified term: {t!r}")
 
 
@@ -92,10 +93,10 @@ def kset(n: int, t: Term) -> frozenset[Term]:
 
 def _kset_head(n: int, t: Term):
     match t:
-        case OmegaIdx(m) | VarIdx(_, m):
-            return frozenset({t}) if m < n else frozenset()
-        case ThetaIdx(m, body):
-            return (n, body) if n < m else frozenset({t})
+        case OmegaIdx() | VarIdx():
+            return frozenset({t}) if t.index < n else frozenset()
+        case ThetaIdx():
+            return (n, t.body) if n < t.index else frozenset({t})
     raise InvariantError(f"not a stratified term: {t!r}")
 
 

@@ -931,7 +931,9 @@ def make_order(head, check, name):
     the same short cuts, as the reference's coding of it.  The reference
     (`reference.make_reference` and every head rule there) keeps tuple
     `match` and `any`/`all` on purpose, so the oracle check compares two
-    codings of the clauses.
+    codings of the clauses.  No class pattern in the package carries a
+    subpattern: a clause matches `ThetaIdx()` and reads `t.index`, because
+    extracting the fields in `MATCH_CLASS` costs more than the reads.
     """
     memo = CACHES[name] = {}
     # Closure locals: `compare` and `lt` read these far faster than Enum members.

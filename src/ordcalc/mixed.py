@@ -222,9 +222,10 @@ def _shift_head(t: Term, c: MCard, d: int, var_slack: bool):
     match t:
         case Sum() | OmegaPow():
             return None
-        case OmegaIdx(_) | ThetaLow(_, _):
+        case OmegaIdx() | ThetaLow():
             return t
-        case OmegaHigh(j1, n):
+        case OmegaHigh():
+            j1, n = t.level, t.index
             if large(j1, n) < c:
                 new = j1 + d
                 if new > 0 or large(new, n) >= c:
@@ -233,20 +234,22 @@ def _shift_head(t: Term, c: MCard, d: int, var_slack: bool):
                     )
                 return omega_high(new, n)
             return t
-        case Xi(j1, arg):
+        case Xi():
+            j1 = t.level
             if not large(j1, 0) < c:
-                return card_minus_level(c, j1), arg
+                return card_minus_level(c, j1), t.arg
             new = j1 + d
             if new > 0 or large(new, 0) >= c:
                 raise ShiftError(
                     f"shifting function cardinal level {j1} by {d:+d} collides at {c}"
                 )
-            return mk_xi(new, arg)
-        case ThetaHigh(n, body):
-            return card_min_nat(c, n), body
-        case ThetaXi(body):
-            return card_minus_level(c, 1), body
-        case VarLev(name, j1):
+            return mk_xi(new, t.arg)
+        case ThetaHigh():
+            return card_min_nat(c, t.index), t.body
+        case ThetaXi():
+            return card_minus_level(c, 1), t.body
+        case VarLev():
+            j1 = t.level
             if large(j1, 0) < c:
                 new = j1 + d
                 limit_ok = (new <= c.j + 1) if var_slack else (large(new, 0) < c)
@@ -254,7 +257,7 @@ def _shift_head(t: Term, c: MCard, d: int, var_slack: bool):
                     raise ShiftError(
                         f"shifting variable level {j1} by {d:+d} collides at {c}"
                     )
-                return var_lev(name, new)
+                return var_lev(t.name, new)
             return t
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
@@ -287,23 +290,25 @@ def _fc_head(_, t: Term):
     """The profile of t: its plain cardinalities, and each large one as
     (v, k, g), which counts below (J, m) as (v - J, k) when (v, g) < (J, m)."""
     match t:
-        case OmegaIdx(n):
-            return frozenset({fin(n)})
-        case OmegaHigh(j1, n):
-            return frozenset({(j1, n, n)})
-        case Xi(j1, arg):
-            return None, arg, lambda items: _fc_lift(items, j1) | {(j1, 0, 0)}
-        case ThetaLow(_, body):
-            return None, body
-        case ThetaHigh(n, body):
+        case OmegaIdx():
+            return frozenset({fin(t.index)})
+        case OmegaHigh():
+            return frozenset({(t.level, t.index, t.index)})
+        case Xi():
+            j1 = t.level
+            return None, t.arg, lambda items: _fc_lift(items, j1) | {(j1, 0, 0)}
+        case ThetaLow():
+            return None, t.body
+        case ThetaHigh():
+            n = t.index
             # read below (J, min(m, n)): a gate index from n up never counts at J
-            return None, body, lambda items: frozenset(
+            return None, t.body, lambda items: frozenset(
                 x if type(x) is MCard or x[2] < n else (x[0], x[1], INF) for x in items
             )
-        case ThetaXi(body):
-            return None, body, lambda items: _fc_lift(items, 1)
-        case VarLev(_, j1):
-            return frozenset({(j1, 0, 0)})
+        case ThetaXi():
+            return None, t.body, lambda items: _fc_lift(items, 1)
+        case VarLev():
+            return frozenset({(t.level, 0, 0)})
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
@@ -346,14 +351,14 @@ def kset_low(n: int, t: Term) -> frozenset[Term]:
 
 def _kset_low_head(n: int, t: Term):
     match t:
-        case OmegaIdx(m):
-            return frozenset({t}) if m < n else frozenset()
-        case OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _):
+        case OmegaIdx():
+            return frozenset({t}) if t.index < n else frozenset()
+        case OmegaHigh() | Xi() | VarLev():
             return frozenset()
-        case ThetaLow(m, body):
-            return frozenset({t}) if m <= n else (n, body)
-        case ThetaHigh(_, body) | ThetaXi(body):
-            return n, body
+        case ThetaLow():
+            return frozenset({t}) if t.index <= n else (n, t.body)
+        case ThetaHigh() | ThetaXi():
+            return n, t.body
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
@@ -372,17 +377,19 @@ def kset_high(c: MCard, n: int, t: Term) -> frozenset[Term]:
 def _kset_high_head(cn: tuple[MCard, int], t: Term):
     c, n = cn
     match t:
-        case OmegaIdx(_) | ThetaLow(_, _):
+        case OmegaIdx() | ThetaLow():
             return frozenset({t})
-        case OmegaHigh(j1, m):
+        case OmegaHigh():
+            j1, m = t.level, t.index
             if large(j1, m) < c:
                 return frozenset({omega_high(level_minus_card(j1, c), m)})
             return frozenset()
-        case Xi(j1, arg):
+        case Xi():
+            j1 = t.level
             if large(j1, 0) < c:
-                return frozenset({mk_xi(level_minus_card(j1, c), arg)})
-            return (card_minus_level(c, j1), n), arg
-        case ThetaHigh(_, body) | ThetaXi(body):
+                return frozenset({mk_xi(level_minus_card(j1, c), t.arg)})
+            return (card_minus_level(c, j1), n), t.arg
+        case ThetaHigh() | ThetaXi():
             # A collapse whose re-levelling would collide with its own held
             # tier cannot be collected whole; descend instead.
             if fc_max(t) < card_min_nat(c, n):
@@ -391,11 +398,12 @@ def _kset_high_head(cn: tuple[MCard, int], t: Term):
                 except ShiftError:
                     pass
             if type(t) is ThetaHigh:
-                return (card_min_nat(c, n), n), body
-            return (card_minus_level(c, 1), n), body
-        case VarLev(name, j1):
+                return (card_min_nat(c, n), n), t.body
+            return (card_minus_level(c, 1), n), t.body
+        case VarLev():
+            j1 = t.level
             if large(j1, 0) < card_min_nat(c, n):
-                return frozenset({var_lev(name, level_minus_card(j1, c))})
+                return frozenset({var_lev(t.name, level_minus_card(j1, c))})
             return frozenset()
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
@@ -413,36 +421,37 @@ def kset_xi(c: MCard, t: Term) -> frozenset[KItem]:
 
 def _kset_xi_head(c: MCard, t: Term):
     match t:
-        case OmegaIdx(_) | ThetaLow(_, _):
+        case OmegaIdx() | ThetaLow():
             return frozenset({KItem(t)})
-        case OmegaHigh(j1, m):
+        case OmegaHigh():
+            j1, m = t.level, t.index
             if large(j1, m) < c:
                 return frozenset({KItem(omega_high(level_minus_card(j1, c), m))})
             return frozenset()
-        case Xi(j1, arg):
-            if large(j1, 0) < c:
+        case Xi():
+            if large(t.level, 0) < c:
                 try:
                     return frozenset({KItem(_shift(t, FULL, -c.j, True))})
                 except ShiftError:
                     pass
-            return card_minus_level(c, j1), arg
-        case ThetaHigh(n, body):
+            return card_minus_level(c, t.level), t.arg
+        case ThetaHigh():
             if fc_max(t) < card_minus_level(c, 1):
                 try:
                     return frozenset({KItem(_shift(t, FULL, 1 - c.j, True))})
                 except ShiftError:
                     pass
-            return card_min_nat(c, n), body
-        case ThetaXi(body):
+            return card_min_nat(c, t.index), t.body
+        case ThetaXi():
             if fc_max(t) < c:
                 try:
                     return frozenset({_bound_collapse_item(t, c)})
                 except ShiftError:
                     pass
-            return card_minus_level(c, 1), body
-        case VarLev(name, j1):
-            if large(j1, 0) < c:
-                return frozenset({KItem(var_lev(name, level_minus_card(j1, c)))})
+            return card_minus_level(c, 1), t.body
+        case VarLev():
+            if large(t.level, 0) < c:
+                return frozenset({KItem(var_lev(t.name, level_minus_card(t.level, c)))})
             return frozenset()
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
@@ -473,12 +482,12 @@ _COLLAPSES = (ThetaLow, ThetaHigh, ThetaXi)
 def _rank(t: Term) -> tuple:
     """Collapse heads ranked by the cardinal family they collapse."""
     match t:
-        case ThetaLow(n, _):
-            return (0, n)
-        case ThetaXi(_):
+        case ThetaLow():
+            return (0, t.index)
+        case ThetaXi():
             return (1, 0)
-        case ThetaHigh(n, _):
-            return (2, n)
+        case ThetaHigh():
+            return (2, t.index)
     raise InvariantError(f"not a collapse: {t!r}")
 
 
@@ -500,12 +509,12 @@ def _instantiated_kset(s: Term, values: tuple[Term, ...]) -> frozenset[Term]:
     family = _FAMILY.get(s.serial)
     if family is None:
         match s:
-            case ThetaLow(n, body):
-                family = _kset_low(n, body)
-            case ThetaHigh(n, body):
-                family = _kset_high((large(0, n), n), body)
-            case ThetaXi(body):
-                family = _kset_xi(large(0, 0), body)
+            case ThetaLow():
+                family = _kset_low(s.index, s.body)
+            case ThetaHigh():
+                family = _kset_high((large(0, s.index), s.index), s.body)
+            case ThetaXi():
+                family = _kset_xi(large(0, 0), s.body)
             case _:
                 raise InvariantError(f"not a collapse: {s!r}")
         _FAMILY[s.serial] = family

@@ -72,12 +72,12 @@ def fc_max(t: Term):
 def _fc_head(_, t: Term):
     """The profile of t: its formal cardinalities at level 0."""
     match t:
-        case OmegaLev(j1) | VarLev(_, j1):
+        case OmegaLev() | VarLev():
             # variables count at the level of the cardinal they track
-            return frozenset({j1})
-        case Theta(body):
+            return frozenset({t.level})
+        case Theta():
             # the body's profile read at level -1
-            return None, body, lambda values: frozenset(e + 1 for e in values if e <= -1)
+            return None, t.body, lambda values: frozenset(e + 1 for e in values if e <= -1)
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
@@ -123,17 +123,17 @@ def kset(j: int, t: Term) -> frozenset[Term]:
 
 def _kset_head(j: int, t: Term):
     match t:
-        case OmegaLev(j1):
-            return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
-        case Theta(body):
+        case OmegaLev():
+            return frozenset({omega_lev(t.level - (j - 1))}) if t.level < j else frozenset()
+        case Theta():
             if fc_max(t) < j:
                 try:
                     return frozenset({_shift(t, 0, 1 - j)})
                 except ShiftError as exc:  # pragma: no cover
                     raise InvariantError(f"bound collapse failed to re-level: {exc}")
-            return j - 1, body
-        case VarLev(name, j1):
-            return frozenset({var_lev(name, j1 - (j - 1))}) if j1 < j else frozenset()
+            return j - 1, t.body
+        case VarLev():
+            return frozenset({var_lev(t.name, t.level - (j - 1))}) if t.level < j else frozenset()
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 

@@ -19,6 +19,13 @@ after the term surface: the parameter walk, poly's and xi's shift heads
 side it checks), xi's substitution kernel and operand check, the
 abstraction of a bound collapse, and mixed's shift, instantiation,
 collapse classes and cardinality arithmetic.
+
+The clauses keep tuple `match`, `any`/`all` and their order, which make
+this the second coding, but a class pattern tests the class alone and the
+clause reads the fields off the matched operand (`b.index`, `t.body`).  A
+positional subpattern, a wildcard too, costs CPython's `MATCH_CLASS` a
+`__match_args__` lookup and a generic `getattr`; those were about a quarter
+of the oracle's time.
 """
 
 from __future__ import annotations
@@ -82,20 +89,20 @@ def make_reference(head):
         if a == b:
             return False
         match a, b:
-            case (Sum(xs), Sum(ys)):
-                rest_a = multiset_rest(xs, ys)
-                rest_b = multiset_rest(ys, xs)
+            case (Sum(), Sum()):
+                rest_a = multiset_rest(a.children, b.children)
+                rest_b = multiset_rest(b.children, a.children)
                 return any(all(lt(x, y0) for x in rest_a) for y0 in rest_b)
-            case (_, Sum(ys)):
-                return any(leq(a, y) for y in ys)
-            case (Sum(xs), _):
-                return all(lt(x, b) for x in xs)
-            case (OmegaPow(x), OmegaPow(y)):
-                return lt(x, y)
-            case (OmegaPow(x), _):
-                return leq(x, b)
-            case (_, OmegaPow(y)):
-                return lt(a, y)
+            case (_, Sum()):
+                return any(leq(a, y) for y in b.children)
+            case (Sum(), _):
+                return all(lt(x, b) for x in a.children)
+            case (OmegaPow(), OmegaPow()):
+                return lt(a.exponent, b.exponent)
+            case (OmegaPow(), _):
+                return leq(a.exponent, b)
+            case (_, OmegaPow()):
+                return lt(a, b.exponent)
         return head(a, b)
 
     return compare, lt, leq
@@ -150,36 +157,37 @@ def _params(t: Term) -> tuple[Term, ...]:
 
 def _buchholz_kset_head(n: int, t: Term) -> frozenset[Term]:
     match t:
-        case OmegaIdx(m):
-            return frozenset({t}) if m < n else frozenset()
-        case ThetaIdx(m, body):
-            if n < m:
-                return n, body
+        case OmegaIdx():
+            return frozenset({t}) if t.index < n else frozenset()
+        case ThetaIdx():
+            if n < t.index:
+                return n, t.body
             return frozenset({t})
-        case VarIdx(_, m):
-            return frozenset({t}) if m < n else frozenset()
+        case VarIdx():
+            return frozenset({t}) if t.index < n else frozenset()
     raise InvariantError(f"not a stratified term: {t!r}")
 
 
 def _buchholz_head_lt(a: Term, b: Term) -> bool:
     match a, b:
-        case (OmegaIdx(m), OmegaIdx(n)):
-            return m < n
-        case (OmegaIdx(_) | VarIdx(_, _), ThetaIdx(n, beta)):
-            return any(_buchholz_leq(a, g) for g in buchholz_kset(n, beta))
-        case (ThetaIdx(m, alpha), OmegaIdx(_)):
-            return all(_buchholz_lt(g, b) for g in buchholz_kset(m, alpha))
-        case (ThetaIdx(_, _), VarIdx(_, _)):
+        case (OmegaIdx(), OmegaIdx()):
+            return a.index < b.index
+        case (OmegaIdx() | VarIdx(), ThetaIdx()):
+            return any(_buchholz_leq(a, g) for g in buchholz_kset(b.index, b.body))
+        case (ThetaIdx(), OmegaIdx()):
+            return all(_buchholz_lt(g, b) for g in buchholz_kset(a.index, a.body))
+        case (ThetaIdx(), VarIdx()):
             return False
-        case (ThetaIdx(m, alpha), ThetaIdx(n, beta)):
-            if any(_buchholz_leq(a, g) for g in buchholz_kset(n, beta)):
+        case (ThetaIdx(), ThetaIdx()):
+            if any(_buchholz_leq(a, g) for g in buchholz_kset(b.index, b.body)):
                 return True
+            m, n = a.index, b.index
             return all(
-                _buchholz_lt(g, b) for g in buchholz_kset(m, alpha)
-            ) and (m < n or (m == n and _buchholz_lt(alpha, beta)))
-        case (VarIdx(_, n), OmegaIdx(m)):
-            return n <= m
-        case (VarIdx(_, _), VarIdx(_, _)):
+                _buchholz_lt(g, b) for g in buchholz_kset(m, a.body)
+            ) and (m < n or (m == n and _buchholz_lt(a.body, b.body)))
+        case (VarIdx(), OmegaIdx()):
+            return a.index <= b.index
+        case (VarIdx(), VarIdx()):
             return False
     return False
 
@@ -195,10 +203,10 @@ _poly_shift = make_level_walk(_poly_shift_head)
 
 def _poly_fc_head(j: int, t: Term):
     match t:
-        case OmegaLev(j1) | VarLev(_, j1):
-            return frozenset({j1 - j}) if j1 <= j else frozenset()
-        case Theta(body):
-            return j - 1, body
+        case OmegaLev() | VarLev():
+            return frozenset({t.level - j}) if t.level <= j else frozenset()
+        case Theta():
+            return j - 1, t.body
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
@@ -208,38 +216,38 @@ def _poly_kset_head(j: int, t: Term) -> frozenset[Term]:
     no class above j.  So each level of an n-deep collapse nest walks the
     rest at thresholds new to the table, which keeps about n*n/2 rows."""
     match t:
-        case OmegaLev(j1):
-            return frozenset({omega_lev(j1 - (j - 1))}) if j1 < j else frozenset()
-        case Theta(body):
+        case OmegaLev():
+            return frozenset({omega_lev(t.level - (j - 1))}) if t.level < j else frozenset()
+        case Theta():
             values = _poly_fc_at(0, t)
             top = max(values) if values else NEG_INF
             if top < j:
                 return frozenset({_poly_shift(t, 0, 1 - j)})
-            return j - 1, body
-        case VarLev(name, j1):
-            return frozenset({var_lev(name, j1 - (j - 1))}) if j1 < j else frozenset()
+            return j - 1, t.body
+        case VarLev():
+            return frozenset({var_lev(t.name, t.level - (j - 1))}) if t.level < j else frozenset()
     raise InvariantError(f"not a polymorphic term: {t!r}")
 
 
 def _poly_head_lt(a: Term, b: Term) -> bool:
     match a, b:
-        case (OmegaLev(j), OmegaLev(j1)):
-            return j < j1
-        case (OmegaLev(_) | VarLev(_, _), Theta(beta)):
-            return any(_poly_leq(a, g) for g in poly_kset(0, beta))
-        case (Theta(alpha), OmegaLev(_)):
-            return all(_poly_lt(g, b) for g in poly_kset(0, alpha))
-        case (Theta(_), VarLev(_, _)):
+        case (OmegaLev(), OmegaLev()):
+            return a.level < b.level
+        case (OmegaLev() | VarLev(), Theta()):
+            return any(_poly_leq(a, g) for g in poly_kset(0, b.body))
+        case (Theta(), OmegaLev()):
+            return all(_poly_lt(g, b) for g in poly_kset(0, a.body))
+        case (Theta(), VarLev()):
             return False
-        case (Theta(alpha), Theta(beta)):
-            if _poly_lt(alpha, beta):
-                return all(_poly_lt(g, b) for g in poly_kset(0, alpha))
-            if _poly_lt(beta, alpha):
-                return any(_poly_leq(a, g) for g in poly_kset(0, beta))
+        case (Theta(), Theta()):
+            if _poly_lt(a.body, b.body):
+                return all(_poly_lt(g, b) for g in poly_kset(0, a.body))
+            if _poly_lt(b.body, a.body):
+                return any(_poly_leq(a, g) for g in poly_kset(0, b.body))
             return False
-        case (VarLev(_, j), OmegaLev(j1)):
-            return j <= j1
-        case (VarLev(_, _), VarLev(_, _)):
+        case (VarLev(), OmegaLev()):
+            return a.level <= b.level
+        case (VarLev(), VarLev()):
             return False
     return False
 
@@ -261,17 +269,17 @@ def _xi_instantiate(item: KItem, value: Term) -> Term:
 
 def _xi_fc_head(j: int, t: Term):
     match t:
-        case Xi(j1, arg) | FVar(_, j1, arg):
-            if j1 > j:
-                return j - j1, arg
-            rel = j1 - j
+        case Xi() | FVar():
+            if t.level > j:
+                return j - t.level, t.arg
+            rel = t.level - j
             # a function variable sits one class below its cardinal
             own = frozenset({rel - 1 if type(t) is FVar else rel})
-            return 0, arg, lambda below: own | frozenset(x + rel for x in below)
-        case Theta(body):
-            return j - 1, body
-        case VarLev(_, j1):
-            return frozenset({j1 - j - 1}) if j1 <= j else frozenset()
+            return 0, t.arg, lambda below: own | frozenset(x + rel for x in below)
+        case Theta():
+            return j - 1, t.body
+        case VarLev():
+            return frozenset({t.level - j - 1}) if t.level <= j else frozenset()
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
@@ -280,24 +288,24 @@ def _xi_kset_head(j: int, t: Term) -> frozenset[KItem]:
     `_xi_fc_at(0, t)` and not the memoized `fc`, and so keeps about n*n/2
     table rows on an n-deep collapse nest."""
     match t:
-        case Xi(j1, arg):
-            if j1 < j:
-                return frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
-            return j - j1, arg
-        case Theta(body):
+        case Xi():
+            if t.level < j:
+                return frozenset({KItem(mk_xi(t.level - (j - 1), t.arg))})
+            return j - t.level, t.arg
+        case Theta():
             values = _xi_fc_at(0, t)
             top = max(values) if values else NEG_INF
             if top <= j:
                 return frozenset({_xi_bound_collapse_item(t, j, _xi_shift)})
-            return j - 1, body
-        case VarLev(name, j1):
-            if j1 < j:
-                return frozenset({KItem(var_lev(name, j1 - (j - 1)))})
+            return j - 1, t.body
+        case VarLev():
+            if t.level < j:
+                return frozenset({KItem(var_lev(t.name, t.level - (j - 1)))})
             return frozenset()
-        case FVar(name, j1, arg):
-            if j1 < j:
-                return frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
-            return j - j1, arg
+        case FVar():
+            if t.level < j:
+                return frozenset({KItem(fvar(t.name, t.level - (j - 1), t.arg))})
+            return j - t.level, t.arg
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
@@ -323,30 +331,34 @@ def _xi_class_split(a: Term, b: Term):
 
 def _xi_head_lt(a: Term, b: Term) -> bool:
     match a, b:
-        case (Xi(j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _xi_lt(x, y))
-        case (Xi(_, _), Theta(beta)):
+        case (Xi(), Xi()):
+            j, j1 = a.level, b.level
+            return j < j1 or (j == j1 and _xi_lt(a.arg, b.arg))
+        case (Xi(), Theta()):
             split = _xi_class_split(a, b)
             if split is not None:
                 return split
+            beta = b.body
             return any(
                 _xi_leq(a, _xi_instantiate(g, w))
                 for w in _xi_legit_candidates((beta,), (b,))
                 for g in xi_kset(0, beta)
             )
-        case (Theta(alpha), Xi(_, _)):
+        case (Theta(), Xi()):
             split = _xi_class_split(a, b)
             if split is not None:
                 return split
+            alpha = a.body
             return all(
                 _xi_lt(_xi_instantiate(g, w), b)
                 for w in _xi_legit_candidates((alpha,), (a,))
                 for g in xi_kset(0, alpha)
             )
-        case (Theta(alpha), Theta(beta)):
+        case (Theta(), Theta()):
             split = _xi_class_split(a, b)
             if split is not None:
                 return split
+            alpha, beta = a.body, b.body
             ws = _xi_legit_candidates((alpha, beta), (a, b))
             if _xi_lt(alpha, beta):
                 return all(
@@ -361,22 +373,25 @@ def _xi_head_lt(a: Term, b: Term) -> bool:
                     for g in xi_kset(0, beta)
                 )
             return False
-        case (VarLev(_, j), Xi(j1, _)):
-            return j <= j1
-        case (VarLev(_, _), VarLev(_, _)):
+        case (VarLev(), Xi()):
+            return a.level <= b.level
+        case (VarLev(), VarLev()):
             return False
-        case (VarLev(_, _) | FVar(_, _, _), Theta(beta)):
+        case (VarLev() | FVar(), Theta()):
+            beta = b.body
             return any(
                 _xi_leq(a, _xi_instantiate(g, w))
                 for w in _xi_legit_candidates((beta,), (b,))
                 for g in xi_kset(0, beta)
             )
-        case (Theta(_), VarLev(_, _) | FVar(_, _, _)):
+        case (Theta(), VarLev() | FVar()):
             return False
-        case (FVar(_, j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _xi_leq(x, y))
-        case (FVar(f, j, x), FVar(g, j1, y)):
-            return f == g and (j < j1 or (j == j1 and _xi_lt(x, y)))
+        case (FVar(), Xi()):
+            j, j1 = a.level, b.level
+            return j < j1 or (j == j1 and _xi_leq(a.arg, b.arg))
+        case (FVar(), FVar()):
+            j, j1 = a.level, b.level
+            return a.name == b.name and (j < j1 or (j == j1 and _xi_lt(a.arg, b.arg)))
     return False
 
 
@@ -389,26 +404,28 @@ xi_compare, _xi_lt, _xi_leq = make_reference(_xi_head_lt)
 
 def _mixed_fc_head(c: MCard, t: Term):
     match t:
-        case OmegaIdx(n):
-            return frozenset({fin(n)})
-        case OmegaHigh(j1, n):
+        case OmegaIdx():
+            return frozenset({fin(t.index)})
+        case OmegaHigh():
+            j1, n = t.level, t.index
             if large(j1, n) < c:
                 return frozenset({large(level_minus_card(j1, c), n)})
             return frozenset()
-        case Xi(j1, arg):
+        case Xi():
+            j1 = t.level
             if large(j1, 0) < c:
                 own = frozenset({large(level_minus_card(j1, c), 0)})
-                return card_minus_level(c, j1), arg, lambda below: below | own
-            return card_minus_level(c, j1), arg
-        case ThetaLow(_, body):
-            return c, body
-        case ThetaHigh(n, body):
-            return card_min_nat(c, n), body
-        case ThetaXi(body):
-            return card_minus_level(c, 1), body
-        case VarLev(_, j1):
-            if large(j1, 0) < c:
-                return frozenset({large(level_minus_card(j1, c), 0)})
+                return card_minus_level(c, j1), t.arg, lambda below: below | own
+            return card_minus_level(c, j1), t.arg
+        case ThetaLow():
+            return c, t.body
+        case ThetaHigh():
+            return card_min_nat(c, t.index), t.body
+        case ThetaXi():
+            return card_minus_level(c, 1), t.body
+        case VarLev():
+            if large(t.level, 0) < c:
+                return frozenset({large(level_minus_card(t.level, c), 0)})
             return frozenset()
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
@@ -420,14 +437,14 @@ def _mixed_fc_bar(t: Term) -> MCard:
 
 def _mixed_kset_low_head(n: int, t: Term) -> frozenset[Term]:
     match t:
-        case OmegaIdx(m):
-            return frozenset({t}) if m < n else frozenset()
-        case OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _):
+        case OmegaIdx():
+            return frozenset({t}) if t.index < n else frozenset()
+        case OmegaHigh() | Xi() | VarLev():
             return frozenset()
-        case ThetaLow(m, body):
-            return frozenset({t}) if m <= n else (n, body)
-        case ThetaHigh(_, body) | ThetaXi(body):
-            return n, body
+        case ThetaLow():
+            return frozenset({t}) if t.index <= n else (n, t.body)
+        case ThetaHigh() | ThetaXi():
+            return n, t.body
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
@@ -438,73 +455,77 @@ def mixed_kset_high(c: MCard, n: int, t: Term) -> frozenset[Term]:
 def _mixed_kset_high_head(cn: tuple[MCard, int], t: Term) -> frozenset[Term]:
     c, n = cn
     match t:
-        case OmegaIdx(_):
+        case OmegaIdx():
             return frozenset({t})
-        case OmegaHigh(j1, m):
+        case OmegaHigh():
+            j1, m = t.level, t.index
             if large(j1, m) < c:
                 return frozenset({omega_high(level_minus_card(j1, c), m)})
             return frozenset()
-        case Xi(j1, arg):
+        case Xi():
+            j1 = t.level
             if large(j1, 0) < c:
-                return frozenset({mk_xi(level_minus_card(j1, c), arg)})
-            return (card_minus_level(c, j1), n), arg
-        case ThetaLow(_, _):
+                return frozenset({mk_xi(level_minus_card(j1, c), t.arg)})
+            return (card_minus_level(c, j1), n), t.arg
+        case ThetaLow():
             return frozenset({t})
-        case ThetaHigh(_, body):
+        case ThetaHigh():
             if _mixed_fc_bar(t) < card_min_nat(c, n):
                 try:
                     return frozenset({_mixed_shift(t, FULL, -c.j, True)})
                 except ShiftError:
                     pass
-            return (card_min_nat(c, n), n), body
-        case ThetaXi(body):
+            return (card_min_nat(c, n), n), t.body
+        case ThetaXi():
             if _mixed_fc_bar(t) < card_min_nat(c, n):
                 try:
                     return frozenset({_mixed_shift(t, FULL, -c.j, True)})
                 except ShiftError:
                     pass
-            return (card_minus_level(c, 1), n), body
-        case VarLev(name, j1):
+            return (card_minus_level(c, 1), n), t.body
+        case VarLev():
+            j1 = t.level
             if large(j1, 0) < card_min_nat(c, n):
-                return frozenset({var_lev(name, level_minus_card(j1, c))})
+                return frozenset({var_lev(t.name, level_minus_card(j1, c))})
             return frozenset()
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
 
 def _mixed_kset_xi_head(c: MCard, t: Term) -> frozenset[KItem]:
     match t:
-        case OmegaIdx(_):
+        case OmegaIdx():
             return frozenset({KItem(t)})
-        case OmegaHigh(j1, m):
+        case OmegaHigh():
+            j1, m = t.level, t.index
             if large(j1, m) < c:
                 return frozenset({KItem(omega_high(level_minus_card(j1, c), m))})
             return frozenset()
-        case Xi(j1, _):
-            if large(j1, 0) < c:
+        case Xi():
+            if large(t.level, 0) < c:
                 try:
                     return frozenset({KItem(_mixed_shift(t, FULL, -c.j, True))})
                 except ShiftError:
                     pass
-            return card_minus_level(c, j1), t.arg
-        case ThetaLow(_, _):
+            return card_minus_level(c, t.level), t.arg
+        case ThetaLow():
             return frozenset({KItem(t)})
-        case ThetaHigh(n, body):
+        case ThetaHigh():
             if _mixed_fc_bar(t) < card_minus_level(c, 1):
                 try:
                     return frozenset({KItem(_mixed_shift(t, FULL, 1 - c.j, True))})
                 except ShiftError:
                     pass
-            return card_min_nat(c, n), body
-        case ThetaXi(body):
+            return card_min_nat(c, t.index), t.body
+        case ThetaXi():
             if _mixed_fc_bar(t) < c:
                 try:
                     return frozenset({_mixed_bound_collapse_item(t, c)})
                 except ShiftError:
                     pass
-            return card_minus_level(c, 1), body
-        case VarLev(name, j1):
-            if large(j1, 0) < c:
-                return frozenset({KItem(var_lev(name, level_minus_card(j1, c)))})
+            return card_minus_level(c, 1), t.body
+        case VarLev():
+            if large(t.level, 0) < c:
+                return frozenset({KItem(var_lev(t.name, level_minus_card(t.level, c)))})
             return frozenset()
     raise InvariantError(f"not a mixed-system term: {t!r}")
 
@@ -513,10 +534,10 @@ def _mixed_instantiated_kset(s: Term, other: Term | None = None) -> frozenset[Te
     """The collapse's own reference critical set, as plain terms: a thXi
     set is instantiated at the parameters of `other`'s body, or at 0."""
     match s:
-        case ThetaLow(n, body):
-            return mixed_kset_low(n, body)
-        case ThetaHigh(n, body):
-            return mixed_kset_high(large(0, n), n, body)
+        case ThetaLow():
+            return mixed_kset_low(s.index, s.body)
+        case ThetaHigh():
+            return mixed_kset_high(large(0, s.index), s.index, s.body)
     values = () if other is None else _params(other.body)
     items = mixed_kset_xi(large(0, 0), s.body)
     return frozenset(_mixed_instantiate(g, v) for g in items for v in values or (ZERO,))
@@ -525,34 +546,36 @@ def _mixed_instantiated_kset(s: Term, other: Term | None = None) -> frozenset[Te
 def _mixed_collapsed(s: Term) -> MCard:
     """The cardinal the collapse `s` collapses, at level 0; coded apart from `_rank`."""
     match s:
-        case ThetaLow(n, _):
-            return fin(n)
-        case ThetaHigh(n, _):
-            return large(0, n)
+        case ThetaLow():
+            return fin(s.index)
+        case ThetaHigh():
+            return large(0, s.index)
     return large(0, 0)  # thXi
 
 
 def _mixed_head_lt(a: Term, b: Term) -> bool:
     match a, b:
-        case (OmegaIdx(m), OmegaIdx(n)):
-            return m < n
-        case (OmegaIdx(_), OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _)):
+        case (OmegaIdx(), OmegaIdx()):
+            return a.index < b.index
+        case (OmegaIdx(), OmegaHigh() | Xi() | VarLev()):
             return True
-        case (OmegaHigh(_, _) | Xi(_, _) | VarLev(_, _), OmegaIdx(_)):
+        case (OmegaHigh() | Xi() | VarLev(), OmegaIdx()):
             return False
-        case (OmegaHigh(j, m), OmegaHigh(j1, n)):
-            return j < j1 or (j == j1 and m < n)
-        case (Xi(j, _), OmegaHigh(j1, _)):
-            return j <= j1
-        case (OmegaHigh(j, _), Xi(j1, _)):
-            return j < j1
-        case (Xi(j, x), Xi(j1, y)):
-            return j < j1 or (j == j1 and _mixed_lt(x, y))
-        case (VarLev(_, j), Xi(j1, _) | OmegaHigh(j1, _)):
-            return j <= j1
-        case (Xi(_, _) | OmegaHigh(_, _), VarLev(_, _)):
+        case (OmegaHigh(), OmegaHigh()):
+            j, j1 = a.level, b.level
+            return j < j1 or (j == j1 and a.index < b.index)
+        case (Xi(), OmegaHigh()):
+            return a.level <= b.level
+        case (OmegaHigh(), Xi()):
+            return a.level < b.level
+        case (Xi(), Xi()):
+            j, j1 = a.level, b.level
+            return j < j1 or (j == j1 and _mixed_lt(a.arg, b.arg))
+        case (VarLev(), Xi() | OmegaHigh()):
+            return a.level <= b.level
+        case (Xi() | OmegaHigh(), VarLev()):
             return False
-        case (VarLev(_, _), VarLev(_, _)):
+        case (VarLev(), VarLev()):
             return False
     a_card = isinstance(a, (OmegaIdx, OmegaHigh, Xi, VarLev))
     if a_card and isinstance(b, _COLLAPSES):

@@ -128,14 +128,15 @@ def _fc_head(_, t: Term):
     """The profile of t: pairs (e, g), each a formal cardinality e at level 0
     that counts at every level J >= g, as e - J."""
     match t:
-        case Xi(j1, arg) | FVar(_, j1, arg):
+        case Xi() | FVar():
+            j1 = t.level
             # a function variable sits one class below its cardinal
             own = {(j1 if type(t) is Xi else j1 - 1, j1)}
-            return None, arg, lambda ps: frozenset((e + j1, g + j1) for e, g in ps) | own
-        case Theta(body):  # the body's profile read at level -1
-            return None, body, lambda ps: frozenset((e + 1, g + 1) for e, g in ps if g <= -1)
-        case VarLev(_, j1):
-            return frozenset({(j1 - 1, j1)})
+            return None, t.arg, lambda ps: frozenset((e + j1, g + j1) for e, g in ps) | own
+        case Theta():  # the body's profile read at level -1
+            return None, t.body, lambda ps: frozenset((e + 1, g + 1) for e, g in ps if g <= -1)
+        case VarLev():
+            return frozenset({(t.level - 1, t.level)})
     raise InvariantError(f"not a function-sorted term: {t!r}")
 
 
@@ -243,23 +244,23 @@ def _kset_head(strict: bool):
 
     def head(j: int, t: Term):
         match t:
-            case Xi(j1, arg):
-                if j1 < j:
-                    return frozenset({KItem(mk_xi(j1 - (j - 1), arg))})
-                return j - j1, arg
-            case Theta(body):
+            case Xi():
+                if t.level < j:
+                    return frozenset({KItem(mk_xi(t.level - (j - 1), t.arg))})
+                return j - t.level, t.arg
+            case Theta():
                 fc_bar = _fc_bar0(t)
                 if fc_bar < j or (fc_bar == j and not strict):
                     return frozenset({_bound_collapse_item(t, j, _shift)})
-                return j - 1, body
-            case VarLev(name, j1):
-                if j1 < j:
-                    return frozenset({KItem(var_lev(name, j1 - (j - 1)))})
+                return j - 1, t.body
+            case VarLev():
+                if t.level < j:
+                    return frozenset({KItem(var_lev(t.name, t.level - (j - 1)))})
                 return frozenset()
-            case FVar(name, j1, arg):
-                if j1 < j:
-                    return frozenset({KItem(fvar(name, j1 - (j - 1), arg))})
-                return j - j1, arg
+            case FVar():
+                if t.level < j:
+                    return frozenset({KItem(fvar(t.name, t.level - (j - 1), t.arg))})
+                return j - t.level, t.arg
         raise InvariantError(f"not a function-sorted term: {t!r}")
 
     return head

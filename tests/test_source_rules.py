@@ -86,6 +86,21 @@ def test_no_global_statements():
     assert bad == []
 
 
+def test_class_patterns_carry_no_subpatterns():
+    """A class pattern tests the class alone, and the clause reads the
+    fields off the matched operand.  CPython's `MATCH_CLASS` looks up
+    `__match_args__` and makes a generic `getattr` for each positional or
+    keyword subpattern, a wildcard included, so a capture costs more than
+    the attribute read it stands for."""
+    bad = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path, tree in _SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.MatchClass) and (node.patterns or node.kwd_patterns)
+    ]
+    assert bad == []
+
+
 def _path(module):
     return pathlib.Path(core.__file__).with_name(f"{module}.py")
 
